@@ -205,7 +205,7 @@ def render_json(document: dict) -> str:
 def render_tsv(document: dict) -> str:
     """Deterministic, plottable export: counts and derived columns only.
 
-    Volatile engine metadata (wall time, backend) is deliberately left to the
+    Engine metadata (wall time, workers, stream id) is deliberately left to the
     JSON format so identical configs produce byte-identical TSV.
     """
     lines = [f"# scenario: {document['scenario']}"]
@@ -242,7 +242,7 @@ def render_table(document: dict) -> str:
         lines.append(f"{key}: {cell(value)}")
     engine = document["engine"]
     lines.append(
-        f"[{engine['version']} | backend {engine['kernel_backend']} | "
+        f"[{engine['version']} | rng {engine['rng_stream']} | "
         f"{engine['trials_total']} trials in {engine['wall_time_s']}s]"
     )
     return "\n".join(lines) + "\n"

@@ -119,6 +119,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        kernels.check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -430,6 +431,7 @@ def run_malus(
         raise ValueError("trials must be at least 1")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    kernels.check_seed(seed)
     passed = np.empty(trials, dtype=np.uint8)
 
     def block(lo: int, hi: int) -> None:
@@ -442,8 +444,9 @@ def run_malus(
 class TrialStream:
     """Sequential view of one trial's uniform draw stream.
 
-    Draw j of trial i is philox(seed, counter=(i, j)); the stream just walks
-    j upward, so it can be re-created and replayed at will.
+    Draw j of trial i is word j % 4 of philox4x64-10 at counter (i, j // 4)
+    (see :mod:`eprsim.kernels`); the stream just walks j upward, so it can be
+    re-created and replayed at will.
     """
 
     def __init__(self, seed: int, trial_index: int) -> None:

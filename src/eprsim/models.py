@@ -23,7 +23,7 @@ the observable meant to tell them apart.
 
 Every model consumes per-trial randomness through :class:`TrialDraws` in a
 fixed documented order (emission draw, arm-A coin, arm-B coin), so trials are
-reproducible and the same coins can be replayed through any backend.
+reproducible and the same coins can be replayed through the vectorized kernels.
 """
 
 from __future__ import annotations

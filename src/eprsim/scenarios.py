@@ -36,6 +36,7 @@ from .models import (
     malus_response_model,
 )
 from .stats import (
+    MIN_ORDER_TEST_TRIALS,
     PairEstimate,
     binomial_stderr,
     chsh_report,
@@ -105,6 +106,8 @@ def _check_trials(trials: int) -> int:
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"seed: must be an integer, got {seed!r}")
+    if not 0 <= seed < kernels.SEED_LIMIT:
+        raise ConfigError(f"seed: must be in [0, 2**64), got {seed!r}")
     return seed
 
 
@@ -125,7 +128,7 @@ def _check_angles(angles_deg, expected: int | None) -> tuple[float, ...]:
 def _engine_meta(trials_total: int, wall_time_s: float, workers: int | None) -> dict:
     return {
         "version": __version__,
-        "kernel_backend": kernels.backend(),
+        "rng_stream": kernels.RNG_STREAM,
         "workers": resolve_workers(workers),
         "trials_total": trials_total,
         "wall_time_s": round(wall_time_s, 6),
@@ -316,8 +319,10 @@ def order_test(
     """
     hypothesis = build_model(model)
     trials = _check_trials(trials)
-    if trials < 10_000:
-        raise ConfigError("trials: the order test needs at least 10000 trials per ordering")
+    if trials < MIN_ORDER_TEST_TRIALS:
+        raise ConfigError(
+            f"trials: the order test needs at least {MIN_ORDER_TEST_TRIALS} trials per ordering"
+        )
     seed = _check_seed(seed)
     try:
         theta = math.radians(float(theta_deg))

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from eprsim.cli import main, render_json, render_table, render_tsv
+from eprsim.kernels import RNG_STREAM
 from eprsim.scenarios import chsh_scan
+from eprsim.stats import MIN_ORDER_TEST_TRIALS
 
 TRIALS = "20000"
 
@@ -66,6 +68,13 @@ class TestSubcommands:
         ]
         assert "2.697" in doc["summary"]["note"]
 
+    def test_engine_block_names_the_rng_stream(self, capsys):
+        code, out, _ = run_cli(capsys, "qwp-test", "--trials", "100", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["engine"]["rng_stream"] == RNG_STREAM
+        code, out, _ = run_cli(capsys, "qwp-test", "--trials", "100")
+        assert f"rng {RNG_STREAM}" in out
+
     def test_angles_echoed_in_both_units(self, capsys):
         _, out, _ = run_cli(
             capsys, "chsh-scan", "--trials", TRIALS, "--format", "json",
@@ -103,6 +112,28 @@ class TestErrors:
         code, _, err = run_cli(capsys, "chsh-scan", "--config", str(cfg))
         assert code == 1
         assert "scenario" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_1(self, capsys, seed):
+        code, out, err = run_cli(capsys, "qwp-test", "--trials", "100", "--seed", seed)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("epr: config error: seed:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "qwp-test", "--trials", "100", "--seed", str(2**64 - 1), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 2**64 - 1
+
+    def test_order_test_minimum_trials_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, "order-test", "--trials", "9999")
+        assert code == 1
+        assert err.startswith("epr: config error: trials:")
+        assert f"{MIN_ORDER_TEST_TRIALS}" in err
 
     def test_missing_scenario_exits_1(self, capsys):
         code, _, err = run_cli(capsys)

@@ -195,6 +195,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             RunConfig(model=QMFormal(), trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(model=QMFormal(), trials=1, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            run_malus(seed, 0.5, 1)
+
+    def test_largest_seed_accepted(self):
+        run = run_experiment(qm_config(seed=2**64 - 1, trials=100))
+        assert sum(c.total for c in run.counts()) == 100
+        assert run_malus(2**64 - 1, 0.5, 100).n_total == 100
+
     def test_unknown_protocol_rejected(self):
         with pytest.raises(TypeError):
             run_experiment(qm_config(), protocol="two-channel")

@@ -1,7 +1,7 @@
-"""Backend parity and kernel-vs-reference agreement.
+"""Counter-based draws against an independent reference, and kernel-vs-object-layer agreement.
 
-The numba and numpy backends must produce bit-identical outcomes, and both
-must agree per-trial with the slow object-layer models when fed the same
+The kernels must reproduce a pure-Python philox4x64-10 word for word, and
+agree per-trial with the slow object-layer models when fed the same
 counter-based draws.
 """
 
@@ -25,47 +25,94 @@ from eprsim.models import (
 from eprsim.twophoton import ChannelOutcome
 
 
-@pytest.fixture(params=kernels.available_backends())
+@pytest.fixture(params=[kernels.backend()])
 def backend(request):
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(None)
+    """The one kernel backend, named in the test ids."""
+    return request.param
 
 
-def philox4x32_reference(key: int, counter: tuple[int, int, int, int]) -> list[int]:
-    """Scalar philox4x32-10, written independently of the kernel code."""
-    m0, m1, w0, w1 = 0xD2511F53, 0xCD9E8D57, 0x9E3779B9, 0xBB67AE85
+MASK64 = (1 << 64) - 1
+
+
+def philox4x64_reference(key: tuple[int, int], counter: tuple[int, int, int, int]) -> list[int]:
+    """Scalar philox4x64-10 (Salmon et al., SC'11), written independently of the kernel code."""
+    m0, m1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+    w0, w1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
     c = list(counter)
-    k = [key & 0xFFFFFFFF, (key >> 32) & 0xFFFFFFFF]
+    k = list(key)
     for _ in range(10):
         p0 = c[0] * m0
         p1 = c[2] * m1
         c = [
-            ((p1 >> 32) ^ c[1] ^ k[0]) & 0xFFFFFFFF,
-            p1 & 0xFFFFFFFF,
-            ((p0 >> 32) ^ c[3] ^ k[1]) & 0xFFFFFFFF,
-            p0 & 0xFFFFFFFF,
+            ((p1 >> 64) ^ c[1] ^ k[0]) & MASK64,
+            p1 & MASK64,
+            ((p0 >> 64) ^ c[3] ^ k[1]) & MASK64,
+            p0 & MASK64,
         ]
-        k[0] = (k[0] + w0) & 0xFFFFFFFF
-        k[1] = (k[1] + w1) & 0xFFFFFFFF
+        k = [(k[0] + w0) & MASK64, (k[1] + w1) & MASK64]
     return c
 
 
 def reference_uniform(seed: int, trial: int, slot: int) -> float:
-    x = philox4x32_reference(seed, (trial & 0xFFFFFFFF, trial >> 32, slot, 0))
-    return ((x[0] << 32 | x[1]) >> 11) * 2.0**-53
+    """Draw `slot` of `trial`: word slot % 4 at counter (trial, slot // 4, 0, 0)."""
+    words = philox4x64_reference((seed, 0), (trial, slot // 4, 0, 0))
+    return (words[slot % 4] >> 11) * 2.0**-53
+
+
+# (seed, trial, group): both ends of the seed and trial ranges, and both
+# slot groups; trial 0 wraps the whole 256-bit counter and trial 2**64 - 1
+# of group 1 carries into the group word.
+REFERENCE_POINTS = [
+    (0, 0, 0),
+    (0, 0, 1),
+    (7, 5, 1),
+    (2**64 - 1, 2**40 + 3, 0),
+    (42, 2**64 - 1, 0),
+    (42, 2**64 - 1, 1),
+]
 
 
 class TestCounterBasedUniforms:
-    def test_matches_scalar_reference(self, backend):
-        for seed, trial, slot in [
-            (0, 0, 0),
-            (42, 5, 3),
-            (2**63 + 11, 123456789, 4),
-            (7, 2**40 + 7, 1),
-        ]:
+    @pytest.mark.parametrize("seed,trial,group", REFERENCE_POINTS)
+    def test_matches_scalar_reference(self, seed, trial, group):
+        for slot in range(4 * group, 4 * group + 4):
             got = float(kernels.uniform_block(seed, trial, 1, slot)[0])
             assert got == reference_uniform(seed, trial, slot)
+
+    @pytest.mark.parametrize("seed,trial,group", REFERENCE_POINTS)
+    def test_trial_uniforms_match_reference(self, seed, trial, group):
+        got = kernels.trial_uniforms(seed, trial, 4 * group, 4)
+        assert list(got) == [reference_uniform(seed, trial, 4 * group + k) for k in range(4)]
+
+    def test_block_rows_follow_the_trial_index(self):
+        start, count = 2**64 - 6, 6
+        for slot in (kernels.SLOT_ARM_B, kernels.SLOT_ORDERING):
+            got = kernels.uniform_block(3, start, count, slot)
+            assert list(got) == [reference_uniform(3, start + i, slot) for i in range(count)]
+
+    @pytest.mark.parametrize("trial", [0, 2**64 - 1])
+    def test_stream_crosses_the_group_boundary(self, trial):
+        stream = trial_stream(11, trial)
+        got = list(stream.uniforms(3)) + list(stream.uniforms(6))
+        assert got == [reference_uniform(11, trial, j) for j in range(9)]
+
+    def test_trial_draws_follow_the_slot_layout(self):
+        d = trial_draws(5, 2**64 - 1)
+        assert d.settings == reference_uniform(5, 2**64 - 1, kernels.SLOT_SETTINGS)
+        assert d.emission == reference_uniform(5, 2**64 - 1, kernels.SLOT_EMISSION)
+        assert d.arm_a == reference_uniform(5, 2**64 - 1, kernels.SLOT_ARM_A)
+        assert d.arm_b == reference_uniform(5, 2**64 - 1, kernels.SLOT_ARM_B)
+        assert d.ordering == reference_uniform(5, 2**64 - 1, kernels.SLOT_ORDERING)
+        layout = (kernels.SLOT_SETTINGS, kernels.SLOT_EMISSION, kernels.SLOT_ARM_A,
+                  kernels.SLOT_ARM_B, kernels.SLOT_ORDERING)
+        assert layout == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "seed,start,count", [(-1, 0, 1), (2**64, 0, 1), (1, -1, 1), (1, 2**64 - 1, 2)]
+    )
+    def test_rejects_seeds_and_trials_outside_64_bits(self, seed, start, count):
+        with pytest.raises(ValueError):
+            kernels.uniform_block(seed, start, count, kernels.SLOT_ARM_A)
 
     def test_same_seed_same_index_replays(self, backend):
         a = kernels.uniform_block(9, 100, 64, kernels.SLOT_ARM_A)
@@ -95,48 +142,6 @@ class TestCounterBasedUniforms:
         second = stream.next_uniform()
         assert first == reference_uniform(3, 7, 0)
         assert second == reference_uniform(3, 7, 1)
-
-
-class TestBackendParity:
-    """Both backends consume the same draws and the same arithmetic."""
-
-    def _both(self, fn):
-        results = []
-        for name in kernels.available_backends():
-            kernels.set_backend(name)
-            results.append(fn())
-        kernels.set_backend(None)
-        return results
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable")
-    def test_uniforms_bit_identical(self):
-        a, b = self._both(lambda: kernels.uniform_block(77, 1000, 4096, 2))
-        assert np.array_equal(a, b)
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable")
-    @pytest.mark.parametrize("code", sorted(kernels.MODEL_CODES.values()))
-    @pytest.mark.parametrize("ordering", [0, 1, 2])
-    def test_two_channel_bit_identical(self, code, ordering):
-        pa = np.array([0.0, math.pi / 4])
-        pb = np.array([math.pi / 8, 3 * math.pi / 8])
-        cw = np.array([0.5, 1.0])
-        a, b = self._both(
-            lambda: kernels.two_channel_block(5, 50, 20_000, code, pa, pb, cw, ordering)
-        )
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable")
-    @pytest.mark.parametrize("qwp_code", [0, 1, 2])
-    def test_qwp_bit_identical(self, qwp_code):
-        a, b = self._both(lambda: kernels.qwp_block(5, 0, 20_000, qwp_code, 0))
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable")
-    def test_malus_bit_identical(self):
-        a, b = self._both(lambda: kernels.malus_block(5, 0, 20_000, 0.6))
-        assert np.array_equal(a, b)
 
 
 def _sign(outcome: ChannelOutcome) -> int:
@@ -212,19 +217,3 @@ class TestKernelsMatchObjectLayer:
         )
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
-
-
-class TestBackendSelection:
-    def test_env_flag(self, monkeypatch):
-        kernels.set_backend(None)
-        monkeypatch.setenv("EPR_KERNEL_BACKEND", "numpy")
-        assert kernels.backend() == "numpy"
-        kernels.set_backend(None)
-        monkeypatch.setenv("EPR_KERNEL_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            kernels.backend()
-        kernels.set_backend(None)
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("fortran")

@@ -8,7 +8,7 @@ from eprsim.models import (
     lhv_correlation,
     malus_response_model,
 )
-from eprsim.scenarios import build_model, chsh_scan, model_matrix, qwp_test
+from eprsim.scenarios import SCENARIOS, ConfigError, build_model, chsh_scan, model_matrix, qwp_test
 from eprsim.stats import estimate_correlation
 from eprsim.twophoton import joint_probabilities, linear_entangled
 
@@ -82,3 +82,14 @@ class TestScenarioPredictions:
     def test_ordering_is_echoed_never_averaged(self):
         doc = qwp_test(model="ndv-nonlocal", trials=100_000, seed=26, ordering="arm2-first")
         assert doc["config"]["ordering"] == "arm2-first"
+
+
+class TestSeedBoundary:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_a_config_error(self, name, seed):
+        with pytest.raises(ConfigError) as info:
+            SCENARIOS[name](trials=10_000, seed=seed)
+        message = str(info.value)
+        assert message.startswith("seed:")
+        assert "\n" not in message
