@@ -11,71 +11,46 @@ Exit codes: 0 success, 1 configuration error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 from ._version import __version__
 from .polarization import NormalizationError
-from .scenarios import (
-    DEFAULT_CHSH_ANGLES_DEG,
-    DEFAULT_MALUS_ANGLES_DEG,
-    DEFAULT_ORDER_THETA_DEG,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    MODEL_NAMES,
-    ORDERING_NAMES,
-    SCENARIOS,
-    ConfigError,
-)
+from .scenarios import MODEL_NAMES, ORDERING_NAMES, SCENARIOS, ConfigError
 
 FORMATS = ("table", "tsv", "json")
 
 # Scenario parameters that may come from a config file or a CLI flag, in
-# render order. "scenario", "format" and "out" are accepted on top of these.
+# render order, and their defaults, read off the scenario signatures once at
+# import. "scenario", "format" and "out" are accepted on top of these.
+_SIGNATURES = {name: inspect.signature(fn).parameters for name, fn in SCENARIOS.items()}
 SCENARIO_PARAMS: dict[str, tuple[str, ...]] = {
-    "chsh-scan": ("model", "angles_deg", "trials", "seed", "ordering", "k_sigma", "workers"),
-    "malus-check": ("angles_deg", "trials", "seed", "workers"),
-    "qwp-test": ("model", "trials", "seed", "ordering", "workers"),
-    "order-test": ("model", "theta_deg", "trials", "seed", "workers"),
-    "model-matrix": ("trials", "seed", "k_sigma", "workers"),
+    name: tuple(params) for name, params in _SIGNATURES.items()
 }
-
 _DEFAULTS: dict[str, dict] = {
-    "chsh-scan": {
-        "model": "qm",
-        "angles_deg": list(DEFAULT_CHSH_ANGLES_DEG),
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "ordering": "arm1-first",
-        "k_sigma": 3.0,
-        "workers": None,
-    },
-    "malus-check": {
-        "angles_deg": list(DEFAULT_MALUS_ANGLES_DEG),
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "workers": None,
-    },
-    "qwp-test": {
-        "model": "qm",
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "ordering": "arm1-first",
-        "workers": None,
-    },
-    "order-test": {
-        "model": "qm",
-        "theta_deg": DEFAULT_ORDER_THETA_DEG,
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "workers": None,
-    },
-    "model-matrix": {
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "k_sigma": 3.0,
-        "workers": None,
-    },
+    name: {key: param.default for key, param in params.items()}
+    for name, params in _SIGNATURES.items()
+}
+_HELP = {name: (fn.__doc__ or "").strip().split("\n")[0] for name, fn in SCENARIOS.items()}
+
+# The command-line flag of each scenario parameter.
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "model": ("--model", dict(choices=MODEL_NAMES, help="hypothesis model")),
+    "angles_deg": (
+        "--angles",
+        dict(type=float, nargs="+", metavar="DEG",
+             help="analyzer angles in degrees (chsh-scan: a b a' b')"),
+    ),
+    "theta_deg": ("--theta", dict(type=float, help="analyzer angle gap in degrees")),
+    "trials": ("--trials", dict(type=int, help="trials per settings block")),
+    "seed": ("--seed", dict(type=int, help="64-bit run seed")),
+    "ordering": (
+        "--ordering",
+        dict(choices=tuple(ORDERING_NAMES), help="which arm is booked as measured first"),
+    ),
+    "k_sigma": ("--k-sigma", dict(type=float, help="verdict threshold in sigmas")),
+    "workers": ("--workers", dict(type=int, help="worker thread cap")),
 }
 
 
@@ -96,50 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"epr {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="SCENARIO")
-
-    def common(p: _Parser, with_model: bool, with_ordering: bool) -> None:
-        if with_model:
-            p.add_argument("--model", choices=MODEL_NAMES, default=None, help="hypothesis model")
-        p.add_argument("--trials", type=int, default=None, help="trials per settings block")
-        p.add_argument("--seed", type=int, default=None, help="64-bit run seed")
-        if with_ordering:
-            p.add_argument(
-                "--ordering",
-                choices=tuple(ORDERING_NAMES),
-                default=None,
-                help="which arm is booked as measured first",
-            )
-        p.add_argument("--workers", type=int, default=None, help="worker thread cap")
+    for name, params in SCENARIO_PARAMS.items():
+        p = sub.add_parser(name, help=_HELP[name])
+        for param in params:
+            flag, spec = _FLAGS[param]
+            p.add_argument(flag, dest=param, default=None, **spec)
         p.add_argument("--config", default=None, metavar="PATH", help="JSON config file")
         p.add_argument("--format", choices=FORMATS, default=None, help="output format")
         p.add_argument("--out", default=None, metavar="PATH", help="output path (default stdout)")
-
-    p = sub.add_parser("chsh-scan", help="four-pair correlation scan and the S combination")
-    p.add_argument(
-        "--angles", type=float, nargs=4, default=None, metavar=("A", "B", "A2", "B2"),
-        help="analyzer quadruple a b a' b' in degrees",
-    )
-    p.add_argument("--k-sigma", type=float, default=None, help="verdict threshold in sigmas")
-    common(p, with_model=True, with_ordering=True)
-
-    p = sub.add_parser("malus-check", help="single-photon transmission vs the cos^2 law")
-    p.add_argument(
-        "--angles", type=float, nargs="+", default=None, metavar="DEG",
-        help="polarizer angles in degrees",
-    )
-    common(p, with_model=False, with_ordering=False)
-
-    p = sub.add_parser("qwp-test", help="helicity-certifying chains; reports P(B|A)")
-    common(p, with_model=True, with_ordering=True)
-
-    p = sub.add_parser("order-test", help="arm1-first vs arm2-first comparison")
-    p.add_argument("--theta", type=float, default=None, help="analyzer angle gap in degrees")
-    common(p, with_model=True, with_ordering=False)
-
-    p = sub.add_parser("model-matrix", help="every model through both experiments")
-    p.add_argument("--k-sigma", type=float, default=None, help="verdict threshold in sigmas")
-    common(p, with_model=False, with_ordering=False)
-
     return parser
 
 
@@ -165,16 +104,12 @@ def _load_config_file(path: str, scenario: str) -> dict:
     return data
 
 
-_FLAG_TO_PARAM = {"angles": "angles_deg", "theta": "theta_deg"}
-
-
 def _resolve(args: argparse.Namespace) -> tuple[str, dict, str, str | None]:
     scenario = args.scenario
     file_cfg = _load_config_file(args.config, scenario) if args.config else {}
     resolved = {}
     for param in SCENARIO_PARAMS[scenario]:
-        flag_attr = {v: k for k, v in _FLAG_TO_PARAM.items()}.get(param, param)
-        cli_value = getattr(args, flag_attr, None)
+        cli_value = getattr(args, param)
         if cli_value is not None:
             resolved[param] = cli_value
         elif param in file_cfg:

@@ -3,8 +3,10 @@
 The central contract: the record of trial i is a pure function of
 (seed, i, config), so runs are reproducible bit for bit regardless of block
 size, execution order or worker count. Randomness is counter-based (see
-:mod:`eprsim.kernels`); workers only ever partition the trial-index range and
-write into disjoint slices.
+:mod:`eprsim.kernels`); workers only ever partition the trial-index range,
+and each block is reduced to exact integer counts on the worker that ran it.
+Runs keep those counts, not per-trial arrays, so memory does not grow with
+the trial count; per-trial records are recomputed on demand.
 
 Geometry (arm length, inter-measurement delay) is bookkeeping: it sets the
 space-like-separation flag on records and never influences outcomes.
@@ -12,7 +14,9 @@ space-like-separation flag on records and never influences outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -198,14 +202,20 @@ def _block_ranges(start: int, trials: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _run_blocks(fn, start: int, trials: int, workers: int) -> None:
+def _run_blocks(count, start: int, trials: int, workers: int) -> tuple:
+    """Component-wise sum of ``count(lo, hi)`` over the blocks of the range.
+
+    Each block returns a tuple of exact counts and keeps no per-trial array,
+    so memory is bounded by the blocks in flight. Integer addition is exact,
+    so the sum does not depend on the worker count.
+    """
     ranges = _block_ranges(start, trials)
     if workers <= 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            fn(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda r: fn(*r), ranges))
+        parts = [count(lo, hi) for lo, hi in ranges]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda r: count(*r), ranges))
+    return tuple(functools.reduce(operator.add, column) for column in zip(*parts))
 
 
 def _first_arm_flags(seed: int, start: int, trials: int, ordering: Ordering) -> np.ndarray:
@@ -217,76 +227,81 @@ def _first_arm_flags(seed: int, start: int, trials: int, ordering: Ordering) -> 
     return kernels.uniform_block(seed, start, trials, kernels.SLOT_ORDERING) >= 0.5
 
 
+def _replay(config: RunConfig, start_index: int, kernel):
+    """Per block of the run: first trial index, arm-2-first flags and the
+    kernel output, recomputed from the counter-based stream."""
+    for lo, hi in _block_ranges(start_index, config.trials):
+        yield lo, _first_arm_flags(config.seed, lo, hi - lo, config.ordering), kernel(lo, hi)
+
+
+def _sign(outcome) -> ChannelOutcome:
+    return ChannelOutcome.PLUS if outcome > 0 else ChannelOutcome.MINUS
+
+
 @dataclass(frozen=True, eq=False)
 class TwoChannelRun:
-    """Raw per-trial outcomes of a two-channel run, plus exact counts."""
+    """Exact joint-outcome counts of a two-channel run, one per settings pair."""
 
     config: RunConfig
     start_index: int
     pair_table: tuple[tuple[float, float], ...]
-    pair_index: np.ndarray
-    outcome_a: np.ndarray
-    outcome_b: np.ndarray
+    pair_counts: tuple[CoincidenceCounts, ...]
 
     @property
     def spacelike(self) -> bool:
         return self.config.geometry.spacelike
 
     def counts_for_pair(self, pair: int) -> CoincidenceCounts:
-        mask = self.pair_index == pair
-        return CoincidenceCounts.from_outcomes(self.outcome_a[mask], self.outcome_b[mask])
+        return self.pair_counts[pair]
 
     def counts(self) -> list[CoincidenceCounts]:
         return [self.counts_for_pair(j) for j in range(len(self.pair_table))]
 
     def records(self) -> Iterator[TwoChannelRecord]:
-        arm2_first = _first_arm_flags(
-            self.config.seed, self.start_index, self.config.trials, self.config.ordering
-        )
-        spacelike = self.spacelike
-        for i in range(self.config.trials):
-            a, b = self.pair_table[int(self.pair_index[i])]
-            yield TwoChannelRecord(
-                trial_index=self.start_index + i,
-                a=a,
-                b=b,
-                first_arm=Arm.TWO if arm2_first[i] else Arm.ONE,
-                outcome_a=ChannelOutcome.PLUS if self.outcome_a[i] > 0 else ChannelOutcome.MINUS,
-                outcome_b=ChannelOutcome.PLUS if self.outcome_b[i] > 0 else ChannelOutcome.MINUS,
-                spacelike=spacelike,
-            )
+        """Per-trial records, replayed block by block."""
+        blocks = _replay(self.config, self.start_index, _two_channel_kernel(self.config))
+        for lo, arm2_first, (pair_index, out_a, out_b) in blocks:
+            for i, flag in enumerate(arm2_first):
+                a, b = self.pair_table[pair_index[i]]
+                yield TwoChannelRecord(
+                    trial_index=lo + i,
+                    a=a,
+                    b=b,
+                    first_arm=Arm.TWO if flag else Arm.ONE,
+                    outcome_a=_sign(out_a[i]),
+                    outcome_b=_sign(out_b[i]),
+                    spacelike=self.spacelike,
+                )
 
 
 @dataclass(frozen=True, eq=False)
 class QwpChainRun:
-    """Raw per-trial detection flags of a chain-protocol run."""
+    """Exact detection counts of a chain-protocol run."""
 
     config: RunConfig
     protocol: QwpChainProtocol
     start_index: int
-    detected_a: np.ndarray
-    detected_b: np.ndarray
+    detections: ChainCounts
 
     @property
     def spacelike(self) -> bool:
         return self.config.geometry.spacelike
 
     def chain_counts(self) -> ChainCounts:
-        return ChainCounts.from_flags(self.detected_a, self.detected_b)
+        return self.detections
 
     def records(self) -> Iterator[ChainRecord]:
-        arm2_first = _first_arm_flags(
-            self.config.seed, self.start_index, self.config.trials, self.config.ordering
-        )
-        spacelike = self.spacelike
-        for i in range(self.config.trials):
-            yield ChainRecord(
-                trial_index=self.start_index + i,
-                first_arm=Arm.TWO if arm2_first[i] else Arm.ONE,
-                detected_a=bool(self.detected_a[i]),
-                detected_b=bool(self.detected_b[i]),
-                spacelike=spacelike,
-            )
+        """Per-trial records, replayed block by block."""
+        blocks = _replay(self.config, self.start_index, _qwp_kernel(self.config))
+        for lo, arm2_first, (det_a, det_b) in blocks:
+            for i, flag in enumerate(arm2_first):
+                yield ChainRecord(
+                    trial_index=lo + i,
+                    first_arm=Arm.TWO if flag else Arm.ONE,
+                    detected_a=bool(det_a[i]),
+                    detected_b=bool(det_b[i]),
+                    spacelike=self.spacelike,
+                )
 
 
 def _settings_tables(policy: SettingsPolicy) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
@@ -303,6 +318,35 @@ def _settings_tables(policy: SettingsPolicy) -> tuple[tuple, np.ndarray, np.ndar
     cumw = np.cumsum(weights)
     cumw[-1] = 1.0  # guard float drift; weights already sum to 1 within 1e-12
     return pairs, pair_a, pair_b, cumw
+
+
+def _two_channel_kernel(config: RunConfig):
+    """The per-block kernel call of a two-channel run:
+    (lo, hi) -> (pair index, outcome A, outcome B) per trial."""
+    _, pair_a, pair_b, cumw = _settings_tables(config.settings)
+    order_code = _ORDER_CODES[config.ordering]
+    kernel_id = getattr(config.model, "kernel_id", None)
+    if kernel_id is not None:
+        code = kernels.MODEL_CODES[kernel_id]
+        return lambda lo, hi: kernels.two_channel_block(
+            config.seed, lo, hi - lo, code, pair_a, pair_b, cumw, order_code
+        )
+    if isinstance(config.model, Lhv):
+        lhv = config.model.model
+        return lambda lo, hi: kernels.two_channel_block_lhv(
+            config.seed, lo, hi - lo, lhv.sample, lhv.response_a, lhv.response_b,
+            pair_a, pair_b, cumw, order_code,
+        )
+    raise TypeError(f"no trial kernel for model {config.model!r}")
+
+
+def _qwp_kernel(config: RunConfig):
+    """The per-block kernel call of a chain run: (lo, hi) -> (detected A, detected B)."""
+    if not isinstance(config.model, (QMFormal, NdvNonlocal, DefiniteCircular, Lhv)):
+        raise TypeError(f"no chain kernel for model {config.model!r}")
+    qwp_code = kernels.qwp_code_for(getattr(config.model, "kernel_id", None))
+    order_code = _ORDER_CODES[config.ordering]
+    return lambda lo, hi: kernels.qwp_block(config.seed, lo, hi - lo, qwp_code, order_code)
 
 
 def run_experiment(
@@ -326,51 +370,23 @@ def run_experiment(
 
 
 def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoChannelRun:
-    pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
-    order_code = _ORDER_CODES[config.ordering]
-    pair_index = np.empty(config.trials, dtype=np.int32)
-    out_a = np.empty(config.trials, dtype=np.int8)
-    out_b = np.empty(config.trials, dtype=np.int8)
-    kernel_id = getattr(config.model, "kernel_id", None)
+    pairs = _settings_tables(config.settings)[0]
+    kernel = _two_channel_kernel(config)
 
-    if kernel_id is not None:
-        code = kernels.MODEL_CODES[kernel_id]
+    def count(lo: int, hi: int) -> tuple[CoincidenceCounts, ...]:
+        pair_index, out_a, out_b = kernel(lo, hi)
+        if len(pairs) == 1:  # fixed settings, as in every scenario: no per-pair masks
+            return (CoincidenceCounts.from_outcomes(out_a, out_b),)
+        return tuple(
+            CoincidenceCounts.from_outcomes(out_a[pair_index == j], out_b[pair_index == j])
+            for j in range(len(pairs))
+        )
 
-        def block(lo: int, hi: int) -> None:
-            sl = slice(lo - start_index, hi - start_index)
-            pair_index[sl], out_a[sl], out_b[sl] = kernels.two_channel_block(
-                config.seed, lo, hi - lo, code, pair_a, pair_b, cumw, order_code
-            )
-
-    elif isinstance(config.model, Lhv):
-        lhv = config.model.model
-
-        def block(lo: int, hi: int) -> None:
-            sl = slice(lo - start_index, hi - start_index)
-            pair_index[sl], out_a[sl], out_b[sl] = kernels.two_channel_block_lhv(
-                config.seed,
-                lo,
-                hi - lo,
-                lhv.sample,
-                lhv.response_a,
-                lhv.response_b,
-                pair_a,
-                pair_b,
-                cumw,
-                order_code,
-            )
-
-    else:
-        raise TypeError(f"no trial kernel for model {config.model!r}")
-
-    _run_blocks(block, start_index, config.trials, workers)
     return TwoChannelRun(
         config=config,
         start_index=start_index,
         pair_table=pairs,
-        pair_index=pair_index,
-        outcome_a=out_a,
-        outcome_b=out_b,
+        pair_counts=_run_blocks(count, start_index, config.trials, workers),
     )
 
 
@@ -379,24 +395,13 @@ def _run_qwp_chain(
 ) -> QwpChainRun:
     protocol.chain_a()  # validates the chain specs up front
     protocol.chain_b()
-    order_code = _ORDER_CODES[config.ordering]
-    qwp_code = kernels.qwp_code_for(getattr(config.model, "kernel_id", None))
-    if not isinstance(config.model, (QMFormal, NdvNonlocal, DefiniteCircular, Lhv)):
-        raise TypeError(f"no chain kernel for model {config.model!r}")
-    det_a = np.empty(config.trials, dtype=np.uint8)
-    det_b = np.empty(config.trials, dtype=np.uint8)
-
-    def block(lo: int, hi: int) -> None:
-        sl = slice(lo - start_index, hi - start_index)
-        det_a[sl], det_b[sl] = kernels.qwp_block(config.seed, lo, hi - lo, qwp_code, order_code)
-
-    _run_blocks(block, start_index, config.trials, workers)
+    kernel = _qwp_kernel(config)
+    (detections,) = _run_blocks(
+        lambda lo, hi: (ChainCounts.from_flags(*kernel(lo, hi)),),
+        start_index, config.trials, workers,
+    )
     return QwpChainRun(
-        config=config,
-        protocol=protocol,
-        start_index=start_index,
-        detected_a=det_a,
-        detected_b=det_b,
+        config=config, protocol=protocol, start_index=start_index, detections=detections
     )
 
 
@@ -407,15 +412,8 @@ class MalusRun:
     seed: int
     theta: float
     start_index: int
-    passed: np.ndarray
-
-    @property
-    def n_total(self) -> int:
-        return int(self.passed.size)
-
-    @property
-    def n_pass(self) -> int:
-        return int(np.count_nonzero(self.passed))
+    n_pass: int
+    n_total: int
 
 
 def run_malus(
@@ -432,13 +430,11 @@ def run_malus(
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     kernels.check_seed(seed)
-    passed = np.empty(trials, dtype=np.uint8)
-
-    def block(lo: int, hi: int) -> None:
-        passed[lo - start_index : hi - start_index] = kernels.malus_block(seed, lo, hi - lo, theta)
-
-    _run_blocks(block, start_index, trials, resolve_workers(workers))
-    return MalusRun(seed=seed, theta=theta, start_index=start_index, passed=passed)
+    (n_pass,) = _run_blocks(
+        lambda lo, hi: (int(np.count_nonzero(kernels.malus_block(seed, lo, hi - lo, theta))),),
+        start_index, trials, resolve_workers(workers),
+    )
+    return MalusRun(seed=seed, theta=theta, start_index=start_index, n_pass=n_pass, n_total=trials)
 
 
 class TrialStream:

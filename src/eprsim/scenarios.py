@@ -12,6 +12,7 @@ once; all emitted angles are echoed in both units.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 from . import kernels
@@ -37,6 +38,7 @@ from .models import (
 )
 from .stats import (
     MIN_ORDER_TEST_TRIALS,
+    ChainCounts,
     PairEstimate,
     binomial_stderr,
     chsh_report,
@@ -91,16 +93,24 @@ def build_model(name: str) -> HypothesisModel:
 def _resolve_ordering(name: str) -> Ordering:
     try:
         return ORDERING_NAMES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(
             f"ordering: unknown ordering {name!r} (choose from {', '.join(ORDERING_NAMES)})"
         ) from None
 
 
+def _check_positive_int(key: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{key}: must be a positive integer, got {value!r}")
+    return value
+
+
 def _check_trials(trials: int) -> int:
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
-    return trials
+    return _check_positive_int("trials", trials)
+
+
+def _check_workers(workers: int | None) -> int | None:
+    return None if workers is None else _check_positive_int("workers", workers)
 
 
 def _check_seed(seed: int) -> int:
@@ -111,18 +121,29 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _check_angles(angles_deg, expected: int | None) -> tuple[float, ...]:
+def _check_real(key: str, value, minimum: float | None = None) -> float:
+    """`value` as a finite float; bools and non-numbers are config errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key}: must be a number, got {value!r}")
     try:
-        values = tuple(float(x) for x in angles_deg)
-    except (TypeError, ValueError):
-        raise ConfigError(f"angles_deg: must be a list of numbers, got {angles_deg!r}") from None
-    if expected is not None and len(values) != expected:
-        raise ConfigError(f"angles_deg: expected {expected} angles, got {len(values)}")
-    if len(values) < 1:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{key}: must be at least {minimum}, got {value!r}")
+    return number
+
+
+def _check_angles(angles_deg, expected: int | None) -> tuple[float, ...]:
+    if not isinstance(angles_deg, (list, tuple)):
+        raise ConfigError(f"angles_deg: must be a list of numbers, got {angles_deg!r}")
+    if expected is not None and len(angles_deg) != expected:
+        raise ConfigError(f"angles_deg: expected {expected} angles, got {len(angles_deg)}")
+    if len(angles_deg) < 1:
         raise ConfigError("angles_deg: need at least one angle")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError("angles_deg: angles must be finite")
-    return values
+    return tuple(_check_real("angles_deg", x) for x in angles_deg)
 
 
 def _engine_meta(trials_total: int, wall_time_s: float, workers: int | None) -> dict:
@@ -139,6 +160,54 @@ def _angle_row(prefix: str, degrees: float) -> dict:
     return {f"{prefix}_deg": degrees, f"{prefix}_rad": math.radians(degrees)}
 
 
+def _count_row(estimate: PairEstimate) -> dict:
+    counts = estimate.counts
+    return {
+        "N_pp": counts.n_pp,
+        "N_pm": counts.n_pm,
+        "N_mp": counts.n_mp,
+        "N_mm": counts.n_mm,
+        "E": estimate.e,
+        "E_stderr": estimate.e_stderr,
+    }
+
+
+def _chsh_pairs(angles_deg) -> list[tuple[float, float]]:
+    """(a, b), (a, b'), (a', b), (a', b'): the order `chsh_report` takes."""
+    a, b, a2, b2 = angles_deg
+    return [(a, b), (a, b2), (a2, b), (a2, b2)]
+
+
+def _pair_estimates(
+    hypothesis: HypothesisModel, settings, trials: int, seed: int, workers, offset: int = 0
+) -> list[PairEstimate]:
+    """One two-channel run of `trials` per (a_deg, b_deg, ordering) in
+    `settings`, on consecutive disjoint trial ranges from `offset`.
+
+    Disjoint ranges of one seed draw independent streams, so the estimates
+    carry no covariance.
+    """
+    estimates = []
+    for j, (a_deg, b_deg, order) in enumerate(settings):
+        a, b = math.radians(a_deg), math.radians(b_deg)
+        config = RunConfig(
+            model=hypothesis, trials=trials, settings=FixedSettings(a, b),
+            ordering=order, seed=seed,
+        )
+        run = run_experiment(
+            config, TwoChannelProtocol(), start_index=offset + j * trials, workers=workers
+        )
+        estimates.append(PairEstimate.from_counts(a, b, run.counts_for_pair(0)))
+    return estimates
+
+
+def _conditional_detection(counts: ChainCounts) -> tuple[float, float]:
+    try:
+        return conditional_detection(counts)
+    except ValueError as exc:
+        raise ConfigError(f"trials: too few to condition on: {exc}") from None
+
+
 def chsh_scan(
     model: str = "qm",
     angles_deg=DEFAULT_CHSH_ANGLES_DEG,
@@ -150,38 +219,21 @@ def chsh_scan(
 ) -> dict:
     """Four-pair correlation scan at the quadruple (a, b, a', b')."""
     hypothesis = build_model(model)
-    a_deg, b_deg, a2_deg, b2_deg = _check_angles(angles_deg, 4)
+    angles = _check_angles(angles_deg, 4)
     trials = _check_trials(trials)
     seed = _check_seed(seed)
     order = _resolve_ordering(ordering)
-    pair_angles_deg = [(a_deg, b_deg), (a_deg, b2_deg), (a2_deg, b_deg), (a2_deg, b2_deg)]
+    k_sigma = _check_real("k_sigma", k_sigma, minimum=0.0)
+    workers = _check_workers(workers)
+    pairs = _chsh_pairs(angles)
     started = time.perf_counter()
-    estimates = []
-    rows = []
-    for j, (pa_deg, pb_deg) in enumerate(pair_angles_deg):
-        pa, pb = math.radians(pa_deg), math.radians(pb_deg)
-        config = RunConfig(
-            model=hypothesis, trials=trials, settings=FixedSettings(pa, pb),
-            ordering=order, seed=seed,
-        )
-        # Disjoint trial-index blocks per pair: independent streams, so the
-        # four correlation estimates carry no covariance.
-        run = run_experiment(config, TwoChannelProtocol(), start_index=j * trials, workers=workers)
-        counts = run.counts_for_pair(0)
-        estimate = PairEstimate.from_counts(pa, pb, counts)
-        estimates.append(estimate)
-        rows.append(
-            {
-                **_angle_row("a", pa_deg),
-                **_angle_row("b", pb_deg),
-                "N_pp": counts.n_pp,
-                "N_pm": counts.n_pm,
-                "N_mp": counts.n_mp,
-                "N_mm": counts.n_mm,
-                "E": estimate.e,
-                "E_stderr": estimate.e_stderr,
-            }
-        )
+    estimates = _pair_estimates(
+        hypothesis, [(a, b, order) for a, b in pairs], trials, seed, workers
+    )
+    rows = [
+        {**_angle_row("a", a), **_angle_row("b", b), **_count_row(estimate)}
+        for (a, b), estimate in zip(pairs, estimates)
+    ]
     report = chsh_report(*estimates, k_sigma=k_sigma)
     wall = time.perf_counter() - started
     return {
@@ -189,7 +241,7 @@ def chsh_scan(
         "config": {
             "scenario": "chsh-scan",
             "model": model,
-            "angles_deg": [a_deg, b_deg, a2_deg, b2_deg],
+            "angles_deg": list(angles),
             "trials": trials,
             "seed": seed,
             "ordering": ordering,
@@ -217,6 +269,7 @@ def malus_check(
     angles = _check_angles(angles_deg, None)
     trials = _check_trials(trials)
     seed = _check_seed(seed)
+    workers = _check_workers(workers)
     started = time.perf_counter()
     rows = []
     max_dev_sigma = 0.0
@@ -270,11 +323,12 @@ def qwp_test(
     trials = _check_trials(trials)
     seed = _check_seed(seed)
     order = _resolve_ordering(ordering)
+    workers = _check_workers(workers)
     started = time.perf_counter()
     config = RunConfig(model=hypothesis, trials=trials, ordering=order, seed=seed)
     run = run_experiment(config, QwpChainProtocol(), workers=workers)
     counts = run.chain_counts()
-    p_cond, p_stderr = conditional_detection(counts)
+    p_cond, p_stderr = _conditional_detection(counts)
     wall = time.perf_counter() - started
     return {
         "scenario": "qwp-test",
@@ -324,42 +378,25 @@ def order_test(
             f"trials: the order test needs at least {MIN_ORDER_TEST_TRIALS} trials per ordering"
         )
     seed = _check_seed(seed)
-    try:
-        theta = math.radians(float(theta_deg))
-    except (TypeError, ValueError):
-        raise ConfigError(f"theta_deg: must be a number, got {theta_deg!r}") from None
+    theta_deg = _check_real("theta_deg", theta_deg)
+    workers = _check_workers(workers)
+    orders = (Ordering.ARM1_FIRST, Ordering.ARM2_FIRST)
     started = time.perf_counter()
-    settings = FixedSettings(0.0, theta)
-    rows = []
-    counts_by_order = []
-    for j, order in enumerate((Ordering.ARM1_FIRST, Ordering.ARM2_FIRST)):
-        config = RunConfig(
-            model=hypothesis, trials=trials, settings=settings, ordering=order, seed=seed
-        )
-        run = run_experiment(config, TwoChannelProtocol(), start_index=j * trials, workers=workers)
-        counts = run.counts_for_pair(0)
-        counts_by_order.append(counts)
-        estimate = PairEstimate.from_counts(0.0, theta, counts)
-        rows.append(
-            {
-                "ordering": order.value,
-                **_angle_row("theta", float(theta_deg)),
-                "N_pp": counts.n_pp,
-                "N_pm": counts.n_pm,
-                "N_mp": counts.n_mp,
-                "N_mm": counts.n_mm,
-                "E": estimate.e,
-                "E_stderr": estimate.e_stderr,
-            }
-        )
-    result = order_invariance_test(*counts_by_order)
+    estimates = _pair_estimates(
+        hypothesis, [(0.0, theta_deg, order) for order in orders], trials, seed, workers
+    )
+    rows = [
+        {"ordering": order.value, **_angle_row("theta", theta_deg), **_count_row(estimate)}
+        for order, estimate in zip(orders, estimates)
+    ]
+    result = order_invariance_test(*(estimate.counts for estimate in estimates))
     wall = time.perf_counter() - started
     return {
         "scenario": "order-test",
         "config": {
             "scenario": "order-test",
             "model": model,
-            "theta_deg": float(theta_deg),
+            "theta_deg": theta_deg,
             "trials": trials,
             "seed": seed,
         },
@@ -388,33 +425,24 @@ def model_matrix(
     """
     trials = _check_trials(trials)
     seed = _check_seed(seed)
+    k_sigma = _check_real("k_sigma", k_sigma, minimum=0.0)
+    workers = _check_workers(workers)
     started = time.perf_counter()
     rows = []
     offset = 0
     angles = DEFAULT_CHSH_ANGLES_DEG
+    settings = [(a, b, Ordering.ARM1_FIRST) for a, b in _chsh_pairs(angles)]
     for name in MATRIX_MODELS:
         hypothesis = build_model(name)
-        estimates = []
-        a_deg, b_deg, a2_deg, b2_deg = angles
-        for pa_deg, pb_deg in (
-            (a_deg, b_deg), (a_deg, b2_deg), (a2_deg, b_deg), (a2_deg, b2_deg)
-        ):
-            pa, pb = math.radians(pa_deg), math.radians(pb_deg)
-            config = RunConfig(
-                model=hypothesis, trials=trials, settings=FixedSettings(pa, pb), seed=seed
-            )
-            run = run_experiment(
-                config, TwoChannelProtocol(), start_index=offset, workers=workers
-            )
-            offset += trials
-            estimates.append(PairEstimate.from_counts(pa, pb, run.counts_for_pair(0)))
+        estimates = _pair_estimates(hypothesis, settings, trials, seed, workers, offset)
+        offset += len(settings) * trials
         report = chsh_report(*estimates, k_sigma=k_sigma)
         chain_config = RunConfig(model=hypothesis, trials=trials, seed=seed)
         chain_run = run_experiment(
             chain_config, QwpChainProtocol(), start_index=offset, workers=workers
         )
         offset += trials
-        p_cond, p_stderr = conditional_detection(chain_run.chain_counts())
+        p_cond, p_stderr = _conditional_detection(chain_run.chain_counts())
         rows.append(
             {
                 "model": name,

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eprsim.cli import main, render_json, render_table, render_tsv
+from eprsim.cli import FORMATS, SCENARIO_PARAMS, main, render_json, render_table, render_tsv
 from eprsim.kernels import RNG_STREAM
-from eprsim.scenarios import chsh_scan
+from eprsim.scenarios import MODEL_NAMES, ORDERING_NAMES, SCENARIOS, chsh_scan
 from eprsim.stats import MIN_ORDER_TEST_TRIALS
 
 TRIALS = "20000"
@@ -150,6 +156,139 @@ class TestErrors:
         code, _, err = run_cli(capsys, "qwp-test", "--trials", TRIALS)
         assert code == 2
         assert "invariant" in err
+
+
+def assert_one_line_config_error(code, out, err, key):
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"epr: config error: {key}:"), err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("scenario", ["chsh-scan", "model-matrix"])
+    @pytest.mark.parametrize("value", ["nan", "-5", "inf"])
+    def test_bad_k_sigma_flag_exits_1(self, capsys, scenario, value):
+        code, out, err = run_cli(capsys, scenario, "--trials", "100", f"--k-sigma={value}")
+        assert_one_line_config_error(code, out, err, "k_sigma")
+
+    def test_zero_k_sigma_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "chsh-scan", "--trials", "100", "--k-sigma", "0")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"workers": "2"}, "workers"),
+            ({"workers": 0}, "workers"),
+            ({"workers": True}, "workers"),
+            ({"workers": 1.5}, "workers"),
+            ({"k_sigma": "x"}, "k_sigma"),
+            ({"k_sigma": True}, "k_sigma"),
+            ({"k_sigma": 10**400}, "k_sigma"),
+            ({"angles_deg": "0 22.5 45 67.5"}, "angles_deg"),
+            ({"angles_deg": [0, 22.5, 45, "x"]}, "angles_deg"),
+            ({"ordering": ["random"]}, "ordering"),
+        ],
+    )
+    def test_wrong_config_value_exits_1(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 100, **config}))
+        code, out, err = run_cli(capsys, "chsh-scan", "--config", str(cfg))
+        assert_one_line_config_error(code, out, err, key)
+
+    def test_zero_workers_flag_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "qwp-test", "--trials", "100", "--workers", "0")
+        assert_one_line_config_error(code, out, err, "workers")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_theta_names_theta_deg(self, capsys, value):
+        code, out, err = run_cli(capsys, "order-test", f"--theta={value}")
+        assert_one_line_config_error(code, out, err, "theta_deg")
+
+    def test_too_few_trials_to_condition_names_trials(self, capsys):
+        # one trial leaves some model of the matrix without an arm-A detection
+        code, out, err = run_cli(capsys, "model-matrix", "--trials", "1")
+        assert_one_line_config_error(code, out, err, "trials")
+
+
+class TestSignatureDerivedCli:
+    def test_params_follow_the_scenario_signatures(self):
+        assert SCENARIO_PARAMS["chsh-scan"] == (
+            "model", "angles_deg", "trials", "seed", "ordering", "k_sigma", "workers",
+        )
+        assert set(SCENARIO_PARAMS) == set(SCENARIOS)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_flags_exist_exactly_for_the_parameters(self, capsys, scenario):
+        with pytest.raises(SystemExit):
+            main([scenario, "--help"])
+        usage = capsys.readouterr().out
+        params = SCENARIO_PARAMS[scenario]
+        for flag, param in (("--model", "model"), ("--ordering", "ordering"),
+                            ("--k-sigma", "k_sigma"), ("--theta", "theta_deg")):
+            assert (flag in usage) == (param in params), flag
+
+
+# Values of arbitrary JSON type, mostly wrong for the key they land on.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.floats(), st.text(max_size=3), st.integers(-10, 10)), max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+_ANY_INT = st.integers(-(2**70), 2**70)
+# Values a config file can carry. Trials and workers stay small, so every
+# example runs in milliseconds and starts at most a handful of threads.
+_CONFIG_VALUES = {
+    "model": st.one_of(st.sampled_from(MODEL_NAMES), _JUNK, _ANY_INT),
+    "angles_deg": st.one_of(
+        st.lists(st.one_of(st.floats(), st.integers(-400, 400), _JUNK), max_size=6),
+        _JUNK,
+        _ANY_INT,
+    ),
+    "theta_deg": st.one_of(st.floats(), _ANY_INT, _JUNK),
+    "trials": st.one_of(st.integers(-3, 12_000), _JUNK),
+    "seed": st.one_of(_ANY_INT, _JUNK),
+    "ordering": st.one_of(st.sampled_from(sorted(ORDERING_NAMES)), _JUNK, _ANY_INT),
+    "k_sigma": st.one_of(st.floats(), _ANY_INT, _JUNK),
+    "workers": st.one_of(st.integers(-2, 4), _JUNK),
+    "scenario": _JUNK,
+    "format": st.one_of(st.sampled_from(FORMATS), _JUNK),
+}
+
+
+def _scenario_and_config(scenario):
+    values = {key: _CONFIG_VALUES[key] for key in (*SCENARIO_PARAMS[scenario], "format")}
+    values["scenario"] = st.one_of(st.just(scenario), _CONFIG_VALUES["scenario"])
+    config = st.fixed_dictionaries({}, optional=values)
+    return st.tuples(st.just(scenario), config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SCENARIOS)).flatmap(_scenario_and_config))
+def test_any_config_file_runs_or_names_its_key(case):
+    scenario, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([scenario, "--config", path])
+    message = err.getvalue()
+    assert code in (0, 1)
+    assert "Traceback" not in message
+    if code == 0:
+        assert message == ""
+    else:
+        assert len(message.splitlines()) == 1
+        prefix = "epr: config error: "
+        assert message.startswith(prefix)
+        assert message[len(prefix):].split(":", 1)[0] in _CONFIG_VALUES, message
 
 
 class TestConfigPrecedence:

@@ -1,6 +1,6 @@
 import math
+import tracemalloc
 
-import numpy as np
 import pytest
 
 from eprsim.engine import (
@@ -18,7 +18,6 @@ from eprsim.engine import (
 )
 from eprsim.models import Lhv, Ordering, QMFormal, malus_response_model
 from eprsim.scenarios import build_model
-from eprsim.stats import CoincidenceCounts
 from eprsim.twophoton import Arm
 
 
@@ -33,26 +32,37 @@ def qm_config(**overrides):
     return RunConfig(**base)
 
 
+def outcomes(run):
+    """Per-trial (outcome A, outcome B), replayed through `records()`."""
+    return [(r.outcome_a, r.outcome_b) for r in run.records()]
+
+
 class TestDeterminism:
     def test_identical_runs_replay_bit_for_bit(self):
         r1 = run_experiment(qm_config(), TwoChannelProtocol())
         r2 = run_experiment(qm_config(), TwoChannelProtocol())
-        assert np.array_equal(r1.outcome_a, r2.outcome_a)
-        assert np.array_equal(r1.outcome_b, r2.outcome_b)
+        assert list(r1.records()) == list(r2.records())
 
     def test_worker_count_never_changes_results(self):
         trials = BLOCK_SIZE * 3 + 777  # force several ragged blocks
         cfg = qm_config(trials=trials)
         r1 = run_experiment(cfg, TwoChannelProtocol(), workers=1)
         r4 = run_experiment(cfg, TwoChannelProtocol(), workers=4)
-        assert np.array_equal(r1.outcome_a, r4.outcome_a)
-        assert np.array_equal(r1.outcome_b, r4.outcome_b)
+        # workers only split the range into blocks and sum their counts
+        assert r1.counts() == r4.counts()
+        assert (
+            run_experiment(cfg, QwpChainProtocol(), workers=1).chain_counts()
+            == run_experiment(cfg, QwpChainProtocol(), workers=4).chain_counts()
+        )
+        assert run_malus(5, 0.7, trials, workers=1).n_pass == run_malus(
+            5, 0.7, trials, workers=4
+        ).n_pass
 
     def test_start_index_shifts_the_stream(self):
         cfg = qm_config()
         r0 = run_experiment(cfg, TwoChannelProtocol(), start_index=0)
         r1 = run_experiment(cfg, TwoChannelProtocol(), start_index=cfg.trials)
-        assert not np.array_equal(r0.outcome_a, r1.outcome_a)
+        assert outcomes(r0) != outcomes(r1)
 
     def test_records_are_pure_functions_of_seed_and_index(self):
         cfg = qm_config(trials=50)
@@ -64,17 +74,15 @@ class TestDeterminism:
 
 class TestMergeContract:
     def test_counts_merge_over_any_partition(self):
+        # the run over [0, N) equals the sum of runs over a partition of it
         run = run_experiment(qm_config(trials=30_000), TwoChannelProtocol())
         whole = run.counts_for_pair(0)
         for cuts in ([10_000, 20_000], [1, 29_999], [7_000]):
             edges = [0, *cuts, 30_000]
             parts = []
             for lo, hi in zip(edges[:-1], edges[1:]):
-                parts.append(
-                    CoincidenceCounts.from_outcomes(
-                        run.outcome_a[lo:hi], run.outcome_b[lo:hi]
-                    )
-                )
+                part = run_experiment(qm_config(trials=hi - lo), start_index=lo)
+                parts.append(part.counts_for_pair(0))
             merged = parts[0]
             for p in parts[1:]:
                 merged = merged + p
@@ -99,8 +107,7 @@ class TestGeometry:
         far = qm_config(geometry=Geometry(12.0, 10e-9))
         r_near = run_experiment(near, TwoChannelProtocol())
         r_far = run_experiment(far, TwoChannelProtocol())
-        assert np.array_equal(r_near.outcome_a, r_far.outcome_a)
-        assert np.array_equal(r_near.outcome_b, r_far.outcome_b)
+        assert outcomes(r_near) == outcomes(r_far)
         assert not r_near.spacelike and r_far.spacelike
 
     def test_geometry_validation(self):
@@ -116,7 +123,7 @@ class TestSettingsPolicies:
         weights = (0.5, 0.25, 0.25)
         cfg = qm_config(trials=100_000, settings=RandomizedSettings(pairs, weights))
         run = run_experiment(cfg, TwoChannelProtocol())
-        freqs = np.bincount(run.pair_index, minlength=3) / cfg.trials
+        freqs = [c.total / cfg.trials for c in run.counts()]
         for got, want in zip(freqs, weights):
             assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / cfg.trials)
 
@@ -152,15 +159,14 @@ class TestOrderingInvariance:
             ordering=Ordering.ARM2_FIRST, seed=base.seed,
         )
         r2 = run_experiment(cfg2, TwoChannelProtocol())
-        assert np.array_equal(r1.outcome_a, r2.outcome_a)
-        assert np.array_equal(r1.outcome_b, r2.outcome_b)
+        assert outcomes(r1) == outcomes(r2)
 
     def test_qm_ordering_changes_trials_not_statistics(self):
         cfg1 = qm_config(trials=100_000)
         cfg2 = qm_config(trials=100_000, ordering=Ordering.ARM2_FIRST)
         r1 = run_experiment(cfg1, TwoChannelProtocol())
         r2 = run_experiment(cfg2, TwoChannelProtocol())
-        assert not np.array_equal(r1.outcome_a, r2.outcome_a)
+        assert outcomes(r1) != outcomes(r2)
         c1 = r1.counts_for_pair(0)
         c2 = r2.counts_for_pair(0)
         e1 = (c1.n_pp + c1.n_mm - c1.n_pm - c1.n_mp) / c1.total
@@ -224,3 +230,30 @@ class TestValidation:
         monkeypatch.setenv("EPR_MAX_WORKERS", "zero")
         with pytest.raises(ValueError):
             resolve_workers()
+
+
+class TestBoundedMemory:
+    """Runs keep exact counts, not per-trial arrays, so the allocation peak
+    is set by one block and does not grow with the trial count."""
+
+    RUNS = {
+        "two-channel": lambda n: run_experiment(qm_config(trials=n), workers=1),
+        "chain": lambda n: run_experiment(qm_config(trials=n), QwpChainProtocol(), workers=1),
+        "malus": lambda n: run_malus(5, 0.7, n, workers=1),
+    }
+
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_peak_allocation_is_flat_in_trials(self, name):
+        run = self.RUNS[name]
+        small = self._peak_bytes(lambda: run(2**17))
+        large = self._peak_bytes(lambda: run(2**22))
+        assert large <= 1.25 * small, (small, large)
