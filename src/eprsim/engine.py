@@ -252,6 +252,8 @@ class TwoChannelRun:
         return self.config.geometry.spacelike
 
     def counts_for_pair(self, pair: int) -> CoincidenceCounts:
+        if not 0 <= pair < len(self.pair_table):
+            raise IndexError(f"pair {pair} not in 0..{len(self.pair_table) - 1}")
         return self.pair_counts[pair]
 
     def counts(self) -> list[CoincidenceCounts]:
@@ -259,7 +261,8 @@ class TwoChannelRun:
 
     def records(self) -> Iterator[TwoChannelRecord]:
         """Per-trial records, replayed block by block."""
-        blocks = _replay(self.config, self.start_index, _two_channel_kernel(self.config))
+        _, kernel = _two_channel_kernel(self.config)
+        blocks = _replay(self.config, self.start_index, kernel)
         for lo, arm2_first, (pair_index, out_a, out_b) in blocks:
             for i, flag in enumerate(arm2_first):
                 a, b = self.pair_table[pair_index[i]]
@@ -321,19 +324,19 @@ def _settings_tables(policy: SettingsPolicy) -> tuple[tuple, np.ndarray, np.ndar
 
 
 def _two_channel_kernel(config: RunConfig):
-    """The per-block kernel call of a two-channel run:
+    """The settings pairs of a two-channel run and its per-block kernel call:
     (lo, hi) -> (pair index, outcome A, outcome B) per trial."""
-    _, pair_a, pair_b, cumw = _settings_tables(config.settings)
+    pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
     order_code = _ORDER_CODES[config.ordering]
     kernel_id = getattr(config.model, "kernel_id", None)
     if kernel_id is not None:
         code = kernels.MODEL_CODES[kernel_id]
-        return lambda lo, hi: kernels.two_channel_block(
+        return pairs, lambda lo, hi: kernels.two_channel_block(
             config.seed, lo, hi - lo, code, pair_a, pair_b, cumw, order_code
         )
     if isinstance(config.model, Lhv):
         lhv = config.model.model
-        return lambda lo, hi: kernels.two_channel_block_lhv(
+        return pairs, lambda lo, hi: kernels.two_channel_block_lhv(
             config.seed, lo, hi - lo, lhv.sample, lhv.response_a, lhv.response_b,
             pair_a, pair_b, cumw, order_code,
         )
@@ -370,13 +373,10 @@ def run_experiment(
 
 
 def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoChannelRun:
-    pairs = _settings_tables(config.settings)[0]
-    kernel = _two_channel_kernel(config)
+    pairs, kernel = _two_channel_kernel(config)
 
     def count(lo: int, hi: int) -> tuple[CoincidenceCounts, ...]:
         pair_index, out_a, out_b = kernel(lo, hi)
-        if len(pairs) == 1:  # fixed settings, as in every scenario: no per-pair masks
-            return (CoincidenceCounts.from_outcomes(out_a, out_b),)
         return tuple(
             CoincidenceCounts.from_outcomes(out_a[pair_index == j], out_b[pair_index == j])
             for j in range(len(pairs))

@@ -146,6 +146,13 @@ class TestSettingsPolicies:
         assert aligned.n_pm == aligned.n_mp == 0
         assert crossed.n_pp == crossed.n_mm == 0
 
+    @pytest.mark.parametrize("pair", [-1, 2])
+    def test_counts_for_a_pair_the_run_lacks_raise(self, pair):
+        pairs = ((0.0, 0.0), (0.0, math.pi / 2))
+        run = run_experiment(qm_config(trials=100, settings=RandomizedSettings(pairs)))
+        with pytest.raises(IndexError):
+            run.counts_for_pair(pair)
+
 
 class TestOrderingInvariance:
     @pytest.mark.parametrize("model_name", ["lhv-sign", "lhv-malus", "definite-circular"])
