@@ -16,7 +16,6 @@ import json
 import sys
 
 from ._version import __version__
-from .polarization import NormalizationError
 from .scenarios import MODEL_NAMES, ORDERING_NAMES, SCENARIOS, ConfigError
 
 FORMATS = ("table", "tsv", "json")
@@ -202,12 +201,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"epr: config error: {exc}", file=sys.stderr)
         return 1
-    except NormalizationError as exc:
+    except ValueError as exc:
+        # Every bad input is a ConfigError by the time it reaches here; any
+        # other ValueError (NormalizationError included) is a broken invariant.
         print(f"epr: internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"epr: config error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -218,20 +218,14 @@ def _run_blocks(count, start: int, trials: int, workers: int) -> tuple:
     return tuple(functools.reduce(operator.add, column) for column in zip(*parts))
 
 
-def _first_arm_flags(seed: int, start: int, trials: int, ordering: Ordering) -> np.ndarray:
-    """Per-trial flag: True when arm 2 is measured first."""
-    if ordering is Ordering.ARM1_FIRST:
-        return np.zeros(trials, dtype=bool)
-    if ordering is Ordering.ARM2_FIRST:
-        return np.ones(trials, dtype=bool)
-    return kernels.uniform_block(seed, start, trials, kernels.SLOT_ORDERING) >= 0.5
-
-
 def _replay(config: RunConfig, start_index: int, kernel):
     """Per block of the run: first trial index, arm-2-first flags and the
-    kernel output, recomputed from the counter-based stream."""
+    kernel output, recomputed from the counter-based stream. The flags come
+    from the helper the kernels decide the order with."""
+    order_code = _ORDER_CODES[config.ordering]
     for lo, hi in _block_ranges(start_index, config.trials):
-        yield lo, _first_arm_flags(config.seed, lo, hi - lo, config.ordering), kernel(lo, hi)
+        flags = kernels.arm2_first_flags(config.seed, lo, hi - lo, order_code)
+        yield lo, flags, kernel(lo, hi)
 
 
 def _sign(outcome) -> ChannelOutcome:
@@ -378,7 +372,7 @@ def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoCh
     def count(lo: int, hi: int) -> tuple[CoincidenceCounts, ...]:
         pair_index, out_a, out_b = kernel(lo, hi)
         return tuple(
-            CoincidenceCounts.from_outcomes(out_a[pair_index == j], out_b[pair_index == j])
+            CoincidenceCounts.from_outcomes(out_a, out_b, pair_index == j)
             for j in range(len(pairs))
         )
 

@@ -3,11 +3,11 @@
 Every random number in the simulator comes from philox4x64-10 (numpy's
 ``np.random.Philox``, in C) under key ``(seed, 0)``, addressed by
 ``(trial, slot)``: draw j of trial i is word ``j % 4`` of the Philox output
-at counter ``(i, j // 4, 0, 0)``, converted to a float as
-``(w >> 11) * 2**-53``. Draw j of trial i is a pure function of (seed, i, j),
-so trials own statistically independent streams, any subset of trials can be
-computed in any order or on any worker with bit-identical results, and slot
-groups a protocol never reads cost nothing. Slot layout per trial:
+at counter ``(i, j // 4, 0, 0)``, read as the uniform ``(w >> 11) * 2**-53``.
+Draw j of trial i is a pure function of (seed, i, j), so trials own
+statistically independent streams, any subset of trials can be computed in
+any order or on any worker with bit-identical results, and slot groups a
+protocol never reads cost nothing. Slot layout per trial:
 
     group 0 (counter word 1 = 0)
       0  settings-pair selection (randomized-settings runs only)
@@ -21,7 +21,18 @@ A fixed-order run therefore costs one Philox counter per trial. ``RNG_STREAM``
 names this stream; it changes whenever any draw of any trial would.
 
 Outcome coins are compared with strict less-than, so a probability snapped to
-exactly 0 never fires and a probability of exactly 1 always does.
+exactly 0 never fires and a probability of exactly 1 always does. Coins
+against a fixed probability never build the float: the uniform is
+``u = k * 2**-53`` with the integer ``k = w >> 11``, so for any p in [0, 1]
+
+    u < p   <=>   k < p * 2**53   <=>   k < ceil(p * 2**53)
+
+and ``p * 2**53`` is exact in binary floating point (a power-of-two scale),
+as is its ceiling. ``u < 0.5`` is ``w < 2**63``; settings pairs are chosen
+against the integer cuts ``ceil(cumw * 2**53)``. These integer compares
+decide exactly as the float compares do, word for word. Kernels whose
+responses need a float per trial (the hidden-variable models) read numpy's
+float fill of the same words instead.
 """
 
 from __future__ import annotations
@@ -82,19 +93,42 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
 
 
-def _draw_table(seed: int, start: int, count: int, group: int) -> np.ndarray:
-    """Slots of one group for trials [start, start+count), one row per trial.
+def _philox(seed: int, start: int, count: int, group: int) -> np.random.Philox:
+    """The bit generator whose next words are one group's slots for trials
+    [start, start+count), four per trial.
 
-    Column k of the result holds slot ``SLOTS_PER_GROUP * group + k``. Philox
-    emits the block for counter c+1 first, so the generator starts one below
-    the first trial's counter.
+    Philox emits the block for counter c+1 first, so the generator starts one
+    below the first trial's counter.
     """
     check_seed(seed)
     if not (0 <= start and start + count <= SEED_LIMIT):
         raise ValueError(f"trials [{start}, {start + count}) leave [0, 2**64)")
     counter = (int(start) + (group << 64) - 1) % (1 << 256)
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return np.random.Philox(key=seed, counter=counter)
+
+
+def _word_table(seed: int, start: int, count: int, group: int) -> np.ndarray:
+    """Raw 64-bit words of one slot group, one row per trial.
+
+    Column k of the result holds slot ``SLOTS_PER_GROUP * group + k``.
+    """
+    words = _philox(seed, start, count, group).random_raw(SLOTS_PER_GROUP * count)
+    return words.reshape(count, SLOTS_PER_GROUP)
+
+
+def _draw_table(seed: int, start: int, count: int, group: int) -> np.ndarray:
+    """The uniforms ``(w >> 11) * 2**-53`` of `_word_table`, by numpy's C fill."""
+    gen = np.random.Generator(_philox(seed, start, count, group))
     return gen.random(SLOTS_PER_GROUP * count).reshape(count, SLOTS_PER_GROUP)
+
+
+HALF_WORD = np.uint64(1 << 63)  # u < 0.5 exactly when w < 2**63
+_UNIT = float(1 << 53)  # u = (w >> 11) / _UNIT
+
+
+def _cut(p):
+    """Integer threshold K = ceil(p * 2**53): ``u < p`` exactly when ``(w >> 11) < K``."""
+    return np.ceil(np.multiply(p, _UNIT)).astype(np.uint64)
 
 
 def uniform_block(seed: int, start: int, count: int, slot: int) -> np.ndarray:
@@ -115,6 +149,19 @@ def trial_uniforms(seed: int, trial: int, start_slot: int, count: int) -> np.nda
     return words[offset : offset + count]
 
 
+def arm2_first_flags(seed: int, start: int, count: int, ordering_mode: int) -> np.ndarray:
+    """Per-trial flag for trials [start, start+count): True when arm 2 is
+    measured first. Random order reads the ordering slot, ``u >= 0.5``."""
+    if ordering_mode == ORDER_ARM1_FIRST:
+        return np.zeros(count, dtype=bool)
+    if ordering_mode == ORDER_ARM2_FIRST:
+        return np.ones(count, dtype=bool)
+    if ordering_mode == ORDER_RANDOM:
+        group, column = divmod(SLOT_ORDERING, SLOTS_PER_GROUP)
+        return _word_table(seed, start, count, group)[:, column] >= HALF_WORD
+    raise ValueError(f"unknown ordering code {ordering_mode!r}")
+
+
 def _malus_prob_array(delta) -> np.ndarray:
     p = np.cos(delta) ** 2
     p[p < _ZERO_PROB] = 0.0
@@ -130,13 +177,26 @@ def _signs(flags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _select_pairs(table, pair_a, cumw):
-    """Per-trial settings-pair index; a single pair costs no draw."""
-    count = table.shape[0]
-    if pair_a.size == 1:
-        return np.zeros(count, dtype=np.int32)
-    pair_idx = np.searchsorted(cumw, table[:, SLOT_SETTINGS], side="right").astype(np.int32)
-    np.clip(pair_idx, 0, pair_a.size - 1, out=pair_idx)
+def _select_pairs(settings: np.ndarray, cumw: np.ndarray) -> np.ndarray:
+    """Per-trial settings-pair index from the settings slot; a single pair
+    costs no draw.
+
+    `settings` holds the slot's raw words or the uniforms made from them.
+    Either becomes the 53-bit integer k, and the pair index is the number of
+    interior integer cuts ``ceil(cumw[:-1] * 2**53)`` at or below k: the
+    same choice as ``searchsorted(cumw, u, side="right")`` clipped to the
+    last pair, made exactly. One compare per cut beats numpy's per-key
+    binary search up to dozens of pairs.
+    """
+    pair_idx = np.zeros(settings.shape[0], dtype=np.int32)
+    if cumw.size == 1:
+        return pair_idx
+    if settings.dtype == np.uint64:
+        k = settings >> 11
+    else:
+        k = (settings * _UNIT).astype(np.uint64)
+    for cut in _cut(cumw[:-1]):
+        pair_idx += k >= cut
     return pair_idx
 
 
@@ -145,21 +205,23 @@ def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
     return values[0] if values.size == 1 else values[pair_idx]
 
 
-def _reduced_pair(u_first, u_second, pair_idx, s_first, s_second):
+def _reduced_pair(w_first, w_second, pair_idx, s_first, s_second):
     """First analyzer answers 1/2 (the entangled-state marginal, also the
     collapse narrative's literal value); the second photon is linear along
     the first one's exit channel and answers by the Malus rule.
 
-    Only two probabilities exist per settings pair, so they are tabulated
-    per pair rather than evaluated per trial.
+    Only two probabilities exist per settings pair, so their integer cuts
+    are tabulated per pair rather than evaluated per trial.
     """
-    first = u_first < 0.5
-    p_parallel = _per_trial(_malus_prob_array(s_first - s_second), pair_idx)
-    p_perpendicular = _per_trial(_malus_prob_array(s_first + _HALF_PI - s_second), pair_idx)
-    # Same as u_second < np.where(first, p_parallel, p_perpendicular), at a
-    # fraction of the cost of np.where over floats.
-    second = (first & (u_second < p_parallel)) | (~first & (u_second < p_perpendicular))
-    return first, second
+    first = w_first < HALF_WORD
+    k_second = w_second >> 11
+    cut_parallel = _per_trial(_cut(_malus_prob_array(s_first - s_second)), pair_idx)
+    cut_perpendicular = _per_trial(
+        _cut(_malus_prob_array(s_first + _HALF_PI - s_second)), pair_idx
+    )
+    # Same as k_second < np.where(first, cut_parallel, cut_perpendicular),
+    # at a fraction of the cost of np.where over words.
+    return first, (first & (k_second < cut_parallel)) | (~first & (k_second < cut_perpendicular))
 
 
 def two_channel_block(
@@ -173,40 +235,47 @@ def two_channel_block(
     ordering_mode: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial two-channel outcomes (+1 parallel / -1 perpendicular)."""
-    table = _draw_table(seed, start, count, 0)
-    pair_idx = _select_pairs(table, pair_a, cumw)
-    u_a = table[:, SLOT_ARM_A]
-    u_b = table[:, SLOT_ARM_B]
-    if model_code in (MODEL_QM, MODEL_NDV):
-        if ordering_mode == ORDER_ARM1_FIRST:
-            oa, ob = _reduced_pair(u_a, u_b, pair_idx, pair_a, pair_b)
-        elif ordering_mode == ORDER_ARM2_FIRST:
-            ob, oa = _reduced_pair(u_b, u_a, pair_idx, pair_b, pair_a)
-        else:
-            arm2_first = uniform_block(seed, start, count, SLOT_ORDERING) >= 0.5
-            oa1, ob1 = _reduced_pair(u_a, u_b, pair_idx, pair_a, pair_b)
-            ob2, oa2 = _reduced_pair(u_b, u_a, pair_idx, pair_b, pair_a)
-            oa = np.where(arm2_first, oa2, oa1)
-            ob = np.where(arm2_first, ob2, ob1)
-    elif model_code == MODEL_DEFINITE_CIRCULAR:
+    if model_code in (MODEL_LHV_SIGN, MODEL_LHV_MALUS):
+        return _two_channel_lhv_builtin(seed, start, count, model_code, pair_a, pair_b, cumw)
+    if model_code not in (MODEL_QM, MODEL_NDV, MODEL_DEFINITE_CIRCULAR):
+        raise ValueError(f"unknown model code {model_code!r}")
+    words = _word_table(seed, start, count, 0)
+    pair_idx = _select_pairs(words[:, SLOT_SETTINGS], cumw)
+    w_a = words[:, SLOT_ARM_A]
+    w_b = words[:, SLOT_ARM_B]
+    if model_code == MODEL_DEFINITE_CIRCULAR:
         # A circular photon takes either exit of a linear analyzer with
         # probability 1/2, whatever the orientation.
-        oa = u_a < 0.5
-        ob = u_b < 0.5
-    elif model_code in (MODEL_LHV_SIGN, MODEL_LHV_MALUS):
-        lam = _PI * table[:, SLOT_EMISSION]
-        a = _per_trial(pair_a, pair_idx)
-        b = _per_trial(pair_b, pair_idx)
-        if model_code == MODEL_LHV_SIGN:
-            # The responses are 0 or 1 and a coin is always below 1, so the
-            # coins never change the answer.
-            oa = np.cos(2.0 * (a - lam)) > 0.0
-            ob = np.cos(2.0 * (b - lam)) > 0.0
-        else:
-            oa = u_a < _malus_prob_array(a - lam)
-            ob = u_b < _malus_prob_array(b - lam)
+        oa = w_a < HALF_WORD
+        ob = w_b < HALF_WORD
+    elif ordering_mode == ORDER_ARM2_FIRST:
+        ob, oa = _reduced_pair(w_b, w_a, pair_idx, pair_b, pair_a)
     else:
-        raise ValueError(f"unknown model code {model_code!r}")
+        oa, ob = _reduced_pair(w_a, w_b, pair_idx, pair_a, pair_b)
+        if ordering_mode != ORDER_ARM1_FIRST:
+            arm2_first = arm2_first_flags(seed, start, count, ordering_mode)
+            ob2, oa2 = _reduced_pair(w_b, w_a, pair_idx, pair_b, pair_a)
+            oa = np.where(arm2_first, oa2, oa)
+            ob = np.where(arm2_first, ob2, ob)
+    return pair_idx, _signs(oa), _signs(ob)
+
+
+def _two_channel_lhv_builtin(seed, start, count, model_code, pair_a, pair_b, cumw):
+    """The built-in hidden-variable models: their responses need the float
+    hidden parameter, so they read numpy's float fill of the stream."""
+    table = _draw_table(seed, start, count, 0)
+    pair_idx = _select_pairs(table[:, SLOT_SETTINGS], cumw)
+    lam = _PI * table[:, SLOT_EMISSION]
+    a = _per_trial(pair_a, pair_idx)
+    b = _per_trial(pair_b, pair_idx)
+    if model_code == MODEL_LHV_SIGN:
+        # The responses are 0 or 1 and a coin is always below 1, so the
+        # coins never change the answer.
+        oa = np.cos(2.0 * (a - lam)) > 0.0
+        ob = np.cos(2.0 * (b - lam)) > 0.0
+    else:
+        oa = table[:, SLOT_ARM_A] < _malus_prob_array(a - lam)
+        ob = table[:, SLOT_ARM_B] < _malus_prob_array(b - lam)
     return pair_idx, _signs(oa), _signs(ob)
 
 
@@ -214,30 +283,33 @@ def qwp_block(
     seed: int, start: int, count: int, qwp_code: int, ordering_mode: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial detection flags behind the plate-plus-polarizer chains."""
-    table = _draw_table(seed, start, count, 0)
+    words = _word_table(seed, start, count, 0)
     if qwp_code == QWP_DEFINITE_CIRCULAR:
         # Right-handed pairs clear both right-helicity analyzers with
         # certainty; left-handed pairs are blocked on both arms.
-        det_a = table[:, SLOT_EMISSION] < 0.5
+        det_a = words[:, SLOT_EMISSION] < HALF_WORD
         det_b = det_a
     elif qwp_code == QWP_QM:
         # The first chain transmits with probability 1/2; reduction leaves
         # the partner in the state its own chain passes with probability
         # exactly 1 (or blocks exactly, on absorption), so the coin of the
         # arm measured first decides both.
-        if ordering_mode == ORDER_RANDOM:
-            arm2_first = uniform_block(seed, start, count, SLOT_ORDERING) >= 0.5
-            det_a = np.where(arm2_first, table[:, SLOT_ARM_B], table[:, SLOT_ARM_A]) < 0.5
+        if ordering_mode == ORDER_ARM1_FIRST:
+            det_a = words[:, SLOT_ARM_A] < HALF_WORD
+        elif ordering_mode == ORDER_ARM2_FIRST:
+            det_a = words[:, SLOT_ARM_B] < HALF_WORD
         else:
-            first_coin = SLOT_ARM_B if ordering_mode == ORDER_ARM2_FIRST else SLOT_ARM_A
-            det_a = table[:, first_coin] < 0.5
+            arm2_first = arm2_first_flags(seed, start, count, ordering_mode)
+            det_a = np.where(
+                arm2_first, words[:, SLOT_ARM_B] < HALF_WORD, words[:, SLOT_ARM_A] < HALF_WORD
+            )
         det_b = det_a
     elif qwp_code == QWP_INDEPENDENT_HALVES:
         # Collapse narrative / hidden linear polarization: each arm's
         # plate-plus-polarizer passes with probability 1/2 regardless of
         # what the other arm saw.
-        det_a = table[:, SLOT_ARM_A] < 0.5
-        det_b = table[:, SLOT_ARM_B] < 0.5
+        det_a = words[:, SLOT_ARM_A] < HALF_WORD
+        det_b = words[:, SLOT_ARM_B] < HALF_WORD
     else:
         raise ValueError(f"unknown chain response code {qwp_code!r}")
     return det_a.astype(np.uint8), det_b.astype(np.uint8)
@@ -250,8 +322,8 @@ def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
     if p < _ZERO_PROB:
         p = 0.0
     p = min(p, 1.0)
-    u = _draw_table(seed, start, count, 0)[:, SLOT_ARM_A]
-    return (u < p).astype(np.uint8)
+    words = _word_table(seed, start, count, 0)[:, SLOT_ARM_A]
+    return ((words >> 11) < _cut(p)).astype(np.uint8)
 
 
 def qwp_code_for(kernel_id: str | None) -> int:
@@ -281,7 +353,7 @@ def two_channel_block_lhv(
     determinism still holds because the draws are counter-based.
     """
     table = _draw_table(seed, start, count, 0)
-    pair_idx = _select_pairs(table, pair_a, cumw)
+    pair_idx = _select_pairs(table[:, SLOT_SETTINGS], cumw)
     lam = np.asarray(sample_fn(table[:, SLOT_EMISSION]), dtype=float)
     p_a = np.empty(count)
     p_b = np.empty(count)

@@ -105,12 +105,26 @@ def _check_positive_int(key: str, value) -> int:
     return value
 
 
-def _check_trials(trials: int) -> int:
-    return _check_positive_int("trials", trials)
+def _check_trials(trials: int, runs: int) -> int:
+    """`trials` per run, for a scenario of `runs` runs on consecutive trial
+    ranges of one seed: together they must fit in its 2**64 trial indices."""
+    trials = _check_positive_int("trials", trials)
+    if runs * trials > kernels.SEED_LIMIT:
+        raise ConfigError(
+            f"trials: {runs} runs of {trials} trials leave the 2**64 trial indices of a seed"
+        )
+    return trials
 
 
-def _check_workers(workers: int | None) -> int | None:
-    return None if workers is None else _check_positive_int("workers", workers)
+def _check_workers(workers: int | None) -> int:
+    """Explicit `workers`, else the environment's cap (a bad cap is a
+    config error too), else the CPU-based default."""
+    if workers is not None:
+        return _check_positive_int("workers", workers)
+    try:
+        return resolve_workers()
+    except ValueError as exc:
+        raise ConfigError(f"workers: {exc}") from None
 
 
 def _check_seed(seed: int) -> int:
@@ -220,7 +234,7 @@ def chsh_scan(
     """Four-pair correlation scan at the quadruple (a, b, a', b')."""
     hypothesis = build_model(model)
     angles = _check_angles(angles_deg, 4)
-    trials = _check_trials(trials)
+    trials = _check_trials(trials, 4)
     seed = _check_seed(seed)
     order = _resolve_ordering(ordering)
     k_sigma = _check_real("k_sigma", k_sigma, minimum=0.0)
@@ -267,7 +281,7 @@ def malus_check(
 ) -> dict:
     """Single-photon transmission curve against the cos^2 law."""
     angles = _check_angles(angles_deg, None)
-    trials = _check_trials(trials)
+    trials = _check_trials(trials, len(angles))
     seed = _check_seed(seed)
     workers = _check_workers(workers)
     started = time.perf_counter()
@@ -320,7 +334,7 @@ def qwp_test(
     narrative predicts 1/2.
     """
     hypothesis = build_model(model)
-    trials = _check_trials(trials)
+    trials = _check_trials(trials, 1)
     seed = _check_seed(seed)
     order = _resolve_ordering(ordering)
     workers = _check_workers(workers)
@@ -372,7 +386,7 @@ def order_test(
     statistically independent samples.
     """
     hypothesis = build_model(model)
-    trials = _check_trials(trials)
+    trials = _check_trials(trials, 2)
     if trials < MIN_ORDER_TEST_TRIALS:
         raise ConfigError(
             f"trials: the order test needs at least {MIN_ORDER_TEST_TRIALS} trials per ordering"
@@ -423,7 +437,8 @@ def model_matrix(
     chain-protocol conditional detection probability. Together they separate
     all four hypotheses.
     """
-    trials = _check_trials(trials)
+    # Per model: the four CHSH pairs, then the chain run.
+    trials = _check_trials(trials, 5 * len(MATRIX_MODELS))
     seed = _check_seed(seed)
     k_sigma = _check_real("k_sigma", k_sigma, minimum=0.0)
     workers = _check_workers(workers)

@@ -48,12 +48,27 @@ class CoincidenceCounts:
         return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=np.int64)
 
     @classmethod
-    def from_outcomes(cls, out_a: np.ndarray, out_b: np.ndarray) -> "CoincidenceCounts":
-        """Count joint outcomes from per-trial +1/-1 channel arrays."""
-        a_bit = (1 - out_a.astype(np.int64)) // 2
-        b_bit = (1 - out_b.astype(np.int64)) // 2
-        counts = np.bincount(a_bit * 2 + b_bit, minlength=4)  # pp, pm, mp, mm
-        return cls(int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
+    def from_outcomes(
+        cls, out_a: np.ndarray, out_b: np.ndarray, where: np.ndarray | None = None
+    ) -> "CoincidenceCounts":
+        """Count joint outcomes from per-trial +1/-1 channel arrays, over the
+        trials `where` marks (all of them when it is None).
+
+        Four popcounts of boolean flags give every cell: N_pp directly, and
+        the others from the per-arm plus counts and the trial count.
+        """
+        plus_a = out_a > 0
+        plus_b = out_b > 0
+        if where is None:
+            n = plus_a.size
+        else:
+            plus_a &= where
+            plus_b &= where
+            n = np.count_nonzero(where)
+        n_a = np.count_nonzero(plus_a)
+        n_b = np.count_nonzero(plus_b)
+        n_pp = np.count_nonzero(plus_a & plus_b)
+        return cls(int(n_pp), int(n_a - n_pp), int(n_b - n_pp), int(n - n_a - n_b + n_pp))
 
 
 @dataclass(frozen=True)
@@ -75,11 +90,10 @@ class ChainCounts:
 
     @classmethod
     def from_flags(cls, det_a: np.ndarray, det_b: np.ndarray) -> "ChainCounts":
-        both = int(np.count_nonzero(det_a.astype(bool) & det_b.astype(bool)))
         return cls(
             int(np.count_nonzero(det_a)),
             int(np.count_nonzero(det_b)),
-            both,
+            int(np.count_nonzero(np.logical_and(det_a, det_b))),
             int(det_a.size),
         )
 
@@ -119,8 +133,11 @@ class ChshReport:
 
     ``s = E(a,b) - E(a,b') + E(a',b) + E(a',b')``; the stored pair estimates
     let the combination be recomputed exactly. ``violates_classical`` means
-    |S| exceeds 2 by at least ``k_sigma`` standard errors; ``within_tsirelson``
-    means |S| does not exceed 2*sqrt(2) by more than that.
+    |S| exceeds 2 by at least ``k_sigma`` standard errors, and is never
+    claimed on a zero standard error: that comes from pairs whose every trial
+    agreed (or every trial disagreed), which is too few trials to measure
+    the spread, not a certain violation. ``within_tsirelson`` means |S| does
+    not exceed 2*sqrt(2) by more than ``k_sigma`` standard errors.
     """
 
     pairs: tuple[PairEstimate, PairEstimate, PairEstimate, PairEstimate]
@@ -160,7 +177,7 @@ def chsh_report(
         s=s,
         s_stderr=s_stderr,
         k_sigma=k_sigma,
-        violates_classical=(abs(s) - CLASSICAL_BOUND) >= k_sigma * s_stderr,
+        violates_classical=s_stderr > 0.0 and (abs(s) - CLASSICAL_BOUND) >= k_sigma * s_stderr,
         within_tsirelson=abs(s) <= TSIRELSON_BOUND + k_sigma * s_stderr,
     )
 

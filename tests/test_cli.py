@@ -158,6 +158,19 @@ class TestErrors:
         assert "invariant" in err
 
 
+    def test_other_value_error_is_an_internal_fault(self, capsys, monkeypatch):
+        from eprsim import cli
+
+        def broken(**kwargs):
+            raise ValueError("pair counts do not sum to the trials")
+
+        monkeypatch.setitem(cli.SCENARIOS, "chsh-scan", broken)
+        code, out, err = run_cli(capsys, "chsh-scan", "--trials", TRIALS)
+        assert code == 2
+        assert out == ""
+        assert err == "epr: internal invariant violation: pair counts do not sum to the trials\n"
+
+
 def assert_one_line_config_error(code, out, err, key):
     assert code == 1
     assert out == ""
@@ -206,6 +219,31 @@ class TestBoundary:
     def test_non_finite_theta_names_theta_deg(self, capsys, value):
         code, out, err = run_cli(capsys, "order-test", f"--theta={value}")
         assert_one_line_config_error(code, out, err, "theta_deg")
+
+    def test_one_trial_per_pair_claims_no_violation(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "chsh-scan", "--trials", "1", "--model", "lhv-sign", "--format", "json"
+        )
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["S_stderr"] == 0.0
+        assert summary["violates_classical"] is False
+
+    @pytest.mark.parametrize(
+        "scenario, runs", [("chsh-scan", 4), ("qwp-test", 1), ("order-test", 2),
+                           ("malus-check", 7), ("model-matrix", 20)],
+    )
+    def test_trials_past_the_seeds_indices_name_trials(self, capsys, scenario, runs):
+        # checked before anything runs
+        trials = 2**64 // runs + 1
+        code, out, err = run_cli(capsys, scenario, "--trials", str(trials))
+        assert_one_line_config_error(code, out, err, "trials")
+
+    @pytest.mark.parametrize("value", ["zero", "0"])
+    def test_bad_worker_cap_in_the_environment_names_workers(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("EPR_MAX_WORKERS", value)
+        code, out, err = run_cli(capsys, "qwp-test", "--trials", "100")
+        assert_one_line_config_error(code, out, err, "workers")
 
     def test_too_few_trials_to_condition_names_trials(self, capsys):
         # one trial leaves some model of the matrix without an arm-A detection

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from eprsim import engine, kernels
 from eprsim.engine import (
     BLOCK_SIZE,
     SPEED_OF_LIGHT_M_PER_S,
@@ -18,7 +19,8 @@ from eprsim.engine import (
 )
 from eprsim.models import Lhv, Ordering, QMFormal, malus_response_model
 from eprsim.scenarios import build_model
-from eprsim.twophoton import Arm
+from eprsim.stats import ChainCounts, CoincidenceCounts
+from eprsim.twophoton import Arm, ChannelOutcome
 
 
 def qm_config(**overrides):
@@ -91,6 +93,54 @@ class TestMergeContract:
     def test_counts_sum_to_trials(self):
         run = run_experiment(qm_config(), TwoChannelProtocol())
         assert run.counts_for_pair(0).total == 10_000
+
+
+class TestCountsMatchRecords:
+    """Counts reduced on the workers equal a tally of the replayed records."""
+
+    PAIRS = ((0.0, 0.0), (0.0, math.pi / 8), (math.pi / 4, 3 * math.pi / 8))
+
+    @pytest.mark.parametrize(
+        "model_name", ["qm", "ndv-nonlocal", "definite-circular", "lhv-sign", "lhv-malus"]
+    )
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_two_channel(self, monkeypatch, model_name, ordering, randomized):
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 700)  # several ragged blocks
+        settings = (
+            RandomizedSettings(self.PAIRS, (0.5, 0.2, 0.3)) if randomized
+            else FixedSettings(*self.PAIRS[1])
+        )
+        cfg = RunConfig(
+            model=build_model(model_name), trials=2000, settings=settings,
+            ordering=ordering, seed=19,
+        )
+        run = run_experiment(cfg, TwoChannelProtocol(), start_index=123, workers=2)
+        tally = {pair: [0, 0, 0, 0] for pair in run.pair_table}
+        for r in run.records():
+            cell = 2 * (r.outcome_a is ChannelOutcome.MINUS) + (r.outcome_b is ChannelOutcome.MINUS)
+            tally[(r.a, r.b)][cell] += 1
+        assert run.counts() == [CoincidenceCounts(*tally[pair]) for pair in run.pair_table]
+
+    @pytest.mark.parametrize("model_name", ["qm", "ndv-nonlocal", "definite-circular"])
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_chain(self, monkeypatch, model_name, ordering):
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 700)
+        cfg = RunConfig(model=build_model(model_name), trials=2000, ordering=ordering, seed=19)
+        run = run_experiment(cfg, QwpChainProtocol(), workers=2)
+        records = list(run.records())
+        assert run.chain_counts() == ChainCounts(
+            sum(r.detected_a for r in records),
+            sum(r.detected_b for r in records),
+            sum(r.detected_a and r.detected_b for r in records),
+            len(records),
+        )
+
+    def test_records_book_the_kernels_ordering(self):
+        cfg = qm_config(trials=3000, ordering=Ordering.RANDOM_PER_TRIAL)
+        run = run_experiment(cfg, TwoChannelProtocol(), start_index=11)
+        flags = kernels.arm2_first_flags(cfg.seed, 11, 3000, kernels.ORDER_RANDOM)
+        assert [r.first_arm is Arm.TWO for r in run.records()] == flags.tolist()
 
 
 class TestGeometry:

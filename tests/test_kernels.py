@@ -217,3 +217,213 @@ class TestKernelsMatchObjectLayer:
         )
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
+
+
+class TestWordDomain:
+    """Coins decided on raw Philox words equal the float compares they replace."""
+
+    @pytest.mark.parametrize(
+        "seed,start,count",
+        [(5, 0, 3000), (9, 2**64 - 300, 300), (2**64 - 1, 2**64 - 1, 1)],
+    )
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_word_table_is_the_float_table_bit_for_bit(self, seed, start, count, group):
+        words = kernels._word_table(seed, start, count, group)
+        floats = kernels._draw_table(seed, start, count, group)
+        assert words.dtype == np.uint64
+        assert np.array_equal((words >> 11) * 2.0**-53, floats)
+        last = philox4x64_reference((seed, 0), (start + count - 1, group, 0, 0))
+        assert words[-1].tolist() == last
+
+    @staticmethod
+    def _edge_words(cut: int) -> np.ndarray:
+        """Words whose 53-bit integer sits at, just below and just above the
+        cut, with the low 11 bits clear and set, plus both extreme words."""
+        ks = [k for k in (cut - 1, cut, cut + 1) if 0 <= k < 2**53]
+        words = [k << 11 for k in ks] + [(k << 11) | 0x7FF for k in ks] + [0, 2**64 - 1]
+        return np.array(words, dtype=np.uint64)
+
+    @pytest.mark.parametrize(
+        "p",
+        [0.0, 1e-30, float(kernels._malus_prob_array(np.array([math.pi / 2]))[0]), 0.5, 1.0,
+         math.cos(math.pi / 8) ** 2, *np.random.default_rng(4).random(8).tolist()],
+    )
+    def test_threshold_compare_matches_float_compare(self, p):
+        cut = kernels._cut(p)
+        words = self._edge_words(int(cut))
+        u = (words >> 11) * 2.0**-53
+        assert np.array_equal((words >> 11) < cut, u < p)
+        if p == 0.5:
+            assert np.array_equal(words < kernels.HALF_WORD, u < 0.5)
+
+    @pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.25, 0.0, 0.75],
+                                         np.random.default_rng(8).random(40).tolist()])
+    def test_pair_selection_matches_float_searchsorted(self, weights):
+        cumw = np.cumsum(np.array(weights) / np.sum(weights))
+        cumw[-1] = 1.0
+        cuts = [int(c) for c in kernels._cut(cumw)]
+        edges = np.concatenate([self._edge_words(c) for c in cuts])
+        words = np.concatenate([edges, kernels._word_table(3, 0, 5000, 0)[:, kernels.SLOT_SETTINGS]])
+        u = (words >> 11) * 2.0**-53
+        want = np.clip(np.searchsorted(cumw, u, side="right"), 0, cumw.size - 1)
+        assert np.array_equal(kernels._select_pairs(words, cumw), want)
+        assert np.array_equal(kernels._select_pairs(u, cumw), want)
+
+
+class TestOrderingDecision:
+    """One helper decides which arm is measured first, for kernels and records."""
+
+    def test_random_order_reads_the_ordering_slot(self):
+        flags = kernels.arm2_first_flags(21, 2**64 - 4000, 4000, kernels.ORDER_RANDOM)
+        u = kernels.uniform_block(21, 2**64 - 4000, 4000, kernels.SLOT_ORDERING)
+        assert np.array_equal(flags, u >= 0.5)
+
+    def test_fixed_orders_are_constant(self):
+        assert not kernels.arm2_first_flags(1, 0, 5, kernels.ORDER_ARM1_FIRST).any()
+        assert kernels.arm2_first_flags(1, 0, 5, kernels.ORDER_ARM2_FIRST).all()
+        with pytest.raises(ValueError):
+            kernels.arm2_first_flags(1, 0, 5, 7)
+
+    @pytest.mark.parametrize("code", [kernels.MODEL_QM, kernels.MODEL_NDV])
+    def test_random_order_trials_replay_their_fixed_order(self, code):
+        pa, pb, cw = np.array([0.3, 1.2]), np.array([1.0, 0.1]), np.array([0.5, 1.0])
+        args = (17, 1000, 3000, code, pa, pb, cw)
+        flags = kernels.arm2_first_flags(17, 1000, 3000, kernels.ORDER_RANDOM)
+        _, oa, ob = kernels.two_channel_block(*args, kernels.ORDER_RANDOM)
+        _, oa1, ob1 = kernels.two_channel_block(*args, kernels.ORDER_ARM1_FIRST)
+        _, oa2, ob2 = kernels.two_channel_block(*args, kernels.ORDER_ARM2_FIRST)
+        assert np.array_equal(oa, np.where(flags, oa2, oa1))
+        assert np.array_equal(ob, np.where(flags, ob2, ob1))
+        det_a, _ = kernels.qwp_block(17, 1000, 3000, kernels.QWP_QM, kernels.ORDER_RANDOM)
+        det_a1, _ = kernels.qwp_block(17, 1000, 3000, kernels.QWP_QM, kernels.ORDER_ARM1_FIRST)
+        det_a2, _ = kernels.qwp_block(17, 1000, 3000, kernels.QWP_QM, kernels.ORDER_ARM2_FIRST)
+        assert np.array_equal(det_a, np.where(flags, det_a2, det_a1))
+
+
+class TestRandomizedSettingsMatchObjectLayer:
+    """Per-trial settings chosen in the word domain replay the object layer,
+    which chooses the pair from the float settings draw."""
+
+    N = 1000
+    SEED = 47
+    PAIRS = ((0.0, 0.4), (0.7, 0.2), (1.3, 1.3))
+    CUMW = np.array([0.3, 0.55, 1.0])
+
+    @pytest.mark.parametrize(
+        "model,code",
+        [
+            (QMFormal(), kernels.MODEL_QM),
+            (NdvNonlocal(), kernels.MODEL_NDV),
+            (DefiniteCircular(), kernels.MODEL_DEFINITE_CIRCULAR),
+            (Lhv(deterministic_sign_model()), kernels.MODEL_LHV_SIGN),
+            (Lhv(malus_response_model()), kernels.MODEL_LHV_MALUS),
+        ],
+    )
+    @pytest.mark.parametrize("ordering", [Ordering.ARM1_FIRST, Ordering.RANDOM_PER_TRIAL])
+    def test_two_channel(self, model, code, ordering):
+        order_code = 0 if ordering is Ordering.ARM1_FIRST else 2
+        pa = np.array([p[0] for p in self.PAIRS])
+        pb = np.array([p[1] for p in self.PAIRS])
+        pair_idx, oa, ob = kernels.two_channel_block(
+            self.SEED, 0, self.N, code, pa, pb, self.CUMW, order_code
+        )
+        for i in range(self.N):
+            d = trial_draws(self.SEED, i)
+            j = int(np.searchsorted(self.CUMW, d.settings, side="right"))
+            assert pair_idx[i] == j, i
+            a, b = self.PAIRS[j]
+            want = model.respond_two_channel(model.emit(d), a, b, ordering, d)
+            assert (oa[i], ob[i]) == tuple(_sign(o) for o in want), i
+
+
+class TestKernelsOnEdgeWords:
+    """Every word-domain kernel, fed a stream of words that sit on and next
+    to each of its cuts, decides as the float compares it replaces."""
+
+    N = 4000
+    PA = np.array([0.0, 0.7, 1.3, math.pi / 2])
+    PB = np.array([0.4, 0.2, 1.3, 0.0])
+    CUMW = np.array([0.3, 0.55, 0.8, 1.0])
+
+    @pytest.fixture
+    def words(self, monkeypatch):
+        """An (N, 8) table of slots 0-7 served in place of the Philox stream."""
+        cuts = [2**52]
+        for s_first, s_second in ((self.PA, self.PB), (self.PB, self.PA)):
+            for delta in (s_first - s_second, s_first + math.pi / 2 - s_second):
+                cuts += [int(c) for c in kernels._cut(kernels._malus_prob_array(delta))]
+        cuts += [int(c) for c in kernels._cut(self.CUMW)]
+        cuts += [int(kernels._cut(math.cos(0.3) ** 2))]
+        ks = sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k < 2**53} | {2**53 - 1})
+        rng = np.random.default_rng(12)
+        table = np.array(ks, dtype=np.uint64)[rng.integers(0, len(ks), (self.N, 8))] << 11
+        table |= np.array([0, 1, 0x7FF], dtype=np.uint64)[rng.integers(0, 3, table.shape)]
+        table[0] = 0
+        table[1] = 2**64 - 1
+
+        def word_table(seed, start, count, group):
+            return table[start : start + count, 4 * group : 4 * group + 4].copy()
+
+        monkeypatch.setattr(kernels, "_word_table", word_table)
+        monkeypatch.setattr(
+            kernels, "_draw_table", lambda *args: (word_table(*args) >> 11) * 2.0**-53
+        )
+        return table
+
+    def _uniforms(self, words):
+        return (words >> 11) * 2.0**-53
+
+    def _float_reduced(self, u_first, u_second, pair_idx, s_first, s_second):
+        first = u_first < 0.5
+        p_parallel = kernels._malus_prob_array(s_first - s_second)[pair_idx]
+        p_perpendicular = kernels._malus_prob_array(s_first + math.pi / 2 - s_second)[pair_idx]
+        return first, np.where(first, u_second < p_parallel, u_second < p_perpendicular)
+
+    @pytest.mark.parametrize("code", [kernels.MODEL_QM, kernels.MODEL_NDV,
+                                      kernels.MODEL_DEFINITE_CIRCULAR, kernels.MODEL_LHV_SIGN])
+    @pytest.mark.parametrize("order", [kernels.ORDER_ARM1_FIRST, kernels.ORDER_ARM2_FIRST,
+                                       kernels.ORDER_RANDOM])
+    def test_two_channel(self, words, code, order):
+        u = self._uniforms(words)
+        pair_idx = np.clip(np.searchsorted(self.CUMW, u[:, 0], side="right"), 0, 3)
+        arm2_first = u[:, 4] >= 0.5
+        got = kernels.two_channel_block(1, 0, self.N, code, self.PA, self.PB, self.CUMW, order)
+        assert np.array_equal(got[0], pair_idx)
+        if code == kernels.MODEL_LHV_SIGN:
+            return  # float responses; only the pair choice moved to words
+        if code == kernels.MODEL_DEFINITE_CIRCULAR:
+            oa, ob = u[:, 2] < 0.5, u[:, 3] < 0.5
+        else:
+            oa1, ob1 = self._float_reduced(u[:, 2], u[:, 3], pair_idx, self.PA, self.PB)
+            ob2, oa2 = self._float_reduced(u[:, 3], u[:, 2], pair_idx, self.PB, self.PA)
+            flags = {kernels.ORDER_ARM1_FIRST: False, kernels.ORDER_ARM2_FIRST: True}.get(
+                order, arm2_first
+            )
+            oa, ob = np.where(flags, oa2, oa1), np.where(flags, ob2, ob1)
+        assert np.array_equal(got[1], np.where(oa, 1, -1))
+        assert np.array_equal(got[2], np.where(ob, 1, -1))
+
+    @pytest.mark.parametrize("order", [kernels.ORDER_ARM1_FIRST, kernels.ORDER_ARM2_FIRST,
+                                       kernels.ORDER_RANDOM])
+    def test_chains(self, words, order):
+        u = self._uniforms(words)
+        first = np.where(u[:, 4] >= 0.5, u[:, 3], u[:, 2])
+        first = {kernels.ORDER_ARM1_FIRST: u[:, 2], kernels.ORDER_ARM2_FIRST: u[:, 3]}.get(
+            order, first
+        )
+        cases = {
+            kernels.QWP_QM: (first < 0.5, first < 0.5),
+            kernels.QWP_INDEPENDENT_HALVES: (u[:, 2] < 0.5, u[:, 3] < 0.5),
+            kernels.QWP_DEFINITE_CIRCULAR: (u[:, 1] < 0.5, u[:, 1] < 0.5),
+        }
+        for code, (det_a, det_b) in cases.items():
+            got_a, got_b = kernels.qwp_block(1, 0, self.N, code, order)
+            assert np.array_equal(got_a.astype(bool), det_a)
+            assert np.array_equal(got_b.astype(bool), det_b)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2])
+    def test_malus(self, words, theta):
+        p = math.cos(theta) ** 2
+        p = 0.0 if p < 1e-24 else min(p, 1.0)
+        got = kernels.malus_block(1, 0, self.N, theta)
+        assert np.array_equal(got.astype(bool), self._uniforms(words)[:, 2] < p)

@@ -42,6 +42,28 @@ class TestCorrelationEstimator:
         counts = CoincidenceCounts.from_outcomes(out_a, out_b)
         assert counts == CoincidenceCounts(2, 1, 1, 1)
 
+    @staticmethod
+    def _bincount_counts(out_a, out_b):
+        """The earlier int64/bincount tally, kept as the reference."""
+        a_bit = (1 - out_a.astype(np.int64)) // 2
+        b_bit = (1 - out_b.astype(np.int64)) // 2
+        return CoincidenceCounts(*(int(c) for c in np.bincount(a_bit * 2 + b_bit, minlength=4)))
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 1000, 65_537])
+    def test_from_outcomes_matches_bincount_tally(self, size):
+        rng = np.random.default_rng(size)
+        out_a = rng.choice(np.array([-1, 1], dtype=np.int8), size)
+        out_b = rng.choice(np.array([-1, 1], dtype=np.int8), size)
+        assert CoincidenceCounts.from_outcomes(out_a, out_b) == self._bincount_counts(out_a, out_b)
+        pair_index = rng.integers(0, 3, size).astype(np.int32)
+        for j in range(3):
+            mask = pair_index == j
+            got = CoincidenceCounts.from_outcomes(out_a, out_b, mask)
+            assert got == self._bincount_counts(out_a[mask], out_b[mask])
+        assert CoincidenceCounts.from_outcomes(
+            out_a, out_b, np.zeros(size, dtype=bool)
+        ) == CoincidenceCounts(0, 0, 0, 0)
+
     def test_counts_are_mergeable(self):
         a = CoincidenceCounts(1, 2, 3, 4)
         b = CoincidenceCounts(10, 20, 30, 40)
@@ -84,6 +106,23 @@ class TestChshReport:
         )
         assert not classical.violates_classical
         assert classical.within_tsirelson
+
+    def test_zero_stderr_claims_no_violation(self):
+        # one trial per pair: every pair's E is +-1 with stderr 0, and
+        # S = 4 says nothing about a violation
+        a, b, a2, b2 = 0.0, 0.1, 0.2, 0.3
+        agree, disagree = CoincidenceCounts(1, 0, 0, 0), CoincidenceCounts(0, 1, 0, 0)
+        report = chsh_report(
+            PairEstimate.from_counts(a, b, agree),
+            PairEstimate.from_counts(a, b2, disagree),
+            PairEstimate.from_counts(a2, b, agree),
+            PairEstimate.from_counts(a2, b2, agree),
+        )
+        assert report.s == 4.0
+        assert report.s_stderr == 0.0
+        assert not report.violates_classical
+        assert not report.within_tsirelson
+        assert estimate_correlation(agree) == (1.0, 0.0)
 
     def test_stderr_combines_in_quadrature(self):
         a, b, a2, b2 = 0.0, 0.1, 0.2, 0.3
