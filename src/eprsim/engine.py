@@ -18,6 +18,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -98,8 +99,8 @@ class RandomizedSettings:
             weights = tuple(float(w) for w in self.weights)
             if len(weights) != len(pairs):
                 raise ValueError("weights must match the settings pairs one to one")
-            if any(w < 0.0 for w in weights):
-                raise ValueError("weights must be nonnegative")
+            if not all(math.isfinite(w) and w >= 0.0 for w in weights):
+                raise ValueError(f"weights must be finite and nonnegative, got {weights!r}")
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise ValueError(f"weights sum to {sum(weights)!r}, not 1 within 1e-12")
         object.__setattr__(self, "pairs", pairs)
@@ -197,25 +198,33 @@ def resolve_workers(workers: int | None = None) -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _block_ranges(start: int, trials: int) -> list[tuple[int, int]]:
-    edges = list(range(start, start + trials, BLOCK_SIZE)) + [start + trials]
-    return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+def _add(total: tuple | None, part: tuple) -> tuple:
+    """Component-wise sum of two count tuples; a None total is the empty sum."""
+    return part if total is None else tuple(map(operator.add, total, part))
 
 
 def _run_blocks(count, start: int, trials: int, workers: int) -> tuple:
     """Component-wise sum of ``count(lo, hi)`` over the blocks of the range.
 
-    Each block returns a tuple of exact counts and keeps no per-trial array,
-    so memory is bounded by the blocks in flight. Integer addition is exact,
-    so the sum does not depend on the worker count.
+    Workers take blocks from one shared iterator and keep their own sums, so
+    no block list is built. Integer addition is exact, so the sum does not
+    depend on the worker count.
     """
-    ranges = _block_ranges(start, trials)
-    if workers <= 1 or len(ranges) <= 1:
-        parts = [count(lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: count(*r), ranges))
-    return tuple(functools.reduce(operator.add, column) for column in zip(*parts))
+    stop = start + trials
+    blocks = iter(range(start, stop, BLOCK_SIZE))
+    lock = threading.Lock()
+
+    def next_block() -> int | None:
+        with lock:
+            return next(blocks, None)
+
+    def own_sum(_) -> tuple | None:
+        parts = (count(lo, min(lo + BLOCK_SIZE, stop)) for lo in iter(next_block, None))
+        return functools.reduce(_add, parts, None)
+
+    threads = min(workers, -(-trials // BLOCK_SIZE))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return functools.reduce(_add, filter(None, pool.map(own_sum, range(threads))))
 
 
 def _replay(config: RunConfig, start_index: int, kernel):
@@ -223,7 +232,9 @@ def _replay(config: RunConfig, start_index: int, kernel):
     kernel output, recomputed from the counter-based stream. The flags come
     from the helper the kernels decide the order with."""
     order_code = _ORDER_CODES[config.ordering]
-    for lo, hi in _block_ranges(start_index, config.trials):
+    stop = start_index + config.trials
+    for lo in range(start_index, stop, BLOCK_SIZE):
+        hi = min(lo + BLOCK_SIZE, stop)
         flags = kernels.arm2_first_flags(config.seed, lo, hi - lo, order_code)
         yield lo, flags, kernel(lo, hi)
 
@@ -322,19 +333,18 @@ def _two_channel_kernel(config: RunConfig):
     (lo, hi) -> (pair index, outcome A, outcome B) per trial."""
     pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
     order_code = _ORDER_CODES[config.ordering]
-    kernel_id = getattr(config.model, "kernel_id", None)
-    if kernel_id is not None:
-        code = kernels.MODEL_CODES[kernel_id]
-        return pairs, lambda lo, hi: kernels.two_channel_block(
-            config.seed, lo, hi - lo, code, pair_a, pair_b, cumw, order_code
-        )
     if isinstance(config.model, Lhv):
         lhv = config.model.model
         return pairs, lambda lo, hi: kernels.two_channel_block_lhv(
             config.seed, lo, hi - lo, lhv.sample, lhv.response_a, lhv.response_b,
             pair_a, pair_b, cumw, order_code,
         )
-    raise TypeError(f"no trial kernel for model {config.model!r}")
+    code = kernels.MODEL_CODES.get(getattr(config.model, "kernel_id", None))
+    if code is None:
+        raise TypeError(f"no trial kernel for model {config.model!r}")
+    return pairs, lambda lo, hi: kernels.two_channel_block(
+        config.seed, lo, hi - lo, code, pair_a, pair_b, cumw, order_code
+    )
 
 
 def _qwp_kernel(config: RunConfig):

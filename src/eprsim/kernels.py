@@ -41,6 +41,8 @@ import math
 
 import numpy as np
 
+from . import models
+
 RNG_STREAM = "philox4x64-10/v2"
 SEED_LIMIT = 1 << 64  # seeds and trial indices live in [0, 2**64)
 
@@ -78,7 +80,6 @@ QWP_INDEPENDENT_HALVES = 1
 QWP_DEFINITE_CIRCULAR = 2
 
 _HALF_PI = math.pi / 2
-_PI = math.pi
 _ZERO_PROB = 1e-24
 
 
@@ -235,8 +236,12 @@ def two_channel_block(
     ordering_mode: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial two-channel outcomes (+1 parallel / -1 perpendicular)."""
-    if model_code in (MODEL_LHV_SIGN, MODEL_LHV_MALUS):
-        return _two_channel_lhv_builtin(seed, start, count, model_code, pair_a, pair_b, cumw)
+    if model_code in _BUILTIN_LHV:
+        lhv = _BUILTIN_LHV[model_code]
+        return two_channel_block_lhv(
+            seed, start, count, lhv.sample, lhv.response_a, lhv.response_b,
+            pair_a, pair_b, cumw, ordering_mode,
+        )
     if model_code not in (MODEL_QM, MODEL_NDV, MODEL_DEFINITE_CIRCULAR):
         raise ValueError(f"unknown model code {model_code!r}")
     words = _word_table(seed, start, count, 0)
@@ -257,25 +262,6 @@ def two_channel_block(
             ob2, oa2 = _reduced_pair(w_b, w_a, pair_idx, pair_b, pair_a)
             oa = np.where(arm2_first, oa2, oa)
             ob = np.where(arm2_first, ob2, ob)
-    return pair_idx, _signs(oa), _signs(ob)
-
-
-def _two_channel_lhv_builtin(seed, start, count, model_code, pair_a, pair_b, cumw):
-    """The built-in hidden-variable models: their responses need the float
-    hidden parameter, so they read numpy's float fill of the stream."""
-    table = _draw_table(seed, start, count, 0)
-    pair_idx = _select_pairs(table[:, SLOT_SETTINGS], cumw)
-    lam = _PI * table[:, SLOT_EMISSION]
-    a = _per_trial(pair_a, pair_idx)
-    b = _per_trial(pair_b, pair_idx)
-    if model_code == MODEL_LHV_SIGN:
-        # The responses are 0 or 1 and a coin is always below 1, so the
-        # coins never change the answer.
-        oa = np.cos(2.0 * (a - lam)) > 0.0
-        ob = np.cos(2.0 * (b - lam)) > 0.0
-    else:
-        oa = table[:, SLOT_ARM_A] < _malus_prob_array(a - lam)
-        ob = table[:, SLOT_ARM_B] < _malus_prob_array(b - lam)
     return pair_idx, _signs(oa), _signs(ob)
 
 
@@ -327,7 +313,7 @@ def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
 
 
 def qwp_code_for(kernel_id: str | None) -> int:
-    """Chain-response class for a model's kernel id (None = custom LHV)."""
+    """Chain-response class for a model's kernel id (None = any factorized model)."""
     if kernel_id == "qm":
         return QWP_QM
     if kernel_id == "definite-circular":
@@ -347,22 +333,23 @@ def two_channel_block_lhv(
     cumw: np.ndarray,
     ordering_mode: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-channel outcomes for a custom factorized model.
+    """Two-channel outcomes for any factorized model, built-in or custom.
 
-    The model's sampler and responses are arbitrary vectorized callables;
-    determinism still holds because the draws are counter-based.
+    Responses get the setting as a scalar when there is one settings pair
+    and as a per-trial array otherwise. Determinism holds for any vectorized
+    callables because the draws are counter-based.
     """
     table = _draw_table(seed, start, count, 0)
     pair_idx = _select_pairs(table[:, SLOT_SETTINGS], cumw)
     lam = np.asarray(sample_fn(table[:, SLOT_EMISSION]), dtype=float)
-    p_a = np.empty(count)
-    p_b = np.empty(count)
-    for j in range(pair_a.size):
-        mask = pair_idx == j
-        if not np.any(mask):
-            continue
-        p_a[mask] = np.asarray(response_a(float(pair_a[j]), lam[mask]), dtype=float)
-        p_b[mask] = np.asarray(response_b(float(pair_b[j]), lam[mask]), dtype=float)
-    oa = table[:, SLOT_ARM_A] < p_a
-    ob = table[:, SLOT_ARM_B] < p_b
+    a = _per_trial(pair_a, pair_idx)
+    b = _per_trial(pair_b, pair_idx)
+    oa = table[:, SLOT_ARM_A] < np.asarray(response_a(a, lam), dtype=float)
+    ob = table[:, SLOT_ARM_B] < np.asarray(response_b(b, lam), dtype=float)
     return pair_idx, _signs(oa), _signs(ob)
+
+
+_BUILTIN_LHV = {
+    MODEL_LHV_SIGN: models.deterministic_sign_model(),
+    MODEL_LHV_MALUS: models.malus_response_model(),
+}

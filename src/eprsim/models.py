@@ -114,7 +114,9 @@ class LhvModel:
     ``sample`` maps a uniform draw through its inverse CDF. ``response_a`` and
     ``response_b`` give each arm's probability of the parallel channel as a
     function of (analyzer setting, lambda); both must broadcast over numpy
-    arrays of lambda. ``response_breakpoints`` lists the discontinuity
+    arrays of lambda. The setting is a scalar, or on randomized-settings
+    runs a per-trial array matching lambda, and both must give the same
+    probabilities. ``response_breakpoints`` lists the discontinuity
     locations of the responses for a given setting so the oracle can
     integrate piecewise-smooth integrands exactly.
     """
@@ -125,11 +127,11 @@ class LhvModel:
     response_a: Callable[[float, np.ndarray], np.ndarray]
     response_b: Callable[[float, np.ndarray], np.ndarray]
     response_breakpoints: Callable[[float], np.ndarray] | None = None
-    kernel_id: str | None = None
 
 
 def validate_lhv_model(model: LhvModel, tol: float = 1e-6, n: int = 4096) -> None:
-    """Check the model invariants: density normalized, responses in [0, 1]."""
+    """Check the model invariants: density normalized, responses in [0, 1],
+    and a per-trial array of settings answered as the scalar setting is."""
     lo, hi = LAMBDA_SUPPORT
     grid = lo + (np.arange(n) + 0.5) * (hi - lo) / n
     rho = np.asarray(model.density(grid), dtype=float)
@@ -142,6 +144,12 @@ def validate_lhv_model(model: LhvModel, tol: float = 1e-6, n: int = 4096) -> Non
         probs = np.asarray(resp(0.3, grid), dtype=float)
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError(f"{model.name}: {label} must map into [0, 1]")
+        try:
+            same = np.array_equal(np.asarray(resp(np.full(n, 0.3), grid), dtype=float), probs)
+        except (TypeError, ValueError, IndexError):
+            same = False
+        if not same:
+            raise ValueError(f"{model.name}: {label} must accept per-trial settings like a scalar")
 
 
 def _uniform_density(lam: np.ndarray) -> np.ndarray:
@@ -179,7 +187,6 @@ def deterministic_sign_model() -> LhvModel:
         response_a=_sign_response,
         response_b=_sign_response,
         response_breakpoints=_sign_breakpoints,
-        kernel_id="lhv-sign",
     )
     validate_lhv_model(model)
     return model
@@ -196,7 +203,6 @@ def malus_response_model() -> LhvModel:
         sample=_uniform_sample,
         response_a=_malus_response,
         response_b=_malus_response,
-        kernel_id="lhv-malus",
     )
     validate_lhv_model(model)
     return model
@@ -520,10 +526,6 @@ class Lhv:
     """A pair governed by a shared hidden parameter with local responses."""
 
     model: LhvModel
-
-    @property
-    def kernel_id(self) -> str | None:
-        return self.model.kernel_id
 
     def emit(self, draws: TrialDraws) -> LambdaSample:
         value = float(self.model.sample(np.asarray(draws.emission)))

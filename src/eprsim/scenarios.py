@@ -160,11 +160,11 @@ def _check_angles(angles_deg, expected: int | None) -> tuple[float, ...]:
     return tuple(_check_real("angles_deg", x) for x in angles_deg)
 
 
-def _engine_meta(trials_total: int, wall_time_s: float, workers: int | None) -> dict:
+def _engine_meta(trials_total: int, wall_time_s: float, workers: int) -> dict:
     return {
         "version": __version__,
         "rng_stream": kernels.RNG_STREAM,
-        "workers": resolve_workers(workers),
+        "workers": workers,
         "trials_total": trials_total,
         "wall_time_s": round(wall_time_s, 6),
     }

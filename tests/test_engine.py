@@ -1,6 +1,8 @@
 import math
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from eprsim import engine, kernels
@@ -17,7 +19,7 @@ from eprsim.engine import (
     run_experiment,
     run_malus,
 )
-from eprsim.models import Lhv, Ordering, QMFormal, malus_response_model
+from eprsim.models import Lhv, LhvModel, Ordering, QMFormal, malus_response_model
 from eprsim.scenarios import build_model
 from eprsim.stats import ChainCounts, CoincidenceCounts
 from eprsim.twophoton import Arm, ChannelOutcome
@@ -59,6 +61,19 @@ class TestDeterminism:
         assert run_malus(5, 0.7, trials, workers=1).n_pass == run_malus(
             5, 0.7, trials, workers=4
         ).n_pass
+
+    def test_block_loop_takes_each_block_once(self):
+        # more threads than cores, switching often: a block taken twice or
+        # lost by the shared block iterator changes the exact sums
+        trials, start = 3000 * BLOCK_SIZE + 11, 7
+        blocks = 3001
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = engine._run_blocks(lambda lo, hi: (hi - lo, 1, lo), start, trials, 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == (trials, blocks, blocks * start + BLOCK_SIZE * blocks * (blocks - 1) // 2)
 
     def test_start_index_shifts_the_stream(self):
         cfg = qm_config()
@@ -143,6 +158,60 @@ class TestCountsMatchRecords:
         assert [r.first_arm is Arm.TWO for r in run.records()] == flags.tolist()
 
 
+class TestFactorizedModelPath:
+    """The engine's factorized-model path, pinned per settings pair for the
+    built-in models and replayed against the object layer for a model that
+    is not built in."""
+
+    SETTINGS = RandomizedSettings(
+        ((0.0, math.pi / 8), (math.pi / 4, math.pi / 8), (0.0, 3 * math.pi / 8)),
+        (0.5, 0.3, 0.2),
+    )
+    PINNED = {
+        "lhv-sign": [
+            CoincidenceCounts(902, 307, 336, 956),
+            CoincidenceCounts(560, 177, 163, 566),
+            CoincidenceCounts(140, 382, 381, 130),
+        ],
+        "lhv-malus": [
+            CoincidenceCounts(843, 401, 402, 855),
+            CoincidenceCounts(526, 231, 212, 497),
+            CoincidenceCounts(158, 363, 344, 168),
+        ],
+    }
+
+    def _config(self, model):
+        return RunConfig(
+            model=model, trials=5000, settings=self.SETTINGS,
+            ordering=Ordering.RANDOM_PER_TRIAL, seed=20201231,
+        )
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_builtin_counts_are_pinned(self, name):
+        run = run_experiment(self._config(build_model(name)))
+        assert run.counts() == self.PINNED[name]
+
+    def test_custom_model_replays_the_object_layer(self):
+        malus = lambda setting, lam: np.cos(setting - np.asarray(lam, dtype=float)) ** 2
+        model = Lhv(LhvModel(
+            name="custom-malus",
+            density=lambda lam: np.full_like(np.asarray(lam, dtype=float), 1.0 / math.pi),
+            sample=lambda u: np.asarray(u, dtype=float) * math.pi,
+            response_a=malus,
+            response_b=malus,
+        ))
+        cfg = self._config(model)
+        cumw = np.cumsum(self.SETTINGS.weights)
+        records = list(run_experiment(cfg).records())
+        assert len(records) == cfg.trials
+        for r in records:
+            d = engine.trial_draws(cfg.seed, r.trial_index)
+            j = min(int(np.searchsorted(cumw, d.settings, side="right")), len(cumw) - 1)
+            assert (r.a, r.b) == self.SETTINGS.pairs[j], r.trial_index
+            want = model.respond_two_channel(model.emit(d), r.a, r.b, cfg.ordering, d)
+            assert (r.outcome_a, r.outcome_b) == want, r.trial_index
+
+
 class TestGeometry:
     def test_spacelike_flag(self):
         assert Geometry(12.0, 10e-9).spacelike  # c * 10 ns ~ 3 m
@@ -176,6 +245,11 @@ class TestSettingsPolicies:
         freqs = [c.total / cfg.trials for c in run.counts()]
         for got, want in zip(freqs, weights):
             assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / cfg.trials)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="weights"):
+            RandomizedSettings(((0.0, 0.0), (0.5, 0.5)), (bad, 1.0))
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -314,3 +388,19 @@ class TestBoundedMemory:
         small = self._peak_bytes(lambda: run(2**17))
         large = self._peak_bytes(lambda: run(2**22))
         assert large <= 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_loop_lists_no_blocks(self, workers):
+        # a stub count leaves only the block loop's own allocations, at a
+        # trial count with tens of thousands of blocks
+        trials, start = 2**32 + 777, 5
+        blocks = -(-trials // BLOCK_SIZE)
+        got = []
+        peak = self._peak_bytes(
+            lambda: got.append(
+                engine._run_blocks(lambda lo, hi: (hi - lo, 1, lo), start, trials, workers)
+            )
+        )
+        first_sum = blocks * start + BLOCK_SIZE * blocks * (blocks - 1) // 2
+        assert got == [(trials, blocks, first_sum)]
+        assert peak < 2**20, peak

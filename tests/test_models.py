@@ -247,6 +247,26 @@ class TestLhvOracle:
         with pytest.raises(ValueError):
             validate_lhv_model(bad)
 
+    @pytest.mark.parametrize(
+        "response",
+        [
+            # math.cos takes no array: fine on one settings pair, broken on several
+            lambda s, lam: math.cos(s) ** 2 * np.ones_like(np.asarray(lam, float)),
+            lambda s, lam: np.full_like(np.asarray(lam, float), 0.5 if np.ndim(s) == 0 else 0.25),
+        ],
+        ids=["scalar-only", "array-differs"],
+    )
+    def test_validation_rejects_responses_that_need_a_scalar_setting(self, response):
+        bad = LhvModel(
+            name="scalar-setting",
+            density=lambda lam: np.full_like(np.asarray(lam, float), 1.0 / math.pi),
+            sample=lambda u: np.asarray(u, float) * math.pi,
+            response_a=lambda s, lam: np.full_like(np.asarray(lam, float), 0.5),
+            response_b=response,
+        )
+        with pytest.raises(ValueError, match="scalar-setting: response_b"):
+            validate_lhv_model(bad)
+
 
 class TestLhvObjectLayer:
     def test_lhv_responses_respect_the_hidden_parameter(self):
