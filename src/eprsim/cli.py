@@ -3,7 +3,7 @@
 Configuration precedence is CLI flag > config file > built-in default. The
 config file is a single JSON object whose keys mirror the echoed ``config``
 section of every result document, so any emitted document can be re-run
-verbatim. Unknown config keys are errors.
+verbatim. Unknown or repeated config keys are errors.
 
 Exit codes: 0 success, 1 configuration error, 2 internal invariant violation.
 """
@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
@@ -81,10 +82,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list) -> dict:
+    """`json` object hook: a key given twice is an error, not last-one-wins."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"{key}: given twice in the config file")
+        data[key] = value
+    return data
+
+
 def _load_config_file(path: str, scenario: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -119,6 +130,8 @@ def _resolve(args: argparse.Namespace) -> tuple[str, dict, str, str | None]:
     if out_format not in FORMATS:
         raise ConfigError(f"format: unknown format {out_format!r}")
     out_path = args.out if args.out is not None else file_cfg.get("out")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"out: must be a path, got {out_path!r}")
     return scenario, resolved, out_format, out_path
 
 
@@ -185,19 +198,32 @@ def render_table(document: dict) -> str:
 _RENDERERS = {"json": render_json, "tsv": render_tsv, "table": render_table}
 
 
+def _open_out(path: str | None):
+    """stdout, or `path` created or truncated before the run, as a shell
+    redirect would be, so a path that cannot be written costs no compute."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL or an unencodable character in the path
+        raise ConfigError(f"out: cannot write {path!r}: {exc}") from None
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         scenario, params, out_format, out_path = _resolve(args)
-        document = SCENARIOS[scenario](**params)
-        document["config"]["format"] = out_format
-        document["config"]["out"] = out_path
-        text = _RENDERERS[out_format](document)
-        if out_path is None:
-            sys.stdout.write(text)
-        else:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        with _open_out(out_path) as fh:
+            document = SCENARIOS[scenario](**params)
+            document["config"]["format"] = out_format
+            document["config"]["out"] = out_path
+            fh.write(_RENDERERS[out_format](document))
+    except OSError as exc:
+        # Only the output is written after the config file has been read.
+        print(f"epr: config error: out: cannot write: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"epr: config error: {exc}", file=sys.stderr)
         return 1

@@ -35,6 +35,7 @@ from .models import (
     QMFormal,
     RAnalyzer,
     TrialDraws,
+    validate_lhv_model,
 )
 from .stats import ChainCounts, CoincidenceCounts
 from .twophoton import Arm, ChannelOutcome
@@ -43,6 +44,8 @@ SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 BLOCK_SIZE = 1 << 16
 
 MAX_WORKERS_ENV = "EPR_MAX_WORKERS"
+# A run starts up to this many threads; more never helps a CPU-bound block loop.
+MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -181,10 +184,11 @@ _ORDER_CODES = {
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else EPR_MAX_WORKERS, else CPU-based."""
+    """Worker count: explicit argument, else EPR_MAX_WORKERS, else CPU-based.
+    Either given count must lie in [1, MAX_WORKERS]."""
     if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not 1 <= workers <= MAX_WORKERS:
+            raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {workers}")
         return workers
     env = os.environ.get(MAX_WORKERS_ENV)
     if env:
@@ -192,8 +196,8 @@ def resolve_workers(workers: int | None = None) -> int:
             cap = int(env)
         except ValueError as exc:
             raise ValueError(f"{MAX_WORKERS_ENV} must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ValueError(f"{MAX_WORKERS_ENV} must be at least 1")
+        if not 1 <= cap <= MAX_WORKERS:
+            raise ValueError(f"{MAX_WORKERS_ENV} must be in [1, {MAX_WORKERS}], got {cap}")
         return cap
     return min(4, os.cpu_count() or 1)
 
@@ -367,8 +371,11 @@ def run_experiment(
 
     ``start_index`` offsets the trial-index range so that disjoint blocks of
     one experiment draw from disjoint counter ranges (hence independent
-    streams). Worker count never changes results.
+    streams). Worker count never changes results. A factorized model is
+    validated (`validate_lhv_model`) before any block runs.
     """
+    if isinstance(config.model, Lhv):
+        validate_lhv_model(config.model.model)
     if isinstance(protocol, TwoChannelProtocol):
         return _run_two_channel(config, start_index, resolve_workers(workers))
     if isinstance(protocol, QwpChainProtocol):

@@ -2,8 +2,9 @@
 
 Each scenario returns a plain dict with a ``config`` echo (re-running the
 echoed config reproduces every count exactly), per-setting ``rows``, a
-``summary`` and ``engine`` metadata. Rendering to table/TSV/JSON lives in
-:mod:`eprsim.cli`.
+``summary`` and ``engine`` metadata. Each parameter is checked by one rule
+per name, the same in every scenario, and the echo is the checked values.
+Rendering to table/TSV/JSON lives in :mod:`eprsim.cli`.
 
 Angles cross the boundary in degrees and are converted to radians exactly
 once; all emitted angles are echoed in both units.
@@ -11,9 +12,11 @@ once; all emitted angles are echoed in both units.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
+from typing import NamedTuple
 
 from . import kernels
 from ._version import __version__
@@ -51,13 +54,16 @@ class ConfigError(ValueError):
     """A scenario was configured with an invalid or unknown field."""
 
 
-MODEL_NAMES = ("qm", "lhv-sign", "lhv-malus", "definite-circular", "ndv-nonlocal")
-
-ORDERING_NAMES = {
-    "arm1-first": Ordering.ARM1_FIRST,
-    "arm2-first": Ordering.ARM2_FIRST,
-    "random": Ordering.RANDOM_PER_TRIAL,
+_MODELS = {
+    "qm": QMFormal,
+    "lhv-sign": lambda: Lhv(deterministic_sign_model()),
+    "lhv-malus": lambda: Lhv(malus_response_model()),
+    "definite-circular": DefiniteCircular,
+    "ndv-nonlocal": NdvNonlocal,
 }
+MODEL_NAMES = tuple(_MODELS)
+
+ORDERING_NAMES = {ordering.value: ordering for ordering in Ordering}
 
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 1
@@ -76,27 +82,14 @@ APPARATUS_NOTE = (
 )
 
 
+def _check_name(key: str, value, names) -> str:
+    if not isinstance(value, str) or value not in names:
+        raise ConfigError(f"{key}: unknown {key} {value!r} (choose from {', '.join(names)})")
+    return value
+
+
 def build_model(name: str) -> HypothesisModel:
-    if name == "qm":
-        return QMFormal()
-    if name == "lhv-sign":
-        return Lhv(deterministic_sign_model())
-    if name == "lhv-malus":
-        return Lhv(malus_response_model())
-    if name == "definite-circular":
-        return DefiniteCircular()
-    if name == "ndv-nonlocal":
-        return NdvNonlocal()
-    raise ConfigError(f"model: unknown model {name!r} (choose from {', '.join(MODEL_NAMES)})")
-
-
-def _resolve_ordering(name: str) -> Ordering:
-    try:
-        return ORDERING_NAMES[name]
-    except (KeyError, TypeError):
-        raise ConfigError(
-            f"ordering: unknown ordering {name!r} (choose from {', '.join(ORDERING_NAMES)})"
-        ) from None
+    return _MODELS[_check_name("model", name, MODEL_NAMES)]()
 
 
 def _check_positive_int(key: str, value) -> int:
@@ -105,34 +98,23 @@ def _check_positive_int(key: str, value) -> int:
     return value
 
 
-def _check_trials(trials: int, runs: int) -> int:
-    """`trials` per run, for a scenario of `runs` runs on consecutive trial
-    ranges of one seed: together they must fit in its 2**64 trial indices."""
-    trials = _check_positive_int("trials", trials)
-    if runs * trials > kernels.SEED_LIMIT:
-        raise ConfigError(
-            f"trials: {runs} runs of {trials} trials leave the 2**64 trial indices of a seed"
-        )
-    return trials
-
-
-def _check_workers(workers: int | None) -> int:
+def _check_workers(key: str, value) -> int:
     """Explicit `workers`, else the environment's cap (a bad cap is a
     config error too), else the CPU-based default."""
-    if workers is not None:
-        return _check_positive_int("workers", workers)
+    if value is not None:
+        _check_positive_int(key, value)
     try:
-        return resolve_workers()
+        return resolve_workers(value)
     except ValueError as exc:
-        raise ConfigError(f"workers: {exc}") from None
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed: must be an integer, got {seed!r}")
-    if not 0 <= seed < kernels.SEED_LIMIT:
-        raise ConfigError(f"seed: must be in [0, 2**64), got {seed!r}")
-    return seed
+def _check_seed(key: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    if not 0 <= value < kernels.SEED_LIMIT:
+        raise ConfigError(f"{key}: must be in [0, 2**64), got {value!r}")
+    return value
 
 
 def _check_real(key: str, value, minimum: float | None = None) -> float:
@@ -150,23 +132,74 @@ def _check_real(key: str, value, minimum: float | None = None) -> float:
     return number
 
 
-def _check_angles(angles_deg, expected: int | None) -> tuple[float, ...]:
-    if not isinstance(angles_deg, (list, tuple)):
-        raise ConfigError(f"angles_deg: must be a list of numbers, got {angles_deg!r}")
-    if expected is not None and len(angles_deg) != expected:
-        raise ConfigError(f"angles_deg: expected {expected} angles, got {len(angles_deg)}")
-    if len(angles_deg) < 1:
-        raise ConfigError("angles_deg: need at least one angle")
-    return tuple(_check_real("angles_deg", x) for x in angles_deg)
+def _check_angles(key: str, value) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: must be a list of numbers, got {value!r}")
+    if len(value) < 1:
+        raise ConfigError(f"{key}: need at least one angle")
+    return [_check_real(key, x) for x in value]
 
 
-def _engine_meta(trials_total: int, wall_time_s: float, workers: int) -> dict:
+# The check of each scenario parameter, by name: (key, value) -> the value a
+# scenario runs with and echoes, or a ConfigError naming the key.
+_CHECKS = {
+    "model": lambda key, value: _check_name(key, value, MODEL_NAMES),
+    "angles_deg": _check_angles,
+    "theta_deg": _check_real,
+    "trials": _check_positive_int,
+    "seed": _check_seed,
+    "ordering": lambda key, value: _check_name(key, value, ORDERING_NAMES),
+    "k_sigma": lambda key, value: _check_real(key, value, minimum=0.0),
+    "workers": _check_workers,
+}
+
+
+def _checked(params: dict) -> dict:
+    """A scenario's parameters, called as ``_checked(locals())`` before its
+    body binds any other name, so they come in signature order, each checked
+    by its entry in `_CHECKS`."""
+    return {key: _CHECKS[key](key, value) for key, value in params.items()}
+
+
+class _Ranges(NamedTuple):
+    results: list
+    trials_total: int
+    started: float
+
+
+def _run_ranges(runs: list, trials: int) -> _Ranges:
+    """Call each run with its ``start_index``: consecutive disjoint ranges of
+    `trials` from index 0 of the seed, which draw independent streams, so
+    the results carry no covariance. The ranges must fit in the seed's 2**64
+    trial indices; that is checked before any run starts."""
+    trials_total = len(runs) * trials
+    if trials_total > kernels.SEED_LIMIT:
+        raise ConfigError(
+            f"trials: {len(runs)} runs of {trials} trials leave the 2**64 trial indices of a seed"
+        )
+    started = time.perf_counter()
+    results = [run(start_index=j * trials) for j, run in enumerate(runs)]
+    return _Ranges(results, trials_total, started)
+
+
+def _document(scenario: str, params: dict, rows: list, summary: dict, ranges: _Ranges) -> dict:
+    """The result document. Its config echo is the checked parameters but
+    `workers`, which never changes a count."""
     return {
-        "version": __version__,
-        "rng_stream": kernels.RNG_STREAM,
-        "workers": workers,
-        "trials_total": trials_total,
-        "wall_time_s": round(wall_time_s, 6),
+        "scenario": scenario,
+        "config": {
+            "scenario": scenario,
+            **{key: value for key, value in params.items() if key != "workers"},
+        },
+        "rows": rows,
+        "summary": summary,
+        "engine": {
+            "version": __version__,
+            "rng_stream": kernels.RNG_STREAM,
+            "workers": params["workers"],
+            "trials_total": ranges.trials_total,
+            "wall_time_s": round(time.perf_counter() - ranges.started, 6),
+        },
     }
 
 
@@ -192,27 +225,24 @@ def _chsh_pairs(angles_deg) -> list[tuple[float, float]]:
     return [(a, b), (a, b2), (a2, b), (a2, b2)]
 
 
-def _pair_estimates(
-    hypothesis: HypothesisModel, settings, trials: int, seed: int, workers, offset: int = 0
-) -> list[PairEstimate]:
-    """One two-channel run of `trials` per (a_deg, b_deg, ordering) in
-    `settings`, on consecutive disjoint trial ranges from `offset`.
+def _run(params: dict, protocol, hypothesis, order, settings=FixedSettings(0.0, 0.0)):
+    """One engine run of the scenario's trials and seed; it waits for its ``start_index``."""
+    config = RunConfig(
+        model=hypothesis, trials=params["trials"], settings=settings, ordering=order,
+        seed=params["seed"],
+    )
+    return functools.partial(run_experiment, config, protocol, workers=params["workers"])
 
-    Disjoint ranges of one seed draw independent streams, so the estimates
-    carry no covariance.
-    """
-    estimates = []
-    for j, (a_deg, b_deg, order) in enumerate(settings):
-        a, b = math.radians(a_deg), math.radians(b_deg)
-        config = RunConfig(
-            model=hypothesis, trials=trials, settings=FixedSettings(a, b),
-            ordering=order, seed=seed,
-        )
-        run = run_experiment(
-            config, TwoChannelProtocol(), start_index=offset + j * trials, workers=workers
-        )
-        estimates.append(PairEstimate.from_counts(a, b, run.counts_for_pair(0)))
-    return estimates
+
+def _pair_run(params: dict, hypothesis: HypothesisModel, order, a_deg: float, b_deg: float):
+    """A two-channel run at one analyzer pair, given in degrees."""
+    settings = FixedSettings(math.radians(a_deg), math.radians(b_deg))
+    return _run(params, TwoChannelProtocol(), hypothesis, order, settings)
+
+
+def _estimate(run) -> PairEstimate:
+    ((a, b),) = run.pair_table
+    return PairEstimate.from_counts(a, b, run.counts_for_pair(0))
 
 
 def _conditional_detection(counts: ChainCounts) -> tuple[float, float]:
@@ -232,45 +262,29 @@ def chsh_scan(
     workers: int | None = None,
 ) -> dict:
     """Four-pair correlation scan at the quadruple (a, b, a', b')."""
-    hypothesis = build_model(model)
-    angles = _check_angles(angles_deg, 4)
-    trials = _check_trials(trials, 4)
-    seed = _check_seed(seed)
-    order = _resolve_ordering(ordering)
-    k_sigma = _check_real("k_sigma", k_sigma, minimum=0.0)
-    workers = _check_workers(workers)
-    pairs = _chsh_pairs(angles)
-    started = time.perf_counter()
-    estimates = _pair_estimates(
-        hypothesis, [(a, b, order) for a, b in pairs], trials, seed, workers
+    params = _checked(locals())
+    if len(params["angles_deg"]) != 4:
+        raise ConfigError(f"angles_deg: expected 4 angles, got {len(params['angles_deg'])}")
+    hypothesis = build_model(params["model"])
+    order = ORDERING_NAMES[params["ordering"]]
+    pairs = _chsh_pairs(params["angles_deg"])
+    ranges = _run_ranges(
+        [_pair_run(params, hypothesis, order, a, b) for a, b in pairs], params["trials"]
     )
+    estimates = [_estimate(run) for run in ranges.results]
     rows = [
         {**_angle_row("a", a), **_angle_row("b", b), **_count_row(estimate)}
         for (a, b), estimate in zip(pairs, estimates)
     ]
-    report = chsh_report(*estimates, k_sigma=k_sigma)
-    wall = time.perf_counter() - started
-    return {
-        "scenario": "chsh-scan",
-        "config": {
-            "scenario": "chsh-scan",
-            "model": model,
-            "angles_deg": list(angles),
-            "trials": trials,
-            "seed": seed,
-            "ordering": ordering,
-            "k_sigma": k_sigma,
-        },
-        "rows": rows,
-        "summary": {
-            "S": report.s,
-            "S_stderr": report.s_stderr,
-            "k_sigma": k_sigma,
-            "violates_classical": report.violates_classical,
-            "within_tsirelson": report.within_tsirelson,
-        },
-        "engine": _engine_meta(4 * trials, wall, workers),
+    report = chsh_report(*estimates, k_sigma=params["k_sigma"])
+    summary = {
+        "S": report.s,
+        "S_stderr": report.s_stderr,
+        "k_sigma": params["k_sigma"],
+        "violates_classical": report.violates_classical,
+        "within_tsirelson": report.within_tsirelson,
     }
+    return _document("chsh-scan", params, rows, summary, ranges)
 
 
 def malus_check(
@@ -280,18 +294,20 @@ def malus_check(
     workers: int | None = None,
 ) -> dict:
     """Single-photon transmission curve against the cos^2 law."""
-    angles = _check_angles(angles_deg, None)
-    trials = _check_trials(trials, len(angles))
-    seed = _check_seed(seed)
-    workers = _check_workers(workers)
-    started = time.perf_counter()
+    params = _checked(locals())
+    trials = params["trials"]
+    runs = [
+        functools.partial(
+            run_malus, params["seed"], math.radians(theta_deg), trials, workers=params["workers"]
+        )
+        for theta_deg in params["angles_deg"]
+    ]
+    ranges = _run_ranges(runs, trials)
     rows = []
     max_dev_sigma = 0.0
-    for j, theta_deg in enumerate(angles):
-        theta = math.radians(theta_deg)
-        run = run_malus(seed, theta, trials, start_index=j * trials, workers=workers)
+    for theta_deg, run in zip(params["angles_deg"], ranges.results):
         p_emp = run.n_pass / run.n_total
-        p_model = math.cos(theta) ** 2
+        p_model = math.cos(run.theta) ** 2
         stderr = binomial_stderr(p_model, trials)
         if stderr > 0.0:
             max_dev_sigma = max(max_dev_sigma, abs(p_emp - p_model) / stderr)
@@ -305,19 +321,8 @@ def malus_check(
                 "p_stderr": stderr,
             }
         )
-    wall = time.perf_counter() - started
-    return {
-        "scenario": "malus-check",
-        "config": {
-            "scenario": "malus-check",
-            "angles_deg": list(angles),
-            "trials": trials,
-            "seed": seed,
-        },
-        "rows": rows,
-        "summary": {"max_deviation_sigma": max_dev_sigma},
-        "engine": _engine_meta(len(angles) * trials, wall, workers),
-    }
+    summary = {"max_deviation_sigma": max_dev_sigma}
+    return _document("malus-check", params, rows, summary, ranges)
 
 
 def qwp_test(
@@ -333,44 +338,29 @@ def qwp_test(
     reduction both predict exactly 1, the no-definite-value collapse
     narrative predicts 1/2.
     """
-    hypothesis = build_model(model)
-    trials = _check_trials(trials, 1)
-    seed = _check_seed(seed)
-    order = _resolve_ordering(ordering)
-    workers = _check_workers(workers)
-    started = time.perf_counter()
-    config = RunConfig(model=hypothesis, trials=trials, ordering=order, seed=seed)
-    run = run_experiment(config, QwpChainProtocol(), workers=workers)
-    counts = run.chain_counts()
+    params = _checked(locals())
+    hypothesis = build_model(params["model"])
+    run = _run(params, QwpChainProtocol(), hypothesis, ORDERING_NAMES[params["ordering"]])
+    ranges = _run_ranges([run], params["trials"])
+    counts = ranges.results[0].chain_counts()
     p_cond, p_stderr = _conditional_detection(counts)
-    wall = time.perf_counter() - started
-    return {
-        "scenario": "qwp-test",
-        "config": {
-            "scenario": "qwp-test",
-            "model": model,
-            "trials": trials,
-            "seed": seed,
-            "ordering": ordering,
-        },
-        "rows": [
-            {
-                "model": model,
-                "n_det_a": counts.n_det_a,
-                "n_det_b": counts.n_det_b,
-                "n_det_both": counts.n_det_both,
-                "n_total": counts.n_total,
-                "p_b_given_a": p_cond,
-                "p_b_given_a_stderr": p_stderr,
-            }
-        ],
-        "summary": {
+    rows = [
+        {
+            "model": params["model"],
+            "n_det_a": counts.n_det_a,
+            "n_det_b": counts.n_det_b,
+            "n_det_both": counts.n_det_both,
+            "n_total": counts.n_total,
             "p_b_given_a": p_cond,
             "p_b_given_a_stderr": p_stderr,
-            "p_det_a": counts.n_det_a / counts.n_total,
-        },
-        "engine": _engine_meta(trials, wall, workers),
+        }
+    ]
+    summary = {
+        "p_b_given_a": p_cond,
+        "p_b_given_a_stderr": p_stderr,
+        "p_det_a": counts.n_det_a / counts.n_total,
     }
+    return _document("qwp-test", params, rows, summary, ranges)
 
 
 def order_test(
@@ -385,44 +375,31 @@ def order_test(
     The two runs use disjoint trial-index blocks of the same seed, so they are
     statistically independent samples.
     """
-    hypothesis = build_model(model)
-    trials = _check_trials(trials, 2)
-    if trials < MIN_ORDER_TEST_TRIALS:
+    params = _checked(locals())
+    if params["trials"] < MIN_ORDER_TEST_TRIALS:
         raise ConfigError(
             f"trials: the order test needs at least {MIN_ORDER_TEST_TRIALS} trials per ordering"
         )
-    seed = _check_seed(seed)
-    theta_deg = _check_real("theta_deg", theta_deg)
-    workers = _check_workers(workers)
+    hypothesis = build_model(params["model"])
+    theta_deg = params["theta_deg"]
     orders = (Ordering.ARM1_FIRST, Ordering.ARM2_FIRST)
-    started = time.perf_counter()
-    estimates = _pair_estimates(
-        hypothesis, [(0.0, theta_deg, order) for order in orders], trials, seed, workers
+    ranges = _run_ranges(
+        [_pair_run(params, hypothesis, order, 0.0, theta_deg) for order in orders],
+        params["trials"],
     )
+    estimates = [_estimate(run) for run in ranges.results]
     rows = [
         {"ordering": order.value, **_angle_row("theta", theta_deg), **_count_row(estimate)}
         for order, estimate in zip(orders, estimates)
     ]
     result = order_invariance_test(*(estimate.counts for estimate in estimates))
-    wall = time.perf_counter() - started
-    return {
-        "scenario": "order-test",
-        "config": {
-            "scenario": "order-test",
-            "model": model,
-            "theta_deg": theta_deg,
-            "trials": trials,
-            "seed": seed,
-        },
-        "rows": rows,
-        "summary": {
-            "chi_square": result.chi_square,
-            "p_value": result.p_value,
-            "degrees_of_freedom": result.degrees_of_freedom,
-            "order_invariant": result.consistent,
-        },
-        "engine": _engine_meta(2 * trials, wall, workers),
+    summary = {
+        "chi_square": result.chi_square,
+        "p_value": result.p_value,
+        "degrees_of_freedom": result.degrees_of_freedom,
+        "order_invariant": result.consistent,
     }
+    return _document("order-test", params, rows, summary, ranges)
 
 
 def model_matrix(
@@ -437,27 +414,23 @@ def model_matrix(
     chain-protocol conditional detection probability. Together they separate
     all four hypotheses.
     """
-    # Per model: the four CHSH pairs, then the chain run.
-    trials = _check_trials(trials, 5 * len(MATRIX_MODELS))
-    seed = _check_seed(seed)
-    k_sigma = _check_real("k_sigma", k_sigma, minimum=0.0)
-    workers = _check_workers(workers)
-    started = time.perf_counter()
-    rows = []
-    offset = 0
+    params = _checked(locals())
     angles = DEFAULT_CHSH_ANGLES_DEG
-    settings = [(a, b, Ordering.ARM1_FIRST) for a, b in _chsh_pairs(angles)]
+    pairs = _chsh_pairs(angles)
+    order = Ordering.ARM1_FIRST
+    runs = []
     for name in MATRIX_MODELS:
+        # Per model: the four CHSH pairs, then the chain run.
         hypothesis = build_model(name)
-        estimates = _pair_estimates(hypothesis, settings, trials, seed, workers, offset)
-        offset += len(settings) * trials
-        report = chsh_report(*estimates, k_sigma=k_sigma)
-        chain_config = RunConfig(model=hypothesis, trials=trials, seed=seed)
-        chain_run = run_experiment(
-            chain_config, QwpChainProtocol(), start_index=offset, workers=workers
-        )
-        offset += trials
-        p_cond, p_stderr = _conditional_detection(chain_run.chain_counts())
+        runs += [_pair_run(params, hypothesis, order, a, b) for a, b in pairs]
+        runs.append(_run(params, QwpChainProtocol(), hypothesis, order))
+    ranges = _run_ranges(runs, params["trials"])
+    results = iter(ranges.results)
+    rows = []
+    for name in MATRIX_MODELS:
+        estimates = [_estimate(next(results)) for _ in pairs]
+        report = chsh_report(*estimates, k_sigma=params["k_sigma"])
+        p_cond, p_stderr = _conditional_detection(next(results).chain_counts())
         rows.append(
             {
                 "model": name,
@@ -469,23 +442,12 @@ def model_matrix(
                 "p_b_given_a_stderr": p_stderr,
             }
         )
-    wall = time.perf_counter() - started
-    return {
-        "scenario": "model-matrix",
-        "config": {
-            "scenario": "model-matrix",
-            "trials": trials,
-            "seed": seed,
-            "k_sigma": k_sigma,
-        },
-        "rows": rows,
-        "summary": {
-            "chsh_angles_deg": list(angles),
-            "ideal_quantum_S": 2.0 * math.sqrt(2.0),
-            "note": APPARATUS_NOTE,
-        },
-        "engine": _engine_meta(offset, wall, workers),
+    summary = {
+        "chsh_angles_deg": list(angles),
+        "ideal_quantum_S": 2.0 * math.sqrt(2.0),
+        "note": APPARATUS_NOTE,
     }
+    return _document("model-matrix", params, rows, summary, ranges)
 
 
 SCENARIOS = {

@@ -250,6 +250,39 @@ class TestBoundary:
         code, out, err = run_cli(capsys, "model-matrix", "--trials", "1")
         assert_one_line_config_error(code, out, err, "trials")
 
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        """Fail the test if the scenario runs: a bad output costs no compute."""
+        from eprsim import cli
+
+        def ran(**kwargs):
+            raise AssertionError("the scenario ran before its output was opened")
+
+        monkeypatch.setitem(cli.SCENARIOS, "qwp-test", ran)
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_path_exits_1_before_the_run(self, tmp_path, capsys, no_run, where):
+        path = tmp_path / "missing" / "x.tsv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, "qwp-test", "--trials", "100", "--out", str(path))
+        assert_one_line_config_error(code, out, err, "out")
+        assert "cannot write" in err
+
+    # Never 1 or 2: an int path is a file descriptor to open().
+    @pytest.mark.parametrize(
+        "value", [12345, True, 1.5, ["x.tsv"]], ids=["int", "true", "float", "list"]
+    )
+    def test_out_that_is_not_a_path_exits_1(self, tmp_path, capsys, no_run, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 100, "out": value}))
+        code, out, err = run_cli(capsys, "qwp-test", "--config", str(cfg))
+        assert_one_line_config_error(code, out, err, "out")
+
+    def test_duplicate_config_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trials": 100, "trials": 200}')
+        code, out, err = run_cli(capsys, "qwp-test", "--config", str(cfg))
+        assert_one_line_config_error(code, out, err, "trials")
+
 
 class TestSignatureDerivedCli:
     def test_params_follow_the_scenario_signatures(self):
@@ -295,12 +328,17 @@ _CONFIG_VALUES = {
     "k_sigma": st.one_of(st.floats(), _ANY_INT, _JUNK),
     "workers": st.one_of(st.integers(-2, 4), _JUNK),
     "scenario": _JUNK,
-    "format": st.one_of(st.sampled_from(FORMATS), _JUNK),
+    "format": st.one_of(st.sampled_from(FORMATS), _JUNK, _ANY_INT),
+    # A string is made a file name inside the test's temporary directory.
+    # No int that could be an open file descriptor: open() takes one as such.
+    "out": st.one_of(
+        st.text(max_size=8), _JUNK, st.integers(max_value=-1), st.integers(min_value=2**31)
+    ),
 }
 
 
 def _scenario_and_config(scenario):
-    values = {key: _CONFIG_VALUES[key] for key in (*SCENARIO_PARAMS[scenario], "format")}
+    values = {key: _CONFIG_VALUES[key] for key in (*SCENARIO_PARAMS[scenario], "format", "out")}
     values["scenario"] = st.one_of(st.just(scenario), _CONFIG_VALUES["scenario"])
     config = st.fixed_dictionaries({}, optional=values)
     return st.tuples(st.just(scenario), config)
@@ -311,6 +349,10 @@ def _scenario_and_config(scenario):
 def test_any_config_file_runs_or_names_its_key(case):
     scenario, config = case
     with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(config.get("out"), str):
+            # The prefix names no directory, so a "/" in the text cannot
+            # lead out of tmp: such a path does not exist.
+            config = {**config, "out": os.path.join(tmp, "out-" + config["out"])}
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
@@ -342,20 +384,21 @@ class TestConfigPrecedence:
         assert doc["config"]["seed"] == 78  # flag wins
         assert doc["config"]["ordering"] == "arm1-first"  # default
 
-    def test_round_trip_reproduces_counts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_round_trip_reproduces_counts(self, tmp_path, capsys, scenario):
+        trials = str(MIN_ORDER_TEST_TRIALS) if scenario == "order-test" else TRIALS
         code, out, _ = run_cli(
-            capsys, "chsh-scan", "--trials", TRIALS, "--seed", "9", "--format", "json",
+            capsys, scenario, "--trials", trials, "--seed", "9", "--format", "json",
         )
+        assert code == 0
         doc1 = json.loads(out)
+        # the echo is the checked parameters, in signature order, but workers
+        params = [p for p in SCENARIO_PARAMS[scenario] if p != "workers"]
+        assert list(doc1["config"]) == ["scenario", *params, "format", "out"]
         cfg = tmp_path / "echo.json"
         cfg.write_text(json.dumps(doc1["config"]))
-        code, out, _ = run_cli(capsys, "chsh-scan", "--config", str(cfg))
+        code, out, _ = run_cli(capsys, scenario, "--config", str(cfg))
         assert code == 0
-        # the echoed config re-renders through a different default format;
-        # force json to compare full documents
-        code, out, _ = run_cli(
-            capsys, "chsh-scan", "--config", str(cfg), "--format", "json",
-        )
         doc2 = json.loads(out)
         assert doc1["rows"] == doc2["rows"]
         assert doc1["summary"] == doc2["summary"]

@@ -8,6 +8,7 @@ import pytest
 from eprsim import engine, kernels
 from eprsim.engine import (
     BLOCK_SIZE,
+    MAX_WORKERS,
     SPEED_OF_LIGHT_M_PER_S,
     FixedSettings,
     Geometry,
@@ -361,6 +362,43 @@ class TestValidation:
         monkeypatch.setenv("EPR_MAX_WORKERS", "zero")
         with pytest.raises(ValueError):
             resolve_workers()
+
+    def test_resolve_workers_caps_the_thread_count(self, monkeypatch):
+        # resolution only: nothing here starts a thread
+        monkeypatch.delenv("EPR_MAX_WORKERS", raising=False)
+        assert resolve_workers(MAX_WORKERS) == MAX_WORKERS
+        with pytest.raises(ValueError, match=f"need 1 to {MAX_WORKERS} workers"):
+            resolve_workers(MAX_WORKERS + 1)
+        monkeypatch.setenv("EPR_MAX_WORKERS", str(MAX_WORKERS))
+        assert resolve_workers() == MAX_WORKERS
+        monkeypatch.setenv("EPR_MAX_WORKERS", str(10**6))
+        with pytest.raises(ValueError, match="EPR_MAX_WORKERS"):
+            resolve_workers()
+
+    def test_custom_model_is_validated_before_any_block(self, monkeypatch):
+        # a response that takes only a scalar setting used to fail inside a
+        # worker thread with a bare TypeError on randomized settings
+        def scalar_only(setting, lam):
+            return math.cos(setting) ** 2 * np.ones_like(np.asarray(lam, dtype=float))
+
+        model = LhvModel(
+            name="scalar-setting",
+            density=lambda lam: np.full_like(np.asarray(lam, dtype=float), 1.0 / math.pi),
+            sample=lambda u: np.asarray(u, dtype=float) * math.pi,
+            response_a=scalar_only,
+            response_b=scalar_only,
+        )
+        config = RunConfig(
+            model=Lhv(model), trials=100, seed=3,
+            settings=RandomizedSettings(((0.0, 0.1), (0.4, 0.9)), (0.5, 0.5)),
+        )
+
+        def no_blocks(*args):
+            raise AssertionError("a block ran before the model was validated")
+
+        monkeypatch.setattr(engine, "_run_blocks", no_blocks)
+        with pytest.raises(ValueError, match="scalar-setting: response_a"):
+            run_experiment(config)
 
 
 class TestBoundedMemory:

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from eprsim.engine import FixedSettings, RunConfig, TwoChannelProtocol, run_experiment
+from eprsim import scenarios
+from eprsim.engine import MAX_WORKERS, FixedSettings, RunConfig, TwoChannelProtocol, run_experiment
 from eprsim.models import (
     deterministic_sign_model,
     lhv_correlation,
@@ -93,3 +94,32 @@ class TestSeedBoundary:
         message = str(info.value)
         assert message.startswith("seed:")
         assert "\n" not in message
+
+
+class TestOneCheckPerParameter:
+    def test_workers_above_the_cap_name_workers(self, monkeypatch):
+        # resolution only: nothing here starts a thread
+        monkeypatch.delenv("EPR_MAX_WORKERS", raising=False)
+        check = scenarios._CHECKS["workers"]
+        assert check("workers", MAX_WORKERS) == MAX_WORKERS
+        with pytest.raises(ConfigError, match=f"^workers: need 1 to {MAX_WORKERS} workers"):
+            check("workers", MAX_WORKERS + 1)
+        monkeypatch.setenv("EPR_MAX_WORKERS", str(MAX_WORKERS + 1))
+        with pytest.raises(ConfigError, match="^workers: EPR_MAX_WORKERS"):
+            check("workers", None)
+
+    def test_runs_take_consecutive_ranges_from_zero(self):
+        starts = []
+        runs = [lambda start_index, j=j: starts.append(start_index) or j for j in range(3)]
+        ranges = scenarios._run_ranges(runs, 7)
+        assert starts == [0, 7, 14]
+        assert ranges.results == [0, 1, 2]
+        assert ranges.trials_total == 21
+
+    def test_index_space_is_checked_before_any_run(self):
+        def run(start_index):
+            raise AssertionError("ran")
+
+        with pytest.raises(ConfigError, match="^trials: 3 runs of"):
+            scenarios._run_ranges([run] * 3, 2**64 // 3 + 1)
+        assert scenarios._run_ranges([lambda start_index: start_index], 2**64).trials_total == 2**64
