@@ -126,7 +126,9 @@ def _resolve(args: argparse.Namespace) -> tuple[str, dict, str, str | None]:
             resolved[param] = file_cfg[param]
         else:
             resolved[param] = _DEFAULTS[scenario][param]
-    out_format = args.format or file_cfg.get("format") or "table"
+    out_format = args.format or file_cfg.get("format")
+    if out_format is None:  # absent, or null in the config file
+        out_format = "table"
     if out_format not in FORMATS:
         raise ConfigError(f"format: unknown format {out_format!r}")
     out_path = args.out if args.out is not None else file_cfg.get("out")

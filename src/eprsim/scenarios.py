@@ -15,8 +15,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import platform
 import time
 from typing import NamedTuple
+
+import numpy as np
 
 from . import kernels
 from ._version import __version__
@@ -196,6 +199,9 @@ def _document(scenario: str, params: dict, rows: list, summary: dict, ranges: _R
         "engine": {
             "version": __version__,
             "rng_stream": kernels.RNG_STREAM,
+            "backend": kernels.backend(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
             "workers": params["workers"],
             "trials_total": ranges.trials_total,
             "wall_time_s": round(time.perf_counter() - ranges.started, 6),

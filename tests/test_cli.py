@@ -3,14 +3,19 @@ import io
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eprsim
 from eprsim.cli import FORMATS, SCENARIO_PARAMS, main, render_json, render_table, render_tsv
-from eprsim.kernels import RNG_STREAM
+from eprsim.kernels import RNG_STREAM, backend
 from eprsim.scenarios import MODEL_NAMES, ORDERING_NAMES, SCENARIOS, chsh_scan
 from eprsim.stats import MIN_ORDER_TEST_TRIALS
 
@@ -80,6 +85,17 @@ class TestSubcommands:
         assert json.loads(out)["engine"]["rng_stream"] == RNG_STREAM
         code, out, _ = run_cli(capsys, "qwp-test", "--trials", "100")
         assert f"rng {RNG_STREAM}" in out
+
+    def test_engine_block_names_its_toolchain(self, capsys):
+        code, out, _ = run_cli(capsys, "qwp-test", "--trials", "100", "--format", "json")
+        assert code == 0
+        engine = json.loads(out)["engine"]
+        # the versions as strings, as the modules themselves report them
+        assert {key: engine[key] for key in ("backend", "numpy", "python")} == {
+            "backend": backend(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
 
     def test_angles_echoed_in_both_units(self, capsys):
         _, out, _ = run_cli(
@@ -277,6 +293,22 @@ class TestBoundary:
         code, out, err = run_cli(capsys, "qwp-test", "--config", str(cfg))
         assert_one_line_config_error(code, out, err, "out")
 
+    @pytest.mark.parametrize("value", [False, 0, "", {}, []], ids=repr)
+    def test_falsy_format_in_config_exits_1(self, tmp_path, capsys, no_run, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 100, "format": value}))
+        code, out, err = run_cli(capsys, "qwp-test", "--config", str(cfg))
+        assert_one_line_config_error(code, out, err, "format")
+        assert "unknown format" in err
+
+    def test_null_format_in_config_means_table(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 100, "format": None}))
+        code, out, _ = run_cli(capsys, "qwp-test", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("scenario: qwp-test")
+        assert "format=table" in out
+
     def test_duplicate_config_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"trials": 100, "trials": 200}')
@@ -449,3 +481,40 @@ class TestFormats:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith("# scenario: qwp-test")
+
+
+_SCIPY_PROBE = """
+import json, os, sys
+import eprsim.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_modules()}
+seen["model-matrix"] = [eprsim.cli.main(["model-matrix", "--trials", "10000", "--out", os.devnull])]
+seen["model-matrix"] += scipy_modules()
+seen["order-test"] = [eprsim.cli.main(["order-test", "--trials", "10000", "--out", os.devnull])]
+seen["order-test"] += scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_order_test_loads_scipy():
+    # A fresh interpreter: this one has scipy loaded by the tests already.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eprsim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(child.stdout)
+    assert seen["import"] == []
+    assert seen["model-matrix"] == [0]
+    code, *loaded = seen["order-test"]
+    assert code == 0
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded

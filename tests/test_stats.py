@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from eprsim.stats import (
+    MIN_ORDER_TEST_TRIALS,
     ChainCounts,
     CoincidenceCounts,
     PairEstimate,
@@ -199,6 +203,45 @@ class TestOrderInvariance:
         a = CoincidenceCounts(10_000, 0, 0, 0)
         result = order_invariance_test(a, a)
         assert result.consistent
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((6_000, 0, 0, 4_000), (5_800, 0, 0, 4_200)),  # dof 1
+            ((5_000, 0, 3_000, 2_000), (5_100, 0, 2_900, 2_000)),  # dof 2
+            ((4_510, 490, 530, 4_470), (4_480, 520, 505, 4_495)),  # dof 3
+        ],
+    )
+    def test_matches_scipy_chi2_contingency_bit_for_bit(self, first, second):
+        result = order_invariance_test(CoincidenceCounts(*first), CoincidenceCounts(*second))
+        table = np.array([first, second])
+        chi2, p_value, dof, _ = chi2_contingency(
+            table[:, table.sum(axis=0) > 0], correction=False
+        )
+        assert dof == table.shape[1] - 1 - list(first).count(0)
+        assert (result.chi_square, result.p_value, result.degrees_of_freedom) == (
+            chi2, p_value, dof,
+        )
+
+    # Any 2x4 table the test accepts. A cell is often zero, so whole columns
+    # drop out (dof 0 to 3), and cells up to 10**12 make products of row and
+    # column sums that int64 arithmetic would overflow.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**12)), min_size=8, max_size=8))
+    def test_matches_scipy_chi2_contingency_on_any_table(self, cells):
+        table = np.array(cells, dtype=np.int64).reshape(2, 4)
+        assume((table.sum(axis=1) >= MIN_ORDER_TEST_TRIALS).all())
+        result = order_invariance_test(
+            CoincidenceCounts(*cells[:4]), CoincidenceCounts(*cells[4:])
+        )
+        kept = table[:, table.sum(axis=0) > 0]
+        if np.array_equal(kept[0], kept[1]):
+            want = (0.0, 1.0, kept.shape[1] - 1)  # identical samples: no test is run
+        else:
+            chi2, p_value, dof, _ = chi2_contingency(kept, correction=False)
+            want = (chi2, p_value, dof)
+        assert (result.chi_square, result.p_value, result.degrees_of_freedom) == want
+        assert result.consistent == (result.p_value > 0.01)
 
 
 def test_binomial_stderr():
