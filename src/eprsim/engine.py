@@ -338,10 +338,8 @@ def _two_channel_kernel(config: RunConfig):
     pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
     order_code = _ORDER_CODES[config.ordering]
     if isinstance(config.model, Lhv):
-        lhv = config.model.model
         return pairs, lambda lo, hi: kernels.two_channel_block_lhv(
-            config.seed, lo, hi - lo, lhv.sample, lhv.response_a, lhv.response_b,
-            pair_a, pair_b, cumw, order_code,
+            config.seed, lo, hi - lo, config.model.model, pair_a, pair_b, cumw, order_code
         )
     code = kernels.MODEL_CODES.get(getattr(config.model, "kernel_id", None))
     if code is None:

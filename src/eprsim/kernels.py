@@ -30,13 +30,17 @@ against a fixed probability never build the float: the uniform is
 and ``p * 2**53`` is exact in binary floating point (a power-of-two scale),
 as is its ceiling. ``u < 0.5`` is ``w < 2**63``; settings pairs are chosen
 against the integer cuts ``ceil(cumw * 2**53)``. These integer compares
-decide exactly as the float compares do, word for word. Kernels whose
-responses need a float per trial (the hidden-variable models) read numpy's
+decide exactly as the float compares do, word for word. A deterministic
+hidden-variable model (responses exactly 0 or 1) is decided on words too:
+each arm is a step function of the emission integer k that flips at integer
+cuts found from the model's own float decisions (`_setting_cuts`). Other
+hidden-variable models need a float response per trial and read numpy's
 float fill of the same words instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -237,10 +241,8 @@ def two_channel_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial two-channel outcomes (+1 parallel / -1 perpendicular)."""
     if model_code in _BUILTIN_LHV:
-        lhv = _BUILTIN_LHV[model_code]
         return two_channel_block_lhv(
-            seed, start, count, lhv.sample, lhv.response_a, lhv.response_b,
-            pair_a, pair_b, cumw, ordering_mode,
+            seed, start, count, _BUILTIN_LHV[model_code], pair_a, pair_b, cumw, ordering_mode
         )
     if model_code not in (MODEL_QM, MODEL_NDV, MODEL_DEFINITE_CIRCULAR):
         raise ValueError(f"unknown model code {model_code!r}")
@@ -321,13 +323,83 @@ def qwp_code_for(kernel_id: str | None) -> int:
     return QWP_INDEPENDENT_HALVES
 
 
+_TOP = (1 << 53) - 1  # the largest emission integer k = w >> 11
+_WINDOW = 1 << 10  # words checked on each side of a breakpoint
+_GRID = np.append(np.arange(0, 1 << 53, 1 << 41), _TOP)  # words checked between breakpoints
+
+
+def _setting_cuts(model: models.LhvModel, response, setting: float):
+    """One arm of a deterministic model at one setting, as a step function
+    of the emission integer k: (decision at k = 0, sorted cuts), where the
+    decision flips at each cut. None when the float decisions fail the check.
+
+    The decision is the float path's own, ``u_coin < response(setting,
+    sample(k * 2**-53))``, which for a response of exactly 0 or 1 is
+    ``response == 1`` whatever the coin. It is evaluated on every word within
+    ``_WINDOW`` of each breakpoint's word ``bp * 2**53 / pi`` and on `_GRID`.
+    The check: every response is exactly 0 or 1; every flip lies between
+    adjacent evaluated words, so a window pins it down; and each window
+    flips exactly once, or not at all when it is cut off by k = 0 or
+    k = 2**53 - 1. Each cut is then the first word after a flip of the float
+    decision, by construction.
+    """
+    bps = np.asarray(model.response_breakpoints(setting), dtype=float)
+    if not np.all(np.isfinite(bps)):
+        return None
+    centers = np.clip(np.rint(bps * (_UNIT / math.pi)), 0, _TOP).astype(np.int64)
+    lo = np.maximum(centers - _WINDOW, 0)
+    hi = np.minimum(centers + _WINDOW, _TOP)
+    ks = np.sort(np.concatenate([_GRID, *map(np.arange, lo, hi + 1)]))  # repeats decide alike
+    lam = np.asarray(model.sample(ks * (1.0 / _UNIT)), dtype=float)
+    probs = np.asarray(response(setting, lam), dtype=float)
+    if not np.all((probs == 0.0) | (probs == 1.0)):
+        return None
+    parallel = probs == 1.0
+    flips = np.flatnonzero(parallel[1:] != parallel[:-1]) + 1
+    if np.any(ks[flips] - ks[flips - 1] != 1):
+        return None  # a flip between words that no window covers
+    cuts = ks[flips]
+    found = np.count_nonzero((cuts > lo[:, None]) & (cuts <= hi[:, None]), axis=1)
+    at_edge = (lo == 0) | (hi == _TOP)
+    if np.any((found != 1) & ~(at_edge & (found == 0))):
+        return None
+    return bool(parallel[0]), cuts.astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=256)
+def _word_steps(model: models.LhvModel, arm: str, settings: tuple[float, ...]):
+    """`_setting_cuts` for one arm ("response_a" or "response_b") at each
+    settings pair: (decision at k = 0 per pair, cuts per pair and column),
+    rows padded with 2**53, which no k reaches; None if any setting fails.
+
+    Cached, so a run finds its cuts once and not once per block.
+    """
+    rows = [_setting_cuts(model, getattr(model, arm), s) for s in settings]
+    if any(row is None for row in rows):
+        return None
+    cuts = np.full((len(rows), max(len(c) for _, c in rows)), 1 << 53, dtype=np.uint64)
+    for padded, (_, row) in zip(cuts, rows):
+        padded[: row.size] = row
+    first = np.array([v for v, _ in rows])
+    cuts.setflags(write=False)
+    first.setflags(write=False)
+    return first, cuts
+
+
+def _step_decision(k: np.ndarray, pair_idx: np.ndarray, first: np.ndarray, cuts: np.ndarray):
+    """Per-trial decisions of one arm: its decision at k = 0 flipped once per
+    cut of the trial's settings pair at or below k."""
+    flipped = np.zeros(k.shape, dtype=bool)
+    for column in cuts.T:
+        flipped ^= k >= _per_trial(column, pair_idx)
+    return flipped ^ _per_trial(first, pair_idx)
+
+
 def two_channel_block_lhv(
     seed: int,
     start: int,
     count: int,
-    sample_fn,
-    response_a,
-    response_b,
+    model: models.LhvModel,
     pair_a: np.ndarray,
     pair_b: np.ndarray,
     cumw: np.ndarray,
@@ -335,17 +407,32 @@ def two_channel_block_lhv(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-channel outcomes for any factorized model, built-in or custom.
 
-    Responses get the setting as a scalar when there is one settings pair
+    A deterministic model is decided on the raw words when its cuts pass the
+    check of `_setting_cuts` at every setting of the run: each arm is
+    `_step_decision` of the emission integer k, the float decision word for
+    word, and no float is built. Otherwise the arms read numpy's float fill:
+    responses get the setting as a scalar when there is one settings pair
     and as a per-trial array otherwise. Determinism holds for any vectorized
-    callables because the draws are counter-based.
+    callables because the draws are counter-based. A factorized model's
+    outcomes do not depend on the measurement order.
     """
+    if model.deterministic:
+        steps_a = _word_steps(model, "response_a", tuple(pair_a.tolist()))
+        steps_b = _word_steps(model, "response_b", tuple(pair_b.tolist()))
+        if steps_a is not None and steps_b is not None:
+            words = _word_table(seed, start, count, 0)
+            pair_idx = _select_pairs(words[:, SLOT_SETTINGS], cumw)
+            k = words[:, SLOT_EMISSION] >> 11
+            oa = _step_decision(k, pair_idx, *steps_a)
+            ob = _step_decision(k, pair_idx, *steps_b)
+            return pair_idx, _signs(oa), _signs(ob)
     table = _draw_table(seed, start, count, 0)
     pair_idx = _select_pairs(table[:, SLOT_SETTINGS], cumw)
-    lam = np.asarray(sample_fn(table[:, SLOT_EMISSION]), dtype=float)
+    lam = np.asarray(model.sample(table[:, SLOT_EMISSION]), dtype=float)
     a = _per_trial(pair_a, pair_idx)
     b = _per_trial(pair_b, pair_idx)
-    oa = table[:, SLOT_ARM_A] < np.asarray(response_a(a, lam), dtype=float)
-    ob = table[:, SLOT_ARM_B] < np.asarray(response_b(b, lam), dtype=float)
+    oa = table[:, SLOT_ARM_A] < np.asarray(model.response_a(a, lam), dtype=float)
+    ob = table[:, SLOT_ARM_B] < np.asarray(model.response_b(b, lam), dtype=float)
     return pair_idx, _signs(oa), _signs(ob)
 
 

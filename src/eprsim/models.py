@@ -119,6 +119,13 @@ class LhvModel:
     probabilities. ``response_breakpoints`` lists the discontinuity
     locations of the responses for a given setting so the oracle can
     integrate piecewise-smooth integrands exactly.
+
+    ``deterministic`` declares that both responses are exactly 0 or 1, so an
+    arm never reads its coin and its outcome is a step function of the
+    emission draw that can flip only at the declared breakpoints. The
+    kernel then decides such a model on integer cuts of the emission word
+    (`kernels.two_channel_block_lhv`); the claim needs breakpoints, and
+    `validate_lhv_model` checks it.
     """
 
     name: str
@@ -127,11 +134,14 @@ class LhvModel:
     response_a: Callable[[float, np.ndarray], np.ndarray]
     response_b: Callable[[float, np.ndarray], np.ndarray]
     response_breakpoints: Callable[[float], np.ndarray] | None = None
+    deterministic: bool = False
 
 
 def validate_lhv_model(model: LhvModel, tol: float = 1e-6, n: int = 4096) -> None:
-    """Check the model invariants: density normalized, responses in [0, 1],
-    and a per-trial array of settings answered as the scalar setting is."""
+    """Check the model invariants: density normalized, responses in [0, 1]
+    (exactly 0 or 1 for a deterministic model, which must also declare its
+    breakpoints), and a per-trial array of settings answered as the scalar
+    setting is."""
     lo, hi = LAMBDA_SUPPORT
     grid = lo + (np.arange(n) + 0.5) * (hi - lo) / n
     rho = np.asarray(model.density(grid), dtype=float)
@@ -140,10 +150,14 @@ def validate_lhv_model(model: LhvModel, tol: float = 1e-6, n: int = 4096) -> Non
     mass = float(np.sum(rho)) * (hi - lo) / n
     if abs(mass - 1.0) > tol:
         raise ValueError(f"{model.name}: density integrates to {mass!r}, not 1 within {tol}")
+    if model.deterministic and model.response_breakpoints is None:
+        raise ValueError(f"{model.name}: a deterministic model must declare response_breakpoints")
     for label, resp in (("response_a", model.response_a), ("response_b", model.response_b)):
         probs = np.asarray(resp(0.3, grid), dtype=float)
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError(f"{model.name}: {label} must map into [0, 1]")
+        if model.deterministic and not np.all((probs == 0.0) | (probs == 1.0)):
+            raise ValueError(f"{model.name}: deterministic {label} must be exactly 0 or 1")
         try:
             same = np.array_equal(np.asarray(resp(np.full(n, 0.3), grid), dtype=float), probs)
         except (TypeError, ValueError, IndexError):
@@ -187,6 +201,7 @@ def deterministic_sign_model() -> LhvModel:
         response_a=_sign_response,
         response_b=_sign_response,
         response_breakpoints=_sign_breakpoints,
+        deterministic=True,
     )
     validate_lhv_model(model)
     return model

@@ -5,6 +5,7 @@ agree per-trial with the slow object-layer models when fed the same
 counter-based draws.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -206,12 +207,10 @@ class TestKernelsMatchObjectLayer:
             assert bool(det_b[i]) == db, i
 
     def test_custom_lhv_path_matches_builtin(self, backend):
-        # the vectorized custom-callable path reproduces the dedicated kernel
+        # a model handed to the factorized kernel decides as its built-in code does
         model = deterministic_sign_model()
         pa, pb, cw = np.array([0.3]), np.array([1.0]), np.array([1.0])
-        got = kernels.two_channel_block_lhv(
-            self.SEED, 0, self.N, model.sample, model.response_a, model.response_b, pa, pb, cw, 0
-        )
+        got = kernels.two_channel_block_lhv(self.SEED, 0, self.N, model, pa, pb, cw, 0)
         want = kernels.two_channel_block(
             self.SEED, 0, self.N, kernels.MODEL_LHV_SIGN, pa, pb, cw, 0
         )
@@ -268,6 +267,60 @@ class TestWordDomain:
         want = np.clip(np.searchsorted(cumw, u, side="right"), 0, cumw.size - 1)
         assert np.array_equal(kernels._select_pairs(words, cumw), want)
         assert np.array_equal(kernels._select_pairs(u, cumw), want)
+
+
+class TestDeterministicModelOnWords:
+    """A deterministic factorized model decided on emission words gives the
+    float path's outcomes, and takes the float path when its cuts fail the check."""
+
+    @staticmethod
+    def _on_words(model, pa, pb):
+        return all(
+            kernels._word_steps(model, arm, tuple(settings)) is not None
+            for arm, settings in (("response_a", pa), ("response_b", pb))
+        )
+
+    @staticmethod
+    def _assert_paths_agree(model, pairs, weights, seed, trials, block=2**16):
+        pa = np.array([p[0] for p in pairs])
+        pb = np.array([p[1] for p in pairs])
+        cumw = np.cumsum(weights)
+        cumw[-1] = 1.0
+        on_floats = dataclasses.replace(model, deterministic=False)
+        for start in range(0, trials, block):
+            got = kernels.two_channel_block_lhv(seed, start, block, model, pa, pb, cumw, 0)
+            want = kernels.two_channel_block_lhv(seed, start, block, on_floats, pa, pb, cumw, 0)
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y), start
+
+    @pytest.mark.parametrize(
+        "pairs,weights",
+        [
+            (((0.0, math.pi / 8),), [1.0]),
+            (((math.pi / 4, 3 * math.pi / 8),), [1.0]),  # a breakpoint at lambda = 0
+            (((-0.7, -2.9),), [1.0]),
+            (((4.0, 7.5),), [1.0]),
+            (((0.0, math.pi / 4), (-1.1, 3.5), (math.pi / 2, 2 * math.pi)), [0.2, 0.5, 0.3]),
+        ],
+    )
+    def test_sign_model_words_match_floats(self, pairs, weights):
+        model = deterministic_sign_model()
+        assert self._on_words(model, [p[0] for p in pairs], [p[1] for p in pairs])
+        self._assert_paths_agree(model, pairs, weights, seed=23, trials=2**20)
+
+    @pytest.mark.parametrize(
+        "pairs,weights",
+        [(((0.3, 1.0),), [1.0]), (((0.0, 0.4), (0.7, 0.2), (1.3, 1.3)), [0.3, 0.25, 0.45])],
+    )
+    def test_wrong_breakpoints_take_the_float_path(self, pairs, weights):
+        sign = deterministic_sign_model()
+        model = dataclasses.replace(
+            sign,
+            name="shifted-breakpoints",
+            response_breakpoints=lambda s: (sign.response_breakpoints(s) + 0.1) % math.pi,
+        )
+        assert not self._on_words(model, [p[0] for p in pairs], [p[1] for p in pairs])
+        self._assert_paths_agree(model, pairs, weights, seed=29, trials=2**16)
 
 
 class TestOrderingDecision:
@@ -354,6 +407,9 @@ class TestKernelsOnEdgeWords:
                 cuts += [int(c) for c in kernels._cut(kernels._malus_prob_array(delta))]
         cuts += [int(c) for c in kernels._cut(self.CUMW)]
         cuts += [int(kernels._cut(math.cos(0.3) ** 2))]
+        sign = deterministic_sign_model()
+        for arm, settings in (("response_a", self.PA), ("response_b", self.PB)):
+            cuts += [int(c) for c in kernels._word_steps(sign, arm, tuple(settings))[1].flat]
         ks = sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k < 2**53} | {2**53 - 1})
         rng = np.random.default_rng(12)
         table = np.array(ks, dtype=np.uint64)[rng.integers(0, len(ks), (self.N, 8))] << 11
@@ -390,8 +446,10 @@ class TestKernelsOnEdgeWords:
         got = kernels.two_channel_block(1, 0, self.N, code, self.PA, self.PB, self.CUMW, order)
         assert np.array_equal(got[0], pair_idx)
         if code == kernels.MODEL_LHV_SIGN:
-            return  # float responses; only the pair choice moved to words
-        if code == kernels.MODEL_DEFINITE_CIRCULAR:
+            lam = u[:, 1] * math.pi
+            oa = np.cos(2 * (self.PA[pair_idx] - lam)) > 0
+            ob = np.cos(2 * (self.PB[pair_idx] - lam)) > 0
+        elif code == kernels.MODEL_DEFINITE_CIRCULAR:
             oa, ob = u[:, 2] < 0.5, u[:, 3] < 0.5
         else:
             oa1, ob1 = self._float_reduced(u[:, 2], u[:, 3], pair_idx, self.PA, self.PB)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -245,6 +246,23 @@ class TestLhvOracle:
             response_b=lambda s, lam: np.full_like(np.asarray(lam, float), 0.5),
         )
         with pytest.raises(ValueError):
+            validate_lhv_model(bad)
+
+    def test_validation_rejects_deterministic_without_breakpoints(self):
+        bad = dataclasses.replace(
+            deterministic_sign_model(), name="no-breakpoints", response_breakpoints=None
+        )
+        with pytest.raises(ValueError, match="no-breakpoints: .* response_breakpoints"):
+            validate_lhv_model(bad)
+
+    def test_validation_rejects_deterministic_fractional_responses(self):
+        bad = dataclasses.replace(
+            malus_response_model(),
+            name="fractional",
+            response_breakpoints=lambda s: np.array([]),
+            deterministic=True,
+        )
+        with pytest.raises(ValueError, match="fractional: deterministic response_a"):
             validate_lhv_model(bad)
 
     @pytest.mark.parametrize(
