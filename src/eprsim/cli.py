@@ -14,10 +14,19 @@ import argparse
 import contextlib
 import inspect
 import json
+import os
 import sys
 
 from ._version import __version__
-from .scenarios import MODEL_NAMES, ORDERING_NAMES, SCENARIOS, ConfigError
+
+# The engine's parallelism is its own worker threads, and numpy's bundled
+# OpenBLAS would start a thread pool at load whose idle threads spin a core
+# before they sleep. So pin OpenBLAS to one thread before `.scenarios` loads
+# numpy. A value the user set is kept, and only a process that imports this
+# module (the `epr` entry point) is affected: `import eprsim` loads no numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .scenarios import MODEL_NAMES, ORDERING_NAMES, SCENARIOS, ConfigError  # noqa: E402
 
 FORMATS = ("table", "tsv", "json")
 

@@ -184,8 +184,9 @@ _ORDER_CODES = {
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else EPR_MAX_WORKERS, else CPU-based.
-    Either given count must lie in [1, MAX_WORKERS]."""
+    """Worker count: explicit argument, else EPR_MAX_WORKERS, else the CPUs
+    this process may run on, at most 4. Either given count must lie in
+    [1, MAX_WORKERS]."""
     if workers is not None:
         if not 1 <= workers <= MAX_WORKERS:
             raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {workers}")
@@ -199,7 +200,11 @@ def resolve_workers(workers: int | None = None) -> int:
         if not 1 <= cap <= MAX_WORKERS:
             raise ValueError(f"{MAX_WORKERS_ENV} must be in [1, {MAX_WORKERS}], got {cap}")
         return cap
-    return min(4, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # fewer than the host's in a pinned container
+    else:
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
 
 
 def _add(total: tuple | None, part: tuple) -> tuple:
@@ -338,6 +343,9 @@ def _two_channel_kernel(config: RunConfig):
     pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
     order_code = _ORDER_CODES[config.ordering]
     if isinstance(config.model, Lhv):
+        # Find a deterministic model's cuts once, here, and not in a race of
+        # the workers' first blocks.
+        kernels.lhv_word_steps(config.model.model, pair_a, pair_b)
         return pairs, lambda lo, hi: kernels.two_channel_block_lhv(
             config.seed, lo, hi - lo, config.model.model, pair_a, pair_b, cumw, order_code
         )

@@ -41,6 +41,7 @@ float fill of the same words instead.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 
 import numpy as np
@@ -85,6 +86,8 @@ QWP_DEFINITE_CIRCULAR = 2
 
 _HALF_PI = math.pi / 2
 _ZERO_PROB = 1e-24
+
+_log = logging.getLogger(__name__)
 
 
 def backend() -> str:
@@ -372,10 +375,15 @@ def _word_steps(model: models.LhvModel, arm: str, settings: tuple[float, ...]):
     settings pair: (decision at k = 0 per pair, cuts per pair and column),
     rows padded with 2**53, which no k reaches; None if any setting fails.
 
-    Cached, so a run finds its cuts once and not once per block.
+    Cached, so a run finds its cuts once and not once per block, and logs
+    each failing setting once, at INFO on the ``eprsim.kernels`` logger.
     """
     rows = [_setting_cuts(model, getattr(model, arm), s) for s in settings]
-    if any(row is None for row in rows):
+    failed = [setting for setting, row in zip(settings, rows) if row is None]
+    for setting in failed:
+        _log.info("%s: %s fails the cut check at setting %r; the run takes the float path",
+                  model.name, arm, setting)
+    if failed:
         return None
     cuts = np.full((len(rows), max(len(c) for _, c in rows)), 1 << 53, dtype=np.uint64)
     for padded, (_, row) in zip(cuts, rows):
@@ -384,6 +392,19 @@ def _word_steps(model: models.LhvModel, arm: str, settings: tuple[float, ...]):
     cuts.setflags(write=False)
     first.setflags(write=False)
     return first, cuts
+
+
+def lhv_word_steps(model: models.LhvModel, pair_a: np.ndarray, pair_b: np.ndarray):
+    """Both arms' `_word_steps` at a run's settings pairs, or None when the
+    run takes the float path: the model is not deterministic, or a setting
+    fails the cut check."""
+    if not model.deterministic:
+        return None
+    steps_a = _word_steps(model, "response_a", tuple(pair_a.tolist()))
+    steps_b = _word_steps(model, "response_b", tuple(pair_b.tolist()))
+    if steps_a is None or steps_b is None:
+        return None
+    return steps_a, steps_b
 
 
 def _step_decision(k: np.ndarray, pair_idx: np.ndarray, first: np.ndarray, cuts: np.ndarray):
@@ -416,16 +437,14 @@ def two_channel_block_lhv(
     callables because the draws are counter-based. A factorized model's
     outcomes do not depend on the measurement order.
     """
-    if model.deterministic:
-        steps_a = _word_steps(model, "response_a", tuple(pair_a.tolist()))
-        steps_b = _word_steps(model, "response_b", tuple(pair_b.tolist()))
-        if steps_a is not None and steps_b is not None:
-            words = _word_table(seed, start, count, 0)
-            pair_idx = _select_pairs(words[:, SLOT_SETTINGS], cumw)
-            k = words[:, SLOT_EMISSION] >> 11
-            oa = _step_decision(k, pair_idx, *steps_a)
-            ob = _step_decision(k, pair_idx, *steps_b)
-            return pair_idx, _signs(oa), _signs(ob)
+    steps = lhv_word_steps(model, pair_a, pair_b)
+    if steps is not None:
+        words = _word_table(seed, start, count, 0)
+        pair_idx = _select_pairs(words[:, SLOT_SETTINGS], cumw)
+        k = words[:, SLOT_EMISSION] >> 11
+        oa = _step_decision(k, pair_idx, *steps[0])
+        ob = _step_decision(k, pair_idx, *steps[1])
+        return pair_idx, _signs(oa), _signs(ob)
     table = _draw_table(seed, start, count, 0)
     pair_idx = _select_pairs(table[:, SLOT_SETTINGS], cumw)
     lam = np.asarray(model.sample(table[:, SLOT_EMISSION]), dtype=float)

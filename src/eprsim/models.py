@@ -29,6 +29,7 @@ reproducible and the same coins can be replayed through the vectorized kernels.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar
@@ -242,7 +243,15 @@ def definite_circular_as_lhv() -> LhvModel:
     return model
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point Gauss-Legendre rule on [-1, 1],
+    read-only. Computed on first use, not at import: `leggauss` loads
+    numpy.polynomial and calls LAPACK."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _segments(model: LhvModel, a: float, b: float) -> np.ndarray:
@@ -267,8 +276,9 @@ def _lhv_moments(
         edges = _segments(model, a, b)
         centers = (edges[1:] + edges[:-1]) / 2.0
         halves = (edges[1:] - edges[:-1]) / 2.0
-        lam = (centers[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-        weights = (halves[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        nodes, node_weights = _gauss_legendre()
+        lam = (centers[:, None] + halves[:, None] * nodes[None, :]).ravel()
+        weights = (halves[:, None] * node_weights[None, :]).ravel()
     else:
         raise ValueError(f"unknown quadrature method {method!r}")
     rho = np.asarray(model.density(lam), dtype=float)

@@ -518,3 +518,59 @@ def test_only_the_order_test_loads_scipy():
     assert code == 0
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
+
+
+_IMPORT_PROBE = """
+import json, os, sys
+
+def threads():
+    task = "/proc/self/task"
+    return len(os.listdir(task)) if os.path.isdir(task) else None
+
+import eprsim
+seen = {"numpy after import eprsim": "numpy" in sys.modules}
+import eprsim.cli
+seen["blas threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
+seen["numpy.polynomial"] = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+seen["threads after import"] = threads()
+seen["order-test"] = eprsim.cli.main(["order-test", "--trials", "10000", "--out", os.devnull])
+seen["scipy.special"] = "scipy.special" in sys.modules
+seen["threads after order-test"] = threads()
+print(json.dumps(seen))
+"""
+
+
+def _import_probe(**env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eprsim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**base, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""
+    return json.loads(child.stdout)
+
+
+def test_the_cli_starts_no_blas_thread():
+    # A fresh interpreter with OPENBLAS_NUM_THREADS unset, as a user's shell has it.
+    seen = _import_probe()
+    assert seen["numpy after import eprsim"] is False
+    assert seen["blas threads"] == "1"
+    assert seen["numpy.polynomial"] == []  # no LAPACK call at import
+    assert seen["order-test"] == 0
+    assert seen["scipy.special"] is True
+    if seen["threads after import"] is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert seen["threads after import"] == 1
+    assert seen["threads after order-test"] == 1
+
+
+def test_the_cli_keeps_a_user_set_blas_thread_count():
+    seen = _import_probe(OPENBLAS_NUM_THREADS="2")
+    assert seen["blas threads"] == "2"
+    assert seen["order-test"] == 0

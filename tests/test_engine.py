@@ -375,6 +375,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="EPR_MAX_WORKERS"):
             resolve_workers()
 
+    def test_default_workers_count_the_usable_cpus(self, monkeypatch):
+        # resolution only: nothing here starts a thread
+        monkeypatch.delenv("EPR_MAX_WORKERS", raising=False)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert resolve_workers() == 3  # a pinned process, on a larger host
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(32)))
+        assert resolve_workers() == 4
+
+    def test_default_workers_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("EPR_MAX_WORKERS", raising=False)
+        monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+        assert resolve_workers() == 3
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+        assert resolve_workers() == 1
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 16)
+        assert resolve_workers() == 4
+
     def test_custom_model_is_validated_before_any_block(self, monkeypatch):
         # a response that takes only a scalar setting used to fail inside a
         # worker thread with a bare TypeError on randomized settings

@@ -6,13 +6,21 @@ counter-based draws.
 """
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from eprsim import kernels
-from eprsim.engine import trial_draws, trial_stream
+from eprsim.engine import (
+    BLOCK_SIZE,
+    FixedSettings,
+    RunConfig,
+    run_experiment,
+    trial_draws,
+    trial_stream,
+)
 from eprsim.models import (
     DefiniteCircular,
     Lhv,
@@ -308,19 +316,61 @@ class TestDeterministicModelOnWords:
         assert self._on_words(model, [p[0] for p in pairs], [p[1] for p in pairs])
         self._assert_paths_agree(model, pairs, weights, seed=23, trials=2**20)
 
+    @staticmethod
+    def _shifted_sign_model():
+        """The sign model with breakpoints 0.1 rad off, which fail the check."""
+        sign = deterministic_sign_model()
+        return dataclasses.replace(
+            sign,
+            name="shifted-breakpoints",
+            response_breakpoints=lambda s: (sign.response_breakpoints(s) + 0.1) % math.pi,
+        )
+
     @pytest.mark.parametrize(
         "pairs,weights",
         [(((0.3, 1.0),), [1.0]), (((0.0, 0.4), (0.7, 0.2), (1.3, 1.3)), [0.3, 0.25, 0.45])],
     )
     def test_wrong_breakpoints_take_the_float_path(self, pairs, weights):
-        sign = deterministic_sign_model()
-        model = dataclasses.replace(
-            sign,
-            name="shifted-breakpoints",
-            response_breakpoints=lambda s: (sign.response_breakpoints(s) + 0.1) % math.pi,
-        )
+        model = self._shifted_sign_model()
         assert not self._on_words(model, [p[0] for p in pairs], [p[1] for p in pairs])
         self._assert_paths_agree(model, pairs, weights, seed=29, trials=2**16)
+
+    def test_the_float_path_is_logged_once_per_failing_setting(self, caplog):
+        model = self._shifted_sign_model()
+        pa, pb = np.array([0.3, 0.7]), np.array([1.0, 0.2])
+        with caplog.at_level(logging.INFO, logger="eprsim"):
+            assert kernels.lhv_word_steps(model, pa, pb) is None
+            assert kernels.lhv_word_steps(model, pa, pb) is None  # cached: no second record
+        got = sorted((r.name, r.levelno, r.getMessage()) for r in caplog.records)
+        want = sorted(
+            ("eprsim.kernels", logging.INFO,
+             f"shifted-breakpoints: {arm} fails the cut check at setting {setting!r}; "
+             "the run takes the float path")
+            for arm, settings in (("response_a", pa), ("response_b", pb))
+            for setting in settings.tolist()
+        )
+        assert got == want
+
+    def test_a_multi_worker_run_logs_each_failing_setting_once(self, caplog):
+        # the engine finds the cuts before its workers start, so no two of
+        # them race to find (and log) the same ones
+        model = self._shifted_sign_model()
+        config = RunConfig(
+            model=Lhv(model), trials=4 * BLOCK_SIZE, settings=FixedSettings(0.3, 1.0), seed=3
+        )
+        with caplog.at_level(logging.INFO, logger="eprsim"):
+            run_experiment(config, workers=2)
+        assert sorted(r.getMessage().split(" fails")[0] for r in caplog.records) == [
+            "shifted-breakpoints: response_a",
+            "shifted-breakpoints: response_b",
+        ]
+
+    def test_the_package_logger_is_silent_by_default(self, capsys):
+        from eprsim.cli import main
+
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("eprsim").handlers)
+        assert main(["chsh-scan", "--model", "lhv-sign", "--trials", "1000", "--format", "tsv"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestOrderingDecision:
