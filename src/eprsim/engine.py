@@ -27,12 +27,9 @@ import numpy as np
 
 from . import kernels
 from .models import (
-    DefiniteCircular,
     HypothesisModel,
     Lhv,
-    NdvNonlocal,
     Ordering,
-    QMFormal,
     RAnalyzer,
     TrialDraws,
     validate_lhv_model,
@@ -125,6 +122,12 @@ class RunConfig:
     geometry: Geometry = field(default_factory=Geometry)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, HypothesisModel):
+            raise TypeError(f"not a hypothesis model: {self.model!r}")
+        if not isinstance(self.settings, SettingsPolicy):
+            raise TypeError(f"not a settings policy: {self.settings!r}")
+        if not isinstance(self.ordering, Ordering):
+            raise TypeError(f"not an Ordering: {self.ordering!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         kernels.check_seed(self.seed)
@@ -174,13 +177,6 @@ class ChainRecord:
     detected_a: bool
     detected_b: bool
     spacelike: bool
-
-
-_ORDER_CODES = {
-    Ordering.ARM1_FIRST: kernels.ORDER_ARM1_FIRST,
-    Ordering.ARM2_FIRST: kernels.ORDER_ARM2_FIRST,
-    Ordering.RANDOM_PER_TRIAL: kernels.ORDER_RANDOM,
-}
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -240,11 +236,10 @@ def _replay(config: RunConfig, start_index: int, kernel):
     """Per block of the run: first trial index, arm-2-first flags and the
     kernel output, recomputed from the counter-based stream. The flags come
     from the helper the kernels decide the order with."""
-    order_code = _ORDER_CODES[config.ordering]
     stop = start_index + config.trials
     for lo in range(start_index, stop, BLOCK_SIZE):
         hi = min(lo + BLOCK_SIZE, stop)
-        flags = kernels.arm2_first_flags(config.seed, lo, hi - lo, order_code)
+        flags = kernels.arm2_first_flags(config.seed, lo, hi - lo, config.ordering)
         yield lo, flags, kernel(lo, hi)
 
 
@@ -325,11 +320,9 @@ def _settings_tables(policy: SettingsPolicy) -> tuple[tuple, np.ndarray, np.ndar
     if isinstance(policy, FixedSettings):
         pairs = ((policy.a, policy.b),)
         weights = np.array([1.0])
-    elif isinstance(policy, RandomizedSettings):
+    else:
         pairs = policy.pairs
         weights = np.array(policy.weights)
-    else:
-        raise TypeError(f"not a settings policy: {policy!r}")
     pair_a = np.array([p[0] for p in pairs], dtype=np.float64)
     pair_b = np.array([p[1] for p in pairs], dtype=np.float64)
     cumw = np.cumsum(weights)
@@ -341,29 +334,24 @@ def _two_channel_kernel(config: RunConfig):
     """The settings pairs of a two-channel run and its per-block kernel call:
     (lo, hi) -> (pair index, outcome A, outcome B) per trial."""
     pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
-    order_code = _ORDER_CODES[config.ordering]
     if isinstance(config.model, Lhv):
         # Find a deterministic model's cuts once, here, and not in a race of
-        # the workers' first blocks.
+        # the workers' first blocks. Calling the factorized kernel directly
+        # keeps a traced run to one kernel span per block.
         kernels.lhv_word_steps(config.model.model, pair_a, pair_b)
         return pairs, lambda lo, hi: kernels.two_channel_block_lhv(
-            config.seed, lo, hi - lo, config.model.model, pair_a, pair_b, cumw, order_code
+            config.seed, lo, hi - lo, config.model.model, pair_a, pair_b, cumw
         )
-    code = kernels.MODEL_CODES.get(getattr(config.model, "kernel_id", None))
-    if code is None:
-        raise TypeError(f"no trial kernel for model {config.model!r}")
     return pairs, lambda lo, hi: kernels.two_channel_block(
-        config.seed, lo, hi - lo, code, pair_a, pair_b, cumw, order_code
+        config.seed, lo, hi - lo, config.model, pair_a, pair_b, cumw, config.ordering
     )
 
 
 def _qwp_kernel(config: RunConfig):
     """The per-block kernel call of a chain run: (lo, hi) -> (detected A, detected B)."""
-    if not isinstance(config.model, (QMFormal, NdvNonlocal, DefiniteCircular, Lhv)):
-        raise TypeError(f"no chain kernel for model {config.model!r}")
-    qwp_code = kernels.qwp_code_for(getattr(config.model, "kernel_id", None))
-    order_code = _ORDER_CODES[config.ordering]
-    return lambda lo, hi: kernels.qwp_block(config.seed, lo, hi - lo, qwp_code, order_code)
+    return lambda lo, hi: kernels.qwp_block(
+        config.seed, lo, hi - lo, config.model, config.ordering
+    )
 
 
 def run_experiment(

@@ -36,6 +36,11 @@ each arm is a step function of the emission integer k that flips at integer
 cuts found from the model's own float decisions (`_setting_cuts`). Other
 hidden-variable models need a float response per trial and read numpy's
 float fill of the same words instead.
+
+Kernels take the engine's own types: the hypothesis model itself and the
+`Ordering` member. Which kernel answers which model is decided once, here, by
+the model's type; a model no kernel knows raises TypeError, and an ordering
+that is not an `Ordering` member raises ValueError.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import math
 import numpy as np
 
 from . import models
+from .models import DefiniteCircular, Lhv, NdvNonlocal, Ordering, QMFormal
 
 RNG_STREAM = "philox4x64-10/v2"
 SEED_LIMIT = 1 << 64  # seeds and trial indices live in [0, 2**64)
@@ -59,30 +65,21 @@ SLOT_ORDERING = 4
 DRAWS_PER_TRIAL = 5
 SLOTS_PER_GROUP = 4
 
-MODEL_QM = 0
-MODEL_NDV = 1
-MODEL_DEFINITE_CIRCULAR = 2
-MODEL_LHV_SIGN = 3
-MODEL_LHV_MALUS = 4
-
+# Kernel name -> model; perfbench probes each kernel through MODEL_CODES
+# and MODEL_QM.
 MODEL_CODES = {
-    "qm": MODEL_QM,
-    "ndv": MODEL_NDV,
-    "definite-circular": MODEL_DEFINITE_CIRCULAR,
-    "lhv-sign": MODEL_LHV_SIGN,
-    "lhv-malus": MODEL_LHV_MALUS,
+    "qm": QMFormal(),
+    "ndv": NdvNonlocal(),
+    "definite-circular": DefiniteCircular(),
+    "lhv-sign": Lhv(models.deterministic_sign_model()),
+    "lhv-malus": Lhv(models.malus_response_model()),
 }
+MODEL_QM = MODEL_CODES["qm"]
 
-ORDER_ARM1_FIRST = 0
-ORDER_ARM2_FIRST = 1
-ORDER_RANDOM = 2
-
-# Chain-protocol response classes: the formal model, the definite-helicity
-# model, and everything that answers each arm with an independent 1/2
-# (the collapse narrative and all hidden-linear-polarization models).
-QWP_QM = 0
-QWP_INDEPENDENT_HALVES = 1
-QWP_DEFINITE_CIRCULAR = 2
+# perfbench reads these aliases of the `Ordering` members.
+ORDER_ARM1_FIRST = Ordering.ARM1_FIRST
+ORDER_ARM2_FIRST = Ordering.ARM2_FIRST
+ORDER_RANDOM = Ordering.RANDOM_PER_TRIAL
 
 _HALF_PI = math.pi / 2
 _ZERO_PROB = 1e-24
@@ -157,17 +154,21 @@ def trial_uniforms(seed: int, trial: int, start_slot: int, count: int) -> np.nda
     return words[offset : offset + count]
 
 
-def arm2_first_flags(seed: int, start: int, count: int, ordering_mode: int) -> np.ndarray:
+def _check_ordering(ordering: Ordering) -> None:
+    if not isinstance(ordering, Ordering):
+        raise ValueError(f"not an Ordering: {ordering!r}")
+
+
+def arm2_first_flags(seed: int, start: int, count: int, ordering: Ordering) -> np.ndarray:
     """Per-trial flag for trials [start, start+count): True when arm 2 is
     measured first. Random order reads the ordering slot, ``u >= 0.5``."""
-    if ordering_mode == ORDER_ARM1_FIRST:
+    _check_ordering(ordering)
+    if ordering is Ordering.ARM1_FIRST:
         return np.zeros(count, dtype=bool)
-    if ordering_mode == ORDER_ARM2_FIRST:
+    if ordering is Ordering.ARM2_FIRST:
         return np.ones(count, dtype=bool)
-    if ordering_mode == ORDER_RANDOM:
-        group, column = divmod(SLOT_ORDERING, SLOTS_PER_GROUP)
-        return _word_table(seed, start, count, group)[:, column] >= HALF_WORD
-    raise ValueError(f"unknown ordering code {ordering_mode!r}")
+    group, column = divmod(SLOT_ORDERING, SLOTS_PER_GROUP)
+    return _word_table(seed, start, count, group)[:, column] >= HALF_WORD
 
 
 def _malus_prob_array(delta) -> np.ndarray:
@@ -236,34 +237,33 @@ def two_channel_block(
     seed: int,
     start: int,
     count: int,
-    model_code: int,
+    model: models.HypothesisModel,
     pair_a: np.ndarray,
     pair_b: np.ndarray,
     cumw: np.ndarray,
-    ordering_mode: int,
+    ordering: Ordering,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial two-channel outcomes (+1 parallel / -1 perpendicular)."""
-    if model_code in _BUILTIN_LHV:
-        return two_channel_block_lhv(
-            seed, start, count, _BUILTIN_LHV[model_code], pair_a, pair_b, cumw, ordering_mode
-        )
-    if model_code not in (MODEL_QM, MODEL_NDV, MODEL_DEFINITE_CIRCULAR):
-        raise ValueError(f"unknown model code {model_code!r}")
+    _check_ordering(ordering)
+    if isinstance(model, Lhv):
+        return two_channel_block_lhv(seed, start, count, model.model, pair_a, pair_b, cumw)
+    if not isinstance(model, (QMFormal, NdvNonlocal, DefiniteCircular)):
+        raise TypeError(f"no trial kernel for model {model!r}")
     words = _word_table(seed, start, count, 0)
     pair_idx = _select_pairs(words[:, SLOT_SETTINGS], cumw)
     w_a = words[:, SLOT_ARM_A]
     w_b = words[:, SLOT_ARM_B]
-    if model_code == MODEL_DEFINITE_CIRCULAR:
+    if isinstance(model, DefiniteCircular):
         # A circular photon takes either exit of a linear analyzer with
         # probability 1/2, whatever the orientation.
         oa = w_a < HALF_WORD
         ob = w_b < HALF_WORD
-    elif ordering_mode == ORDER_ARM2_FIRST:
+    elif ordering is Ordering.ARM2_FIRST:
         ob, oa = _reduced_pair(w_b, w_a, pair_idx, pair_b, pair_a)
     else:
         oa, ob = _reduced_pair(w_a, w_b, pair_idx, pair_a, pair_b)
-        if ordering_mode != ORDER_ARM1_FIRST:
-            arm2_first = arm2_first_flags(seed, start, count, ordering_mode)
+        if ordering is Ordering.RANDOM_PER_TRIAL:
+            arm2_first = arm2_first_flags(seed, start, count, ordering)
             ob2, oa2 = _reduced_pair(w_b, w_a, pair_idx, pair_b, pair_a)
             oa = np.where(arm2_first, oa2, oa)
             ob = np.where(arm2_first, ob2, ob)
@@ -271,38 +271,39 @@ def two_channel_block(
 
 
 def qwp_block(
-    seed: int, start: int, count: int, qwp_code: int, ordering_mode: int
+    seed: int, start: int, count: int, model: models.HypothesisModel, ordering: Ordering
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial detection flags behind the plate-plus-polarizer chains."""
+    _check_ordering(ordering)
     words = _word_table(seed, start, count, 0)
-    if qwp_code == QWP_DEFINITE_CIRCULAR:
+    if isinstance(model, DefiniteCircular):
         # Right-handed pairs clear both right-helicity analyzers with
         # certainty; left-handed pairs are blocked on both arms.
         det_a = words[:, SLOT_EMISSION] < HALF_WORD
         det_b = det_a
-    elif qwp_code == QWP_QM:
+    elif isinstance(model, QMFormal):
         # The first chain transmits with probability 1/2; reduction leaves
         # the partner in the state its own chain passes with probability
         # exactly 1 (or blocks exactly, on absorption), so the coin of the
         # arm measured first decides both.
-        if ordering_mode == ORDER_ARM1_FIRST:
+        if ordering is Ordering.ARM1_FIRST:
             det_a = words[:, SLOT_ARM_A] < HALF_WORD
-        elif ordering_mode == ORDER_ARM2_FIRST:
+        elif ordering is Ordering.ARM2_FIRST:
             det_a = words[:, SLOT_ARM_B] < HALF_WORD
         else:
-            arm2_first = arm2_first_flags(seed, start, count, ordering_mode)
+            arm2_first = arm2_first_flags(seed, start, count, ordering)
             det_a = np.where(
                 arm2_first, words[:, SLOT_ARM_B] < HALF_WORD, words[:, SLOT_ARM_A] < HALF_WORD
             )
         det_b = det_a
-    elif qwp_code == QWP_INDEPENDENT_HALVES:
+    elif isinstance(model, (NdvNonlocal, Lhv)):
         # Collapse narrative / hidden linear polarization: each arm's
         # plate-plus-polarizer passes with probability 1/2 regardless of
         # what the other arm saw.
         det_a = words[:, SLOT_ARM_A] < HALF_WORD
         det_b = words[:, SLOT_ARM_B] < HALF_WORD
     else:
-        raise ValueError(f"unknown chain response code {qwp_code!r}")
+        raise TypeError(f"no chain kernel for model {model!r}")
     return det_a.astype(np.uint8), det_b.astype(np.uint8)
 
 
@@ -317,13 +318,9 @@ def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
     return ((words >> 11) < _cut(p)).astype(np.uint8)
 
 
-def qwp_code_for(kernel_id: str | None) -> int:
-    """Chain-response class for a model's kernel id (None = any factorized model)."""
-    if kernel_id == "qm":
-        return QWP_QM
-    if kernel_id == "definite-circular":
-        return QWP_DEFINITE_CIRCULAR
-    return QWP_INDEPENDENT_HALVES
+def qwp_code_for(name: str) -> models.HypothesisModel:
+    """The model `MODEL_CODES` names; perfbench reads it."""
+    return MODEL_CODES[name]
 
 
 _TOP = (1 << 53) - 1  # the largest emission integer k = w >> 11
@@ -424,7 +421,6 @@ def two_channel_block_lhv(
     pair_a: np.ndarray,
     pair_b: np.ndarray,
     cumw: np.ndarray,
-    ordering_mode: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-channel outcomes for any factorized model, built-in or custom.
 
@@ -454,8 +450,3 @@ def two_channel_block_lhv(
     ob = table[:, SLOT_ARM_B] < np.asarray(model.response_b(b, lam), dtype=float)
     return pair_idx, _signs(oa), _signs(ob)
 
-
-_BUILTIN_LHV = {
-    MODEL_LHV_SIGN: models.deterministic_sign_model(),
-    MODEL_LHV_MALUS: models.malus_response_model(),
-}

@@ -32,7 +32,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -386,8 +386,6 @@ def _chain_detected(photon: JonesVector, chain: RAnalyzer, arm: Arm, coin: float
 class QMFormal:
     """State-vector reduction, and nothing else."""
 
-    kernel_id: ClassVar[str] = "qm"
-
     def emit(self, draws: TrialDraws) -> TwoPhotonState:
         return linear_entangled()
 
@@ -438,8 +436,6 @@ class NdvNonlocal:
     where it departs from the formal reduction, because that departure is the
     testable content.
     """
-
-    kernel_id: ClassVar[str] = "ndv"
 
     def emit(self, draws: TrialDraws) -> TwoPhotonState:
         return circular_entangled()
@@ -502,8 +498,6 @@ class NdvNonlocal:
 @dataclass(frozen=True)
 class DefiniteCircular:
     """Both photons leave the source with the same definite helicity."""
-
-    kernel_id: ClassVar[str] = "definite-circular"
 
     def emit(self, draws: TrialDraws) -> Handedness:
         return Handedness.R if draws.emission < 0.5 else Handedness.L

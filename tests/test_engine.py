@@ -155,7 +155,7 @@ class TestCountsMatchRecords:
     def test_records_book_the_kernels_ordering(self):
         cfg = qm_config(trials=3000, ordering=Ordering.RANDOM_PER_TRIAL)
         run = run_experiment(cfg, TwoChannelProtocol(), start_index=11)
-        flags = kernels.arm2_first_flags(cfg.seed, 11, 3000, kernels.ORDER_RANDOM)
+        flags = kernels.arm2_first_flags(cfg.seed, 11, 3000, Ordering.RANDOM_PER_TRIAL)
         assert [r.first_arm is Arm.TWO for r in run.records()] == flags.tolist()
 
 
@@ -344,6 +344,13 @@ class TestValidation:
         run = run_experiment(qm_config(seed=2**64 - 1, trials=100))
         assert sum(c.total for c in run.counts()) == 100
         assert run_malus(2**64 - 1, 0.5, 100).n_total == 100
+
+    @pytest.mark.parametrize(
+        "field,value", [("model", object()), ("settings", (0.0, 0.0)), ("ordering", "random")]
+    )
+    def test_config_types_checked_at_construction(self, field, value):
+        with pytest.raises(TypeError):
+            qm_config(**{field: value})
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(TypeError):

@@ -6,8 +6,11 @@ counter-based draws.
 """
 
 import dataclasses
+import json
 import logging
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +35,6 @@ from eprsim.models import (
     malus_response_model,
 )
 from eprsim.twophoton import ChannelOutcome
-
-
-@pytest.fixture(params=[kernels.backend()])
-def backend(request):
-    """The one kernel backend, named in the test ids."""
-    return request.param
 
 
 MASK64 = (1 << 64) - 1
@@ -123,17 +120,17 @@ class TestCounterBasedUniforms:
         with pytest.raises(ValueError):
             kernels.uniform_block(seed, start, count, kernels.SLOT_ARM_A)
 
-    def test_same_seed_same_index_replays(self, backend):
+    def test_same_seed_same_index_replays(self):
         a = kernels.uniform_block(9, 100, 64, kernels.SLOT_ARM_A)
         b = kernels.uniform_block(9, 100, 64, kernels.SLOT_ARM_A)
         assert np.array_equal(a, b)
 
-    def test_different_seeds_differ(self, backend):
+    def test_different_seeds_differ(self):
         a = kernels.uniform_block(9, 0, 16, kernels.SLOT_ARM_A)
         b = kernels.uniform_block(10, 0, 16, kernels.SLOT_ARM_A)
         assert np.all(a != b)
 
-    def test_range(self, backend):
+    def test_range(self):
         u = kernels.uniform_block(1, 0, 100_000, kernels.SLOT_EMISSION)
         assert u.min() >= 0.0
         assert u.max() < 1.0
@@ -151,6 +148,10 @@ class TestCounterBasedUniforms:
         second = stream.next_uniform()
         assert first == reference_uniform(3, 7, 0)
         assert second == reference_uniform(3, 7, 1)
+
+
+MODEL_IDS = list(kernels.MODEL_CODES)
+MODELS = list(kernels.MODEL_CODES.values())
 
 
 def _sign(outcome: ChannelOutcome) -> int:
@@ -171,42 +172,24 @@ class TestKernelsMatchObjectLayer:
             outs[i] = (_sign(oa), _sign(ob))
         return outs
 
-    @pytest.mark.parametrize(
-        "model,code",
-        [
-            (QMFormal(), kernels.MODEL_QM),
-            (NdvNonlocal(), kernels.MODEL_NDV),
-            (DefiniteCircular(), kernels.MODEL_DEFINITE_CIRCULAR),
-            (Lhv(deterministic_sign_model()), kernels.MODEL_LHV_SIGN),
-            (Lhv(malus_response_model()), kernels.MODEL_LHV_MALUS),
-        ],
-    )
-    @pytest.mark.parametrize("ordering", [Ordering.ARM1_FIRST, Ordering.ARM2_FIRST, Ordering.RANDOM_PER_TRIAL])
-    def test_two_channel(self, backend, model, code, ordering):
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_two_channel(self, model, ordering):
         a, b = 0.3, 1.0
-        order_code = {
-            Ordering.ARM1_FIRST: 0,
-            Ordering.ARM2_FIRST: 1,
-            Ordering.RANDOM_PER_TRIAL: 2,
-        }[ordering]
         _, oa, ob = kernels.two_channel_block(
-            self.SEED, 0, self.N, code, np.array([a]), np.array([b]), np.array([1.0]), order_code
+            self.SEED, 0, self.N, model, np.array([a]), np.array([b]), np.array([1.0]), ordering
         )
         expected = self._object_two_channel(model, a, b, ordering)
         assert np.array_equal(oa, expected[:, 0])
         assert np.array_equal(ob, expected[:, 1])
 
     @pytest.mark.parametrize(
-        "model,qwp_code",
-        [
-            (QMFormal(), kernels.QWP_QM),
-            (NdvNonlocal(), kernels.QWP_INDEPENDENT_HALVES),
-            (DefiniteCircular(), kernels.QWP_DEFINITE_CIRCULAR),
-            (Lhv(malus_response_model()), kernels.QWP_INDEPENDENT_HALVES),
-        ],
+        "model",
+        [QMFormal(), NdvNonlocal(), DefiniteCircular(), Lhv(malus_response_model())],
+        ids=["qm", "ndv", "definite-circular", "lhv-malus"],
     )
-    def test_qwp_chain(self, backend, model, qwp_code):
-        det_a, det_b = kernels.qwp_block(self.SEED, 0, self.N, qwp_code, 0)
+    def test_qwp_chain(self, model):
+        det_a, det_b = kernels.qwp_block(self.SEED, 0, self.N, model, Ordering.ARM1_FIRST)
         chain = RAnalyzer()
         for i in range(self.N):
             d = trial_draws(self.SEED, i)
@@ -214,16 +197,39 @@ class TestKernelsMatchObjectLayer:
             assert bool(det_a[i]) == da, i
             assert bool(det_b[i]) == db, i
 
-    def test_custom_lhv_path_matches_builtin(self, backend):
-        # a model handed to the factorized kernel decides as its built-in code does
+    def test_custom_lhv_path_matches_builtin(self):
+        # a model handed to the factorized kernel decides as its built-in entry does
         model = deterministic_sign_model()
         pa, pb, cw = np.array([0.3]), np.array([1.0]), np.array([1.0])
-        got = kernels.two_channel_block_lhv(self.SEED, 0, self.N, model, pa, pb, cw, 0)
+        got = kernels.two_channel_block_lhv(self.SEED, 0, self.N, model, pa, pb, cw)
         want = kernels.two_channel_block(
-            self.SEED, 0, self.N, kernels.MODEL_LHV_SIGN, pa, pb, cw, 0
+            self.SEED, 0, self.N, kernels.MODEL_CODES["lhv-sign"], pa, pb, cw, Ordering.ARM1_FIRST
         )
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize(
+    "model", [object(), deterministic_sign_model()], ids=["object", "bare-lhv"]
+)
+def test_kernels_reject_a_model_they_do_not_know(model):
+    pa, pb, cw = np.array([0.3]), np.array([1.0]), np.array([1.0])
+    with pytest.raises(TypeError):
+        kernels.two_channel_block(1, 0, 10, model, pa, pb, cw, Ordering.ARM1_FIRST)
+    with pytest.raises(TypeError):
+        kernels.qwp_block(1, 0, 10, model, Ordering.ARM1_FIRST)
+
+
+def test_benchmark_kernel_probes_name_kernel_models():
+    # each per-model kernel probe the benchmark declares is a MODEL_CODES
+    # key, so renaming a key cannot silently drop a probe metric
+    benchmark = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    probe = re.compile(r"kernels\.(two_channel_block|qwp_block)\.(.+)\.mtrials_per_s")
+    names = [m[2] for m in map(probe.fullmatch, (x["name"] for x in benchmark["per_layer"])) if m]
+    assert names
+    for name in names:
+        assert name in kernels.MODEL_CODES
+        assert kernels.qwp_code_for(name) is kernels.MODEL_CODES[name]
 
 
 class TestWordDomain:
@@ -296,8 +302,8 @@ class TestDeterministicModelOnWords:
         cumw[-1] = 1.0
         on_floats = dataclasses.replace(model, deterministic=False)
         for start in range(0, trials, block):
-            got = kernels.two_channel_block_lhv(seed, start, block, model, pa, pb, cumw, 0)
-            want = kernels.two_channel_block_lhv(seed, start, block, on_floats, pa, pb, cumw, 0)
+            got = kernels.two_channel_block_lhv(seed, start, block, model, pa, pb, cumw)
+            want = kernels.two_channel_block_lhv(seed, start, block, on_floats, pa, pb, cumw)
             for x, y in zip(got, want):
                 assert np.array_equal(x, y), start
 
@@ -377,29 +383,29 @@ class TestOrderingDecision:
     """One helper decides which arm is measured first, for kernels and records."""
 
     def test_random_order_reads_the_ordering_slot(self):
-        flags = kernels.arm2_first_flags(21, 2**64 - 4000, 4000, kernels.ORDER_RANDOM)
+        flags = kernels.arm2_first_flags(21, 2**64 - 4000, 4000, Ordering.RANDOM_PER_TRIAL)
         u = kernels.uniform_block(21, 2**64 - 4000, 4000, kernels.SLOT_ORDERING)
         assert np.array_equal(flags, u >= 0.5)
 
     def test_fixed_orders_are_constant(self):
-        assert not kernels.arm2_first_flags(1, 0, 5, kernels.ORDER_ARM1_FIRST).any()
-        assert kernels.arm2_first_flags(1, 0, 5, kernels.ORDER_ARM2_FIRST).all()
+        assert not kernels.arm2_first_flags(1, 0, 5, Ordering.ARM1_FIRST).any()
+        assert kernels.arm2_first_flags(1, 0, 5, Ordering.ARM2_FIRST).all()
         with pytest.raises(ValueError):
             kernels.arm2_first_flags(1, 0, 5, 7)
 
-    @pytest.mark.parametrize("code", [kernels.MODEL_QM, kernels.MODEL_NDV])
-    def test_random_order_trials_replay_their_fixed_order(self, code):
+    @pytest.mark.parametrize("model", [QMFormal(), NdvNonlocal()], ids=["qm", "ndv"])
+    def test_random_order_trials_replay_their_fixed_order(self, model):
         pa, pb, cw = np.array([0.3, 1.2]), np.array([1.0, 0.1]), np.array([0.5, 1.0])
-        args = (17, 1000, 3000, code, pa, pb, cw)
-        flags = kernels.arm2_first_flags(17, 1000, 3000, kernels.ORDER_RANDOM)
-        _, oa, ob = kernels.two_channel_block(*args, kernels.ORDER_RANDOM)
-        _, oa1, ob1 = kernels.two_channel_block(*args, kernels.ORDER_ARM1_FIRST)
-        _, oa2, ob2 = kernels.two_channel_block(*args, kernels.ORDER_ARM2_FIRST)
+        args = (17, 1000, 3000, model, pa, pb, cw)
+        flags = kernels.arm2_first_flags(17, 1000, 3000, Ordering.RANDOM_PER_TRIAL)
+        _, oa, ob = kernels.two_channel_block(*args, Ordering.RANDOM_PER_TRIAL)
+        _, oa1, ob1 = kernels.two_channel_block(*args, Ordering.ARM1_FIRST)
+        _, oa2, ob2 = kernels.two_channel_block(*args, Ordering.ARM2_FIRST)
         assert np.array_equal(oa, np.where(flags, oa2, oa1))
         assert np.array_equal(ob, np.where(flags, ob2, ob1))
-        det_a, _ = kernels.qwp_block(17, 1000, 3000, kernels.QWP_QM, kernels.ORDER_RANDOM)
-        det_a1, _ = kernels.qwp_block(17, 1000, 3000, kernels.QWP_QM, kernels.ORDER_ARM1_FIRST)
-        det_a2, _ = kernels.qwp_block(17, 1000, 3000, kernels.QWP_QM, kernels.ORDER_ARM2_FIRST)
+        det_a, _ = kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.RANDOM_PER_TRIAL)
+        det_a1, _ = kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.ARM1_FIRST)
+        det_a2, _ = kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.ARM2_FIRST)
         assert np.array_equal(det_a, np.where(flags, det_a2, det_a1))
 
 
@@ -412,23 +418,13 @@ class TestRandomizedSettingsMatchObjectLayer:
     PAIRS = ((0.0, 0.4), (0.7, 0.2), (1.3, 1.3))
     CUMW = np.array([0.3, 0.55, 1.0])
 
-    @pytest.mark.parametrize(
-        "model,code",
-        [
-            (QMFormal(), kernels.MODEL_QM),
-            (NdvNonlocal(), kernels.MODEL_NDV),
-            (DefiniteCircular(), kernels.MODEL_DEFINITE_CIRCULAR),
-            (Lhv(deterministic_sign_model()), kernels.MODEL_LHV_SIGN),
-            (Lhv(malus_response_model()), kernels.MODEL_LHV_MALUS),
-        ],
-    )
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("ordering", [Ordering.ARM1_FIRST, Ordering.RANDOM_PER_TRIAL])
-    def test_two_channel(self, model, code, ordering):
-        order_code = 0 if ordering is Ordering.ARM1_FIRST else 2
+    def test_two_channel(self, model, ordering):
         pa = np.array([p[0] for p in self.PAIRS])
         pb = np.array([p[1] for p in self.PAIRS])
         pair_idx, oa, ob = kernels.two_channel_block(
-            self.SEED, 0, self.N, code, pa, pb, self.CUMW, order_code
+            self.SEED, 0, self.N, model, pa, pb, self.CUMW, ordering
         )
         for i in range(self.N):
             d = trial_draws(self.SEED, i)
@@ -485,47 +481,43 @@ class TestKernelsOnEdgeWords:
         p_perpendicular = kernels._malus_prob_array(s_first + math.pi / 2 - s_second)[pair_idx]
         return first, np.where(first, u_second < p_parallel, u_second < p_perpendicular)
 
-    @pytest.mark.parametrize("code", [kernels.MODEL_QM, kernels.MODEL_NDV,
-                                      kernels.MODEL_DEFINITE_CIRCULAR, kernels.MODEL_LHV_SIGN])
-    @pytest.mark.parametrize("order", [kernels.ORDER_ARM1_FIRST, kernels.ORDER_ARM2_FIRST,
-                                       kernels.ORDER_RANDOM])
-    def test_two_channel(self, words, code, order):
+    @pytest.mark.parametrize("name", ["qm", "ndv", "definite-circular", "lhv-sign"])
+    @pytest.mark.parametrize("order", list(Ordering))
+    def test_two_channel(self, words, name, order):
         u = self._uniforms(words)
         pair_idx = np.clip(np.searchsorted(self.CUMW, u[:, 0], side="right"), 0, 3)
         arm2_first = u[:, 4] >= 0.5
-        got = kernels.two_channel_block(1, 0, self.N, code, self.PA, self.PB, self.CUMW, order)
+        model = kernels.MODEL_CODES[name]
+        got = kernels.two_channel_block(1, 0, self.N, model, self.PA, self.PB, self.CUMW, order)
         assert np.array_equal(got[0], pair_idx)
-        if code == kernels.MODEL_LHV_SIGN:
+        if name == "lhv-sign":
             lam = u[:, 1] * math.pi
             oa = np.cos(2 * (self.PA[pair_idx] - lam)) > 0
             ob = np.cos(2 * (self.PB[pair_idx] - lam)) > 0
-        elif code == kernels.MODEL_DEFINITE_CIRCULAR:
+        elif name == "definite-circular":
             oa, ob = u[:, 2] < 0.5, u[:, 3] < 0.5
         else:
             oa1, ob1 = self._float_reduced(u[:, 2], u[:, 3], pair_idx, self.PA, self.PB)
             ob2, oa2 = self._float_reduced(u[:, 3], u[:, 2], pair_idx, self.PB, self.PA)
-            flags = {kernels.ORDER_ARM1_FIRST: False, kernels.ORDER_ARM2_FIRST: True}.get(
+            flags = {Ordering.ARM1_FIRST: False, Ordering.ARM2_FIRST: True}.get(
                 order, arm2_first
             )
             oa, ob = np.where(flags, oa2, oa1), np.where(flags, ob2, ob1)
         assert np.array_equal(got[1], np.where(oa, 1, -1))
         assert np.array_equal(got[2], np.where(ob, 1, -1))
 
-    @pytest.mark.parametrize("order", [kernels.ORDER_ARM1_FIRST, kernels.ORDER_ARM2_FIRST,
-                                       kernels.ORDER_RANDOM])
+    @pytest.mark.parametrize("order", list(Ordering))
     def test_chains(self, words, order):
         u = self._uniforms(words)
         first = np.where(u[:, 4] >= 0.5, u[:, 3], u[:, 2])
-        first = {kernels.ORDER_ARM1_FIRST: u[:, 2], kernels.ORDER_ARM2_FIRST: u[:, 3]}.get(
-            order, first
-        )
+        first = {Ordering.ARM1_FIRST: u[:, 2], Ordering.ARM2_FIRST: u[:, 3]}.get(order, first)
         cases = {
-            kernels.QWP_QM: (first < 0.5, first < 0.5),
-            kernels.QWP_INDEPENDENT_HALVES: (u[:, 2] < 0.5, u[:, 3] < 0.5),
-            kernels.QWP_DEFINITE_CIRCULAR: (u[:, 1] < 0.5, u[:, 1] < 0.5),
+            "qm": (first < 0.5, first < 0.5),
+            "ndv": (u[:, 2] < 0.5, u[:, 3] < 0.5),
+            "definite-circular": (u[:, 1] < 0.5, u[:, 1] < 0.5),
         }
-        for code, (det_a, det_b) in cases.items():
-            got_a, got_b = kernels.qwp_block(1, 0, self.N, code, order)
+        for name, (det_a, det_b) in cases.items():
+            got_a, got_b = kernels.qwp_block(1, 0, self.N, kernels.MODEL_CODES[name], order)
             assert np.array_equal(got_a.astype(bool), det_a)
             assert np.array_equal(got_b.astype(bool), det_b)
 

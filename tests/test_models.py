@@ -12,6 +12,7 @@ from eprsim.models import (
     LambdaSample,
     Lhv,
     LhvModel,
+    NdvNonlocal,
     Ordering,
     QMFormal,
     RAnalyzer,
@@ -50,7 +51,7 @@ class TestEmission:
     def test_definite_circular_handedness_is_a_fair_coin(self):
         model = DefiniteCircular()
         # engine-scale check via the chain kernel: arm-A detection marks RR
-        det_a, _ = kernels.qwp_block(11, 0, 1_000_000, kernels.QWP_DEFINITE_CIRCULAR, 0)
+        det_a, _ = kernels.qwp_block(11, 0, 1_000_000, model, Ordering.ARM1_FIRST)
         frac_rr = det_a.mean()
         assert abs(frac_rr - 0.5) <= 0.002  # ~4 sigma at 1e6
         # and the object layer agrees with the emission draw rule
@@ -80,7 +81,7 @@ class TestTwoChannelResponses:
         pb = np.array([theta])
         cw = np.array([1.0])
         n = 1_000_000
-        _, oa, ob = kernels.two_channel_block(5, 0, n, kernels.MODEL_QM, pa, pb, cw, 0)
+        _, oa, ob = kernels.two_channel_block(5, 0, n, QMFormal(), pa, pb, cw, Ordering.ARM1_FIRST)
         p_pp = np.count_nonzero((oa > 0) & (ob > 0)) / n
         want = 0.5 * math.cos(theta) ** 2
         sigma = math.sqrt(want * (1.0 - want) / n)
@@ -90,7 +91,7 @@ class TestTwoChannelResponses:
         n = 1_000_000
         pa, pb, cw = np.array([0.2]), np.array([1.0]), np.array([1.0])
         _, oa, ob = kernels.two_channel_block(
-            6, 0, n, kernels.MODEL_DEFINITE_CIRCULAR, pa, pb, cw, 0
+            6, 0, n, DefiniteCircular(), pa, pb, cw, Ordering.ARM1_FIRST
         )
         e = float(np.mean(oa.astype(float) * ob.astype(float)))
         assert abs(e) <= 4.0 / math.sqrt(n)
@@ -103,8 +104,9 @@ class TestTwoChannelResponses:
         n = 200_000
         theta = 0.6
         pa, pb, cw = np.array([0.0]), np.array([theta]), np.array([1.0])
-        _, oa_qm, ob_qm = kernels.two_channel_block(7, 0, n, kernels.MODEL_QM, pa, pb, cw, 0)
-        _, oa_nd, ob_nd = kernels.two_channel_block(7, 0, n, kernels.MODEL_NDV, pa, pb, cw, 0)
+        order = Ordering.ARM1_FIRST
+        _, oa_qm, ob_qm = kernels.two_channel_block(7, 0, n, QMFormal(), pa, pb, cw, order)
+        _, oa_nd, ob_nd = kernels.two_channel_block(7, 0, n, NdvNonlocal(), pa, pb, cw, order)
         e_qm = float(np.mean(oa_qm.astype(float) * ob_qm.astype(float)))
         e_nd = float(np.mean(oa_nd.astype(float) * ob_nd.astype(float)))
         assert abs(e_qm - e_nd) <= 8.0 / math.sqrt(n)
@@ -138,7 +140,7 @@ class TestQwpChainResponses:
             assert da == db
 
     def test_ndv_conditional_detection_is_half(self):
-        det_a, det_b = kernels.qwp_block(10, 0, 1_000_000, kernels.QWP_INDEPENDENT_HALVES, 0)
+        det_a, det_b = kernels.qwp_block(10, 0, 1_000_000, NdvNonlocal(), Ordering.ARM1_FIRST)
         both = np.count_nonzero((det_a > 0) & (det_b > 0))
         n_a = np.count_nonzero(det_a)
         p = both / n_a
@@ -205,14 +207,12 @@ class TestLhvOracle:
     def test_monte_carlo_matches_oracle(self):
         rng = np.random.default_rng(11)
         n = 200_000
-        cases = [
-            (kernels.MODEL_LHV_SIGN, deterministic_sign_model()),
-            (kernels.MODEL_LHV_MALUS, malus_response_model()),
-        ]
-        for offset, (code, model) in enumerate(cases):
+        for offset, model in enumerate([deterministic_sign_model(), malus_response_model()]):
             a, b = rng.uniform(0.0, math.pi, size=2)
             pa, pb, cw = np.array([a]), np.array([b]), np.array([1.0])
-            _, oa, ob = kernels.two_channel_block(12, offset * n, n, code, pa, pb, cw, 0)
+            _, oa, ob = kernels.two_channel_block(
+                12, offset * n, n, Lhv(model), pa, pb, cw, Ordering.ARM1_FIRST
+            )
             oracle = lhv_joint_probabilities(model, a, b)
             emp = np.array(
                 [
