@@ -90,29 +90,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    # submodules
-    "engine", "kernels", "models", "polarization", "stats", "twophoton",
-    # engine
-    "FixedSettings", "Geometry", "QwpChainProtocol", "RandomizedSettings", "RunConfig",
-    "TwoChannelProtocol", "run_experiment", "run_malus", "trial_draws", "trial_stream",
-    # models
-    "DefiniteCircular", "HypothesisModel", "Lhv", "LhvModel", "NdvNonlocal", "Ordering",
-    "QMFormal", "RAnalyzer", "TrialDraws", "definite_circular_as_lhv",
-    "deterministic_sign_model", "lhv_correlation", "lhv_joint_probabilities",
-    "malus_response_model",
-    # polarization
-    "ABSORBED", "AnalyzerChannel", "Channel", "Frame", "Handedness", "JonesVector",
-    "LinearPolarizer", "NormalizationError", "QuarterWavePlate", "apply", "circular",
-    "jones_matrix", "linear", "phase_insensitive_equals",
-    # stats
-    "ChainCounts", "ChshReport", "CoincidenceCounts", "PairEstimate", "chsh_report",
-    "conditional_detection", "estimate_correlation", "order_invariance_test",
-    # twophoton
-    "Arm", "ChannelOutcome", "JointProbabilities", "TwoPhotonState", "circular_entangled",
-    "joint_probabilities", "joint_probabilities_sequential", "linear_entangled",
-    "measure_arm", "measure_arm_chain",
-]
+__all__ = [*_EXPORTS, *_MODULE_OF]  # the submodules, then the names they export
 
 
 def __getattr__(name: str):

@@ -15,7 +15,9 @@ import contextlib
 import inspect
 import json
 import os
+import stat
 import sys
+import tempfile
 
 from ._version import __version__
 
@@ -209,17 +211,45 @@ def render_table(document: dict) -> str:
 _RENDERERS = {"json": render_json, "tsv": render_tsv, "table": render_table}
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
-    """stdout, or `path` created or truncated before the run, as a shell
-    redirect would be, so a path that cannot be written costs no compute."""
+    """stdout, or a temporary file beside `path` that replaces it once the
+    document is written. It is made before the run, so a path that cannot be
+    written costs no compute, and a failed run leaves `path` as it was. The
+    file gets the mode a shell redirect would give it; a path that is not a
+    regular file, such as /dev/null, is written in place."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
+    temporary = None
     try:
-        return open(path, "w", encoding="utf-8")
+        target = os.path.realpath(path)  # a symlink stays one; its target is replaced
+        if path.endswith(os.sep) or (os.path.exists(target) and not os.path.isfile(target)):
+            fh = open(path, "w", encoding="utf-8")
+        else:
+            umask = os.umask(0o22)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+            if os.path.exists(target):
+                open(target, "a").close()  # fails where a redirect would, truncates nothing
+                mode = stat.S_IMODE(os.stat(target).st_mode)
+            fd, temporary = tempfile.mkstemp(".tmp", ".epr-", os.path.dirname(target))
+            os.chmod(temporary, mode)
+            fh = open(fd, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"out: cannot write {path!r}: {exc.strerror}") from None
     except ValueError as exc:  # a NUL or an unencodable character in the path
         raise ConfigError(f"out: cannot write {path!r}: {exc}") from None
+    try:
+        with fh:
+            yield fh
+        if temporary is not None:
+            os.replace(temporary, target)
+    except BaseException:
+        if temporary is not None:
+            with contextlib.suppress(OSError):  # keep the run's own error
+                os.unlink(temporary)
+        raise
 
 
 def main(argv=None) -> int:

@@ -110,6 +110,14 @@ class RandomizedSettings:
 SettingsPolicy = FixedSettings | RandomizedSettings
 
 
+def _check_trials(trials: int) -> None:
+    """Raise TypeError unless `trials` is an int (not a bool), ValueError unless it is positive."""
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise TypeError(f"trials must be an int, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a run, and therefore every record in it."""
@@ -128,8 +136,7 @@ class RunConfig:
             raise TypeError(f"not a settings policy: {self.settings!r}")
         if not isinstance(self.ordering, Ordering):
             raise TypeError(f"not an Ordering: {self.ordering!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        _check_trials(self.trials)
         kernels.check_seed(self.seed)
 
 
@@ -430,8 +437,7 @@ def run_malus(
     workers: int | None = None,
 ) -> MalusRun:
     """Send `trials` photons polarized at 0 through a polarizer at `theta`."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_trials(trials)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     kernels.check_seed(seed)
@@ -445,7 +451,7 @@ def run_malus(
 class TrialStream:
     """Sequential view of one trial's uniform draw stream.
 
-    Draw j of trial i is word j % 4 of philox4x64-10 at counter (i, j // 4)
+    Draw j of trial i is word i % 4 of philox4x64-10 at counter (i // 4, j)
     (see :mod:`eprsim.kernels`); the stream just walks j upward, so it can be
     re-created and replayed at will.
     """

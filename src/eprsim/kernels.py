@@ -1,24 +1,22 @@
 """Hot per-trial kernels: counter-based RNG plus vectorized trial loops.
 
 Every random number in the simulator comes from philox4x64-10 (numpy's
-``np.random.Philox``, in C) under key ``(seed, 0)``, addressed by
-``(trial, slot)``: draw j of trial i is word ``j % 4`` of the Philox output
-at counter ``(i, j // 4, 0, 0)``, read as the uniform ``(w >> 11) * 2**-53``.
-Draw j of trial i is a pure function of (seed, i, j), so trials own
-statistically independent streams, any subset of trials can be computed in
-any order or on any worker with bit-identical results, and slot groups a
-protocol never reads cost nothing. Slot layout per trial:
+``np.random.Philox``, in C) under key ``(seed, 0)``: draw j of trial i is
+word ``i % 4`` of the Philox output at counter ``(i // 4, j, 0, 0)``, read as
+the uniform ``(w >> 11) * 2**-53``. That map from (trial, slot) to (counter,
+word) is injective, so trials own independent streams, and any subset of
+trials can be computed in any order or on any worker with bit-identical
+results. One slot's words for consecutive trials are consecutive Philox
+output, so a kernel reads each slot it needs with one `_slot_words` call and
+costs a quarter counter per trial and slot it reads. Slots per trial:
 
-    group 0 (counter word 1 = 0)
-      0  settings-pair selection (randomized-settings runs only)
-      1  emission (hidden parameter / handedness; entangled models skip it)
-      2  arm-A coin
-      3  arm-B coin
-    group 1 (counter word 1 = 1)
-      4  measurement-order selection (random-order runs only)
+    0  settings-pair selection (randomized-settings runs only)
+    1  emission (hidden parameter / handedness; entangled models skip it)
+    2  arm-A coin
+    3  arm-B coin
+    4  measurement-order selection (random-order runs only)
 
-A fixed-order run therefore costs one Philox counter per trial. ``RNG_STREAM``
-names this stream; it changes whenever any draw of any trial would.
+``RNG_STREAM`` names this stream; it changes whenever any draw would.
 
 Outcome coins are compared with strict less-than, so a probability snapped to
 exactly 0 never fires and a probability of exactly 1 always does. Coins
@@ -34,8 +32,8 @@ decide exactly as the float compares do, word for word. A deterministic
 hidden-variable model (responses exactly 0 or 1) is decided on words too:
 each arm is a step function of the emission integer k that flips at integer
 cuts found from the model's own float decisions (`_setting_cuts`). Other
-hidden-variable models need a float response per trial and read numpy's
-float fill of the same words instead.
+hidden-variable models need a float response per trial and read the
+uniforms of the same words instead (`uniform_block`).
 
 Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
@@ -54,7 +52,7 @@ import numpy as np
 from . import models
 from .models import DefiniteCircular, Lhv, NdvNonlocal, Ordering, QMFormal
 
-RNG_STREAM = "philox4x64-10/v2"
+RNG_STREAM = "philox4x64-10/v3"
 SEED_LIMIT = 1 << 64  # seeds and trial indices live in [0, 2**64)
 
 SLOT_SETTINGS = 0
@@ -63,7 +61,6 @@ SLOT_ARM_A = 2
 SLOT_ARM_B = 3
 SLOT_ORDERING = 4
 DRAWS_PER_TRIAL = 5
-SLOTS_PER_GROUP = 4
 
 # Kernel name -> model; perfbench probes each kernel through MODEL_CODES
 # and MODEL_QM.
@@ -79,7 +76,6 @@ MODEL_QM = MODEL_CODES["qm"]
 # perfbench reads these aliases of the `Ordering` members.
 ORDER_ARM1_FIRST = Ordering.ARM1_FIRST
 ORDER_ARM2_FIRST = Ordering.ARM2_FIRST
-ORDER_RANDOM = Ordering.RANDOM_PER_TRIAL
 
 _HALF_PI = math.pi / 2
 _ZERO_PROB = 1e-24
@@ -98,33 +94,20 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
 
 
-def _philox(seed: int, start: int, count: int, group: int) -> np.random.Philox:
-    """The bit generator whose next words are one group's slots for trials
-    [start, start+count), four per trial.
-
-    Philox emits the block for counter c+1 first, so the generator starts one
-    below the first trial's counter.
-    """
+def _slot_words(seed: int, start: int, count: int, slot: int) -> np.ndarray:
+    """Raw 64-bit words of one slot for trials [start, start+count): the
+    Philox output over counters ``(start // 4, slot) ... ((start + count - 1)
+    // 4, slot)``, less the ``start % 4`` words before the first trial.
+    Philox emits counter c+1 first, so the generator starts at c - 1."""
     check_seed(seed)
+    start, count = int(start), int(count)
     if not (0 <= start and start + count <= SEED_LIMIT):
         raise ValueError(f"trials [{start}, {start + count}) leave [0, 2**64)")
-    counter = (int(start) + (group << 64) - 1) % (1 << 256)
-    return np.random.Philox(key=seed, counter=counter)
-
-
-def _word_table(seed: int, start: int, count: int, group: int) -> np.ndarray:
-    """Raw 64-bit words of one slot group, one row per trial.
-
-    Column k of the result holds slot ``SLOTS_PER_GROUP * group + k``.
-    """
-    words = _philox(seed, start, count, group).random_raw(SLOTS_PER_GROUP * count)
-    return words.reshape(count, SLOTS_PER_GROUP)
-
-
-def _draw_table(seed: int, start: int, count: int, group: int) -> np.ndarray:
-    """The uniforms ``(w >> 11) * 2**-53`` of `_word_table`, by numpy's C fill."""
-    gen = np.random.Generator(_philox(seed, start, count, group))
-    return gen.random(SLOTS_PER_GROUP * count).reshape(count, SLOTS_PER_GROUP)
+    first, skip = divmod(start, 4)
+    counters = -(-(start + count) // 4) - first
+    counter = (first + (slot << 64) - 1) % (1 << 256)
+    words = np.random.Philox(key=seed, counter=counter).random_raw(4 * counters)
+    return words[skip : skip + count]
 
 
 HALF_WORD = np.uint64(1 << 63)  # u < 0.5 exactly when w < 2**63
@@ -137,21 +120,14 @@ def _cut(p):
 
 
 def uniform_block(seed: int, start: int, count: int, slot: int) -> np.ndarray:
-    """Uniform [0, 1) draws for trials [start, start+count) at one slot."""
-    group, column = divmod(slot, SLOTS_PER_GROUP)
-    return np.ascontiguousarray(_draw_table(seed, start, count, group)[:, column])
+    """Uniform [0, 1) draws ``(w >> 11) * 2**-53`` for trials [start, start+count) at one slot."""
+    return (_slot_words(seed, start, count, slot) >> 11) * (1.0 / _UNIT)
 
 
 def trial_uniforms(seed: int, trial: int, start_slot: int, count: int) -> np.ndarray:
     """Consecutive draws of one trial's stream (slots start_slot..+count)."""
-    if count <= 0:
-        return np.empty(0)
-    first, last = start_slot // SLOTS_PER_GROUP, (start_slot + count - 1) // SLOTS_PER_GROUP
-    words = np.concatenate(
-        [_draw_table(seed, trial, 1, group)[0] for group in range(first, last + 1)]
-    )
-    offset = start_slot - first * SLOTS_PER_GROUP
-    return words[offset : offset + count]
+    slots = range(start_slot, start_slot + count)
+    return np.array([uniform_block(seed, trial, 1, slot)[0] for slot in slots])
 
 
 def _check_ordering(ordering: Ordering) -> None:
@@ -167,8 +143,7 @@ def arm2_first_flags(seed: int, start: int, count: int, ordering: Ordering) -> n
         return np.zeros(count, dtype=bool)
     if ordering is Ordering.ARM2_FIRST:
         return np.ones(count, dtype=bool)
-    group, column = divmod(SLOT_ORDERING, SLOTS_PER_GROUP)
-    return _word_table(seed, start, count, group)[:, column] >= HALF_WORD
+    return _slot_words(seed, start, count, SLOT_ORDERING) >= HALF_WORD
 
 
 def _malus_prob_array(delta) -> np.ndarray:
@@ -187,8 +162,7 @@ def _signs(flags: np.ndarray) -> np.ndarray:
 
 
 def _select_pairs(settings: np.ndarray, cumw: np.ndarray) -> np.ndarray:
-    """Per-trial settings-pair index from the settings slot; a single pair
-    costs no draw.
+    """Per-trial settings-pair index from the settings slot.
 
     `settings` holds the slot's raw words or the uniforms made from them.
     Either becomes the 53-bit integer k, and the pair index is the number of
@@ -198,8 +172,6 @@ def _select_pairs(settings: np.ndarray, cumw: np.ndarray) -> np.ndarray:
     binary search up to dozens of pairs.
     """
     pair_idx = np.zeros(settings.shape[0], dtype=np.int32)
-    if cumw.size == 1:
-        return pair_idx
     if settings.dtype == np.uint64:
         k = settings >> 11
     else:
@@ -209,20 +181,32 @@ def _select_pairs(settings: np.ndarray, cumw: np.ndarray) -> np.ndarray:
     return pair_idx
 
 
+def _pair_index(seed: int, start: int, count: int, cumw: np.ndarray) -> np.ndarray:
+    """`_select_pairs` on the settings slot; a single pair reads no word."""
+    if cumw.size == 1:
+        return np.zeros(count, dtype=np.int32)
+    return _select_pairs(_slot_words(seed, start, count, SLOT_SETTINGS), cumw)
+
+
+def _coin(seed: int, start: int, count: int, slot: int) -> np.ndarray:
+    """Fair coins of one slot, ``u < 1/2``: the words below 2**63."""
+    return _slot_words(seed, start, count, slot) < HALF_WORD
+
+
 def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
     """Per-pair values spread over trials; a scalar when there is one pair."""
     return values[0] if values.size == 1 else values[pair_idx]
 
 
-def _reduced_pair(w_first, w_second, pair_idx, s_first, s_second):
-    """First analyzer answers 1/2 (the entangled-state marginal, also the
-    collapse narrative's literal value); the second photon is linear along
+def _second_photon(first, w_second, pair_idx, s_first, s_second):
+    """The second analyzer's answer, given the first one's (True for
+    parallel), which answered 1/2: the entangled-state marginal, also the
+    collapse narrative's literal value. The second photon is linear along
     the first one's exit channel and answers by the Malus rule.
 
     Only two probabilities exist per settings pair, so their integer cuts
     are tabulated per pair rather than evaluated per trial.
     """
-    first = w_first < HALF_WORD
     k_second = w_second >> 11
     cut_parallel = _per_trial(_cut(_malus_prob_array(s_first - s_second)), pair_idx)
     cut_perpendicular = _per_trial(
@@ -230,7 +214,7 @@ def _reduced_pair(w_first, w_second, pair_idx, s_first, s_second):
     )
     # Same as k_second < np.where(first, cut_parallel, cut_perpendicular),
     # at a fraction of the cost of np.where over words.
-    return first, (first & (k_second < cut_parallel)) | (~first & (k_second < cut_perpendicular))
+    return (first & (k_second < cut_parallel)) | (~first & (k_second < cut_perpendicular))
 
 
 def two_channel_block(
@@ -243,30 +227,37 @@ def two_channel_block(
     cumw: np.ndarray,
     ordering: Ordering,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial two-channel outcomes (+1 parallel / -1 perpendicular)."""
+    """Per-trial two-channel outcomes (+1 parallel / -1 perpendicular).
+
+    A fixed order turns the first arm's words into its answers before it
+    makes the second arm's, so one block of words is alive at a time.
+    """
     _check_ordering(ordering)
     if isinstance(model, Lhv):
         return two_channel_block_lhv(seed, start, count, model.model, pair_a, pair_b, cumw)
     if not isinstance(model, (QMFormal, NdvNonlocal, DefiniteCircular)):
         raise TypeError(f"no trial kernel for model {model!r}")
-    words = _word_table(seed, start, count, 0)
-    pair_idx = _select_pairs(words[:, SLOT_SETTINGS], cumw)
-    w_a = words[:, SLOT_ARM_A]
-    w_b = words[:, SLOT_ARM_B]
+    pair_idx = _pair_index(seed, start, count, cumw)
+    block = (seed, start, count)
     if isinstance(model, DefiniteCircular):
         # A circular photon takes either exit of a linear analyzer with
         # probability 1/2, whatever the orientation.
-        oa = w_a < HALF_WORD
-        ob = w_b < HALF_WORD
+        oa = _coin(*block, SLOT_ARM_A)
+        ob = _coin(*block, SLOT_ARM_B)
+    elif ordering is Ordering.ARM1_FIRST:
+        oa = _coin(*block, SLOT_ARM_A)
+        ob = _second_photon(oa, _slot_words(*block, SLOT_ARM_B), pair_idx, pair_a, pair_b)
     elif ordering is Ordering.ARM2_FIRST:
-        ob, oa = _reduced_pair(w_b, w_a, pair_idx, pair_b, pair_a)
+        ob = _coin(*block, SLOT_ARM_B)
+        oa = _second_photon(ob, _slot_words(*block, SLOT_ARM_A), pair_idx, pair_b, pair_a)
     else:
-        oa, ob = _reduced_pair(w_a, w_b, pair_idx, pair_a, pair_b)
-        if ordering is Ordering.RANDOM_PER_TRIAL:
-            arm2_first = arm2_first_flags(seed, start, count, ordering)
-            ob2, oa2 = _reduced_pair(w_b, w_a, pair_idx, pair_b, pair_a)
-            oa = np.where(arm2_first, oa2, oa)
-            ob = np.where(arm2_first, ob2, ob)
+        w_a, w_b = _slot_words(*block, SLOT_ARM_A), _slot_words(*block, SLOT_ARM_B)
+        oa1, ob2 = w_a < HALF_WORD, w_b < HALF_WORD
+        ob1 = _second_photon(oa1, w_b, pair_idx, pair_a, pair_b)
+        oa2 = _second_photon(ob2, w_a, pair_idx, pair_b, pair_a)
+        arm2_first = arm2_first_flags(seed, start, count, ordering)
+        oa = np.where(arm2_first, oa2, oa1)
+        ob = np.where(arm2_first, ob2, ob1)
     return pair_idx, _signs(oa), _signs(ob)
 
 
@@ -275,11 +266,11 @@ def qwp_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial detection flags behind the plate-plus-polarizer chains."""
     _check_ordering(ordering)
-    words = _word_table(seed, start, count, 0)
+    block = (seed, start, count)
     if isinstance(model, DefiniteCircular):
         # Right-handed pairs clear both right-helicity analyzers with
         # certainty; left-handed pairs are blocked on both arms.
-        det_a = words[:, SLOT_EMISSION] < HALF_WORD
+        det_a = _coin(*block, SLOT_EMISSION)
         det_b = det_a
     elif isinstance(model, QMFormal):
         # The first chain transmits with probability 1/2; reduction leaves
@@ -287,21 +278,19 @@ def qwp_block(
         # exactly 1 (or blocks exactly, on absorption), so the coin of the
         # arm measured first decides both.
         if ordering is Ordering.ARM1_FIRST:
-            det_a = words[:, SLOT_ARM_A] < HALF_WORD
+            det_a = _coin(*block, SLOT_ARM_A)
         elif ordering is Ordering.ARM2_FIRST:
-            det_a = words[:, SLOT_ARM_B] < HALF_WORD
+            det_a = _coin(*block, SLOT_ARM_B)
         else:
             arm2_first = arm2_first_flags(seed, start, count, ordering)
-            det_a = np.where(
-                arm2_first, words[:, SLOT_ARM_B] < HALF_WORD, words[:, SLOT_ARM_A] < HALF_WORD
-            )
+            det_a = np.where(arm2_first, _coin(*block, SLOT_ARM_B), _coin(*block, SLOT_ARM_A))
         det_b = det_a
     elif isinstance(model, (NdvNonlocal, Lhv)):
         # Collapse narrative / hidden linear polarization: each arm's
         # plate-plus-polarizer passes with probability 1/2 regardless of
         # what the other arm saw.
-        det_a = words[:, SLOT_ARM_A] < HALF_WORD
-        det_b = words[:, SLOT_ARM_B] < HALF_WORD
+        det_a = _coin(*block, SLOT_ARM_A)
+        det_b = _coin(*block, SLOT_ARM_B)
     else:
         raise TypeError(f"no chain kernel for model {model!r}")
     return det_a.astype(np.uint8), det_b.astype(np.uint8)
@@ -310,12 +299,9 @@ def qwp_block(
 def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
     """Single-photon polarizer transmissions at relative angle theta (1 = pass)."""
     c = math.cos(theta)
-    p = c * c
-    if p < _ZERO_PROB:
-        p = 0.0
-    p = min(p, 1.0)
-    words = _word_table(seed, start, count, 0)[:, SLOT_ARM_A]
-    return ((words >> 11) < _cut(p)).astype(np.uint8)
+    p = min(c * c, 1.0)
+    cut = _cut(0.0 if p < _ZERO_PROB else p)
+    return ((_slot_words(seed, start, count, SLOT_ARM_A) >> 11) < cut).astype(np.uint8)
 
 
 def qwp_code_for(name: str) -> models.HypothesisModel:
@@ -427,26 +413,24 @@ def two_channel_block_lhv(
     A deterministic model is decided on the raw words when its cuts pass the
     check of `_setting_cuts` at every setting of the run: each arm is
     `_step_decision` of the emission integer k, the float decision word for
-    word, and no float is built. Otherwise the arms read numpy's float fill:
+    word, and no float is built. Otherwise the arms read `uniform_block`:
     responses get the setting as a scalar when there is one settings pair
     and as a per-trial array otherwise. Determinism holds for any vectorized
     callables because the draws are counter-based. A factorized model's
     outcomes do not depend on the measurement order.
     """
+    pair_idx = _pair_index(seed, start, count, cumw)
+    block = (seed, start, count)
     steps = lhv_word_steps(model, pair_a, pair_b)
     if steps is not None:
-        words = _word_table(seed, start, count, 0)
-        pair_idx = _select_pairs(words[:, SLOT_SETTINGS], cumw)
-        k = words[:, SLOT_EMISSION] >> 11
+        k = _slot_words(*block, SLOT_EMISSION) >> 11
         oa = _step_decision(k, pair_idx, *steps[0])
         ob = _step_decision(k, pair_idx, *steps[1])
         return pair_idx, _signs(oa), _signs(ob)
-    table = _draw_table(seed, start, count, 0)
-    pair_idx = _select_pairs(table[:, SLOT_SETTINGS], cumw)
-    lam = np.asarray(model.sample(table[:, SLOT_EMISSION]), dtype=float)
+    lam = np.asarray(model.sample(uniform_block(*block, SLOT_EMISSION)), dtype=float)
     a = _per_trial(pair_a, pair_idx)
     b = _per_trial(pair_b, pair_idx)
-    oa = table[:, SLOT_ARM_A] < np.asarray(model.response_a(a, lam), dtype=float)
-    ob = table[:, SLOT_ARM_B] < np.asarray(model.response_b(b, lam), dtype=float)
+    oa = uniform_block(*block, SLOT_ARM_A) < np.asarray(model.response_a(a, lam), dtype=float)
+    ob = uniform_block(*block, SLOT_ARM_B) < np.asarray(model.response_b(b, lam), dtype=float)
     return pair_idx, _signs(oa), _signs(ob)
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import stat
 import subprocess
 import sys
 import tempfile
@@ -276,12 +277,52 @@ class TestBoundary:
 
         monkeypatch.setitem(cli.SCENARIOS, "qwp-test", ran)
 
-    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "trailing-slash"])
     def test_unwritable_out_path_exits_1_before_the_run(self, tmp_path, capsys, no_run, where):
-        path = tmp_path / "missing" / "x.tsv" if where == "missing-dir" else tmp_path
-        code, out, err = run_cli(capsys, "qwp-test", "--trials", "100", "--out", str(path))
+        path = {
+            "missing-dir": str(tmp_path / "missing" / "x.tsv"),
+            "directory": str(tmp_path),
+            "trailing-slash": str(tmp_path / "x") + os.sep,
+        }[where]
+        code, out, err = run_cli(capsys, "qwp-test", "--trials", "100", "--out", path)
         assert_one_line_config_error(code, out, err, "out")
         assert "cannot write" in err
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_failed_run_leaves_the_previous_output(self, tmp_path, capsys):
+        # one trial is too few for the matrix: the run fails after it started
+        path = tmp_path / "result.tsv"
+        path.write_bytes(b"previous result\n")
+        code, out, err = run_cli(capsys, "model-matrix", "--trials", "1", "--out", str(path))
+        assert_one_line_config_error(code, out, err, "trials")
+        assert path.read_bytes() == b"previous result\n"
+        assert os.listdir(tmp_path) == ["result.tsv"]
+
+    def test_output_replaces_the_previous_file_and_keeps_its_mode(self, tmp_path, capsys):
+        path = tmp_path / "result.tsv"
+        path.write_bytes(b"previous result\n")
+        os.chmod(path, 0o640)
+        code, _, _ = run_cli(capsys, "qwp-test", "--trials", "100", "--format", "tsv",
+                             "--out", str(path))
+        assert code == 0
+        assert path.read_text().startswith("# scenario: qwp-test")
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["result.tsv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_that_is_not_a_regular_file_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(capsys, "qwp-test", "--trials", "100", "--format", "tsv",
+                                 "--out", str(fifo))
+            written = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert written.startswith(b"# scenario: qwp-test")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     # Never 1 or 2: an int path is a file descriptor to open().
     @pytest.mark.parametrize(

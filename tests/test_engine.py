@@ -170,14 +170,14 @@ class TestFactorizedModelPath:
     )
     PINNED = {
         "lhv-sign": [
-            CoincidenceCounts(902, 307, 336, 956),
-            CoincidenceCounts(560, 177, 163, 566),
-            CoincidenceCounts(140, 382, 381, 130),
+            CoincidenceCounts(971, 306, 319, 936),
+            CoincidenceCounts(527, 199, 179, 526),
+            CoincidenceCounts(135, 392, 386, 124),
         ],
         "lhv-malus": [
-            CoincidenceCounts(843, 401, 402, 855),
-            CoincidenceCounts(526, 231, 212, 497),
-            CoincidenceCounts(158, 363, 344, 168),
+            CoincidenceCounts(837, 421, 403, 871),
+            CoincidenceCounts(475, 245, 231, 480),
+            CoincidenceCounts(181, 347, 344, 165),
         ],
     }
 
@@ -332,6 +332,16 @@ class TestValidation:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(model=QMFormal(), trials=0)
+
+    @pytest.mark.parametrize(
+        "trials,error", [(1000.5, TypeError), (True, TypeError), (0, ValueError)]
+    )
+    def test_trials_checked_at_construction(self, trials, error):
+        # a float or a bool never reaches the block loop, and the error names the field
+        with pytest.raises(error, match="trials"):
+            RunConfig(model=QMFormal(), trials=trials)
+        with pytest.raises(error, match="trials"):
+            run_malus(1, 0.3, trials)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):

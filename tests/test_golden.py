@@ -24,7 +24,7 @@ STREAM_FILE = GOLDEN / "rng_stream.txt"
 SEED = "20201231"
 
 # Fixture name -> CLI arguments. Together they cover the five scenarios,
-# every model code, random ordering (the second slot group) and both
+# every model code, random ordering (the ordering slot) and both
 # experiments of the discrimination table.
 CASES = {
     "chsh-scan-qm-random": [

@@ -60,44 +60,43 @@ def philox4x64_reference(key: tuple[int, int], counter: tuple[int, int, int, int
 
 
 def reference_uniform(seed: int, trial: int, slot: int) -> float:
-    """Draw `slot` of `trial`: word slot % 4 at counter (trial, slot // 4, 0, 0)."""
-    words = philox4x64_reference((seed, 0), (trial, slot // 4, 0, 0))
-    return (words[slot % 4] >> 11) * 2.0**-53
+    """Draw `slot` of `trial`: word trial % 4 at counter (trial // 4, slot, 0, 0)."""
+    words = philox4x64_reference((seed, 0), (trial // 4, slot, 0, 0))
+    return (words[trial % 4] >> 11) * 2.0**-53
 
 
-# (seed, trial, group): both ends of the seed and trial ranges, and both
-# slot groups; trial 0 wraps the whole 256-bit counter and trial 2**64 - 1
-# of group 1 carries into the group word.
+# (seed, trial): both ends of the seed and trial ranges, and the first and
+# last word of a counter; trial 0 at slot 0 wraps the whole 256-bit counter.
 REFERENCE_POINTS = [
-    (0, 0, 0),
-    (0, 0, 1),
-    (7, 5, 1),
-    (2**64 - 1, 2**40 + 3, 0),
-    (42, 2**64 - 1, 0),
-    (42, 2**64 - 1, 1),
+    (0, 0),
+    (0, 3),
+    (7, 5),
+    (2**64 - 1, 2**40 + 2),
+    (42, 2**64 - 1),
 ]
 
 
 class TestCounterBasedUniforms:
-    @pytest.mark.parametrize("seed,trial,group", REFERENCE_POINTS)
-    def test_matches_scalar_reference(self, seed, trial, group):
-        for slot in range(4 * group, 4 * group + 4):
+    @pytest.mark.parametrize("seed,trial", REFERENCE_POINTS)
+    def test_matches_scalar_reference(self, seed, trial):
+        for slot in range(kernels.DRAWS_PER_TRIAL):
             got = float(kernels.uniform_block(seed, trial, 1, slot)[0])
             assert got == reference_uniform(seed, trial, slot)
 
-    @pytest.mark.parametrize("seed,trial,group", REFERENCE_POINTS)
-    def test_trial_uniforms_match_reference(self, seed, trial, group):
-        got = kernels.trial_uniforms(seed, trial, 4 * group, 4)
-        assert list(got) == [reference_uniform(seed, trial, 4 * group + k) for k in range(4)]
+    @pytest.mark.parametrize("seed,trial", REFERENCE_POINTS)
+    def test_trial_uniforms_match_reference(self, seed, trial):
+        slots = range(kernels.DRAWS_PER_TRIAL)
+        got = kernels.trial_uniforms(seed, trial, 0, len(slots))
+        assert list(got) == [reference_uniform(seed, trial, slot) for slot in slots]
 
-    def test_block_rows_follow_the_trial_index(self):
-        start, count = 2**64 - 6, 6
+    @pytest.mark.parametrize("start,count", [(0, 9), (1, 2), (3, 6), (6, 1), (2**64 - 6, 6)])
+    def test_block_rows_follow_the_trial_index(self, start, count):
         for slot in (kernels.SLOT_ARM_B, kernels.SLOT_ORDERING):
             got = kernels.uniform_block(3, start, count, slot)
             assert list(got) == [reference_uniform(3, start + i, slot) for i in range(count)]
 
     @pytest.mark.parametrize("trial", [0, 2**64 - 1])
-    def test_stream_crosses_the_group_boundary(self, trial):
+    def test_stream_walks_past_the_named_slots(self, trial):
         stream = trial_stream(11, trial)
         got = list(stream.uniforms(3)) + list(stream.uniforms(6))
         assert got == [reference_uniform(11, trial, j) for j in range(9)]
@@ -239,14 +238,15 @@ class TestWordDomain:
         "seed,start,count",
         [(5, 0, 3000), (9, 2**64 - 300, 300), (2**64 - 1, 2**64 - 1, 1)],
     )
-    @pytest.mark.parametrize("group", [0, 1])
-    def test_word_table_is_the_float_table_bit_for_bit(self, seed, start, count, group):
-        words = kernels._word_table(seed, start, count, group)
-        floats = kernels._draw_table(seed, start, count, group)
+    @pytest.mark.parametrize("slot", [kernels.SLOT_SETTINGS, kernels.SLOT_ORDERING])
+    def test_floats_are_the_slot_words_bit_for_bit(self, seed, start, count, slot):
+        words = kernels._slot_words(seed, start, count, slot)
+        floats = kernels.uniform_block(seed, start, count, slot)
         assert words.dtype == np.uint64
+        assert words.shape == floats.shape == (count,)
         assert np.array_equal((words >> 11) * 2.0**-53, floats)
-        last = philox4x64_reference((seed, 0), (start + count - 1, group, 0, 0))
-        assert words[-1].tolist() == last
+        last = start + count - 1
+        assert int(words[-1]) == philox4x64_reference((seed, 0), (last // 4, slot, 0, 0))[last % 4]
 
     @staticmethod
     def _edge_words(cut: int) -> np.ndarray:
@@ -276,7 +276,7 @@ class TestWordDomain:
         cumw[-1] = 1.0
         cuts = [int(c) for c in kernels._cut(cumw)]
         edges = np.concatenate([self._edge_words(c) for c in cuts])
-        words = np.concatenate([edges, kernels._word_table(3, 0, 5000, 0)[:, kernels.SLOT_SETTINGS]])
+        words = np.concatenate([edges, kernels._slot_words(3, 0, 5000, kernels.SLOT_SETTINGS)])
         u = (words >> 11) * 2.0**-53
         want = np.clip(np.searchsorted(cumw, u, side="right"), 0, cumw.size - 1)
         assert np.array_equal(kernels._select_pairs(words, cumw), want)
@@ -463,13 +463,10 @@ class TestKernelsOnEdgeWords:
         table[0] = 0
         table[1] = 2**64 - 1
 
-        def word_table(seed, start, count, group):
-            return table[start : start + count, 4 * group : 4 * group + 4].copy()
+        def slot_words(seed, start, count, slot):
+            return table[start : start + count, slot].copy()
 
-        monkeypatch.setattr(kernels, "_word_table", word_table)
-        monkeypatch.setattr(
-            kernels, "_draw_table", lambda *args: (word_table(*args) >> 11) * 2.0**-53
-        )
+        monkeypatch.setattr(kernels, "_slot_words", slot_words)
         return table
 
     def _uniforms(self, words):
@@ -527,3 +524,71 @@ class TestKernelsOnEdgeWords:
         p = 0.0 if p < 1e-24 else min(p, 1.0)
         got = kernels.malus_block(1, 0, self.N, theta)
         assert np.array_equal(got.astype(bool), self._uniforms(words)[:, 2] < p)
+
+
+S, E, A, B, O = (kernels.SLOT_SETTINGS, kernels.SLOT_EMISSION, kernels.SLOT_ARM_A,
+                 kernels.SLOT_ARM_B, kernels.SLOT_ORDERING)
+
+
+class TestWordBudget:
+    """Each kernel reads every slot it decides on once per block, and no
+    other: a slot costs a quarter Philox counter per trial, so an extra read
+    would undo the stream's saving without changing any outcome."""
+
+    SINGLE = (np.array([0.3]), np.array([1.0]), np.array([1.0]))
+    THREE = (np.array([0.0, 0.7, 1.3]), np.array([0.4, 0.2, 1.3]), np.array([0.3, 0.55, 1.0]))
+    TWO_CHANNEL = {
+        "qm": [A, B],
+        "ndv": [A, B],
+        "definite-circular": [A, B],
+        "lhv-sign": [E],
+        "lhv-malus": [E, A, B],
+    }
+    ORDER_DEPENDENT = {"qm", "ndv"}
+    CHAINS = {
+        (name, order): slots
+        for order, qm in [(Ordering.ARM1_FIRST, [A]), (Ordering.ARM2_FIRST, [B]),
+                          (Ordering.RANDOM_PER_TRIAL, [A, B, O])]
+        for name, slots in [("qm", qm), ("definite-circular", [E]), ("ndv", [A, B]),
+                            ("lhv-sign", [A, B]), ("lhv-malus", [A, B])]
+    }
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The slots passed to `_slot_words`, one entry per call."""
+        slots = []
+        slot_words = kernels._slot_words
+
+        def recording(seed, start, count, slot):
+            slots.append(slot)
+            return slot_words(seed, start, count, slot)
+
+        monkeypatch.setattr(kernels, "_slot_words", recording)
+        return slots
+
+    @pytest.mark.parametrize("name", list(TWO_CHANNEL))
+    @pytest.mark.parametrize("order", list(Ordering))
+    @pytest.mark.parametrize("pairs", ["single", "three"])
+    def test_two_channel(self, reads, name, order, pairs):
+        pa, pb, cumw = self.SINGLE if pairs == "single" else self.THREE
+        kernels.two_channel_block(7, 5, BLOCK_SIZE, kernels.MODEL_CODES[name], pa, pb, cumw, order)
+        want = list(self.TWO_CHANNEL[name])
+        if pairs == "three":
+            want.append(S)
+        if order is Ordering.RANDOM_PER_TRIAL and name in self.ORDER_DEPENDENT:
+            want.append(O)
+        assert sorted(reads) == sorted(want)
+
+    @pytest.mark.parametrize("name,order", list(CHAINS))
+    def test_chains(self, reads, name, order):
+        kernels.qwp_block(7, 5, BLOCK_SIZE, kernels.MODEL_CODES[name], order)
+        assert sorted(reads) == sorted(self.CHAINS[name, order])
+
+    def test_malus(self, reads):
+        kernels.malus_block(7, 5, BLOCK_SIZE, 0.3)
+        assert reads == [A]
+
+    @pytest.mark.parametrize("order", list(Ordering))
+    def test_ordering_flags(self, reads, order):
+        kernels.arm2_first_flags(7, 5, BLOCK_SIZE, order)
+        assert reads == ([O] if order is Ordering.RANDOM_PER_TRIAL else [])
