@@ -30,9 +30,8 @@ _EXPORTS = {
         "run_experiment",
         "run_malus",
         "trial_draws",
-        "trial_stream",
     ),
-    "kernels": (),
+    "kernels": ("ConfigError",),
     "models": (
         "DefiniteCircular",
         "HypothesisModel",

@@ -40,7 +40,6 @@ from .twophoton import Arm, ChannelOutcome
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 BLOCK_SIZE = 1 << 16
 
-MAX_WORKERS_ENV = "EPR_MAX_WORKERS"
 # A run starts up to this many threads; more never helps a CPU-bound block loop.
 MAX_WORKERS = 256
 
@@ -110,12 +109,14 @@ class RandomizedSettings:
 SettingsPolicy = FixedSettings | RandomizedSettings
 
 
-def _check_trials(trials: int) -> None:
-    """Raise TypeError unless `trials` is an int (not a bool), ValueError unless it is positive."""
-    if isinstance(trials, bool) or not isinstance(trials, int):
-        raise TypeError(f"trials must be an int, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+def check_trials(trials) -> int:
+    """The trials rule: an int in [1, 2**64], at most the trial indices of a seed."""
+    return kernels.check_int("trials", trials, 1, kernels.SEED_LIMIT)
+
+
+def _check_start(start_index, trials: int) -> int:
+    """The start_index rule: the run's trials stay within the seed's 2**64 indices."""
+    return kernels.check_int("start_index", start_index, 0, kernels.SEED_LIMIT - trials)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class RunConfig:
             raise TypeError(f"not a settings policy: {self.settings!r}")
         if not isinstance(self.ordering, Ordering):
             raise TypeError(f"not an Ordering: {self.ordering!r}")
-        _check_trials(self.trials)
+        check_trials(self.trials)
         kernels.check_seed(self.seed)
 
 
@@ -187,22 +188,10 @@ class ChainRecord:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else EPR_MAX_WORKERS, else the CPUs
-    this process may run on, at most 4. Either given count must lie in
-    [1, MAX_WORKERS]."""
+    """The workers rule: a given count is an int in [1, MAX_WORKERS]; None
+    means the CPUs this process may run on, at most 4."""
     if workers is not None:
-        if not 1 <= workers <= MAX_WORKERS:
-            raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {workers}")
-        return workers
-    env = os.environ.get(MAX_WORKERS_ENV)
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{MAX_WORKERS_ENV} must be an integer, got {env!r}") from exc
-        if not 1 <= cap <= MAX_WORKERS:
-            raise ValueError(f"{MAX_WORKERS_ENV} must be in [1, {MAX_WORKERS}], got {cap}")
-        return cap
+        return kernels.check_int("workers", workers, 1, MAX_WORKERS)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # fewer than the host's in a pinned container
     else:
@@ -373,14 +362,17 @@ def run_experiment(
     ``start_index`` offsets the trial-index range so that disjoint blocks of
     one experiment draw from disjoint counter ranges (hence independent
     streams). Worker count never changes results. A factorized model is
-    validated (`validate_lhv_model`) before any block runs.
+    validated (`validate_lhv_model`) before any block runs, as are
+    ``start_index`` and ``workers``.
     """
+    start_index = _check_start(start_index, config.trials)
+    workers = resolve_workers(workers)
     if isinstance(config.model, Lhv):
         validate_lhv_model(config.model.model)
     if isinstance(protocol, TwoChannelProtocol):
-        return _run_two_channel(config, start_index, resolve_workers(workers))
+        return _run_two_channel(config, start_index, workers)
     if isinstance(protocol, QwpChainProtocol):
-        return _run_qwp_chain(config, protocol, start_index, resolve_workers(workers))
+        return _run_qwp_chain(config, protocol, start_index, workers)
     raise TypeError(f"not a protocol: {protocol!r}")
 
 
@@ -436,52 +428,40 @@ def run_malus(
     start_index: int = 0,
     workers: int | None = None,
 ) -> MalusRun:
-    """Send `trials` photons polarized at 0 through a polarizer at `theta`."""
-    _check_trials(trials)
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    """Send `trials` photons polarized at 0 through a polarizer at `theta`.
+    Every argument is checked before any block runs."""
     kernels.check_seed(seed)
+    kernels.check_real("theta", theta)
+    check_trials(trials)
+    start_index = _check_start(start_index, trials)
+    workers = resolve_workers(workers)
     (n_pass,) = _run_blocks(
         lambda lo, hi: (int(np.count_nonzero(kernels.malus_block(seed, lo, hi - lo, theta))),),
-        start_index, trials, resolve_workers(workers),
+        start_index, trials, workers,
     )
     return MalusRun(seed=seed, theta=theta, start_index=start_index, n_pass=n_pass, n_total=trials)
 
 
-class TrialStream:
-    """Sequential view of one trial's uniform draw stream.
-
-    Draw j of trial i is word i % 4 of philox4x64-10 at counter (i // 4, j)
-    (see :mod:`eprsim.kernels`); the stream just walks j upward, so it can be
-    re-created and replayed at will.
-    """
-
-    def __init__(self, seed: int, trial_index: int) -> None:
-        self.seed = seed
-        self.trial_index = trial_index
-        self._next_slot = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        out = kernels.trial_uniforms(self.seed, self.trial_index, self._next_slot, count)
-        self._next_slot += count
-        return out
-
-    def next_uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
-
-def trial_stream(seed: int, trial_index: int) -> TrialStream:
-    """The per-trial random stream; same (seed, index) always replays identically."""
-    return TrialStream(seed, trial_index)
-
-
 def trial_draws(seed: int, trial_index: int) -> TrialDraws:
-    """The five named draws of one trial, in the documented slot order."""
-    u = kernels.trial_uniforms(seed, trial_index, 0, kernels.DRAWS_PER_TRIAL)
+    """The five named draws of one trial, in the documented slot order.
+
+    Draw j is word ``trial_index % 4`` of Philox counter ``(trial_index //
+    4, j)`` (see :mod:`eprsim.kernels`): one generator reads counter j's
+    four words, then steps 2**64 counters, less the one its next read adds,
+    to counter j + 1.
+    """
+    kernels.check_seed(seed)
+    kernels.check_int("trial_index", trial_index, 0, kernels.SEED_LIMIT - 1)
+    group, word = divmod(trial_index, 4)
+    bitgen = np.random.Philox(key=seed, counter=(group - 1) % (1 << 256))
+    u = []
+    for _ in range(kernels.DRAWS_PER_TRIAL):
+        u.append(float(bitgen.random_raw(4)[word] >> 11) * 2.0**-53)
+        bitgen.advance((1 << 64) - 1)
     return TrialDraws(
-        settings=float(u[kernels.SLOT_SETTINGS]),
-        ordering=float(u[kernels.SLOT_ORDERING]),
-        emission=float(u[kernels.SLOT_EMISSION]),
-        arm_a=float(u[kernels.SLOT_ARM_A]),
-        arm_b=float(u[kernels.SLOT_ARM_B]),
+        settings=u[kernels.SLOT_SETTINGS],
+        ordering=u[kernels.SLOT_ORDERING],
+        emission=u[kernels.SLOT_EMISSION],
+        arm_a=u[kernels.SLOT_ARM_A],
+        arm_b=u[kernels.SLOT_ARM_B],
     )

@@ -39,6 +39,9 @@ Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
 the model's type; a model no kernel knows raises TypeError, and an ordering
 that is not an `Ordering` member raises ValueError.
+
+The run-value rules are stated here once for the engine and the CLI: they
+raise `ConfigError` naming the field, and the seed rule guards every block.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 
 import numpy as np
 
@@ -88,10 +92,46 @@ def backend() -> str:
     return "numpy"
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless `seed` is in [0, 2**64)."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+class ConfigError(ValueError):
+    """A run value broke its rule; the message starts with the field's name."""
+
+
+def _bound(n: int) -> str:
+    """`n` as text; near 2**64 it is counted down from 2**64, as in "2**64 - 1"."""
+    gap = SEED_LIMIT - n
+    if gap > SEED_LIMIT // 2:
+        return str(n)
+    return f"2**64 - {gap}" if gap else "2**64"
+
+
+def check_int(key: str, value, lo: int, hi: int) -> int:
+    """The one integer rule: `value` when it is an int, not a bool, in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ConfigError(f"{key}: must be in [{_bound(lo)}, {_bound(hi)}], got {value!r}")
+    return value
+
+
+def check_real(key: str, value, minimum: float | None = None) -> float:
+    """`value` as a finite float, at least `minimum` when given; bools and
+    non-numbers break the rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key}: must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{key}: must be at least {minimum}, got {value!r}")
+    return number
+
+
+def check_seed(seed) -> int:
+    """The seed rule: an int in [0, 2**64)."""
+    return check_int("seed", seed, 0, SEED_LIMIT - 1)
 
 
 def _slot_words(seed: int, start: int, count: int, slot: int) -> np.ndarray:
@@ -122,12 +162,6 @@ def _cut(p):
 def uniform_block(seed: int, start: int, count: int, slot: int) -> np.ndarray:
     """Uniform [0, 1) draws ``(w >> 11) * 2**-53`` for trials [start, start+count) at one slot."""
     return (_slot_words(seed, start, count, slot) >> 11) * (1.0 / _UNIT)
-
-
-def trial_uniforms(seed: int, trial: int, start_slot: int, count: int) -> np.ndarray:
-    """Consecutive draws of one trial's stream (slots start_slot..+count)."""
-    slots = range(start_slot, start_slot + count)
-    return np.array([uniform_block(seed, trial, 1, slot)[0] for slot in slots])
 
 
 def _check_ordering(ordering: Ordering) -> None:

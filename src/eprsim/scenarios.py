@@ -4,6 +4,8 @@ Each scenario returns a plain dict with a ``config`` echo (re-running the
 echoed config reproduces every count exactly), per-setting ``rows``, a
 ``summary`` and ``engine`` metadata. Each parameter is checked by one rule
 per name, the same in every scenario, and the echo is the checked values.
+`trials`, `seed` and `workers` go through the engine's own rules, so a bad
+value raises the engine's `ConfigError`, re-exported here, naming the key.
 Rendering to table/TSV/JSON lives in :mod:`eprsim.cli`.
 
 Angles cross the boundary in degrees and are converted to radians exactly
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import platform
 import time
 from typing import NamedTuple
@@ -28,10 +29,12 @@ from .engine import (
     QwpChainProtocol,
     RunConfig,
     TwoChannelProtocol,
+    check_trials,
     resolve_workers,
     run_experiment,
     run_malus,
 )
+from .kernels import ConfigError, check_real
 from .models import (
     DefiniteCircular,
     HypothesisModel,
@@ -51,10 +54,6 @@ from .stats import (
     conditional_detection,
     order_invariance_test,
 )
-
-
-class ConfigError(ValueError):
-    """A scenario was configured with an invalid or unknown field."""
 
 
 _MODELS = {
@@ -95,52 +94,12 @@ def build_model(name: str) -> HypothesisModel:
     return _MODELS[_check_name("model", name, MODEL_NAMES)]()
 
 
-def _check_positive_int(key: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{key}: must be a positive integer, got {value!r}")
-    return value
-
-
-def _check_workers(key: str, value) -> int:
-    """Explicit `workers`, else the environment's cap (a bad cap is a
-    config error too), else the CPU-based default."""
-    if value is not None:
-        _check_positive_int(key, value)
-    try:
-        return resolve_workers(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _check_seed(key: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    if not 0 <= value < kernels.SEED_LIMIT:
-        raise ConfigError(f"{key}: must be in [0, 2**64), got {value!r}")
-    return value
-
-
-def _check_real(key: str, value, minimum: float | None = None) -> float:
-    """`value` as a finite float; bools and non-numbers are config errors."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key}: must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{key}: must be finite, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{key}: must be at least {minimum}, got {value!r}")
-    return number
-
-
 def _check_angles(key: str, value) -> list[float]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key}: must be a list of numbers, got {value!r}")
     if len(value) < 1:
         raise ConfigError(f"{key}: need at least one angle")
-    return [_check_real(key, x) for x in value]
+    return [check_real(key, x) for x in value]
 
 
 # The check of each scenario parameter, by name: (key, value) -> the value a
@@ -148,12 +107,12 @@ def _check_angles(key: str, value) -> list[float]:
 _CHECKS = {
     "model": lambda key, value: _check_name(key, value, MODEL_NAMES),
     "angles_deg": _check_angles,
-    "theta_deg": _check_real,
-    "trials": _check_positive_int,
-    "seed": _check_seed,
+    "theta_deg": check_real,
+    "trials": lambda key, value: check_trials(value),
+    "seed": lambda key, value: kernels.check_seed(value),
     "ordering": lambda key, value: _check_name(key, value, ORDERING_NAMES),
-    "k_sigma": lambda key, value: _check_real(key, value, minimum=0.0),
-    "workers": _check_workers,
+    "k_sigma": lambda key, value: check_real(key, value, minimum=0.0),
+    "workers": lambda key, value: resolve_workers(value),
 }
 
 

@@ -256,12 +256,6 @@ class TestBoundary:
         code, out, err = run_cli(capsys, scenario, "--trials", str(trials))
         assert_one_line_config_error(code, out, err, "trials")
 
-    @pytest.mark.parametrize("value", ["zero", "0"])
-    def test_bad_worker_cap_in_the_environment_names_workers(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("EPR_MAX_WORKERS", value)
-        code, out, err = run_cli(capsys, "qwp-test", "--trials", "100")
-        assert_one_line_config_error(code, out, err, "workers")
-
     def test_too_few_trials_to_condition_names_trials(self, capsys):
         # one trial leaves some model of the matrix without an arm-A detection
         code, out, err = run_cli(capsys, "model-matrix", "--trials", "1")

@@ -1,9 +1,12 @@
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsim import engine, kernels
 from eprsim.engine import (
@@ -20,6 +23,7 @@ from eprsim.engine import (
     run_experiment,
     run_malus,
 )
+from eprsim.kernels import ConfigError
 from eprsim.models import Lhv, LhvModel, Ordering, QMFormal, malus_response_model
 from eprsim.scenarios import build_model
 from eprsim.stats import ChainCounts, CoincidenceCounts
@@ -328,27 +332,102 @@ class TestChainProtocol:
         assert run.chain_counts().n_total == 5_000
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The name of each kernel called, in order; the kernels still run."""
+    calls = []
+    for name in ("two_channel_block", "two_channel_block_lhv", "qwp_block", "malus_block"):
+        def recorded(*args, real=getattr(kernels, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, name, recorded)
+    return calls
+
+
+def _int_or_other(lo: int, hi: int, *outside: int):
+    """Ints in [lo, hi], the given ints just outside a rule's bounds, and
+    values of other types."""
+    return st.one_of(
+        st.integers(lo, hi), st.sampled_from(outside), st.booleans(),
+        st.floats(), st.text(max_size=3), st.none(),
+    )
+
+
+def _int_in(value, lo: int, hi: int) -> bool:
+    return type(value) is int and lo <= value <= hi
+
+
+def _first_broken(fields) -> str | None:
+    """The first field, of (field, value is good) pairs in checking order, whose value is bad."""
+    return next((field for field, good in fields if not good), None)
+
+
+def _runs_or_names(field: str | None, call) -> None:
+    """`call()` runs when `field` is None, and otherwise raises a ConfigError
+    naming it. The block loop is wrapped so that any error from it or its
+    worker threads fails the test: a ConfigError must come before any block."""
+    run_blocks = engine._run_blocks
+
+    def guarded(*args):
+        try:
+            return run_blocks(*args)
+        except Exception as exc:
+            raise AssertionError(f"the block loop raised {exc!r}") from exc
+
+    with mock.patch.object(engine, "_run_blocks", guarded):
+        if field is None:
+            call()
+        else:
+            with pytest.raises(ConfigError, match=f"^{field}:"):
+                call()
+
+
+# Property runs stay within one block, so at most one worker thread starts
+# whatever `workers` is.
+PROPERTY_TRIALS = 64
+
+
 class TestValidation:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(model=QMFormal(), trials=0)
 
     @pytest.mark.parametrize(
-        "trials,error", [(1000.5, TypeError), (True, TypeError), (0, ValueError)]
+        "trials,error",
+        [(1000.5, ConfigError), (True, ConfigError), (0, ValueError), (2**64 + 1, ConfigError)],
     )
-    def test_trials_checked_at_construction(self, trials, error):
+    def test_trials_checked_at_construction(self, trials, error, kernel_calls):
         # a float or a bool never reaches the block loop, and the error names the field
-        with pytest.raises(error, match="trials"):
+        with pytest.raises(error, match="^trials:"):
             RunConfig(model=QMFormal(), trials=trials)
-        with pytest.raises(error, match="trials"):
+        with pytest.raises(ConfigError, match="^trials:"):
             run_malus(1, 0.3, trials)
+        assert kernel_calls == []
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits_rejected(self, seed):
-        with pytest.raises(ValueError, match="seed"):
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3"])
+    def test_seed_outside_64_bits_rejected(self, seed, kernel_calls):
+        # a float seed used to run as its integer part, and a bool as 0 or 1
+        with pytest.raises(ConfigError, match="^seed:"):
             RunConfig(model=QMFormal(), trials=1, seed=seed)
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ConfigError, match="^seed:"):
             run_malus(seed, 0.5, 1)
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("start_index", -1), ("start_index", 2**64 - 5),
+         ("theta", "x"), ("theta", math.nan), ("theta", math.inf)],
+    )
+    def test_run_arguments_checked_before_any_block(self, field, value, kernel_calls):
+        # 2**64 - 5 leaves room for 5 of the 10 trials; both used to fail
+        # only inside the block loop, and a string theta with a bare TypeError
+        if field == "start_index":
+            with pytest.raises(ConfigError, match="^start_index:"):
+                run_experiment(qm_config(trials=10), start_index=value)
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            run_malus(1, **{"theta": 0.3, "trials": 10, field: value})
+        assert kernel_calls == []
 
     def test_largest_seed_accepted(self):
         run = run_experiment(qm_config(seed=2**64 - 1, trials=100))
@@ -372,29 +451,25 @@ class TestValidation:
         want = math.cos(math.radians(30.0)) ** 2
         assert abs(p - want) <= 4 * math.sqrt(want * (1 - want) / 50_000)
 
-    def test_resolve_workers(self, monkeypatch):
+    def test_resolve_workers(self, kernel_calls):
         assert resolve_workers(2) == 2
-        monkeypatch.setenv("EPR_MAX_WORKERS", "3")
-        assert resolve_workers() == 3
-        monkeypatch.setenv("EPR_MAX_WORKERS", "zero")
-        with pytest.raises(ValueError):
-            resolve_workers()
+        for workers in (1.5, True, 0, MAX_WORKERS + 1):
+            with pytest.raises(ConfigError, match="^workers:"):
+                resolve_workers(workers)
+            with pytest.raises(ConfigError, match="^workers:"):
+                run_experiment(qm_config(trials=10), workers=workers)
+            with pytest.raises(ConfigError, match="^workers:"):
+                run_malus(1, 0.3, 10, workers=workers)
+        assert kernel_calls == []
 
-    def test_resolve_workers_caps_the_thread_count(self, monkeypatch):
+    def test_resolve_workers_caps_the_thread_count(self):
         # resolution only: nothing here starts a thread
-        monkeypatch.delenv("EPR_MAX_WORKERS", raising=False)
         assert resolve_workers(MAX_WORKERS) == MAX_WORKERS
-        with pytest.raises(ValueError, match=f"need 1 to {MAX_WORKERS} workers"):
+        with pytest.raises(ConfigError, match=rf"^workers: must be in \[1, {MAX_WORKERS}\]"):
             resolve_workers(MAX_WORKERS + 1)
-        monkeypatch.setenv("EPR_MAX_WORKERS", str(MAX_WORKERS))
-        assert resolve_workers() == MAX_WORKERS
-        monkeypatch.setenv("EPR_MAX_WORKERS", str(10**6))
-        with pytest.raises(ValueError, match="EPR_MAX_WORKERS"):
-            resolve_workers()
 
     def test_default_workers_count_the_usable_cpus(self, monkeypatch):
         # resolution only: nothing here starts a thread
-        monkeypatch.delenv("EPR_MAX_WORKERS", raising=False)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert resolve_workers() == 3  # a pinned process, on a larger host
@@ -402,7 +477,6 @@ class TestValidation:
         assert resolve_workers() == 4
 
     def test_default_workers_fall_back_to_the_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("EPR_MAX_WORKERS", raising=False)
         monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
         assert resolve_workers() == 3
@@ -435,6 +509,48 @@ class TestValidation:
         monkeypatch.setattr(engine, "_run_blocks", no_blocks)
         with pytest.raises(ValueError, match="scalar-setting: response_a"):
             run_experiment(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        trials=_int_or_other(1, PROPERTY_TRIALS, 0, 2**64 + 1),
+        seed=_int_or_other(0, 2**64 - 1, -1, 2**64),
+        data=st.data(),
+    )
+    def test_experiment_values_run_or_name_their_field(self, trials, seed, data):
+        broken = _first_broken(
+            [("trials", _int_in(trials, 1, 2**64)), ("seed", _int_in(seed, 0, 2**64 - 1))]
+        )
+        _runs_or_names(broken, lambda: RunConfig(model=QMFormal(), trials=trials, seed=seed))
+        if broken:
+            return
+        config = RunConfig(model=QMFormal(), trials=trials, seed=seed)
+        stop = 2**64 - trials
+        start_index = data.draw(_int_or_other(0, stop, -1, stop + 1), "start_index")
+        workers = data.draw(_int_or_other(1, MAX_WORKERS, 0, MAX_WORKERS + 1), "workers")
+        broken = _first_broken([
+            ("start_index", _int_in(start_index, 0, stop)),
+            ("workers", workers is None or _int_in(workers, 1, MAX_WORKERS)),
+        ])
+        _runs_or_names(
+            broken, lambda: run_experiment(config, start_index=start_index, workers=workers)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=_int_or_other(0, 2**64 - 1, -1, 2**64),
+        theta=st.one_of(
+            st.floats(), st.integers(-10, 10), st.booleans(), st.text(max_size=3), st.none()
+        ),
+        trials=_int_or_other(1, PROPERTY_TRIALS, 0, 2**64 + 1),
+    )
+    def test_malus_values_run_or_name_their_field(self, seed, theta, trials):
+        good_theta = isinstance(theta, (int, float)) and not isinstance(theta, bool)
+        broken = _first_broken([
+            ("seed", _int_in(seed, 0, 2**64 - 1)),
+            ("theta", good_theta and math.isfinite(theta)),
+            ("trials", _int_in(trials, 1, 2**64)),
+        ])
+        _runs_or_names(broken, lambda: run_malus(seed, theta, trials))
 
 
 class TestBoundedMemory:

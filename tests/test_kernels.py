@@ -22,7 +22,6 @@ from eprsim.engine import (
     RunConfig,
     run_experiment,
     trial_draws,
-    trial_stream,
 )
 from eprsim.models import (
     DefiniteCircular,
@@ -85,9 +84,9 @@ class TestCounterBasedUniforms:
 
     @pytest.mark.parametrize("seed,trial", REFERENCE_POINTS)
     def test_trial_uniforms_match_reference(self, seed, trial):
-        slots = range(kernels.DRAWS_PER_TRIAL)
-        got = kernels.trial_uniforms(seed, trial, 0, len(slots))
-        assert list(got) == [reference_uniform(seed, trial, slot) for slot in slots]
+        d = trial_draws(seed, trial)
+        got = [d.settings, d.emission, d.arm_a, d.arm_b, d.ordering]
+        assert got == [reference_uniform(seed, trial, slot) for slot in range(5)]
 
     @pytest.mark.parametrize("start,count", [(0, 9), (1, 2), (3, 6), (6, 1), (2**64 - 6, 6)])
     def test_block_rows_follow_the_trial_index(self, start, count):
@@ -97,8 +96,7 @@ class TestCounterBasedUniforms:
 
     @pytest.mark.parametrize("trial", [0, 2**64 - 1])
     def test_stream_walks_past_the_named_slots(self, trial):
-        stream = trial_stream(11, trial)
-        got = list(stream.uniforms(3)) + list(stream.uniforms(6))
+        got = [float(kernels.uniform_block(11, trial, 1, j)[0]) for j in range(9)]
         assert got == [reference_uniform(11, trial, j) for j in range(9)]
 
     def test_trial_draws_follow_the_slot_layout(self):
@@ -135,18 +133,11 @@ class TestCounterBasedUniforms:
         assert u.max() < 1.0
 
     def test_stream_independence_smoke(self):
-        # neighbouring per-trial streams are uncorrelated
-        u0 = trial_stream(3, 0).uniforms(10_000)
-        u1 = trial_stream(3, 1).uniforms(10_000)
+        # neighbouring slots of the same trials are uncorrelated
+        u0 = kernels.uniform_block(3, 0, 10_000, kernels.SLOT_ARM_A)
+        u1 = kernels.uniform_block(3, 0, 10_000, kernels.SLOT_ARM_B)
         r = np.corrcoef(u0, u1)[0, 1]
         assert abs(r) < 0.05
-
-    def test_stream_walks_the_slot_axis(self):
-        stream = trial_stream(3, 7)
-        first = stream.next_uniform()
-        second = stream.next_uniform()
-        assert first == reference_uniform(3, 7, 0)
-        assert second == reference_uniform(3, 7, 1)
 
 
 MODEL_IDS = list(kernels.MODEL_CODES)

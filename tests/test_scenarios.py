@@ -97,16 +97,35 @@ class TestSeedBoundary:
 
 
 class TestOneCheckPerParameter:
-    def test_workers_above_the_cap_name_workers(self, monkeypatch):
+    def test_workers_above_the_cap_name_workers(self):
         # resolution only: nothing here starts a thread
-        monkeypatch.delenv("EPR_MAX_WORKERS", raising=False)
         check = scenarios._CHECKS["workers"]
         assert check("workers", MAX_WORKERS) == MAX_WORKERS
-        with pytest.raises(ConfigError, match=f"^workers: need 1 to {MAX_WORKERS} workers"):
+        with pytest.raises(ConfigError, match=rf"^workers: must be in \[1, {MAX_WORKERS}\]"):
             check("workers", MAX_WORKERS + 1)
-        monkeypatch.setenv("EPR_MAX_WORKERS", str(MAX_WORKERS + 1))
-        with pytest.raises(ConfigError, match="^workers: EPR_MAX_WORKERS"):
-            check("workers", None)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("trials", 0), ("trials", 2**64 + 1), ("trials", 1.5), ("trials", True),
+         ("seed", -1), ("seed", 2**64), ("seed", 1.5), ("seed", "3"),
+         ("workers", 0), ("workers", MAX_WORKERS + 1), ("workers", 2.0), ("workers", False)],
+    )
+    def test_engine_values_are_checked_by_the_engines_rule(self, key, value):
+        # the scenario check and the engine raise the same message, so the
+        # rule is not restated here
+        engine_calls = {
+            "trials": lambda: RunConfig(model=build_model("qm"), trials=value),
+            "seed": lambda: RunConfig(model=build_model("qm"), trials=1, seed=value),
+            "workers": lambda: run_experiment(
+                RunConfig(model=build_model("qm"), trials=1), workers=value
+            ),
+        }
+        with pytest.raises(ConfigError) as from_engine:
+            engine_calls[key]()
+        with pytest.raises(ConfigError) as from_scenarios:
+            scenarios._CHECKS[key](key, value)
+        assert str(from_scenarios.value) == str(from_engine.value)
+        assert str(from_engine.value).startswith(f"{key}: ")
 
     def test_runs_take_consecutive_ranges_from_zero(self):
         starts = []
