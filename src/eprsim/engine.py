@@ -15,7 +15,6 @@ space-like-separation flag on records and never influences outcomes.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import os
 import threading
@@ -30,7 +29,6 @@ from .models import (
     HypothesisModel,
     Lhv,
     Ordering,
-    RAnalyzer,
     TrialDraws,
     validate_lhv_model,
 )
@@ -52,13 +50,8 @@ class Geometry:
     inter_measurement_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.arm_separation_m) and self.arm_separation_m >= 0.0):
-            raise ValueError("arm separation must be finite and nonnegative")
-        if not (
-            math.isfinite(self.inter_measurement_delay_s)
-            and self.inter_measurement_delay_s >= 0.0
-        ):
-            raise ValueError("inter-measurement delay must be finite and nonnegative")
+        for name in ("arm_separation_m", "inter_measurement_delay_s"):
+            kernels.check_real(name, getattr(self, name), minimum=0.0)
 
     @property
     def spacelike(self) -> bool:
@@ -74,8 +67,8 @@ class FixedSettings:
     b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("analyzer settings must be finite")
+        kernels.check_real("a", self.a)
+        kernels.check_real("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -88,18 +81,15 @@ class RandomizedSettings:
     def __post_init__(self) -> None:
         if len(self.pairs) < 1:
             raise ValueError("need at least one settings pair")
-        pairs = tuple((float(a), float(b)) for a, b in self.pairs)
-        for a, b in pairs:
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("analyzer settings must be finite")
+        pairs = tuple(
+            (kernels.check_real("pairs", a), kernels.check_real("pairs", b)) for a, b in self.pairs
+        )
         if self.weights is None:
             weights = tuple(1.0 / len(pairs) for _ in pairs)
         else:
-            weights = tuple(float(w) for w in self.weights)
+            weights = tuple(kernels.check_real("weights", w, minimum=0.0) for w in self.weights)
             if len(weights) != len(pairs):
                 raise ValueError("weights must match the settings pairs one to one")
-            if not all(math.isfinite(w) and w >= 0.0 for w in weights):
-                raise ValueError(f"weights must be finite and nonnegative, got {weights!r}")
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise ValueError(f"weights sum to {sum(weights)!r}, not 1 within 1e-12")
         object.__setattr__(self, "pairs", pairs)
@@ -135,8 +125,7 @@ class RunConfig:
             raise TypeError(f"not a hypothesis model: {self.model!r}")
         if not isinstance(self.settings, SettingsPolicy):
             raise TypeError(f"not a settings policy: {self.settings!r}")
-        if not isinstance(self.ordering, Ordering):
-            raise TypeError(f"not an Ordering: {self.ordering!r}")
+        kernels.check_ordering(self.ordering)
         check_trials(self.trials)
         kernels.check_seed(self.seed)
 
@@ -148,20 +137,10 @@ class TwoChannelProtocol:
 
 @dataclass(frozen=True)
 class QwpChainProtocol:
-    """Right-helicity analyzer chains (plate + polarizer) on both arms.
-
-    Fast axes are quoted in each arm's own frame. Detection statistics do not
-    depend on them for any model: the chains always certify right helicity.
-    """
-
-    fast_axis_a: float = 0.0
-    fast_axis_b: float = 0.0
-
-    def chain_a(self) -> RAnalyzer:
-        return RAnalyzer(self.fast_axis_a)
-
-    def chain_b(self) -> RAnalyzer:
-        return RAnalyzer(self.fast_axis_b)
+    """Right-helicity analyzer chains (plate + polarizer) on both arms; each
+    trial yields one detection flag per arm. The plates' fast axes are not
+    parameters: detection does not depend on them for any model, since the
+    chains always certify right helicity."""
 
 
 Protocol = TwoChannelProtocol | QwpChainProtocol
@@ -239,10 +218,6 @@ def _replay(config: RunConfig, start_index: int, kernel):
         yield lo, flags, kernel(lo, hi)
 
 
-def _sign(outcome) -> ChannelOutcome:
-    return ChannelOutcome.PLUS if outcome > 0 else ChannelOutcome.MINUS
-
-
 @dataclass(frozen=True, eq=False)
 class TwoChannelRun:
     """Exact joint-outcome counts of a two-channel run, one per settings pair."""
@@ -276,8 +251,8 @@ class TwoChannelRun:
                     a=a,
                     b=b,
                     first_arm=Arm.TWO if flag else Arm.ONE,
-                    outcome_a=_sign(out_a[i]),
-                    outcome_b=_sign(out_b[i]),
+                    outcome_a=ChannelOutcome.PLUS if out_a[i] else ChannelOutcome.MINUS,
+                    outcome_b=ChannelOutcome.PLUS if out_b[i] else ChannelOutcome.MINUS,
                     spacelike=self.spacelike,
                 )
 
@@ -287,7 +262,6 @@ class QwpChainRun:
     """Exact detection counts of a chain-protocol run."""
 
     config: RunConfig
-    protocol: QwpChainProtocol
     start_index: int
     detections: ChainCounts
 
@@ -372,7 +346,7 @@ def run_experiment(
     if isinstance(protocol, TwoChannelProtocol):
         return _run_two_channel(config, start_index, workers)
     if isinstance(protocol, QwpChainProtocol):
-        return _run_qwp_chain(config, protocol, start_index, workers)
+        return _run_qwp_chain(config, start_index, workers)
     raise TypeError(f"not a protocol: {protocol!r}")
 
 
@@ -394,19 +368,13 @@ def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoCh
     )
 
 
-def _run_qwp_chain(
-    config: RunConfig, protocol: QwpChainProtocol, start_index: int, workers: int
-) -> QwpChainRun:
-    protocol.chain_a()  # validates the chain specs up front
-    protocol.chain_b()
+def _run_qwp_chain(config: RunConfig, start_index: int, workers: int) -> QwpChainRun:
     kernel = _qwp_kernel(config)
     (detections,) = _run_blocks(
         lambda lo, hi: (ChainCounts.from_flags(*kernel(lo, hi)),),
         start_index, config.trials, workers,
     )
-    return QwpChainRun(
-        config=config, protocol=protocol, start_index=start_index, detections=detections
-    )
+    return QwpChainRun(config=config, start_index=start_index, detections=detections)
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,8 +37,10 @@ uniforms of the same words instead (`uniform_block`).
 
 Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
-the model's type; a model no kernel knows raises TypeError, and an ordering
-that is not an `Ordering` member raises ValueError.
+the model's type; a model no kernel knows raises TypeError, as does an
+ordering that is not an `Ordering` member. Every kernel answers each trial
+with a boolean flag (True: the parallel channel, detected, or passed), which
+the engine counts and records as it is.
 
 The run-value rules are stated here once for the engine and the CLI: they
 raise `ConfigError` naming the field, and the seed rule guards every block.
@@ -164,15 +166,16 @@ def uniform_block(seed: int, start: int, count: int, slot: int) -> np.ndarray:
     return (_slot_words(seed, start, count, slot) >> 11) * (1.0 / _UNIT)
 
 
-def _check_ordering(ordering: Ordering) -> None:
+def check_ordering(ordering: Ordering) -> None:
+    """The ordering rule: an `Ordering` member."""
     if not isinstance(ordering, Ordering):
-        raise ValueError(f"not an Ordering: {ordering!r}")
+        raise TypeError(f"not an Ordering: {ordering!r}")
 
 
 def arm2_first_flags(seed: int, start: int, count: int, ordering: Ordering) -> np.ndarray:
     """Per-trial flag for trials [start, start+count): True when arm 2 is
     measured first. Random order reads the ordering slot, ``u >= 0.5``."""
-    _check_ordering(ordering)
+    check_ordering(ordering)
     if ordering is Ordering.ARM1_FIRST:
         return np.zeros(count, dtype=bool)
     if ordering is Ordering.ARM2_FIRST:
@@ -185,14 +188,6 @@ def _malus_prob_array(delta) -> np.ndarray:
     p[p < _ZERO_PROB] = 0.0
     np.clip(p, 0.0, 1.0, out=p)
     return p
-
-
-def _signs(flags: np.ndarray) -> np.ndarray:
-    """Boolean channel flags as int8 outcomes: +1 parallel, -1 perpendicular."""
-    out = flags.astype(np.int8)
-    out *= 2
-    out -= 1
-    return out
 
 
 def _select_pairs(settings: np.ndarray, cumw: np.ndarray) -> np.ndarray:
@@ -261,12 +256,13 @@ def two_channel_block(
     cumw: np.ndarray,
     ordering: Ordering,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial two-channel outcomes (+1 parallel / -1 perpendicular).
+    """Per-trial settings-pair index and two-channel flags of each arm
+    (True: the parallel channel, False: the perpendicular one).
 
     A fixed order turns the first arm's words into its answers before it
     makes the second arm's, so one block of words is alive at a time.
     """
-    _check_ordering(ordering)
+    check_ordering(ordering)
     if isinstance(model, Lhv):
         return two_channel_block_lhv(seed, start, count, model.model, pair_a, pair_b, cumw)
     if not isinstance(model, (QMFormal, NdvNonlocal, DefiniteCircular)):
@@ -292,14 +288,14 @@ def two_channel_block(
         arm2_first = arm2_first_flags(seed, start, count, ordering)
         oa = np.where(arm2_first, oa2, oa1)
         ob = np.where(arm2_first, ob2, ob1)
-    return pair_idx, _signs(oa), _signs(ob)
+    return pair_idx, oa, ob
 
 
 def qwp_block(
     seed: int, start: int, count: int, model: models.HypothesisModel, ordering: Ordering
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial detection flags behind the plate-plus-polarizer chains."""
-    _check_ordering(ordering)
+    check_ordering(ordering)
     block = (seed, start, count)
     if isinstance(model, DefiniteCircular):
         # Right-handed pairs clear both right-helicity analyzers with
@@ -327,15 +323,15 @@ def qwp_block(
         det_b = _coin(*block, SLOT_ARM_B)
     else:
         raise TypeError(f"no chain kernel for model {model!r}")
-    return det_a.astype(np.uint8), det_b.astype(np.uint8)
+    return det_a, det_b
 
 
 def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
-    """Single-photon polarizer transmissions at relative angle theta (1 = pass)."""
+    """Single-photon polarizer transmission flags at relative angle theta (True = pass)."""
     c = math.cos(theta)
     p = min(c * c, 1.0)
     cut = _cut(0.0 if p < _ZERO_PROB else p)
-    return ((_slot_words(seed, start, count, SLOT_ARM_A) >> 11) < cut).astype(np.uint8)
+    return (_slot_words(seed, start, count, SLOT_ARM_A) >> 11) < cut
 
 
 def qwp_code_for(name: str) -> models.HypothesisModel:
@@ -442,7 +438,7 @@ def two_channel_block_lhv(
     pair_b: np.ndarray,
     cumw: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-channel outcomes for any factorized model, built-in or custom.
+    """Two-channel flags (True: parallel) for any factorized model, built-in or custom.
 
     A deterministic model is decided on the raw words when its cuts pass the
     check of `_setting_cuts` at every setting of the run: each arm is
@@ -460,11 +456,11 @@ def two_channel_block_lhv(
         k = _slot_words(*block, SLOT_EMISSION) >> 11
         oa = _step_decision(k, pair_idx, *steps[0])
         ob = _step_decision(k, pair_idx, *steps[1])
-        return pair_idx, _signs(oa), _signs(ob)
+        return pair_idx, oa, ob
     lam = np.asarray(model.sample(uniform_block(*block, SLOT_EMISSION)), dtype=float)
     a = _per_trial(pair_a, pair_idx)
     b = _per_trial(pair_b, pair_idx)
     oa = uniform_block(*block, SLOT_ARM_A) < np.asarray(model.response_a(a, lam), dtype=float)
     ob = uniform_block(*block, SLOT_ARM_B) < np.asarray(model.response_b(b, lam), dtype=float)
-    return pair_idx, _signs(oa), _signs(ob)
+    return pair_idx, oa, ob
 

@@ -17,6 +17,33 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
 
 
+def _tally(
+    a: np.ndarray, b: np.ndarray, where: np.ndarray | None = None
+) -> tuple[int, int, int, int]:
+    """The popcounts of two per-trial flag arrays over the trials `where`
+    marks (all of them when it is None): (a, b, both, trials).
+
+    Flags are boolean arrays; any other dtype raises TypeError, since a -1 or
+    a 0/1 integer would be counted by truth and not by meaning.
+    """
+    for name, flags in (("a", a), ("b", b), ("where", where)):
+        dtype = getattr(flags, "dtype", type(flags).__name__)
+        if flags is not None and dtype != bool:
+            raise TypeError(f"{name}: flags must be a boolean array, got {dtype}")
+    if where is None:
+        n = a.size
+    else:
+        a = a & where
+        b = b & where
+        n = np.count_nonzero(where)
+    return (
+        int(np.count_nonzero(a)),
+        int(np.count_nonzero(b)),
+        int(np.count_nonzero(a & b)),
+        int(n),
+    )
+
+
 @dataclass(frozen=True)
 class CoincidenceCounts:
     """Joint two-channel outcome counts for one settings pair."""
@@ -50,24 +77,11 @@ class CoincidenceCounts:
     def from_outcomes(
         cls, out_a: np.ndarray, out_b: np.ndarray, where: np.ndarray | None = None
     ) -> "CoincidenceCounts":
-        """Count joint outcomes from per-trial +1/-1 channel arrays, over the
-        trials `where` marks (all of them when it is None).
-
-        Four popcounts of boolean flags give every cell: N_pp directly, and
-        the others from the per-arm plus counts and the trial count.
-        """
-        plus_a = out_a > 0
-        plus_b = out_b > 0
-        if where is None:
-            n = plus_a.size
-        else:
-            plus_a &= where
-            plus_b &= where
-            n = np.count_nonzero(where)
-        n_a = np.count_nonzero(plus_a)
-        n_b = np.count_nonzero(plus_b)
-        n_pp = np.count_nonzero(plus_a & plus_b)
-        return cls(int(n_pp), int(n_a - n_pp), int(n_b - n_pp), int(n - n_a - n_b + n_pp))
+        """Count joint outcomes from per-trial channel flags (True: parallel)
+        over the trials `where` marks (all of them when it is None): N_pp is
+        the `_tally` of both arms, the other cells follow from it."""
+        n_a, n_b, n_pp, n = _tally(out_a, out_b, where)
+        return cls(n_pp, n_a - n_pp, n_b - n_pp, n - n_a - n_b + n_pp)
 
 
 @dataclass(frozen=True)
@@ -89,12 +103,8 @@ class ChainCounts:
 
     @classmethod
     def from_flags(cls, det_a: np.ndarray, det_b: np.ndarray) -> "ChainCounts":
-        return cls(
-            int(np.count_nonzero(det_a)),
-            int(np.count_nonzero(det_b)),
-            int(np.count_nonzero(np.logical_and(det_a, det_b))),
-            int(det_a.size),
-        )
+        """Count detections from per-trial detection flags of each arm."""
+        return cls(*_tally(det_a, det_b))
 
 
 def estimate_correlation(counts: CoincidenceCounts) -> tuple[float, float]:

@@ -234,11 +234,16 @@ class TestGeometry:
         assert outcomes(r_near) == outcomes(r_far)
         assert not r_near.spacelike and r_far.spacelike
 
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            Geometry(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            Geometry(0.0, -1.0)
+    @pytest.mark.parametrize(
+        "field,value",
+        [("arm_separation_m", -1.0), ("inter_measurement_delay_s", -1.0),
+         ("arm_separation_m", "1"), ("arm_separation_m", True),
+         ("inter_measurement_delay_s", math.nan)],
+    )
+    def test_geometry_validation(self, field, value):
+        # a string used to raise a bare TypeError that named no field
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            Geometry(**{field: value})
 
 
 class TestSettingsPolicies:
@@ -251,10 +256,21 @@ class TestSettingsPolicies:
         for got, want in zip(freqs, weights):
             assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / cfg.trials)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", True, -0.5])
     def test_weights_must_be_finite(self, bad):
-        with pytest.raises(ValueError, match="weights"):
+        with pytest.raises(ValueError, match="^weights:"):
             RandomizedSettings(((0.0, 0.0), (0.5, 0.5)), (bad, 1.0))
+
+    @pytest.mark.parametrize(
+        "make,field",
+        [(lambda: FixedSettings(True, 0.0), "a"), (lambda: FixedSettings("x", 0.0), "a"),
+         (lambda: FixedSettings(0.0, math.inf), "b"),
+         (lambda: RandomizedSettings(((0.0, "0.1"),)), "pairs")],
+    )
+    def test_settings_are_finite_numbers(self, make, field):
+        # a bool setting used to run as 0 or 1, and a string to fail in float()
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            make()
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -144,8 +144,8 @@ MODEL_IDS = list(kernels.MODEL_CODES)
 MODELS = list(kernels.MODEL_CODES.values())
 
 
-def _sign(outcome: ChannelOutcome) -> int:
-    return 1 if outcome is ChannelOutcome.PLUS else -1
+def _flag(outcome: ChannelOutcome) -> bool:
+    return outcome is ChannelOutcome.PLUS
 
 
 class TestKernelsMatchObjectLayer:
@@ -155,11 +155,11 @@ class TestKernelsMatchObjectLayer:
     SEED = 31
 
     def _object_two_channel(self, model, a, b, ordering):
-        outs = np.empty((self.N, 2), dtype=np.int8)
+        outs = np.empty((self.N, 2), dtype=bool)
         for i in range(self.N):
             d = trial_draws(self.SEED, i)
             oa, ob = model.respond_two_channel(model.emit(d), a, b, ordering, d)
-            outs[i] = (_sign(oa), _sign(ob))
+            outs[i] = (_flag(oa), _flag(ob))
         return outs
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -208,6 +208,28 @@ def test_kernels_reject_a_model_they_do_not_know(model):
         kernels.two_channel_block(1, 0, 10, model, pa, pb, cw, Ordering.ARM1_FIRST)
     with pytest.raises(TypeError):
         kernels.qwp_block(1, 0, 10, model, Ordering.ARM1_FIRST)
+
+
+@pytest.mark.parametrize(
+    "kernel,name,ordering",
+    [(kernel, name, order) for kernel in ("two_channel_block", "qwp_block")
+     for name in kernels.MODEL_CODES for order in Ordering]
+    + [("malus_block", None, None)],
+)
+def test_kernels_return_boolean_flags(kernel, name, ordering):
+    # the counts and records read the flags as they are, so no kernel may cast them
+    pa, pb, cw = np.array([0.0, 0.7]), np.array([0.4, 0.2]), np.array([0.5, 1.0])
+    count = 1001
+    if kernel == "two_channel_block":
+        model = kernels.MODEL_CODES[name]
+        _, *outcomes = kernels.two_channel_block(5, 3, count, model, pa, pb, cw, ordering)
+    elif kernel == "qwp_block":
+        outcomes = kernels.qwp_block(5, 3, count, kernels.MODEL_CODES[name], ordering)
+    else:
+        outcomes = [kernels.malus_block(5, 3, count, 0.3)]
+    for flags in outcomes:
+        assert flags.dtype == bool
+        assert flags.shape == (count,)
 
 
 def test_benchmark_kernel_probes_name_kernel_models():
@@ -381,7 +403,7 @@ class TestOrderingDecision:
     def test_fixed_orders_are_constant(self):
         assert not kernels.arm2_first_flags(1, 0, 5, Ordering.ARM1_FIRST).any()
         assert kernels.arm2_first_flags(1, 0, 5, Ordering.ARM2_FIRST).all()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             kernels.arm2_first_flags(1, 0, 5, 7)
 
     @pytest.mark.parametrize("model", [QMFormal(), NdvNonlocal()], ids=["qm", "ndv"])
@@ -423,7 +445,7 @@ class TestRandomizedSettingsMatchObjectLayer:
             assert pair_idx[i] == j, i
             a, b = self.PAIRS[j]
             want = model.respond_two_channel(model.emit(d), a, b, ordering, d)
-            assert (oa[i], ob[i]) == tuple(_sign(o) for o in want), i
+            assert (oa[i], ob[i]) == tuple(_flag(o) for o in want), i
 
 
 class TestKernelsOnEdgeWords:
@@ -491,8 +513,8 @@ class TestKernelsOnEdgeWords:
                 order, arm2_first
             )
             oa, ob = np.where(flags, oa2, oa1), np.where(flags, ob2, ob1)
-        assert np.array_equal(got[1], np.where(oa, 1, -1))
-        assert np.array_equal(got[2], np.where(ob, 1, -1))
+        assert np.array_equal(got[1], oa)
+        assert np.array_equal(got[2], ob)
 
     @pytest.mark.parametrize("order", list(Ordering))
     def test_chains(self, words, order):
@@ -506,15 +528,15 @@ class TestKernelsOnEdgeWords:
         }
         for name, (det_a, det_b) in cases.items():
             got_a, got_b = kernels.qwp_block(1, 0, self.N, kernels.MODEL_CODES[name], order)
-            assert np.array_equal(got_a.astype(bool), det_a)
-            assert np.array_equal(got_b.astype(bool), det_b)
+            assert np.array_equal(got_a, det_a)
+            assert np.array_equal(got_b, det_b)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2])
     def test_malus(self, words, theta):
         p = math.cos(theta) ** 2
         p = 0.0 if p < 1e-24 else min(p, 1.0)
         got = kernels.malus_block(1, 0, self.N, theta)
-        assert np.array_equal(got.astype(bool), self._uniforms(words)[:, 2] < p)
+        assert np.array_equal(got, self._uniforms(words)[:, 2] < p)
 
 
 S, E, A, B, O = (kernels.SLOT_SETTINGS, kernels.SLOT_EMISSION, kernels.SLOT_ARM_A,

@@ -82,7 +82,7 @@ class TestTwoChannelResponses:
         cw = np.array([1.0])
         n = 1_000_000
         _, oa, ob = kernels.two_channel_block(5, 0, n, QMFormal(), pa, pb, cw, Ordering.ARM1_FIRST)
-        p_pp = np.count_nonzero((oa > 0) & (ob > 0)) / n
+        p_pp = np.count_nonzero(oa & ob) / n
         want = 0.5 * math.cos(theta) ** 2
         sigma = math.sqrt(want * (1.0 - want) / n)
         assert abs(p_pp - want) <= 4 * sigma
@@ -93,7 +93,7 @@ class TestTwoChannelResponses:
         _, oa, ob = kernels.two_channel_block(
             6, 0, n, DefiniteCircular(), pa, pb, cw, Ordering.ARM1_FIRST
         )
-        e = float(np.mean(oa.astype(float) * ob.astype(float)))
+        e = float(np.mean(np.where(oa == ob, 1.0, -1.0)))
         assert abs(e) <= 4.0 / math.sqrt(n)
         # matches its factorized recasting exactly at the oracle level
         oracle = lhv_joint_probabilities(definite_circular_as_lhv(), 0.2, 1.0)
@@ -107,8 +107,8 @@ class TestTwoChannelResponses:
         order = Ordering.ARM1_FIRST
         _, oa_qm, ob_qm = kernels.two_channel_block(7, 0, n, QMFormal(), pa, pb, cw, order)
         _, oa_nd, ob_nd = kernels.two_channel_block(7, 0, n, NdvNonlocal(), pa, pb, cw, order)
-        e_qm = float(np.mean(oa_qm.astype(float) * ob_qm.astype(float)))
-        e_nd = float(np.mean(oa_nd.astype(float) * ob_nd.astype(float)))
+        e_qm = float(np.mean(np.where(oa_qm == ob_qm, 1.0, -1.0)))
+        e_nd = float(np.mean(np.where(oa_nd == ob_nd, 1.0, -1.0)))
         assert abs(e_qm - e_nd) <= 8.0 / math.sqrt(n)
 
     def test_model_emission_mismatch_raises(self):
@@ -141,7 +141,7 @@ class TestQwpChainResponses:
 
     def test_ndv_conditional_detection_is_half(self):
         det_a, det_b = kernels.qwp_block(10, 0, 1_000_000, NdvNonlocal(), Ordering.ARM1_FIRST)
-        both = np.count_nonzero((det_a > 0) & (det_b > 0))
+        both = np.count_nonzero(det_a & det_b)
         n_a = np.count_nonzero(det_a)
         p = both / n_a
         assert abs(p - 0.5) <= 0.0015  # 3 sigma at ~5e5 conditioning trials
@@ -216,10 +216,10 @@ class TestLhvOracle:
             oracle = lhv_joint_probabilities(model, a, b)
             emp = np.array(
                 [
-                    np.count_nonzero((oa > 0) & (ob > 0)),
-                    np.count_nonzero((oa > 0) & (ob < 0)),
-                    np.count_nonzero((oa < 0) & (ob > 0)),
-                    np.count_nonzero((oa < 0) & (ob < 0)),
+                    np.count_nonzero(oa & ob),
+                    np.count_nonzero(oa & ~ob),
+                    np.count_nonzero(~oa & ob),
+                    np.count_nonzero(~oa & ~ob),
                 ]
             ) / n
             for got, want in zip(emp, oracle.as_tuple()):

@@ -41,23 +41,23 @@ class TestCorrelationEstimator:
         assert stderr == pytest.approx(math.sqrt((1 - 0.36) / 100))
 
     def test_from_outcomes(self):
-        out_a = np.array([1, 1, -1, -1, 1], dtype=np.int8)
-        out_b = np.array([1, -1, 1, -1, 1], dtype=np.int8)
+        out_a = np.array([True, True, False, False, True])
+        out_b = np.array([True, False, True, False, True])
         counts = CoincidenceCounts.from_outcomes(out_a, out_b)
         assert counts == CoincidenceCounts(2, 1, 1, 1)
 
     @staticmethod
     def _bincount_counts(out_a, out_b):
         """The earlier int64/bincount tally, kept as the reference."""
-        a_bit = (1 - out_a.astype(np.int64)) // 2
-        b_bit = (1 - out_b.astype(np.int64)) // 2
+        a_bit = 1 - out_a.astype(np.int64)
+        b_bit = 1 - out_b.astype(np.int64)
         return CoincidenceCounts(*(int(c) for c in np.bincount(a_bit * 2 + b_bit, minlength=4)))
 
     @pytest.mark.parametrize("size", [0, 1, 7, 1000, 65_537])
     def test_from_outcomes_matches_bincount_tally(self, size):
         rng = np.random.default_rng(size)
-        out_a = rng.choice(np.array([-1, 1], dtype=np.int8), size)
-        out_b = rng.choice(np.array([-1, 1], dtype=np.int8), size)
+        out_a = rng.choice(np.array([False, True]), size)
+        out_b = rng.choice(np.array([False, True]), size)
         assert CoincidenceCounts.from_outcomes(out_a, out_b) == self._bincount_counts(out_a, out_b)
         pair_index = rng.integers(0, 3, size).astype(np.int32)
         for j in range(3):
@@ -166,10 +166,25 @@ class TestConditionalDetection:
             conditional_detection(ChainCounts(0, 10, 0, 100))
 
     def test_from_flags(self):
-        det_a = np.array([1, 1, 0, 0, 1], dtype=np.uint8)
-        det_b = np.array([1, 0, 1, 0, 1], dtype=np.uint8)
+        det_a = np.array([True, True, False, False, True])
+        det_b = np.array([True, False, True, False, True])
         counts = ChainCounts.from_flags(det_a, det_b)
         assert counts == ChainCounts(3, 3, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "count,args",
+    [
+        (CoincidenceCounts.from_outcomes, (np.array([1, -1], dtype=np.int8),) * 2),
+        (CoincidenceCounts.from_outcomes, (np.ones(2, bool), np.ones(2, bool), np.ones(2, int))),
+        (ChainCounts.from_flags, (np.array([1, 0], dtype=np.uint8),) * 2),
+    ],
+    ids=["signs", "integer-mask", "uint8"],
+)
+def test_counts_take_only_boolean_flags(count, args):
+    # a -1 is truthy, so a +-1 array counted by truth would read every trial as parallel
+    with pytest.raises(TypeError, match="boolean"):
+        count(*args)
 
 
 class TestOrderInvariance:
