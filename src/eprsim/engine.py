@@ -79,21 +79,45 @@ class RandomizedSettings:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.pairs) < 1:
-            raise ValueError("need at least one settings pair")
-        pairs = tuple(
-            (kernels.check_real("pairs", a), kernels.check_real("pairs", b)) for a, b in self.pairs
-        )
+        items = _items("pairs", self.pairs, "a sequence of (a, b) pairs")
+        pairs = tuple(map(_settings_pair, items))
+        if not pairs:
+            raise kernels.ConfigError("pairs: need at least one settings pair")
         if self.weights is None:
             weights = tuple(1.0 / len(pairs) for _ in pairs)
         else:
-            weights = tuple(kernels.check_real("weights", w, minimum=0.0) for w in self.weights)
+            weights = tuple(
+                kernels.check_real("weights", w, minimum=0.0)
+                for w in _items("weights", self.weights, "a sequence of numbers")
+            )
             if len(weights) != len(pairs):
-                raise ValueError("weights must match the settings pairs one to one")
+                raise kernels.ConfigError(
+                    f"weights: {len(weights)} weights for {len(pairs)} settings pairs; "
+                    "they must match one to one"
+                )
             if abs(sum(weights) - 1.0) > 1e-12:
-                raise ValueError(f"weights sum to {sum(weights)!r}, not 1 within 1e-12")
+                raise kernels.ConfigError(f"weights: sum to {sum(weights)!r}, not 1 within 1e-12")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", weights)
+
+
+def _items(key: str, value, what: str) -> tuple:
+    """The items of `value`; a string or a value that is not iterable breaks
+    `key`'s rule, which says it must be `what`."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise kernels.ConfigError(f"{key}: must be {what}, got {value!r}")
+
+
+def _settings_pair(pair) -> tuple[float, float]:
+    """One settings pair as two finite floats."""
+    items = _items("pairs", pair, "an (a, b) pair")
+    if len(items) != 2:
+        raise kernels.ConfigError(f"pairs: must be an (a, b) pair, got {pair!r}")
+    return kernels.check_real("pairs", items[0]), kernels.check_real("pairs", items[1])
 
 
 SettingsPolicy = FixedSettings | RandomizedSettings
@@ -413,19 +437,27 @@ def run_malus(
 def trial_draws(seed: int, trial_index: int) -> TrialDraws:
     """The five named draws of one trial, in the documented slot order.
 
-    Draw j is word ``trial_index % 4`` of Philox counter ``(trial_index //
-    4, j)`` (see :mod:`eprsim.kernels`): one generator reads counter j's
-    four words, then steps 2**64 counters, less the one its next read adds,
-    to counter j + 1.
+    Draw j is ``k * 2**-53`` with ``k = (c << 52) | (w >> 12)`` (see
+    :mod:`eprsim.kernels`): w is word ``i % 4`` of Philox counter ``(i // 4,
+    j, 0, 0)`` and c is bit ``i % 64`` of word ``(i // 64) % 4`` of counter
+    ``(i // 256, j, 1, 0)``, for ``i = trial_index``. One generator per plane
+    reads counter j's four words, then steps 2**64 counters, less the one
+    its next read adds, to counter j + 1.
     """
     kernels.check_seed(seed)
     kernels.check_int("trial_index", trial_index, 0, kernels.SEED_LIMIT - 1)
     group, word = divmod(trial_index, 4)
-    bitgen = np.random.Philox(key=seed, counter=(group - 1) % (1 << 256))
+    coin_group, coin_word = divmod(trial_index // 64, 4)
+    bit = trial_index % 64
+    words = np.random.Philox(key=seed, counter=(group - 1) % (1 << 256))
+    coins = np.random.Philox(key=seed, counter=coin_group + (1 << 128) - 1)
     u = []
     for _ in range(kernels.DRAWS_PER_TRIAL):
-        u.append(float(bitgen.random_raw(4)[word] >> 11) * 2.0**-53)
-        bitgen.advance((1 << 64) - 1)
+        w = int(words.random_raw(4)[word])
+        c = int(coins.random_raw(4)[coin_word]) >> bit & 1
+        u.append(((c << 52) | (w >> 12)) * 2.0**-53)
+        words.advance((1 << 64) - 1)
+        coins.advance((1 << 64) - 1)
     return TrialDraws(
         settings=u[kernels.SLOT_SETTINGS],
         ordering=u[kernels.SLOT_ORDERING],

@@ -1,14 +1,22 @@
 """Hot per-trial kernels: counter-based RNG plus vectorized trial loops.
 
 Every random number in the simulator comes from philox4x64-10 (numpy's
-``np.random.Philox``, in C) under key ``(seed, 0)``: draw j of trial i is
-word ``i % 4`` of the Philox output at counter ``(i // 4, j, 0, 0)``, read as
-the uniform ``(w >> 11) * 2**-53``. That map from (trial, slot) to (counter,
-word) is injective, so trials own independent streams, and any subset of
-trials can be computed in any order or on any worker with bit-identical
-results. One slot's words for consecutive trials are consecutive Philox
-output, so a kernel reads each slot it needs with one `_slot_words` call and
-costs a quarter counter per trial and slot it reads. Slots per trial:
+``np.random.Philox``, in C) under key ``(seed, 0)``. Each slot j of trial i
+reads two planes of that output:
+
+    word plane  w(i, j): word ``i % 4`` of counter ``(i // 4, j, 0, 0)``
+    coin plane  c(i, j): bit ``i % 64`` of word ``(i // 64) % 4`` of counter
+                ``(i // 256, j, 1, 0)``
+
+and the draw is the 53-bit integer ``k = (c << 52) | (w >> 12)``, read as the
+uniform ``u = k * 2**-53``. The third counter word keeps the planes disjoint,
+and both maps are injective, so trials own independent streams, and any
+subset of trials can be computed in any order or on any worker with
+bit-identical results. ``u < 1/2`` holds exactly when ``c == 0``, so a fair
+coin reads the coin plane alone, at 1/64 of a word per trial
+(`_slot_coins`); a slot's words for consecutive trials are consecutive
+Philox output, read with one `_slot_words` call at a quarter counter per
+trial. Slots per trial:
 
     0  settings-pair selection (randomized-settings runs only)
     1  emission (hidden parameter / handedness; entangled models skip it)
@@ -20,20 +28,23 @@ costs a quarter counter per trial and slot it reads. Slots per trial:
 
 Outcome coins are compared with strict less-than, so a probability snapped to
 exactly 0 never fires and a probability of exactly 1 always does. Coins
-against a fixed probability never build the float: the uniform is
-``u = k * 2**-53`` with the integer ``k = w >> 11``, so for any p in [0, 1]
+against a fixed probability never build the float: for any p in [0, 1]
 
-    u < p   <=>   k < p * 2**53   <=>   k < ceil(p * 2**53)
+    u < p   <=>   k < p * 2**53   <=>   k < ceil(p * 2**53) = K
 
 and ``p * 2**53`` is exact in binary floating point (a power-of-two scale),
-as is its ceiling. ``u < 0.5`` is ``w < 2**63``; settings pairs are chosen
-against the integer cuts ``ceil(cumw * 2**53)``. These integer compares
-decide exactly as the float compares do, word for word. A deterministic
-hidden-variable model (responses exactly 0 or 1) is decided on words too:
-each arm is a step function of the emission integer k that flips at integer
-cuts found from the model's own float decisions (`_setting_cuts`). Other
-hidden-variable models need a float response per trial and read the
-uniforms of the same words instead (`uniform_block`).
+as is its ceiling. Nor do they build k: for ``K < 2**52``, ``k < K`` is
+``c == 0 and w < K << 12``; for ``K > 2**52`` it is ``c == 0 or
+w < (K - 2**52) << 12``; ``K = 2**52`` is the coin alone, ``K = 0`` never
+holds and ``K = 2**53`` always does (`_below`). Settings pairs are chosen
+against the integer cuts ``ceil(cumw * 2**53)`` the same way. These compares
+decide exactly as the float compares do, draw for draw. A deterministic
+hidden-variable model (responses exactly 0 or 1) is decided on the planes
+too: each arm is a step function of the emission integer k that flips at
+integer cuts found from the model's own float decisions (`_setting_cuts`).
+k itself is built only where a per-trial cut array needs it (several
+settings pairs), and the float u only on the float path: hidden-variable
+models that need a float response per trial read `uniform_block`.
 
 Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
@@ -58,7 +69,7 @@ import numpy as np
 from . import models
 from .models import DefiniteCircular, Lhv, NdvNonlocal, Ordering, QMFormal
 
-RNG_STREAM = "philox4x64-10/v3"
+RNG_STREAM = "philox4x64-10/v4"
 SEED_LIMIT = 1 << 64  # seeds and trial indices live in [0, 2**64)
 
 SLOT_SETTINGS = 0
@@ -136,34 +147,93 @@ def check_seed(seed) -> int:
     return check_int("seed", seed, 0, SEED_LIMIT - 1)
 
 
-def _slot_words(seed: int, start: int, count: int, slot: int) -> np.ndarray:
-    """Raw 64-bit words of one slot for trials [start, start+count): the
-    Philox output over counters ``(start // 4, slot) ... ((start + count - 1)
-    // 4, slot)``, less the ``start % 4`` words before the first trial.
-    Philox emits counter c+1 first, so the generator starts at c - 1."""
+def _trial_range(seed: int, start: int, count: int) -> tuple[int, int]:
+    """(start, count) as ints once the seed and trials [start, start+count) are in range."""
     check_seed(seed)
     start, count = int(start), int(count)
     if not (0 <= start and start + count <= SEED_LIMIT):
         raise ValueError(f"trials [{start}, {start + count}) leave [0, 2**64)")
-    first, skip = divmod(start, 4)
-    counters = -(-(start + count) // 4) - first
-    counter = (first + (slot << 64) - 1) % (1 << 256)
+    return start, count
+
+
+def _plane_words(seed: int, first: int, n: int, slot: int, plane: int) -> np.ndarray:
+    """Words [first, first+n) of one slot's plane, word q being word ``q % 4``
+    of counter ``(q // 4, slot, plane, 0)``. Philox emits counter c+1 first,
+    so the generator starts at c - 1."""
+    group, skip = divmod(first, 4)
+    counters = -(-(first + n) // 4) - group
+    counter = (group + (slot << 64) + (plane << 128) - 1) % (1 << 256)
     words = np.random.Philox(key=seed, counter=counter).random_raw(4 * counters)
-    return words[skip : skip + count]
+    return words[skip : skip + n]
 
 
-HALF_WORD = np.uint64(1 << 63)  # u < 0.5 exactly when w < 2**63
-_UNIT = float(1 << 53)  # u = (w >> 11) / _UNIT
+def _slot_words(seed: int, start: int, count: int, slot: int) -> np.ndarray:
+    """Word-plane words w of one slot for trials [start, start+count)."""
+    start, count = _trial_range(seed, start, count)
+    return _plane_words(seed, start, count, slot, 0)
+
+
+def _slot_coins(seed: int, start: int, count: int, slot: int) -> np.ndarray:
+    """Fair coins of one slot for trials [start, start+count), ``u < 1/2``:
+    True where the coin-plane bit c is 0. Trial i reads bit ``i % 64`` of
+    coin word ``i // 64``, so a block reads one word per 64 trials."""
+    start, count = _trial_range(seed, start, count)
+    first, offset = divmod(start, 64)
+    words = _plane_words(seed, first, -(-(start + count) // 64) - first, slot, 1)
+    bits = np.unpackbits(np.asarray(~words, dtype="<u8").view(np.uint8), bitorder="little")
+    return bits[offset : offset + count].view(bool)
+
+
+_HALF = 1 << 52  # k < 2**52, u < 1/2, exactly when the coin bit is 0
+_UNIT = float(1 << 53)  # u = k / _UNIT
 
 
 def _cut(p):
-    """Integer threshold K = ceil(p * 2**53): ``u < p`` exactly when ``(w >> 11) < K``."""
+    """Integer threshold K = ceil(p * 2**53): ``u < p`` exactly when ``k < K``."""
     return np.ceil(np.multiply(p, _UNIT)).astype(np.uint64)
 
 
+def _draws(coins: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The 53-bit draws ``k = (c << 52) | (w >> 12)`` of one slot from its
+    planes, built in the buffer of `words`, which the caller gives up."""
+    words >>= np.uint64(12)
+    words |= np.left_shift(~coins, np.uint64(52), dtype=np.uint64)
+    return words
+
+
+def _below(coins: np.ndarray, words: np.ndarray, cut) -> np.ndarray:
+    """``k < cut`` per trial for an integer cut in [0, 2**53], decided on the
+    coins (True: c == 0) and the words without building k."""
+    cut = int(cut)
+    if cut <= 0:
+        return np.zeros(coins.shape, dtype=bool)
+    if cut >= 2 * _HALF:
+        return np.ones(coins.shape, dtype=bool)
+    if cut == _HALF:
+        return coins.copy()
+    if cut < _HALF:
+        below = words < np.uint64(cut << 12)
+        below &= coins
+    else:
+        below = words < np.uint64((cut - _HALF) << 12)
+        below |= coins
+    return below
+
+
+def _comparer(coins: np.ndarray, words: np.ndarray, pair_idx: np.ndarray, pairs: int):
+    """``below(cuts)``: ``k < cuts[pair]`` per trial for one integer cut per
+    settings pair. A run with one pair compares on the planes (`_below`);
+    otherwise the cut differs per trial, and k is built once to meet it."""
+    if pairs == 1:
+        return lambda cuts: _below(coins, words, cuts[0])
+    k = _draws(coins, words)
+    return lambda cuts: k < cuts[pair_idx]
+
+
 def uniform_block(seed: int, start: int, count: int, slot: int) -> np.ndarray:
-    """Uniform [0, 1) draws ``(w >> 11) * 2**-53`` for trials [start, start+count) at one slot."""
-    return (_slot_words(seed, start, count, slot) >> 11) * (1.0 / _UNIT)
+    """Uniform [0, 1) draws ``k * 2**-53`` for trials [start, start+count) at one slot."""
+    k = _draws(_slot_coins(seed, start, count, slot), _slot_words(seed, start, count, slot))
+    return k.view(np.int64) * (1.0 / _UNIT)  # k < 2**53: exact, and faster than from uint64
 
 
 def check_ordering(ordering: Ordering) -> None:
@@ -174,13 +244,13 @@ def check_ordering(ordering: Ordering) -> None:
 
 def arm2_first_flags(seed: int, start: int, count: int, ordering: Ordering) -> np.ndarray:
     """Per-trial flag for trials [start, start+count): True when arm 2 is
-    measured first. Random order reads the ordering slot, ``u >= 0.5``."""
+    measured first. Random order reads the ordering slot's coins, ``u >= 0.5``."""
     check_ordering(ordering)
     if ordering is Ordering.ARM1_FIRST:
         return np.zeros(count, dtype=bool)
     if ordering is Ordering.ARM2_FIRST:
         return np.ones(count, dtype=bool)
-    return _slot_words(seed, start, count, SLOT_ORDERING) >= HALF_WORD
+    return ~_slot_coins(seed, start, count, SLOT_ORDERING)
 
 
 def _malus_prob_array(delta) -> np.ndarray:
@@ -190,36 +260,33 @@ def _malus_prob_array(delta) -> np.ndarray:
     return p
 
 
-def _select_pairs(settings: np.ndarray, cumw: np.ndarray) -> np.ndarray:
-    """Per-trial settings-pair index from the settings slot.
+def _select_pairs(coins: np.ndarray, words: np.ndarray, cumw: np.ndarray) -> np.ndarray:
+    """Per-trial settings-pair index from the settings slot's planes.
 
-    `settings` holds the slot's raw words or the uniforms made from them.
-    Either becomes the 53-bit integer k, and the pair index is the number of
-    interior integer cuts ``ceil(cumw[:-1] * 2**53)`` at or below k: the
-    same choice as ``searchsorted(cumw, u, side="right")`` clipped to the
-    last pair, made exactly. One compare per cut beats numpy's per-key
-    binary search up to dozens of pairs.
+    The index is the number of interior integer cuts ``ceil(cumw[:-1] *
+    2**53)`` at or below k, counted as the cuts less those above k: the same
+    choice as ``searchsorted(cumw, u, side="right")`` clipped to the last
+    pair, made exactly. One compare per cut beats numpy's per-key binary
+    search up to dozens of pairs.
     """
-    pair_idx = np.zeros(settings.shape[0], dtype=np.int32)
-    if settings.dtype == np.uint64:
-        k = settings >> 11
-    else:
-        k = (settings * _UNIT).astype(np.uint64)
-    for cut in _cut(cumw[:-1]):
-        pair_idx += k >= cut
+    cuts = _cut(cumw[:-1])
+    pair_idx = np.full(coins.shape, cuts.size, dtype=np.int32)
+    for cut in cuts:
+        pair_idx -= _below(coins, words, cut)
     return pair_idx
 
 
 def _pair_index(seed: int, start: int, count: int, cumw: np.ndarray) -> np.ndarray:
-    """`_select_pairs` on the settings slot; a single pair reads no word."""
+    """`_select_pairs` on the settings slot; a single pair reads nothing."""
     if cumw.size == 1:
         return np.zeros(count, dtype=np.int32)
-    return _select_pairs(_slot_words(seed, start, count, SLOT_SETTINGS), cumw)
+    block = (seed, start, count, SLOT_SETTINGS)
+    return _select_pairs(_slot_coins(*block), _slot_words(*block), cumw)
 
 
-def _coin(seed: int, start: int, count: int, slot: int) -> np.ndarray:
-    """Fair coins of one slot, ``u < 1/2``: the words below 2**63."""
-    return _slot_words(seed, start, count, slot) < HALF_WORD
+def _pick(flags: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
+    """``np.where(flags, if_true, if_false)`` for boolean arrays, at a fraction of its cost."""
+    return (flags & if_true) | (~flags & if_false)
 
 
 def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
@@ -227,23 +294,30 @@ def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
     return values[0] if values.size == 1 else values[pair_idx]
 
 
-def _second_photon(first, w_second, pair_idx, s_first, s_second):
+@functools.lru_cache(maxsize=256)
+def _malus_cuts(s_first: tuple[float, ...], s_second: tuple[float, ...]):
+    """Per settings pair, the integer cuts of the second photon's parallel
+    answer after the first one answered parallel and perpendicular. Cached,
+    so a run tabulates them once and not once per block."""
+    first, second = np.array(s_first), np.array(s_second)
+    cuts = (
+        _cut(_malus_prob_array(first - second)),
+        _cut(_malus_prob_array(first + _HALF_PI - second)),
+    )
+    for table in cuts:
+        table.setflags(write=False)
+    return cuts
+
+
+def _second_photon(first, below, s_first, s_second):
     """The second analyzer's answer, given the first one's (True for
     parallel), which answered 1/2: the entangled-state marginal, also the
     collapse narrative's literal value. The second photon is linear along
-    the first one's exit channel and answers by the Malus rule.
-
-    Only two probabilities exist per settings pair, so their integer cuts
-    are tabulated per pair rather than evaluated per trial.
+    the first one's exit channel and answers by the Malus rule; `below`
+    compares the second arm's draws with its per-pair cuts (`_comparer`).
     """
-    k_second = w_second >> 11
-    cut_parallel = _per_trial(_cut(_malus_prob_array(s_first - s_second)), pair_idx)
-    cut_perpendicular = _per_trial(
-        _cut(_malus_prob_array(s_first + _HALF_PI - s_second)), pair_idx
-    )
-    # Same as k_second < np.where(first, cut_parallel, cut_perpendicular),
-    # at a fraction of the cost of np.where over words.
-    return (first & (k_second < cut_parallel)) | (~first & (k_second < cut_perpendicular))
+    cut_parallel, cut_perpendicular = _malus_cuts(tuple(s_first.tolist()), tuple(s_second.tolist()))
+    return _pick(first, below(cut_parallel), below(cut_perpendicular))
 
 
 def two_channel_block(
@@ -259,8 +333,9 @@ def two_channel_block(
     """Per-trial settings-pair index and two-channel flags of each arm
     (True: the parallel channel, False: the perpendicular one).
 
-    A fixed order turns the first arm's words into its answers before it
-    makes the second arm's, so one block of words is alive at a time.
+    The arm measured first answers 1/2 and reads its coins alone. A fixed
+    order turns the first arm's coins into its answers before it reads the
+    second arm's words, so one block of words is alive at a time.
     """
     check_ordering(ordering)
     if isinstance(model, Lhv):
@@ -269,38 +344,41 @@ def two_channel_block(
         raise TypeError(f"no trial kernel for model {model!r}")
     pair_idx = _pair_index(seed, start, count, cumw)
     block = (seed, start, count)
+    oa = _slot_coins(*block, SLOT_ARM_A)
+    ob = _slot_coins(*block, SLOT_ARM_B)
     if isinstance(model, DefiniteCircular):
         # A circular photon takes either exit of a linear analyzer with
         # probability 1/2, whatever the orientation.
-        oa = _coin(*block, SLOT_ARM_A)
-        ob = _coin(*block, SLOT_ARM_B)
-    elif ordering is Ordering.ARM1_FIRST:
-        oa = _coin(*block, SLOT_ARM_A)
-        ob = _second_photon(oa, _slot_words(*block, SLOT_ARM_B), pair_idx, pair_a, pair_b)
+        return pair_idx, oa, ob
+
+    def below(coins, slot):
+        return _comparer(coins, _slot_words(*block, slot), pair_idx, cumw.size)
+
+    if ordering is Ordering.ARM1_FIRST:
+        ob = _second_photon(oa, below(ob, SLOT_ARM_B), pair_a, pair_b)
     elif ordering is Ordering.ARM2_FIRST:
-        ob = _coin(*block, SLOT_ARM_B)
-        oa = _second_photon(ob, _slot_words(*block, SLOT_ARM_A), pair_idx, pair_b, pair_a)
+        oa = _second_photon(ob, below(oa, SLOT_ARM_A), pair_b, pair_a)
     else:
-        w_a, w_b = _slot_words(*block, SLOT_ARM_A), _slot_words(*block, SLOT_ARM_B)
-        oa1, ob2 = w_a < HALF_WORD, w_b < HALF_WORD
-        ob1 = _second_photon(oa1, w_b, pair_idx, pair_a, pair_b)
-        oa2 = _second_photon(ob2, w_a, pair_idx, pair_b, pair_a)
+        ob1 = _second_photon(oa, below(ob, SLOT_ARM_B), pair_a, pair_b)
+        oa2 = _second_photon(ob, below(oa, SLOT_ARM_A), pair_b, pair_a)
         arm2_first = arm2_first_flags(seed, start, count, ordering)
-        oa = np.where(arm2_first, oa2, oa1)
-        ob = np.where(arm2_first, ob2, ob1)
+        oa = _pick(arm2_first, oa2, oa)
+        ob = _pick(arm2_first, ob, ob1)
     return pair_idx, oa, ob
 
 
 def qwp_block(
     seed: int, start: int, count: int, model: models.HypothesisModel, ordering: Ordering
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial detection flags behind the plate-plus-polarizer chains."""
+    """Per-trial detection flags behind the plate-plus-polarizer chains.
+    Every chain passes with probability 1/2 or with certainty, so the
+    kernel reads coins alone."""
     check_ordering(ordering)
     block = (seed, start, count)
     if isinstance(model, DefiniteCircular):
         # Right-handed pairs clear both right-helicity analyzers with
         # certainty; left-handed pairs are blocked on both arms.
-        det_a = _coin(*block, SLOT_EMISSION)
+        det_a = _slot_coins(*block, SLOT_EMISSION)
         det_b = det_a
     elif isinstance(model, QMFormal):
         # The first chain transmits with probability 1/2; reduction leaves
@@ -308,19 +386,21 @@ def qwp_block(
         # exactly 1 (or blocks exactly, on absorption), so the coin of the
         # arm measured first decides both.
         if ordering is Ordering.ARM1_FIRST:
-            det_a = _coin(*block, SLOT_ARM_A)
+            det_a = _slot_coins(*block, SLOT_ARM_A)
         elif ordering is Ordering.ARM2_FIRST:
-            det_a = _coin(*block, SLOT_ARM_B)
+            det_a = _slot_coins(*block, SLOT_ARM_B)
         else:
             arm2_first = arm2_first_flags(seed, start, count, ordering)
-            det_a = np.where(arm2_first, _coin(*block, SLOT_ARM_B), _coin(*block, SLOT_ARM_A))
+            det_a = _pick(
+                arm2_first, _slot_coins(*block, SLOT_ARM_B), _slot_coins(*block, SLOT_ARM_A)
+            )
         det_b = det_a
     elif isinstance(model, (NdvNonlocal, Lhv)):
         # Collapse narrative / hidden linear polarization: each arm's
         # plate-plus-polarizer passes with probability 1/2 regardless of
         # what the other arm saw.
-        det_a = _coin(*block, SLOT_ARM_A)
-        det_b = _coin(*block, SLOT_ARM_B)
+        det_a = _slot_coins(*block, SLOT_ARM_A)
+        det_b = _slot_coins(*block, SLOT_ARM_B)
     else:
         raise TypeError(f"no chain kernel for model {model!r}")
     return det_a, det_b
@@ -331,7 +411,8 @@ def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
     c = math.cos(theta)
     p = min(c * c, 1.0)
     cut = _cut(0.0 if p < _ZERO_PROB else p)
-    return (_slot_words(seed, start, count, SLOT_ARM_A) >> 11) < cut
+    block = (seed, start, count, SLOT_ARM_A)
+    return _below(_slot_coins(*block), _slot_words(*block), cut)
 
 
 def qwp_code_for(name: str) -> models.HypothesisModel:
@@ -339,9 +420,9 @@ def qwp_code_for(name: str) -> models.HypothesisModel:
     return MODEL_CODES[name]
 
 
-_TOP = (1 << 53) - 1  # the largest emission integer k = w >> 11
-_WINDOW = 1 << 10  # words checked on each side of a breakpoint
-_GRID = np.append(np.arange(0, 1 << 53, 1 << 41), _TOP)  # words checked between breakpoints
+_TOP = (1 << 53) - 1  # the largest emission integer k
+_WINDOW = 1 << 10  # integers checked on each side of a breakpoint
+_GRID = np.append(np.arange(0, 1 << 53, 1 << 41), _TOP)  # integers checked between breakpoints
 
 
 def _setting_cuts(model: models.LhvModel, response, setting: float):
@@ -351,12 +432,12 @@ def _setting_cuts(model: models.LhvModel, response, setting: float):
 
     The decision is the float path's own, ``u_coin < response(setting,
     sample(k * 2**-53))``, which for a response of exactly 0 or 1 is
-    ``response == 1`` whatever the coin. It is evaluated on every word within
-    ``_WINDOW`` of each breakpoint's word ``bp * 2**53 / pi`` and on `_GRID`.
-    The check: every response is exactly 0 or 1; every flip lies between
-    adjacent evaluated words, so a window pins it down; and each window
-    flips exactly once, or not at all when it is cut off by k = 0 or
-    k = 2**53 - 1. Each cut is then the first word after a flip of the float
+    ``response == 1`` whatever the coin. It is evaluated on every k within
+    ``_WINDOW`` of each breakpoint's integer ``bp * 2**53 / pi`` and on
+    `_GRID`. The check: every response is exactly 0 or 1; every flip lies
+    between adjacent evaluated integers, so a window pins it down; and each
+    window flips exactly once, or not at all when it is cut off by k = 0 or
+    k = 2**53 - 1. Each cut is then the first k after a flip of the float
     decision, by construction.
     """
     bps = np.asarray(model.response_breakpoints(setting), dtype=float)
@@ -373,7 +454,7 @@ def _setting_cuts(model: models.LhvModel, response, setting: float):
     parallel = probs == 1.0
     flips = np.flatnonzero(parallel[1:] != parallel[:-1]) + 1
     if np.any(ks[flips] - ks[flips - 1] != 1):
-        return None  # a flip between words that no window covers
+        return None  # a flip between integers that no window covers
     cuts = ks[flips]
     found = np.count_nonzero((cuts > lo[:, None]) & (cuts <= hi[:, None]), axis=1)
     at_edge = (lo == 0) | (hi == _TOP)
@@ -420,13 +501,15 @@ def lhv_word_steps(model: models.LhvModel, pair_a: np.ndarray, pair_b: np.ndarra
     return steps_a, steps_b
 
 
-def _step_decision(k: np.ndarray, pair_idx: np.ndarray, first: np.ndarray, cuts: np.ndarray):
+def _step_decision(below, pair_idx: np.ndarray, first: np.ndarray, cuts: np.ndarray):
     """Per-trial decisions of one arm: its decision at k = 0 flipped once per
-    cut of the trial's settings pair at or below k."""
-    flipped = np.zeros(k.shape, dtype=bool)
+    cut of the trial's settings pair at or below k. `below` (`_comparer`)
+    finds the cuts above k instead, so an odd count of columns flips the
+    decision once more."""
+    flipped = np.zeros(pair_idx.shape, dtype=bool)
     for column in cuts.T:
-        flipped ^= k >= _per_trial(column, pair_idx)
-    return flipped ^ _per_trial(first, pair_idx)
+        flipped ^= below(column)
+    return flipped ^ _per_trial(first ^ (cuts.shape[1] % 2 == 1), pair_idx)
 
 
 def two_channel_block_lhv(
@@ -440,12 +523,12 @@ def two_channel_block_lhv(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-channel flags (True: parallel) for any factorized model, built-in or custom.
 
-    A deterministic model is decided on the raw words when its cuts pass the
-    check of `_setting_cuts` at every setting of the run: each arm is
-    `_step_decision` of the emission integer k, the float decision word for
-    word, and no float is built. Otherwise the arms read `uniform_block`:
-    responses get the setting as a scalar when there is one settings pair
-    and as a per-trial array otherwise. Determinism holds for any vectorized
+    A deterministic model is decided on the emission slot's planes when its
+    cuts pass the check of `_setting_cuts` at every setting of the run: each
+    arm is `_step_decision` of the emission integer k, the float decision
+    draw for draw, and no float is built. Otherwise the arms read
+    `uniform_block`: responses get the setting as a scalar when there is one
+    settings pair and as a per-trial array otherwise. Determinism holds for any vectorized
     callables because the draws are counter-based. A factorized model's
     outcomes do not depend on the measurement order.
     """
@@ -453,9 +536,10 @@ def two_channel_block_lhv(
     block = (seed, start, count)
     steps = lhv_word_steps(model, pair_a, pair_b)
     if steps is not None:
-        k = _slot_words(*block, SLOT_EMISSION) >> 11
-        oa = _step_decision(k, pair_idx, *steps[0])
-        ob = _step_decision(k, pair_idx, *steps[1])
+        emission = (*block, SLOT_EMISSION)
+        below = _comparer(_slot_coins(*emission), _slot_words(*emission), pair_idx, cumw.size)
+        oa = _step_decision(below, pair_idx, *steps[0])
+        ob = _step_decision(below, pair_idx, *steps[1])
         return pair_idx, oa, ob
     lam = np.asarray(model.sample(uniform_block(*block, SLOT_EMISSION)), dtype=float)
     a = _per_trial(pair_a, pair_idx)

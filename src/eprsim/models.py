@@ -21,9 +21,11 @@ where it disagrees with ``QMFormal``: the two coincide on every two-channel
 correlation but split on the wave-plate chain experiment, which is exactly
 the observable meant to tell them apart.
 
-Every model consumes per-trial randomness through :class:`TrialDraws` in a
-fixed documented order (emission draw, arm-A coin, arm-B coin), so trials are
-reproducible and the same coins can be replayed through the vectorized kernels.
+Every model consumes per-trial randomness through :class:`TrialDraws`, one
+uniform per slot of the stream's documented layout (settings choice, emission,
+arm-A draw, arm-B draw, ordering choice; see :mod:`eprsim.kernels`), so trials
+are reproducible and the same draws can be replayed through the vectorized
+kernels.
 """
 
 from __future__ import annotations
@@ -77,11 +79,14 @@ class Ordering(enum.Enum):
 
 @dataclass(frozen=True)
 class TrialDraws:
-    """The uniform [0, 1) draws one trial may consume, in documented order.
+    """The uniform [0, 1) draws one trial may consume, one per stream slot.
 
-    ``settings`` selects the analyzer pair on randomized-settings runs,
-    ``ordering`` breaks measurement-order ties on random-order runs, then the
-    model draws follow: ``emission``, ``arm_a`` coin, ``arm_b`` coin.
+    ``settings`` (slot 0) selects the analyzer pair on randomized-settings
+    runs, ``ordering`` (slot 4) breaks measurement-order ties on random-order
+    runs, and the model draws are ``emission`` (slot 1), ``arm_a`` (slot 2)
+    and ``arm_b`` (slot 3). Each is ``k * 2**-53`` for the slot's 53-bit draw
+    k, whose top bit is its coin-plane bit, so ``draw < 0.5`` is the slot's
+    fair coin (see :mod:`eprsim.kernels`).
     """
 
     settings: float

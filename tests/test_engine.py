@@ -174,14 +174,14 @@ class TestFactorizedModelPath:
     )
     PINNED = {
         "lhv-sign": [
-            CoincidenceCounts(971, 306, 319, 936),
-            CoincidenceCounts(527, 199, 179, 526),
-            CoincidenceCounts(135, 392, 386, 124),
+            CoincidenceCounts(903, 278, 319, 965),
+            CoincidenceCounts(567, 207, 205, 570),
+            CoincidenceCounts(122, 357, 381, 126),
         ],
         "lhv-malus": [
-            CoincidenceCounts(837, 421, 403, 871),
-            CoincidenceCounts(475, 245, 231, 480),
-            CoincidenceCounts(181, 347, 344, 165),
+            CoincidenceCounts(787, 426, 401, 851),
+            CoincidenceCounts(490, 252, 258, 549),
+            CoincidenceCounts(169, 312, 362, 143),
         ],
     }
 
@@ -271,6 +271,26 @@ class TestSettingsPolicies:
         # a bool setting used to run as 0 or 1, and a string to fail in float()
         with pytest.raises(ConfigError, match=f"^{field}:"):
             make()
+
+    @pytest.mark.parametrize(
+        "pairs,weights,field",
+        [
+            (((0.0,),), None, "pairs"),
+            (((0.0, 0.1, 0.2),), None, "pairs"),
+            (5, None, "pairs"),
+            ("ab", None, "pairs"),
+            ((0.0, 0.1), None, "pairs"),
+            ((), None, "pairs"),
+            (((0.0, 0.1),), 5, "weights"),
+            (((0.0, 0.1),), (0.5, 0.5), "weights"),
+            (((0.0, 0.1), (0.2, 0.3)), (1.0,), "weights"),
+            (((0.0, 0.1), (0.2, 0.3)), (0.5, 0.5 + 1e-9), "weights"),
+        ],
+    )
+    def test_randomized_settings_name_the_broken_field(self, pairs, weights, field):
+        # each shape rule, not only each number's, names its field
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            RandomizedSettings(pairs, weights)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -58,10 +58,25 @@ def philox4x64_reference(key: tuple[int, int], counter: tuple[int, int, int, int
     return c
 
 
+def reference_draw(seed: int, trial: int, slot: int) -> int:
+    """The 53-bit draw k of `slot` of `trial`: the coin bit, bit trial % 64 of
+    word (trial // 64) % 4 at counter (trial // 256, slot, 1, 0), over the top
+    52 bits of word trial % 4 at counter (trial // 4, slot, 0, 0)."""
+    word = philox4x64_reference((seed, 0), (trial // 4, slot, 0, 0))[trial % 4]
+    coin_word = philox4x64_reference((seed, 0), (trial // 256, slot, 1, 0))[(trial // 64) % 4]
+    return (coin_word >> (trial % 64) & 1) << 52 | word >> 12
+
+
 def reference_uniform(seed: int, trial: int, slot: int) -> float:
-    """Draw `slot` of `trial`: word trial % 4 at counter (trial // 4, slot, 0, 0)."""
-    words = philox4x64_reference((seed, 0), (trial // 4, slot, 0, 0))
-    return (words[trial % 4] >> 11) * 2.0**-53
+    """Draw `slot` of `trial` as a uniform, k * 2**-53."""
+    return reference_draw(seed, trial, slot) * 2.0**-53
+
+
+def planes_of(ks, low=0):
+    """The coins (True: c == 0) and words of 53-bit draws k, the words' low
+    12 bits, which no draw reads, set to `low`."""
+    ks = np.asarray(ks, dtype=np.uint64)
+    return ks >> 52 == 0, (ks & np.uint64(2**52 - 1)) << 12 | np.asarray(low, dtype=np.uint64)
 
 
 # (seed, trial): both ends of the seed and trial ranges, and the first and
@@ -73,26 +88,43 @@ REFERENCE_POINTS = [
     (2**64 - 1, 2**40 + 2),
     (42, 2**64 - 1),
 ]
+# (seed, trial) on the coin plane: the first and last bit of a coin word,
+# the last trial of a coin counter, and the last trial of all.
+COIN_POINTS = [
+    (5, 64),
+    (5, 127),
+    (5, 255),
+    (5, 256),
+    (2**64 - 1, 2**64 - 64),
+    (13, 2**64 - 1),
+]
 
 
 class TestCounterBasedUniforms:
-    @pytest.mark.parametrize("seed,trial", REFERENCE_POINTS)
+    @pytest.mark.parametrize("seed,trial", REFERENCE_POINTS + COIN_POINTS)
     def test_matches_scalar_reference(self, seed, trial):
         for slot in range(kernels.DRAWS_PER_TRIAL):
             got = float(kernels.uniform_block(seed, trial, 1, slot)[0])
             assert got == reference_uniform(seed, trial, slot)
 
-    @pytest.mark.parametrize("seed,trial", REFERENCE_POINTS)
+    @pytest.mark.parametrize("seed,trial", REFERENCE_POINTS + COIN_POINTS)
     def test_trial_uniforms_match_reference(self, seed, trial):
         d = trial_draws(seed, trial)
         got = [d.settings, d.emission, d.arm_a, d.arm_b, d.ordering]
         assert got == [reference_uniform(seed, trial, slot) for slot in range(5)]
 
-    @pytest.mark.parametrize("start,count", [(0, 9), (1, 2), (3, 6), (6, 1), (2**64 - 6, 6)])
+    @pytest.mark.parametrize(
+        "start,count",
+        [(0, 9), (1, 2), (3, 6), (6, 1), (2**64 - 6, 6), (63, 2), (100, 5), (250, 70),
+         (2**64 - 70, 70)],
+    )
     def test_block_rows_follow_the_trial_index(self, start, count):
         for slot in (kernels.SLOT_ARM_B, kernels.SLOT_ORDERING):
             got = kernels.uniform_block(3, start, count, slot)
             assert list(got) == [reference_uniform(3, start + i, slot) for i in range(count)]
+            coins = kernels._slot_coins(3, start, count, slot)
+            assert coins.dtype == bool
+            assert list(coins) == [reference_draw(3, start + i, slot) < 2**52 for i in range(count)]
 
     @pytest.mark.parametrize("trial", [0, 2**64 - 1])
     def test_stream_walks_past_the_named_slots(self, trial):
@@ -113,9 +145,10 @@ class TestCounterBasedUniforms:
     @pytest.mark.parametrize(
         "seed,start,count", [(-1, 0, 1), (2**64, 0, 1), (1, -1, 1), (1, 2**64 - 1, 2)]
     )
-    def test_rejects_seeds_and_trials_outside_64_bits(self, seed, start, count):
+    @pytest.mark.parametrize("reader", ["uniform_block", "_slot_words", "_slot_coins"])
+    def test_rejects_seeds_and_trials_outside_64_bits(self, seed, start, count, reader):
         with pytest.raises(ValueError):
-            kernels.uniform_block(seed, start, count, kernels.SLOT_ARM_A)
+            getattr(kernels, reader)(seed, start, count, kernels.SLOT_ARM_A)
 
     def test_same_seed_same_index_replays(self):
         a = kernels.uniform_block(9, 100, 64, kernels.SLOT_ARM_A)
@@ -138,6 +171,13 @@ class TestCounterBasedUniforms:
         u1 = kernels.uniform_block(3, 0, 10_000, kernels.SLOT_ARM_B)
         r = np.corrcoef(u0, u1)[0, 1]
         assert abs(r) < 0.05
+
+
+def test_readme_names_the_current_stream():
+    # the one place outside the code that names the stream in use
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = re.findall(r"currently\s+`(philox4x64-10/[^`]+)`", readme)
+    assert named == [kernels.RNG_STREAM]
 
 
 MODEL_IDS = list(kernels.MODEL_CODES)
@@ -244,8 +284,12 @@ def test_benchmark_kernel_probes_name_kernel_models():
         assert kernels.qwp_code_for(name) is kernels.MODEL_CODES[name]
 
 
+# Integer cuts on and around the planes' seams: never, the coin's edge, always.
+SEAM_CUTS = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53]
+
+
 class TestWordDomain:
-    """Coins decided on raw Philox words equal the float compares they replace."""
+    """Coins decided on the two planes equal the float compares they replace."""
 
     @pytest.mark.parametrize(
         "seed,start,count",
@@ -253,47 +297,60 @@ class TestWordDomain:
     )
     @pytest.mark.parametrize("slot", [kernels.SLOT_SETTINGS, kernels.SLOT_ORDERING])
     def test_floats_are_the_slot_words_bit_for_bit(self, seed, start, count, slot):
+        coins = kernels._slot_coins(seed, start, count, slot)
         words = kernels._slot_words(seed, start, count, slot)
         floats = kernels.uniform_block(seed, start, count, slot)
         assert words.dtype == np.uint64
-        assert words.shape == floats.shape == (count,)
-        assert np.array_equal((words >> 11) * 2.0**-53, floats)
+        assert words.shape == coins.shape == floats.shape == (count,)
+        k = (words >> 12) | np.where(coins, 0, 2**52).astype(np.uint64)
+        assert np.array_equal(k * 2.0**-53, floats)
+        assert np.array_equal(coins, floats < 0.5)
         last = start + count - 1
         assert int(words[-1]) == philox4x64_reference((seed, 0), (last // 4, slot, 0, 0))[last % 4]
 
     @staticmethod
-    def _edge_words(cut: int) -> np.ndarray:
-        """Words whose 53-bit integer sits at, just below and just above the
-        cut, with the low 11 bits clear and set, plus both extreme words."""
-        ks = [k for k in (cut - 1, cut, cut + 1) if 0 <= k < 2**53]
-        words = [k << 11 for k in ks] + [(k << 11) | 0x7FF for k in ks] + [0, 2**64 - 1]
-        return np.array(words, dtype=np.uint64)
+    def _edge_draws(cut: int) -> np.ndarray:
+        """Draws at, just below and just above the cut, plus both extremes."""
+        ks = {k for k in (cut - 1, cut, cut + 1) if 0 <= k < 2**53} | {0, 2**53 - 1}
+        return np.array(sorted(ks), dtype=np.uint64)
 
+    @pytest.mark.parametrize("low", [0, 0xFFF])
     @pytest.mark.parametrize(
         "p",
         [0.0, 1e-30, float(kernels._malus_prob_array(np.array([math.pi / 2]))[0]), 0.5, 1.0,
-         math.cos(math.pi / 8) ** 2, *np.random.default_rng(4).random(8).tolist()],
+         math.cos(math.pi / 8) ** 2, math.cos(math.pi / 4) ** 2,
+         *np.random.default_rng(4).random(8).tolist()],
     )
-    def test_threshold_compare_matches_float_compare(self, p):
+    def test_threshold_compare_matches_float_compare(self, p, low):
         cut = kernels._cut(p)
-        words = self._edge_words(int(cut))
-        u = (words >> 11) * 2.0**-53
-        assert np.array_equal((words >> 11) < cut, u < p)
+        ks = self._edge_draws(int(cut))
+        coins, words = planes_of(ks, low)
+        u = ks * 2.0**-53
+        assert np.array_equal(kernels._below(coins, words, cut), u < p)
         if p == 0.5:
-            assert np.array_equal(words < kernels.HALF_WORD, u < 0.5)
+            assert np.array_equal(coins, u < 0.5)
 
-    @pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.25, 0.0, 0.75],
+    @pytest.mark.parametrize("cut", SEAM_CUTS)
+    def test_seam_cuts_match_the_built_draw(self, cut):
+        ks = np.concatenate([self._edge_draws(c) for c in SEAM_CUTS])
+        coins, words = planes_of(ks, np.arange(ks.size) % 4096)
+        assert np.array_equal(kernels._draws(coins, words.copy()), ks)
+        assert np.array_equal(kernels._below(coins, words, cut), ks < cut)
+
+    @pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.25, 0.0, 0.75], [0.5, 0.5],
                                          np.random.default_rng(8).random(40).tolist()])
     def test_pair_selection_matches_float_searchsorted(self, weights):
         cumw = np.cumsum(np.array(weights) / np.sum(weights))
         cumw[-1] = 1.0
         cuts = [int(c) for c in kernels._cut(cumw)]
-        edges = np.concatenate([self._edge_words(c) for c in cuts])
-        words = np.concatenate([edges, kernels._slot_words(3, 0, 5000, kernels.SLOT_SETTINGS)])
-        u = (words >> 11) * 2.0**-53
+        edges = np.concatenate([self._edge_draws(c) for c in cuts])
+        coins, words = planes_of(edges, 0x800)
+        block = (3, 0, 5000, kernels.SLOT_SETTINGS)
+        coins = np.concatenate([coins, kernels._slot_coins(*block)])
+        words = np.concatenate([words, kernels._slot_words(*block)])
+        u = kernels._draws(coins, words.copy()) * 2.0**-53
         want = np.clip(np.searchsorted(cumw, u, side="right"), 0, cumw.size - 1)
-        assert np.array_equal(kernels._select_pairs(words, cumw), want)
-        assert np.array_equal(kernels._select_pairs(u, cumw), want)
+        assert np.array_equal(kernels._select_pairs(coins, words, cumw), want)
 
 
 class TestDeterministicModelOnWords:
@@ -449,41 +506,53 @@ class TestRandomizedSettingsMatchObjectLayer:
 
 
 class TestKernelsOnEdgeWords:
-    """Every word-domain kernel, fed a stream of words that sit on and next
-    to each of its cuts, decides as the float compares it replaces."""
+    """Every plane-domain kernel, fed draws that sit on and next to each of
+    its cuts and of the planes' seams, decides as the float compares it
+    replaces, with one settings pair (compared on the planes) and with
+    several (compared on the built draws)."""
 
     N = 4000
     PA = np.array([0.0, 0.7, 1.3, math.pi / 2])
     PB = np.array([0.4, 0.2, 1.3, 0.0])
-    CUMW = np.array([0.3, 0.55, 0.8, 1.0])
+    CUMW = np.array([0.3, 0.5, 0.8, 1.0])
+    THETAS = [0.0, 0.3, math.pi / 4, math.pi / 2]
+    SETTINGS = ["all", 0, 1, 2, 3]
 
     @pytest.fixture
-    def words(self, monkeypatch):
-        """An (N, 8) table of slots 0-7 served in place of the Philox stream."""
-        cuts = [2**52]
+    def draws(self, monkeypatch):
+        """An (N, 8) table of 53-bit draws for slots 0-7, served as both
+        planes in place of the Philox stream."""
+        cuts = list(SEAM_CUTS)
         for s_first, s_second in ((self.PA, self.PB), (self.PB, self.PA)):
             for delta in (s_first - s_second, s_first + math.pi / 2 - s_second):
                 cuts += [int(c) for c in kernels._cut(kernels._malus_prob_array(delta))]
         cuts += [int(c) for c in kernels._cut(self.CUMW)]
-        cuts += [int(kernels._cut(math.cos(0.3) ** 2))]
+        cuts += [int(kernels._cut(min(math.cos(t) ** 2, 1.0))) for t in self.THETAS]
         sign = deterministic_sign_model()
         for arm, settings in (("response_a", self.PA), ("response_b", self.PB)):
             cuts += [int(c) for c in kernels._word_steps(sign, arm, tuple(settings))[1].flat]
-        ks = sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k < 2**53} | {2**53 - 1})
+        ks = sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k < 2**53})
         rng = np.random.default_rng(12)
-        table = np.array(ks, dtype=np.uint64)[rng.integers(0, len(ks), (self.N, 8))] << 11
-        table |= np.array([0, 1, 0x7FF], dtype=np.uint64)[rng.integers(0, 3, table.shape)]
+        table = np.array(ks, dtype=np.uint64)[rng.integers(0, len(ks), (self.N, 8))]
         table[0] = 0
-        table[1] = 2**64 - 1
+        table[1] = 2**53 - 1
+        coins, words = planes_of(table, rng.integers(0, 4096, table.shape))
 
         def slot_words(seed, start, count, slot):
-            return table[start : start + count, slot].copy()
+            return words[start : start + count, slot].copy()
+
+        def slot_coins(seed, start, count, slot):
+            return coins[start : start + count, slot].copy()
 
         monkeypatch.setattr(kernels, "_slot_words", slot_words)
+        monkeypatch.setattr(kernels, "_slot_coins", slot_coins)
         return table
 
-    def _uniforms(self, words):
-        return (words >> 11) * 2.0**-53
+    def _settings(self, which):
+        """(pair_a, pair_b, cumw) of all four pairs, or of the one pair `which`."""
+        if which == "all":
+            return self.PA, self.PB, self.CUMW
+        return self.PA[which : which + 1], self.PB[which : which + 1], np.array([1.0])
 
     def _float_reduced(self, u_first, u_second, pair_idx, s_first, s_second):
         first = u_first < 0.5
@@ -493,22 +562,24 @@ class TestKernelsOnEdgeWords:
 
     @pytest.mark.parametrize("name", ["qm", "ndv", "definite-circular", "lhv-sign"])
     @pytest.mark.parametrize("order", list(Ordering))
-    def test_two_channel(self, words, name, order):
-        u = self._uniforms(words)
-        pair_idx = np.clip(np.searchsorted(self.CUMW, u[:, 0], side="right"), 0, 3)
+    @pytest.mark.parametrize("settings", SETTINGS)
+    def test_two_channel(self, draws, name, order, settings):
+        u = draws * 2.0**-53
+        pa, pb, cumw = self._settings(settings)
+        pair_idx = np.clip(np.searchsorted(cumw, u[:, 0], side="right"), 0, cumw.size - 1)
         arm2_first = u[:, 4] >= 0.5
         model = kernels.MODEL_CODES[name]
-        got = kernels.two_channel_block(1, 0, self.N, model, self.PA, self.PB, self.CUMW, order)
+        got = kernels.two_channel_block(1, 0, self.N, model, pa, pb, cumw, order)
         assert np.array_equal(got[0], pair_idx)
         if name == "lhv-sign":
             lam = u[:, 1] * math.pi
-            oa = np.cos(2 * (self.PA[pair_idx] - lam)) > 0
-            ob = np.cos(2 * (self.PB[pair_idx] - lam)) > 0
+            oa = np.cos(2 * (pa[pair_idx] - lam)) > 0
+            ob = np.cos(2 * (pb[pair_idx] - lam)) > 0
         elif name == "definite-circular":
             oa, ob = u[:, 2] < 0.5, u[:, 3] < 0.5
         else:
-            oa1, ob1 = self._float_reduced(u[:, 2], u[:, 3], pair_idx, self.PA, self.PB)
-            ob2, oa2 = self._float_reduced(u[:, 3], u[:, 2], pair_idx, self.PB, self.PA)
+            oa1, ob1 = self._float_reduced(u[:, 2], u[:, 3], pair_idx, pa, pb)
+            ob2, oa2 = self._float_reduced(u[:, 3], u[:, 2], pair_idx, pb, pa)
             flags = {Ordering.ARM1_FIRST: False, Ordering.ARM2_FIRST: True}.get(
                 order, arm2_first
             )
@@ -517,8 +588,8 @@ class TestKernelsOnEdgeWords:
         assert np.array_equal(got[2], ob)
 
     @pytest.mark.parametrize("order", list(Ordering))
-    def test_chains(self, words, order):
-        u = self._uniforms(words)
+    def test_chains(self, draws, order):
+        u = draws * 2.0**-53
         first = np.where(u[:, 4] >= 0.5, u[:, 3], u[:, 2])
         first = {Ordering.ARM1_FIRST: u[:, 2], Ordering.ARM2_FIRST: u[:, 3]}.get(order, first)
         cases = {
@@ -531,12 +602,16 @@ class TestKernelsOnEdgeWords:
             assert np.array_equal(got_a, det_a)
             assert np.array_equal(got_b, det_b)
 
-    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2])
-    def test_malus(self, words, theta):
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_malus(self, draws, theta):
         p = math.cos(theta) ** 2
         p = 0.0 if p < 1e-24 else min(p, 1.0)
         got = kernels.malus_block(1, 0, self.N, theta)
-        assert np.array_equal(got, self._uniforms(words)[:, 2] < p)
+        assert np.array_equal(got, draws[:, 2] * 2.0**-53 < p)
+
+    def test_the_table_reaches_every_seam(self, draws):
+        present = set(draws.flat)
+        assert {k for c in SEAM_CUTS for k in (c - 1, c) if 0 <= k < 2**53} <= present
 
 
 S, E, A, B, O = (kernels.SLOT_SETTINGS, kernels.SLOT_EMISSION, kernels.SLOT_ARM_A,
@@ -544,20 +619,25 @@ S, E, A, B, O = (kernels.SLOT_SETTINGS, kernels.SLOT_EMISSION, kernels.SLOT_ARM_
 
 
 class TestWordBudget:
-    """Each kernel reads every slot it decides on once per block, and no
-    other: a slot costs a quarter Philox counter per trial, so an extra read
-    would undo the stream's saving without changing any outcome."""
+    """Each kernel reads every plane it decides on once per block, and no
+    other: a word costs a quarter Philox counter per trial and a coin 1/256
+    of one, so a fair coin that read its word would undo the stream's saving
+    without changing any outcome. Every coin-only decision reads no word."""
 
     SINGLE = (np.array([0.3]), np.array([1.0]), np.array([1.0]))
     THREE = (np.array([0.0, 0.7, 1.3]), np.array([0.4, 0.2, 1.3]), np.array([0.3, 0.55, 1.0]))
+    # name -> (coin slots, word slots); the arm measured first reads no word
     TWO_CHANNEL = {
-        "qm": [A, B],
-        "ndv": [A, B],
-        "definite-circular": [A, B],
-        "lhv-sign": [E],
-        "lhv-malus": [E, A, B],
+        ("qm", Ordering.ARM1_FIRST): ([A, B], [B]),
+        ("qm", Ordering.ARM2_FIRST): ([A, B], [A]),
+        ("qm", Ordering.RANDOM_PER_TRIAL): ([A, B, O], [A, B]),
+        ("ndv", Ordering.ARM1_FIRST): ([A, B], [B]),
+        ("ndv", Ordering.ARM2_FIRST): ([A, B], [A]),
+        ("ndv", Ordering.RANDOM_PER_TRIAL): ([A, B, O], [A, B]),
+        **{("definite-circular", order): ([A, B], []) for order in Ordering},
+        **{("lhv-sign", order): ([E], [E]) for order in Ordering},
+        **{("lhv-malus", order): ([E, A, B], [E, A, B]) for order in Ordering},
     }
-    ORDER_DEPENDENT = {"qm", "ndv"}
     CHAINS = {
         (name, order): slots
         for order, qm in [(Ordering.ARM1_FIRST, [A]), (Ordering.ARM2_FIRST, [B]),
@@ -568,40 +648,44 @@ class TestWordBudget:
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """The slots passed to `_slot_words`, one entry per call."""
-        slots = []
-        slot_words = kernels._slot_words
+        """The slots passed to `_slot_coins` and `_slot_words`, one entry per call."""
+        slots = {"coins": [], "words": []}
+        for plane in slots:
+            reader = getattr(kernels, f"_slot_{plane}")
 
-        def recording(seed, start, count, slot):
-            slots.append(slot)
-            return slot_words(seed, start, count, slot)
+            def recording(seed, start, count, slot, reader=reader, log=slots[plane]):
+                log.append(slot)
+                return reader(seed, start, count, slot)
 
-        monkeypatch.setattr(kernels, "_slot_words", recording)
+            monkeypatch.setattr(kernels, f"_slot_{plane}", recording)
         return slots
 
-    @pytest.mark.parametrize("name", list(TWO_CHANNEL))
-    @pytest.mark.parametrize("order", list(Ordering))
+    @staticmethod
+    def _sorted(reads):
+        return sorted(reads["coins"]), sorted(reads["words"])
+
+    @pytest.mark.parametrize("name,order", list(TWO_CHANNEL))
     @pytest.mark.parametrize("pairs", ["single", "three"])
     def test_two_channel(self, reads, name, order, pairs):
         pa, pb, cumw = self.SINGLE if pairs == "single" else self.THREE
         kernels.two_channel_block(7, 5, BLOCK_SIZE, kernels.MODEL_CODES[name], pa, pb, cumw, order)
-        want = list(self.TWO_CHANNEL[name])
+        coins, words = (list(slots) for slots in self.TWO_CHANNEL[name, order])
         if pairs == "three":
-            want.append(S)
-        if order is Ordering.RANDOM_PER_TRIAL and name in self.ORDER_DEPENDENT:
-            want.append(O)
-        assert sorted(reads) == sorted(want)
+            coins.append(S)
+            words.append(S)
+        assert self._sorted(reads) == (sorted(coins), sorted(words))
 
     @pytest.mark.parametrize("name,order", list(CHAINS))
     def test_chains(self, reads, name, order):
         kernels.qwp_block(7, 5, BLOCK_SIZE, kernels.MODEL_CODES[name], order)
-        assert sorted(reads) == sorted(self.CHAINS[name, order])
+        assert self._sorted(reads) == (sorted(self.CHAINS[name, order]), [])
 
     def test_malus(self, reads):
         kernels.malus_block(7, 5, BLOCK_SIZE, 0.3)
-        assert reads == [A]
+        assert reads == {"coins": [A], "words": [A]}
 
     @pytest.mark.parametrize("order", list(Ordering))
     def test_ordering_flags(self, reads, order):
         kernels.arm2_first_flags(7, 5, BLOCK_SIZE, order)
-        assert reads == ([O] if order is Ordering.RANDOM_PER_TRIAL else [])
+        want = [O] if order is Ordering.RANDOM_PER_TRIAL else []
+        assert reads == {"coins": want, "words": []}
