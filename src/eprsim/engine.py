@@ -379,6 +379,8 @@ def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoCh
 
     def count(lo: int, hi: int) -> tuple[CoincidenceCounts, ...]:
         pair_index, out_a, out_b = kernel(lo, hi)
+        if len(pairs) == 1:
+            return (CoincidenceCounts.from_outcomes(out_a, out_b),)
         return tuple(
             CoincidenceCounts.from_outcomes(out_a, out_b, pair_index == j)
             for j in range(len(pairs))
@@ -440,24 +442,17 @@ def trial_draws(seed: int, trial_index: int) -> TrialDraws:
     Draw j is ``k * 2**-53`` with ``k = (c << 52) | (w >> 12)`` (see
     :mod:`eprsim.kernels`): w is word ``i % 4`` of Philox counter ``(i // 4,
     j, 0, 0)`` and c is bit ``i % 64`` of word ``(i // 64) % 4`` of counter
-    ``(i // 256, j, 1, 0)``, for ``i = trial_index``. One generator per plane
-    reads counter j's four words, then steps 2**64 counters, less the one
-    its next read adds, to counter j + 1.
+    ``(i // 256, j, 1, 0)``, for ``i = trial_index``. Each plane is read
+    through the kernels' own per-thread generator, set to its counter per slot.
     """
     kernels.check_seed(seed)
     kernels.check_int("trial_index", trial_index, 0, kernels.SEED_LIMIT - 1)
-    group, word = divmod(trial_index, 4)
-    coin_group, coin_word = divmod(trial_index // 64, 4)
     bit = trial_index % 64
-    words = np.random.Philox(key=seed, counter=(group - 1) % (1 << 256))
-    coins = np.random.Philox(key=seed, counter=coin_group + (1 << 128) - 1)
     u = []
-    for _ in range(kernels.DRAWS_PER_TRIAL):
-        w = int(words.random_raw(4)[word])
-        c = int(coins.random_raw(4)[coin_word]) >> bit & 1
+    for slot in range(kernels.DRAWS_PER_TRIAL):
+        w = int(kernels._plane_words(seed, trial_index, 1, slot, 0)[0])
+        c = int(kernels._plane_words(seed, trial_index // 64, 1, slot, 1)[0]) >> bit & 1
         u.append(((c << 52) | (w >> 12)) * 2.0**-53)
-        words.advance((1 << 64) - 1)
-        coins.advance((1 << 64) - 1)
     return TrialDraws(
         settings=u[kernels.SLOT_SETTINGS],
         ordering=u[kernels.SLOT_ORDERING],

@@ -63,6 +63,7 @@ import functools
 import logging
 import math
 import numbers
+import threading
 
 import numpy as np
 
@@ -156,6 +157,32 @@ def _trial_range(seed: int, start: int, count: int) -> tuple[int, int]:
     return start, count
 
 
+_MASK64 = SEED_LIMIT - 1
+_thread = threading.local()
+
+
+def _philox(seed: int, counter: int) -> np.random.Philox:
+    """This thread's one Philox, set to key ``(seed, 0)`` and `counter` with
+    an empty buffer, so its next word is word 0 of counter ``counter + 1``.
+    Setting the state costs a fifth of building a generator, which also
+    seeds a throw-away `SeedSequence` from the OS."""
+    gen = getattr(_thread, "philox", None)
+    if gen is None:
+        gen = _thread.philox = np.random.Philox(0)
+    gen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [counter >> shift & _MASK64 for shift in (0, 64, 128, 192)],
+            "key": [seed, 0],
+        },
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def _plane_words(seed: int, first: int, n: int, slot: int, plane: int) -> np.ndarray:
     """Words [first, first+n) of one slot's plane, word q being word ``q % 4``
     of counter ``(q // 4, slot, plane, 0)``. Philox emits counter c+1 first,
@@ -163,7 +190,7 @@ def _plane_words(seed: int, first: int, n: int, slot: int, plane: int) -> np.nda
     group, skip = divmod(first, 4)
     counters = -(-(first + n) // 4) - group
     counter = (group + (slot << 64) + (plane << 128) - 1) % (1 << 256)
-    words = np.random.Philox(key=seed, counter=counter).random_raw(4 * counters)
+    words = _philox(seed, counter).random_raw(4 * counters)
     return words[skip : skip + n]
 
 
@@ -277,16 +304,21 @@ def _select_pairs(coins: np.ndarray, words: np.ndarray, cumw: np.ndarray) -> np.
 
 
 def _pair_index(seed: int, start: int, count: int, cumw: np.ndarray) -> np.ndarray:
-    """`_select_pairs` on the settings slot; a single pair reads nothing."""
+    """`_select_pairs` on the settings slot. A single pair reads nothing and
+    allocates nothing: its index is a read-only zero-stride view of one 0."""
     if cumw.size == 1:
-        return np.zeros(count, dtype=np.int32)
+        return np.broadcast_to(np.int32(0), (count,))
     block = (seed, start, count, SLOT_SETTINGS)
     return _select_pairs(_slot_coins(*block), _slot_words(*block), cumw)
 
 
 def _pick(flags: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
-    """``np.where(flags, if_true, if_false)`` for boolean arrays, at a fraction of its cost."""
-    return (flags & if_true) | (~flags & if_false)
+    """``np.where(flags, if_true, if_false)`` for boolean arrays, at a fraction
+    of its cost, built in the buffer of `if_true`, which the caller gives up."""
+    if_true ^= if_false
+    if_true &= flags
+    if_true ^= if_false
+    return if_true
 
 
 def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
@@ -335,7 +367,10 @@ def two_channel_block(
 
     The arm measured first answers 1/2 and reads its coins alone. A fixed
     order turns the first arm's coins into its answers before it reads the
-    second arm's words, so one block of words is alive at a time.
+    second arm's words, so one block of words is alive at a time. With one
+    settings pair the index is a read-only view that holds no per-trial
+    bytes (`_pair_index`), so the block allocates only the planes it reads
+    and the flags it returns: about 12 bytes per trial at its peak.
     """
     check_ordering(ordering)
     if isinstance(model, Lhv):
@@ -505,11 +540,13 @@ def _step_decision(below, pair_idx: np.ndarray, first: np.ndarray, cuts: np.ndar
     """Per-trial decisions of one arm: its decision at k = 0 flipped once per
     cut of the trial's settings pair at or below k. `below` (`_comparer`)
     finds the cuts above k instead, so an odd count of columns flips the
-    decision once more."""
-    flipped = np.zeros(pair_idx.shape, dtype=bool)
-    for column in cuts.T:
+    decision once more. The first column's compare is the accumulator."""
+    columns = cuts.T
+    flipped = below(columns[0]) if len(columns) else np.zeros(pair_idx.shape, dtype=bool)
+    for column in columns[1:]:
         flipped ^= below(column)
-    return flipped ^ _per_trial(first ^ (cuts.shape[1] % 2 == 1), pair_idx)
+    flipped ^= _per_trial(first ^ (len(columns) % 2 == 1), pair_idx)
+    return flipped
 
 
 def two_channel_block_lhv(

@@ -319,6 +319,38 @@ class TestSettingsPolicies:
             run.counts_for_pair(pair)
 
 
+class TestOnePairCounting:
+    """A one-pair run counts without a settings-pair mask; a two-pair run
+    whose second pair has weight 0 takes the masked path (and builds k) on
+    the same trials, so both must agree count for count and trial for trial."""
+
+    FIXED = (0.0, math.pi / 8)
+    OTHER = (math.pi / 4, 3 * math.pi / 8)
+
+    @pytest.mark.parametrize(
+        "model_name", ["qm", "ndv-nonlocal", "definite-circular", "lhv-sign", "lhv-malus"]
+    )
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mask_free_counts_equal_the_masked_ones(
+        self, monkeypatch, model_name, ordering, workers
+    ):
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 700)  # several ragged blocks
+
+        def run(settings):
+            cfg = RunConfig(
+                model=build_model(model_name), trials=3000, settings=settings,
+                ordering=ordering, seed=29,
+            )
+            return run_experiment(cfg, start_index=123, workers=workers)
+
+        fixed = run(FixedSettings(*self.FIXED))
+        masked = run(RandomizedSettings((self.FIXED, self.OTHER), (1.0, 0.0)))
+        assert masked.counts_for_pair(0) == fixed.counts_for_pair(0)
+        assert masked.counts_for_pair(1) == CoincidenceCounts(0, 0, 0, 0)
+        assert list(masked.records()) == list(fixed.records())
+
+
 class TestOrderingInvariance:
     @pytest.mark.parametrize("model_name", ["lhv-sign", "lhv-malus", "definite-circular"])
     def test_local_models_ignore_ordering_exactly(self, model_name):
@@ -607,6 +639,28 @@ class TestBoundedMemory:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    # One-pair, fixed-order runs of the kinds the CLI makes, one entry per
+    # kernel path that decides on the planes.
+    ONE_PAIR_RUNS = {
+        **{
+            name: lambda n, name=name: run_experiment(
+                qm_config(model=build_model(name), trials=n), workers=1
+            )
+            for name in ("qm", "ndv-nonlocal", "definite-circular", "lhv-sign")
+        },
+        "chain": RUNS["chain"],
+        "malus": RUNS["malus"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ONE_PAIR_RUNS))
+    def test_a_block_peaks_below_16_bytes_per_trial(self, name):
+        # a block holds the planes it reads and the flags it decides, and
+        # no per-trial settings-pair index or mask
+        run = self.ONE_PAIR_RUNS[name]
+        run(BLOCK_SIZE)  # tables and caches a run builds once
+        peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
+        assert peak < 16 * BLOCK_SIZE, peak
 
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_peak_allocation_is_flat_in_trials(self, name):

@@ -10,6 +10,9 @@ import json
 import logging
 import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +414,22 @@ class TestDeterministicModelOnWords:
         assert not self._on_words(model, [p[0] for p in pairs], [p[1] for p in pairs])
         self._assert_paths_agree(model, pairs, weights, seed=29, trials=2**16)
 
+    @pytest.mark.parametrize(
+        "pairs,weights",
+        [(((0.3, 1.0),), [1.0]), (((0.0, 0.4), (0.7, 0.2)), [0.5, 0.5])],
+    )
+    def test_an_arm_that_never_flips_has_no_cuts(self, pairs, weights):
+        # zero cut columns: the decision at k = 0 holds on every trial
+        model = dataclasses.replace(
+            deterministic_sign_model(),
+            name="constant",
+            response_a=lambda s, lam: np.ones(np.broadcast(s, lam).shape),
+            response_b=lambda s, lam: np.zeros(np.broadcast(s, lam).shape),
+            response_breakpoints=lambda s: np.array([]),
+        )
+        assert kernels._word_steps(model, "response_a", (pairs[0][0],))[1].shape == (1, 0)
+        self._assert_paths_agree(model, pairs, weights, seed=31, trials=2**16)
+
     def test_the_float_path_is_logged_once_per_failing_setting(self, caplog):
         model = self._shifted_sign_model()
         pa, pb = np.array([0.3, 0.7]), np.array([1.0, 0.2])
@@ -689,3 +708,85 @@ class TestWordBudget:
         kernels.arm2_first_flags(7, 5, BLOCK_SIZE, order)
         want = [O] if order is Ordering.RANDOM_PER_TRIAL else []
         assert reads == {"coins": want, "words": []}
+
+
+class TestPerThreadGenerator:
+    """Each thread reuses one Philox and sets its whole state on every read,
+    so no read sees another seed's key or another slot's counter, and no
+    thread sees another's."""
+
+    # (reader, seed, start, count, slot): both planes, two seeds, several
+    # slots, unaligned starts and the last 70 trials of a seed
+    READS = [
+        (reader, seed, start, count, slot)
+        for start, count in [(0, 9), (63, 2), (100, 5), (250, 70), (2**64 - 70, 70)]
+        for seed in (3, 2**64 - 1)
+        for slot in (kernels.SLOT_EMISSION, kernels.SLOT_ARM_B, kernels.SLOT_ORDERING)
+        for reader in ("_slot_words", "_slot_coins")
+    ]
+
+    @staticmethod
+    def _read(read):
+        reader, *args = read
+        return getattr(kernels, reader)(*args)
+
+    def _in_fresh_thread(self, read):
+        got = []
+        thread = threading.Thread(target=lambda: got.append(self._read(read)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return got[0]
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        """Each read made first in a thread of its own."""
+        return [self._in_fresh_thread(read) for read in self.READS]
+
+    def _check(self, reads):
+        for read, want in reads:
+            got = self._read(read)
+            assert got.dtype == want.dtype and np.array_equal(got, want), read
+
+    def test_interleaved_reads_on_one_thread(self, fresh):
+        reads = list(zip(self.READS, fresh))
+        self._check(reads)
+        self._check(reads[::-1])
+
+    def test_interleaved_reads_on_two_threads_at_once(self, fresh):
+        reads = list(zip(self.READS, fresh))
+        barrier = threading.Barrier(2)
+
+        def check(order):
+            barrier.wait(timeout=60)
+            for _ in range(5):
+                self._check(order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for done in [pool.submit(check, reads), pool.submit(check, reads[::-1])]:
+                    done.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_run_builds_one_generator_per_worker(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(threading.get_ident())
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        cfg = RunConfig(model=QMFormal(), trials=8 * BLOCK_SIZE, seed=3,
+                        ordering=Ordering.RANDOM_PER_TRIAL)
+        run_experiment(cfg, workers=2)
+        assert 1 <= len(built) <= 2 and len(set(built)) == len(built), built
+        built.clear()
+        trial_draws(3, 0)  # may build this thread's generator
+        built.clear()
+        for i in range(20):
+            trial_draws(3, i)
+        assert built == []
