@@ -93,12 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shown(key: str) -> str:
+    """A config key as an error message names it: as written, or quoted when
+    a character in it (a newline, say) would break the one-line message."""
+    return key if key.isprintable() else repr(key)
+
+
 def _unique_keys(pairs: list) -> dict:
     """`json` object hook: a key given twice is an error, not last-one-wins."""
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ConfigError(f"{key}: given twice in the config file")
+            raise ConfigError(f"{_shown(key)}: given twice in the config file")
         data[key] = value
     return data
 
@@ -109,14 +115,18 @@ def _load_config_file(path: str, scenario: str) -> dict:
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config: {path} nests too deeply to read") from None
     if not isinstance(data, dict):
         raise ConfigError("config: the config file must hold a JSON object")
     allowed = set(SCENARIO_PARAMS[scenario]) | {"scenario", "format", "out"}
     for key in data:
         if key not in allowed:
-            raise ConfigError(f"{key}: unknown config field for scenario {scenario!r}")
+            raise ConfigError(f"{_shown(key)}: unknown config field for scenario {scenario!r}")
     declared = data.get("scenario")
     if declared is not None and declared != scenario:
         raise ConfigError(

@@ -2,9 +2,10 @@
 
 The central contract: the record of trial i is a pure function of
 (seed, i, config), so runs are reproducible bit for bit regardless of block
-size, execution order or worker count. Randomness is counter-based (see
-:mod:`eprsim.kernels`); workers only ever partition the trial-index range,
-and each block is reduced to exact integer counts on the worker that ran it.
+size, execution order or worker count. Each draw is read at its trial's
+position in a jumpable stream (see :mod:`eprsim.kernels`); workers only
+ever partition the trial-index range, and each block is reduced to exact
+integer counts on the worker that ran it.
 Runs keep those counts, not per-trial arrays, so memory does not grow with
 the trial count; per-trial records are recomputed on demand.
 
@@ -358,8 +359,8 @@ def run_experiment(
     """Run `config.trials` trials of the given protocol.
 
     ``start_index`` offsets the trial-index range so that disjoint blocks of
-    one experiment draw from disjoint counter ranges (hence independent
-    streams). Worker count never changes results. A factorized model is
+    one experiment draw from disjoint stream positions (hence independent
+    samples). Worker count never changes results. A factorized model is
     validated (`validate_lhv_model`) before any block runs, as are
     ``start_index`` and ``workers``.
     """
@@ -440,10 +441,11 @@ def trial_draws(seed: int, trial_index: int) -> TrialDraws:
     """The five named draws of one trial, in the documented slot order.
 
     Draw j is ``k * 2**-53`` with ``k = (c << 52) | (w >> 12)`` (see
-    :mod:`eprsim.kernels`): w is word ``i % 4`` of Philox counter ``(i // 4,
-    j, 0, 0)`` and c is bit ``i % 64`` of word ``(i // 64) % 4`` of counter
-    ``(i // 256, j, 1, 0)``, for ``i = trial_index``. Each plane is read
-    through the kernels' own per-thread generator, set to its counter per slot.
+    :mod:`eprsim.kernels`): for ``i = trial_index``, w is output i of slot j's
+    word plane, the PCG64DXSM stream of ``SeedSequence(seed, spawn_key=(j,
+    0))``, and c is bit ``i % 64`` of output ``i // 64`` of its coin plane,
+    spawn key ``(j, 1)``. Each plane is read through the kernels' own
+    per-thread generator, jumped to the output it needs.
     """
     kernels.check_seed(seed)
     kernels.check_int("trial_index", trial_index, 0, kernels.SEED_LIMIT - 1)

@@ -1,22 +1,28 @@
-"""Hot per-trial kernels: counter-based RNG plus vectorized trial loops.
+"""Hot per-trial kernels: a jumpable random stream plus vectorized trial loops.
 
-Every random number in the simulator comes from philox4x64-10 (numpy's
-``np.random.Philox``, in C) under key ``(seed, 0)``. Each slot j of trial i
-reads two planes of that output:
+Every random number in the simulator comes from PCG64DXSM (O'Neill's PCG,
+2014; numpy's ``np.random.PCG64DXSM``, in C). Slot j of trial i reads two
+planes, each its own stream:
 
-    word plane  w(i, j): word ``i % 4`` of counter ``(i // 4, j, 0, 0)``
-    coin plane  c(i, j): bit ``i % 64`` of word ``(i // 64) % 4`` of counter
-                ``(i // 256, j, 1, 0)``
+    word plane  w(i, j): output i of the stream of
+                ``SeedSequence(seed, spawn_key=(j, 0))``
+    coin plane  c(i, j): bit ``i % 64`` of output ``i // 64`` of the stream
+                of ``SeedSequence(seed, spawn_key=(j, 1))``
 
 and the draw is the 53-bit integer ``k = (c << 52) | (w >> 12)``, read as the
-uniform ``u = k * 2**-53``. The third counter word keeps the planes disjoint,
-and both maps are injective, so trials own independent streams, and any
-subset of trials can be computed in any order or on any worker with
-bit-identical results. ``u < 1/2`` holds exactly when ``c == 0``, so a fair
-coin reads the coin plane alone, at 1/64 of a word per trial
-(`_slot_coins`); a slot's words for consecutive trials are consecutive
-Philox output, read with one `_slot_words` call at a quarter counter per
-trial. Slots per trial:
+uniform ``u = k * 2**-53``. PCG's state is a 128-bit LCG, which jumps to any
+output in O(log n) steps (`_plane_words`), so trial i's draws are a pure
+function of (seed, i, slot): any subset of trials can be computed in any
+order or on any worker with bit-identical results. Independence of the
+planes rests on `SeedSequence` spawn keys, numpy's documented way to derive
+parallel streams. The entropy is the seed alone, with (slot, plane) as the
+spawn key, and not the tuple ``(seed, slot, plane)``: `SeedSequence` splits
+each int of a tuple into 32-bit words and pads short entropy with zeros, so
+``(5, 3, 0)`` and ``(5 + 3 * 2**32, 0, 0)`` would name one stream, while
+a spawn key is appended after the padding. ``u < 1/2`` holds exactly when
+``c == 0``, so a fair coin reads the coin plane alone, at 1/64 of an output
+per trial (`_slot_coins`); a slot's words for consecutive trials are
+consecutive outputs, read with one `_slot_words` call. Slots per trial:
 
     0  settings-pair selection (randomized-settings runs only)
     1  emission (hidden parameter / handedness; entangled models skip it)
@@ -70,7 +76,7 @@ import numpy as np
 from . import models
 from .models import DefiniteCircular, Lhv, NdvNonlocal, Ordering, QMFormal
 
-RNG_STREAM = "philox4x64-10/v4"
+RNG_STREAM = "pcg64dxsm/v5"
 SEED_LIMIT = 1 << 64  # seeds and trial indices live in [0, 2**64)
 
 SLOT_SETTINGS = 0
@@ -157,41 +163,43 @@ def _trial_range(seed: int, start: int, count: int) -> tuple[int, int]:
     return start, count
 
 
-_MASK64 = SEED_LIMIT - 1
+_MASK128 = (1 << 128) - 1
+# PCG's 128-bit LCG multiplier, which numpy's PCG64DXSM seeding steps with
+_PCG_SEED_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _thread = threading.local()
 
 
-def _philox(seed: int, counter: int) -> np.random.Philox:
-    """This thread's one Philox, set to key ``(seed, 0)`` and `counter` with
-    an empty buffer, so its next word is word 0 of counter ``counter + 1``.
-    Setting the state costs a fifth of building a generator, which also
-    seeds a throw-away `SeedSequence` from the OS."""
-    gen = getattr(_thread, "philox", None)
-    if gen is None:
-        gen = _thread.philox = np.random.Philox(0)
-    gen.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": [counter >> shift & _MASK64 for shift in (0, 64, 128, 192)],
-            "key": [seed, 0],
-        },
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+@functools.lru_cache(maxsize=256)
+def _plane_state(seed: int, slot: int, plane: int) -> tuple[int, int]:
+    """(state, increment) of ``PCG64DXSM(SeedSequence(seed, spawn_key=(slot,
+    plane)))`` before its first output, by numpy's own seeding: four words of
+    the `SeedSequence` give the initial state s and stream t, the increment is
+    ``2t + 1``, and the LCG steps twice, from 0 and again after adding s.
+    Cached, with a fixed size, because the `SeedSequence` hash is the costly
+    step, and computed rather than read off a new generator, so each thread
+    builds one generator only."""
+    words = np.random.SeedSequence(seed, spawn_key=(slot, plane)).generate_state(4, np.uint64)
+    s0, s1, t0, t1 = (int(x) for x in words)
+    inc = ((t0 << 64 | t1) << 1 | 1) & _MASK128
+    return ((inc + (s0 << 64 | s1)) * _PCG_SEED_MULTIPLIER + inc) & _MASK128, inc
 
 
 def _plane_words(seed: int, first: int, n: int, slot: int, plane: int) -> np.ndarray:
-    """Words [first, first+n) of one slot's plane, word q being word ``q % 4``
-    of counter ``(q // 4, slot, plane, 0)``. Philox emits counter c+1 first,
-    so the generator starts at c - 1."""
-    group, skip = divmod(first, 4)
-    counters = -(-(first + n) // 4) - group
-    counter = (group + (slot << 64) + (plane << 128) - 1) % (1 << 256)
-    words = _philox(seed, counter).random_raw(4 * counters)
-    return words[skip : skip + n]
+    """Outputs [first, first+n) of one slot's plane. This thread's one
+    PCG64DXSM is set to the plane's initial state, jumped `first` outputs
+    ahead and read: a jump costs a few microseconds whatever its length."""
+    gen = getattr(_thread, "pcg", None)
+    if gen is None:
+        gen = _thread.pcg = np.random.PCG64DXSM(0)
+    state, inc = _plane_state(seed, slot, plane)
+    gen.state = {
+        "bit_generator": "PCG64DXSM",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    gen.advance(first)
+    return gen.random_raw(n)
 
 
 def _slot_words(seed: int, start: int, count: int, slot: int) -> np.ndarray:
@@ -565,9 +573,10 @@ def two_channel_block_lhv(
     arm is `_step_decision` of the emission integer k, the float decision
     draw for draw, and no float is built. Otherwise the arms read
     `uniform_block`: responses get the setting as a scalar when there is one
-    settings pair and as a per-trial array otherwise. Determinism holds for any vectorized
-    callables because the draws are counter-based. A factorized model's
-    outcomes do not depend on the measurement order.
+    settings pair and as a per-trial array otherwise. Determinism holds for
+    any vectorized callables because each draw is a function of its trial
+    index. A factorized model's outcomes do not depend on the measurement
+    order.
     """
     pair_idx = _pair_index(seed, start, count, cumw)
     block = (seed, start, count)

@@ -438,6 +438,75 @@ def test_any_config_file_runs_or_names_its_key(case):
         assert message[len(prefix):].split(":", 1)[0] in _CONFIG_VALUES, message
 
 
+# Any JSON value, to fill objects and arrays in config files.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# Config files as bytes: arbitrary bytes, and JSON objects (with the keys
+# chsh-scan takes, or any text) between arbitrary leading and trailing bytes.
+# No "out" key: a run that succeeds would write where it names.
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(
+        st.binary(max_size=3),
+        st.dictionaries(
+            st.one_of(st.sampled_from(SCENARIO_PARAMS["chsh-scan"]), st.text(max_size=4)),
+            _JSON,
+            max_size=3,
+        ).map(lambda d: json.dumps({k: v for k, v in d.items() if k != "out"}).encode()),
+        st.binary(max_size=3),
+    ).map(b"".join),
+)
+
+
+def _run_config_bytes(data: bytes) -> tuple[int, str]:
+    """Exit code and stderr of a small chsh-scan run on a config file holding `data`."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("cfg.json", "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["chsh-scan", "--config", "cfg.json", "--trials", "100",
+                         "--workers", "1"])
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CONFIG_BYTES)
+def test_any_config_bytes_run_or_end_in_one_line(data):
+    code, message = _run_config_bytes(data)
+    assert code in (0, 1)
+    assert "Traceback" not in message
+    if code == 0:
+        assert message == ""
+    else:
+        assert len(message.splitlines()) == 1, message
+        assert message.startswith("epr: config error:")
+
+
+@pytest.mark.parametrize(
+    "data,names",
+    [
+        (b"\xff\xfe{}", "cfg.json is not valid JSON: 'utf-8' codec"),
+        (b"[" * 100_000 + b"]" * 100_000, "cfg.json nests too deeply"),
+        (b'{"trials": ' + b"1" * 5000 + b"}", "cfg.json is not valid JSON: Exceeds the limit"),
+        (b'{"a\\nb": 1}', "'a\\nb': unknown config field"),
+        (b'{"a\\u2028": 1, "a\\u2028": 2}', "'a\\u2028': given twice"),
+    ],
+    ids=["utf-16-bom", "deep-nesting", "huge-integer", "newline-key", "separator-key"],
+)
+def test_config_files_that_break_the_reader_are_config_errors(data, names):
+    code, message = _run_config_bytes(data)
+    assert code == 1
+    assert len(message.splitlines()) == 1, message
+    assert message.startswith("epr: config error: ")
+    assert names in message
+    assert "Traceback" not in message
+
+
 class TestConfigPrecedence:
     def test_flag_overrides_file_overrides_default(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

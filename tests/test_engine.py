@@ -174,14 +174,14 @@ class TestFactorizedModelPath:
     )
     PINNED = {
         "lhv-sign": [
-            CoincidenceCounts(903, 278, 319, 965),
-            CoincidenceCounts(567, 207, 205, 570),
-            CoincidenceCounts(122, 357, 381, 126),
+            CoincidenceCounts(937, 299, 303, 958),
+            CoincidenceCounts(574, 176, 166, 588),
+            CoincidenceCounts(118, 406, 356, 119),
         ],
         "lhv-malus": [
-            CoincidenceCounts(787, 426, 401, 851),
-            CoincidenceCounts(490, 252, 258, 549),
-            CoincidenceCounts(169, 312, 362, 143),
+            CoincidenceCounts(840, 377, 403, 877),
+            CoincidenceCounts(506, 246, 245, 507),
+            CoincidenceCounts(171, 348, 327, 153),
         ],
     }
 

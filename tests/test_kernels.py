@@ -1,8 +1,7 @@
-"""Counter-based draws against an independent reference, and kernel-vs-object-layer agreement.
+"""Trial-indexed draws against an independent reference, and kernel-vs-object-layer agreement.
 
-The kernels must reproduce a pure-Python philox4x64-10 word for word, and
-agree per-trial with the slow object-layer models when fed the same
-counter-based draws.
+The kernels must reproduce a pure-Python PCG64DXSM word for word, and agree
+per-trial with the slow object-layer models when fed the same draws.
 """
 
 import dataclasses
@@ -40,33 +39,63 @@ from eprsim.twophoton import ChannelOutcome
 
 
 MASK64 = (1 << 64) - 1
+MASK128 = (1 << 128) - 1
+# PCG64DXSM (O'Neill 2014; numpy's variant): a 128-bit LCG stepped with a
+# 64-bit multiplier, whose DXSM output is taken on the state before each step.
+# numpy's seeding steps the LCG with the full 128-bit PCG multiplier.
+DXSM_MULTIPLIER = 0xDA942042E4DD58B5
+SEED_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def philox4x64_reference(key: tuple[int, int], counter: tuple[int, int, int, int]) -> list[int]:
-    """Scalar philox4x64-10 (Salmon et al., SC'11), written independently of the kernel code."""
-    m0, m1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-    w0, w1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-    c = list(counter)
-    k = list(key)
-    for _ in range(10):
-        p0 = c[0] * m0
-        p1 = c[2] * m1
-        c = [
-            ((p1 >> 64) ^ c[1] ^ k[0]) & MASK64,
-            p1 & MASK64,
-            ((p0 >> 64) ^ c[3] ^ k[1]) & MASK64,
-            p0 & MASK64,
-        ]
-        k = [(k[0] + w0) & MASK64, (k[1] + w1) & MASK64]
-    return c
+def pcg_seed(seed: int, slot: int, plane: int) -> tuple[int, int]:
+    """(state, inc) of the plane's stream before its first output, from numpy's
+    documented `SeedSequence` words: initial state s and stream t, inc = 2t + 1,
+    then one LCG step from state 0 and one more after adding s."""
+    words = np.random.SeedSequence(seed, spawn_key=(slot, plane)).generate_state(4, np.uint64)
+    s0, s1, t0, t1 = (int(w) for w in words)
+    inc = ((t0 << 64 | t1) << 1 | 1) & MASK128
+    state = (0 * SEED_MULTIPLIER + inc) & MASK128
+    state = ((state + (s0 << 64 | s1)) * SEED_MULTIPLIER + inc) & MASK128
+    return state, inc
+
+
+def pcg_jump(state: int, inc: int, n: int) -> int:
+    """The LCG state n steps on, by Brown's power method ("Random number
+    generation with arbitrary strides", 1994): O(log n) squarings of the step."""
+    mult, plus = 1, 0
+    cur_mult, cur_plus = DXSM_MULTIPLIER, inc
+    while n:
+        if n & 1:
+            mult = mult * cur_mult & MASK128
+            plus = (plus * cur_mult + cur_plus) & MASK128
+        cur_plus = (cur_mult + 1) * cur_plus & MASK128
+        cur_mult = cur_mult * cur_mult & MASK128
+        n >>= 1
+    return (mult * state + plus) & MASK128
+
+
+def dxsm(state: int) -> int:
+    """The DXSM output of one LCG state."""
+    hi, lo = state >> 64, (state & MASK64) | 1
+    hi ^= hi >> 32
+    hi = hi * DXSM_MULTIPLIER & MASK64
+    hi ^= hi >> 48
+    return hi * lo & MASK64
+
+
+def pcg64dxsm_reference(seed: int, slot: int, plane: int, q: int) -> int:
+    """Output q of the stream of ``SeedSequence(seed, spawn_key=(slot, plane))``,
+    written independently of the kernel code."""
+    state, inc = pcg_seed(seed, slot, plane)
+    return dxsm(pcg_jump(state, inc, q))
 
 
 def reference_draw(seed: int, trial: int, slot: int) -> int:
     """The 53-bit draw k of `slot` of `trial`: the coin bit, bit trial % 64 of
-    word (trial // 64) % 4 at counter (trial // 256, slot, 1, 0), over the top
-    52 bits of word trial % 4 at counter (trial // 4, slot, 0, 0)."""
-    word = philox4x64_reference((seed, 0), (trial // 4, slot, 0, 0))[trial % 4]
-    coin_word = philox4x64_reference((seed, 0), (trial // 256, slot, 1, 0))[(trial // 64) % 4]
+    output trial // 64 of the coin plane, over the top 52 bits of output trial
+    of the word plane."""
+    word = pcg64dxsm_reference(seed, slot, 0, trial)
+    coin_word = pcg64dxsm_reference(seed, slot, 1, trial // 64)
     return (coin_word >> (trial % 64) & 1) << 52 | word >> 12
 
 
@@ -82,8 +111,7 @@ def planes_of(ks, low=0):
     return ks >> 52 == 0, (ks & np.uint64(2**52 - 1)) << 12 | np.asarray(low, dtype=np.uint64)
 
 
-# (seed, trial): both ends of the seed and trial ranges, and the first and
-# last word of a counter; trial 0 at slot 0 wraps the whole 256-bit counter.
+# (seed, trial): both ends of the seed and trial ranges, and short jumps.
 REFERENCE_POINTS = [
     (0, 0),
     (0, 3),
@@ -91,8 +119,8 @@ REFERENCE_POINTS = [
     (2**64 - 1, 2**40 + 2),
     (42, 2**64 - 1),
 ]
-# (seed, trial) on the coin plane: the first and last bit of a coin word,
-# the last trial of a coin counter, and the last trial of all.
+# (seed, trial) on the coin plane: the first and last bits of coin words,
+# the first bit of the last coin word, and the last trial of all.
 COIN_POINTS = [
     (5, 64),
     (5, 127),
@@ -176,10 +204,52 @@ class TestCounterBasedUniforms:
         assert abs(r) < 0.05
 
 
+class TestPlaneStreams:
+    """Each plane is its own PCG64DXSM stream, seeded by spawn key, that the
+    kernels jump into instead of stepping."""
+
+    @pytest.mark.parametrize("seed,slot,plane", [(0, 0, 0), (5, 3, 1), (2**64 - 1, 4, 0)])
+    def test_plane_state_is_numpys_seeding(self, seed, slot, plane):
+        ss = np.random.SeedSequence(seed, spawn_key=(slot, plane))
+        state = np.random.PCG64DXSM(ss).state["state"]
+        assert kernels._plane_state(seed, slot, plane) == (state["state"], state["inc"])
+        assert pcg_seed(seed, slot, plane) == (state["state"], state["inc"])
+
+    @pytest.mark.parametrize("first", [0, 1, 63, 64, 1000, 4095])
+    def test_a_jump_reads_what_stepping_reads(self, first):
+        ss = np.random.SeedSequence(9, spawn_key=(kernels.SLOT_ARM_B, 0))
+        straight = np.random.PCG64DXSM(ss).random_raw(first + 5)
+        assert np.array_equal(kernels._plane_words(9, first, 5, kernels.SLOT_ARM_B, 0),
+                              straight[first:])
+        state, inc = pcg_seed(9, kernels.SLOT_ARM_B, 0)
+        for _ in range(first):
+            state = (state * DXSM_MULTIPLIER + inc) & MASK128
+        assert dxsm(state) == int(straight[first])
+
+    def test_no_two_planes_share_a_stream(self):
+        # Tuple entropy would name one stream twice: SeedSequence((5, 3, 0))
+        # and SeedSequence((5 + 3 * 2**32, 0, 0)) hash the same words.
+        assert kernels._plane_state(5, 3, 0) != kernels._plane_state(5 + 3 * 2**32, 0, 0)
+        # seeds at the edges of the 32-bit words SeedSequence splits an int into
+        seeds = [0, 1, 2**32, 2**63, 2**64 - 1, 5, 5 + 3 * 2**32]
+        triples = [(seed, slot, plane) for seed in seeds
+                   for slot in range(kernels.DRAWS_PER_TRIAL) for plane in (0, 1)]
+        states = [kernels._plane_state(*triple) for triple in triples]
+        # distinct increments too: no plane is another's stream at an offset
+        assert len(set(states)) == len({inc for _, inc in states}) == len(triples)
+
+    def test_the_state_cache_is_bounded(self):
+        maxsize = kernels._plane_state.cache_info().maxsize
+        assert maxsize is not None
+        for seed in range(maxsize + 10):
+            kernels._slot_coins(seed, 0, 1, kernels.SLOT_ARM_A)
+        assert kernels._plane_state.cache_info().currsize == maxsize
+
+
 def test_readme_names_the_current_stream():
     # the one place outside the code that names the stream in use
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    named = re.findall(r"currently\s+`(philox4x64-10/[^`]+)`", readme)
+    named = re.findall(r"currently\s+`([a-z0-9-]+/v\d+)`", readme)
     assert named == [kernels.RNG_STREAM]
 
 
@@ -309,7 +379,7 @@ class TestWordDomain:
         assert np.array_equal(k * 2.0**-53, floats)
         assert np.array_equal(coins, floats < 0.5)
         last = start + count - 1
-        assert int(words[-1]) == philox4x64_reference((seed, 0), (last // 4, slot, 0, 0))[last % 4]
+        assert int(words[-1]) == pcg64dxsm_reference(seed, slot, 0, last)
 
     @staticmethod
     def _edge_draws(cut: int) -> np.ndarray:
@@ -540,7 +610,7 @@ class TestKernelsOnEdgeWords:
     @pytest.fixture
     def draws(self, monkeypatch):
         """An (N, 8) table of 53-bit draws for slots 0-7, served as both
-        planes in place of the Philox stream."""
+        planes in place of the random stream."""
         cuts = list(SEAM_CUTS)
         for s_first, s_second in ((self.PA, self.PB), (self.PB, self.PA)):
             for delta in (s_first - s_second, s_first + math.pi / 2 - s_second):
@@ -639,8 +709,8 @@ S, E, A, B, O = (kernels.SLOT_SETTINGS, kernels.SLOT_EMISSION, kernels.SLOT_ARM_
 
 class TestWordBudget:
     """Each kernel reads every plane it decides on once per block, and no
-    other: a word costs a quarter Philox counter per trial and a coin 1/256
-    of one, so a fair coin that read its word would undo the stream's saving
+    other: a word costs one generator output per trial and a coin 1/64 of
+    one, so a fair coin that read its word would undo the stream's saving
     without changing any outcome. Every coin-only decision reads no word."""
 
     SINGLE = (np.array([0.3]), np.array([1.0]), np.array([1.0]))
@@ -711,9 +781,9 @@ class TestWordBudget:
 
 
 class TestPerThreadGenerator:
-    """Each thread reuses one Philox and sets its whole state on every read,
-    so no read sees another seed's key or another slot's counter, and no
-    thread sees another's."""
+    """Each thread reuses one PCG64DXSM and sets its whole state on every
+    read, so no read sees another seed's or another plane's stream, or
+    another read's position, and no thread sees another's."""
 
     # (reader, seed, start, count, slot): both planes, two seeds, several
     # slots, unaligned starts and the last 70 trials of a seed
@@ -773,13 +843,13 @@ class TestPerThreadGenerator:
 
     def test_a_run_builds_one_generator_per_worker(self, monkeypatch):
         built = []
-        philox = np.random.Philox
+        pcg = np.random.PCG64DXSM
 
         def counting(*args, **kwargs):
             built.append(threading.get_ident())
-            return philox(*args, **kwargs)
+            return pcg(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(np.random, "PCG64DXSM", counting)
         cfg = RunConfig(model=QMFormal(), trials=8 * BLOCK_SIZE, seed=3,
                         ordering=Ordering.RANDOM_PER_TRIAL)
         run_experiment(cfg, workers=2)
