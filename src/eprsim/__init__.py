@@ -33,6 +33,8 @@ _EXPORTS = {
     ),
     "kernels": ("ConfigError",),
     "models": (
+        "Arm",
+        "ChannelOutcome",
         "DefiniteCircular",
         "HypothesisModel",
         "Lhv",
@@ -40,8 +42,6 @@ _EXPORTS = {
         "NdvNonlocal",
         "Ordering",
         "QMFormal",
-        "RAnalyzer",
-        "TrialDraws",
         "definite_circular_as_lhv",
         "deterministic_sign_model",
         "lhv_correlation",
@@ -64,6 +64,7 @@ _EXPORTS = {
         "linear",
         "phase_insensitive_equals",
     ),
+    "reference": ("RAnalyzer", "TrialDraws"),
     "stats": (
         "ChainCounts",
         "ChshReport",
@@ -75,8 +76,6 @@ _EXPORTS = {
         "order_invariance_test",
     ),
     "twophoton": (
-        "Arm",
-        "ChannelOutcome",
         "JointProbabilities",
         "TwoPhotonState",
         "circular_entangled",

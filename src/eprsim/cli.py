@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import inspect
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -65,8 +67,20 @@ _FLAGS: dict[str, tuple[str, dict]] = {
 }
 
 
+# A negative number as `float` reads it: argparse's own pattern (Python 3.11)
+# knows -12 and -1.5 but takes -1e3, -.5E+1 or -inf for a flag.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad flags as config errors instead of exiting."""
+    """argparse that reports bad flags as config errors instead of exiting,
+    and reads every negative number as a value (subparsers share the class)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ConfigError(message)
@@ -285,6 +299,14 @@ def main(argv=None) -> int:
         return 2
     return 0
 
+
+# Move every object loaded so far, numpy's and this package's, into the
+# collector's permanent generation: an `epr` process then scans them neither
+# in a collection nor in the module sweep at exit, which was most of a short
+# run's teardown. Done once, here at import and not in `main`, which tests
+# call many times in one process. A program that imports `eprsim`, or any
+# module of it but this one, keeps its collector as it was.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

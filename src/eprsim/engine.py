@@ -21,20 +21,23 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from . import kernels
 from .models import (
+    Arm,
+    ChannelOutcome,
     HypothesisModel,
     Lhv,
     Ordering,
-    TrialDraws,
     validate_lhv_model,
 )
 from .stats import ChainCounts, CoincidenceCounts
-from .twophoton import Arm, ChannelOutcome
+
+if TYPE_CHECKING:
+    from .reference import TrialDraws
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 BLOCK_SIZE = 1 << 16
@@ -445,8 +448,11 @@ def trial_draws(seed: int, trial_index: int) -> TrialDraws:
     word plane, the PCG64DXSM stream of ``SeedSequence(seed, spawn_key=(j,
     0))``, and c is bit ``i % 64`` of output ``i // 64`` of its coin plane,
     spawn key ``(j, 1)``. Each plane is read through the kernels' own
-    per-thread generator, jumped to the output it needs.
+    per-thread generator, jumped to the output it needs. The draws are the
+    object layer's input, so this loads it (:mod:`eprsim.reference`).
     """
+    from .reference import TrialDraws
+
     kernels.check_seed(seed)
     kernels.check_int("trial_index", trial_index, 0, kernels.SEED_LIMIT - 1)
     bit = trial_index % 64

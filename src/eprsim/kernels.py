@@ -48,9 +48,11 @@ decide exactly as the float compares do, draw for draw. A deterministic
 hidden-variable model (responses exactly 0 or 1) is decided on the planes
 too: each arm is a step function of the emission integer k that flips at
 integer cuts found from the model's own float decisions (`_setting_cuts`).
-k itself is built only where a per-trial cut array needs it (several
-settings pairs), and the float u only on the float path: hidden-variable
-models that need a float response per trial read `uniform_block`.
+k itself is built only where a per-trial cut array or a float response
+needs it (several settings pairs, or the float path), and the float u only
+where a model maps it to a hidden value: hidden-variable models that need
+a float response per trial read their emission slot through
+`uniform_block`, and each arm decides ``u < p`` as ``k < p * 2**53``.
 
 Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
@@ -69,6 +71,7 @@ import functools
 import logging
 import math
 import numbers
+import sys
 import threading
 
 import numpy as np
@@ -228,11 +231,17 @@ def _cut(p):
     return np.ceil(np.multiply(p, _UNIT)).astype(np.uint64)
 
 
+_BIT52_BYTE = 6 if sys.byteorder == "little" else 1  # the byte of a uint64 holding bit 52
+
+
 def _draws(coins: np.ndarray, words: np.ndarray) -> np.ndarray:
     """The 53-bit draws ``k = (c << 52) | (w >> 12)`` of one slot from its
-    planes, built in the buffer of `words`, which the caller gives up."""
+    planes, built in the buffer of `words`, which the caller gives up. Bit
+    52 is bit 4 of one byte of each word and is set through a byte view, so
+    no second 8-byte-per-trial array is made."""
     words >>= np.uint64(12)
-    words |= np.left_shift(~coins, np.uint64(52), dtype=np.uint64)
+    top = words.view(np.uint8)[_BIT52_BYTE::8]
+    top |= np.left_shift(~coins, 4, dtype=np.uint8)
     return words
 
 
@@ -571,9 +580,10 @@ def two_channel_block_lhv(
     A deterministic model is decided on the emission slot's planes when its
     cuts pass the check of `_setting_cuts` at every setting of the run: each
     arm is `_step_decision` of the emission integer k, the float decision
-    draw for draw, and no float is built. Otherwise the arms read
-    `uniform_block`: responses get the setting as a scalar when there is one
-    settings pair and as a per-trial array otherwise. Determinism holds for
+    draw for draw, and no float is built. Otherwise the hidden values are
+    sampled from `uniform_block` and each arm answers by `_float_arm`:
+    responses get the setting as a scalar when there is one settings pair
+    and as a per-trial array otherwise. Determinism holds for
     any vectorized callables because each draw is a function of its trial
     index. A factorized model's outcomes do not depend on the measurement
     order.
@@ -588,9 +598,18 @@ def two_channel_block_lhv(
         ob = _step_decision(below, pair_idx, *steps[1])
         return pair_idx, oa, ob
     lam = np.asarray(model.sample(uniform_block(*block, SLOT_EMISSION)), dtype=float)
-    a = _per_trial(pair_a, pair_idx)
-    b = _per_trial(pair_b, pair_idx)
-    oa = uniform_block(*block, SLOT_ARM_A) < np.asarray(model.response_a(a, lam), dtype=float)
-    ob = uniform_block(*block, SLOT_ARM_B) < np.asarray(model.response_b(b, lam), dtype=float)
+    oa = _float_arm(block, SLOT_ARM_A, model.response_a, _per_trial(pair_a, pair_idx), lam)
+    ob = _float_arm(block, SLOT_ARM_B, model.response_b, _per_trial(pair_b, pair_idx), lam)
     return pair_idx, oa, ob
 
+
+def _float_arm(block: tuple, slot: int, response, setting, lam: np.ndarray) -> np.ndarray:
+    """One arm's flags on the float path, ``u < response(setting, lam)`` for
+    the slot's uniforms u, decided as ``k < p * 2**53`` on its 53-bit draws
+    k: the same compare scaled by a power of two, so exact, and no u is
+    built. The response is scaled before the planes are read, so at its
+    peak the arm holds lam, the scaled response and one slot's planes,
+    about 27 bytes per trial."""
+    scaled = np.multiply(np.asarray(response(setting, lam), dtype=float), _UNIT)
+    k = _draws(_slot_coins(*block, slot), _slot_words(*block, slot))
+    return np.less(k.view(np.int64), scaled)

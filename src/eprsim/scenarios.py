@@ -9,7 +9,8 @@ value raises the engine's `ConfigError`, re-exported here, naming the key.
 Rendering to table/TSV/JSON lives in :mod:`eprsim.cli`.
 
 Angles cross the boundary in degrees and are converted to radians exactly
-once; all emitted angles are echoed in both units.
+once, reduced modulo 180 degrees (`_radians`); all emitted angles are echoed
+in both units, the degrees as given and the radians as run.
 """
 
 from __future__ import annotations
@@ -168,8 +169,17 @@ def _document(scenario: str, params: dict, rows: list, summary: dict, ranges: _R
     }
 
 
+def _radians(degrees: float) -> float:
+    """An analyzer angle in radians. An analyzer at 180 degrees more is the
+    same analyzer, so the angle is first reduced modulo 180 by `math.fmod`,
+    which is exact: unreduced, an angle past about 1e20 degrees is so large
+    that the quarter turn the kernels add to it is lost to rounding. An
+    angle inside (-180, 180) is unchanged."""
+    return math.radians(math.fmod(degrees, 180.0))
+
+
 def _angle_row(prefix: str, degrees: float) -> dict:
-    return {f"{prefix}_deg": degrees, f"{prefix}_rad": math.radians(degrees)}
+    return {f"{prefix}_deg": degrees, f"{prefix}_rad": _radians(degrees)}
 
 
 def _count_row(estimate: PairEstimate) -> dict:
@@ -201,7 +211,7 @@ def _run(params: dict, protocol, hypothesis, order, settings=FixedSettings(0.0, 
 
 def _pair_run(params: dict, hypothesis: HypothesisModel, order, a_deg: float, b_deg: float):
     """A two-channel run at one analyzer pair, given in degrees."""
-    settings = FixedSettings(math.radians(a_deg), math.radians(b_deg))
+    settings = FixedSettings(_radians(a_deg), _radians(b_deg))
     return _run(params, TwoChannelProtocol(), hypothesis, order, settings)
 
 
@@ -263,7 +273,7 @@ def malus_check(
     trials = params["trials"]
     runs = [
         functools.partial(
-            run_malus, params["seed"], math.radians(theta_deg), trials, workers=params["workers"]
+            run_malus, params["seed"], _radians(theta_deg), trials, workers=params["workers"]
         )
         for theta_deg in params["angles_deg"]
     ]

@@ -14,13 +14,13 @@ with strict less-than: probability 0 never fires, probability 1 always does.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .models import Arm, ChannelOutcome
 from .polarization import (
     ALGEBRA_TOL,
     NORM_ACCEPT_TOL,
@@ -39,17 +39,6 @@ from .polarization import (
 )
 
 _HALF_PI = math.pi / 2
-
-
-class Arm(enum.Enum):
-    ONE = "arm1"
-    TWO = "arm2"
-
-
-class ChannelOutcome(enum.Enum):
-    PLUS = "+"
-    MINUS = "-"
-    ABSORBED = "absorbed"
 
 
 def frame_of_arm(arm: Arm) -> Frame:

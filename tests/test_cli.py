@@ -237,6 +237,63 @@ class TestBoundary:
         code, out, err = run_cli(capsys, "order-test", f"--theta={value}")
         assert_one_line_config_error(code, out, err, "theta_deg")
 
+    @pytest.mark.parametrize("text, value", [
+        ("-1e3", -1000.0), ("-1E+3", -1000.0), ("-.5e1", -5.0), ("-2.5e-1", -0.25),
+    ])
+    def test_a_negative_number_in_exponent_form_is_a_value(self, capsys, text, value):
+        code, out, err = run_cli(
+            capsys, "chsh-scan", "--angles", "0", "22.5", text, "0",
+            "--trials", "100", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["angles_deg"] == [0.0, 22.5, value, 0.0]
+        code, out, err = run_cli(
+            capsys, "order-test", "--theta", text, "--trials", TRIALS, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["theta_deg"] == value
+
+    @pytest.mark.parametrize("text", ["-inf", "-Infinity", "-nan"])
+    def test_a_negative_non_finite_value_names_its_key(self, capsys, text):
+        code, out, err = run_cli(capsys, "order-test", "--theta", text)
+        assert_one_line_config_error(code, out, err, "theta_deg")
+        assert "must be finite" in err
+        code, out, err = run_cli(capsys, "chsh-scan", "--angles", "0", text, "45", "67.5")
+        assert_one_line_config_error(code, out, err, "angles_deg")
+        assert "must be finite" in err
+
+    def test_a_word_after_a_dash_is_still_a_flag(self, capsys):
+        code, out, err = run_cli(capsys, "order-test", "--theta", "-x1")
+        assert_one_line_config_error(code, out, err, "argument --theta")
+
+    def test_huge_angles_act_modulo_180_degrees(self, capsys):
+        # unreduced, 1e20 degrees is so large in radians that the kernels'
+        # quarter turn is lost to rounding, and arm B answered parallel ~90%
+        counts = {}
+        for theta in (1e20, math.fmod(1e20, 180.0)):
+            code, out, _ = run_cli(
+                capsys, "order-test", "--model", "qm", "--theta", repr(theta),
+                "--trials", "100000", "--format", "json",
+            )
+            assert code == 0
+            document = json.loads(out)
+            assert document["config"]["theta_deg"] == theta  # echoed as given
+            counts[theta] = [{k: v for k, v in row.items() if k != "theta_deg"}
+                             for row in document["rows"]]
+            assert document["summary"]["order_invariant"] is True
+        assert counts[1e20] == counts[math.fmod(1e20, 180.0)]
+        code, out, _ = run_cli(
+            capsys, "chsh-scan", "--angles", "0", "1e20", "45", "67.5",
+            "--trials", "20000", "--format", "json",
+        )
+        rows = json.loads(out)["rows"]
+        code, out, _ = run_cli(
+            capsys, "chsh-scan", "--angles", "0", "100", "45", "67.5",
+            "--trials", "20000", "--format", "json",
+        )
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "b_deg"} for r in rows]
+        assert strip(rows) == strip(json.loads(out)["rows"])
+
     def test_one_trial_per_pair_claims_no_violation(self, capsys):
         code, out, _ = run_cli(
             capsys, "chsh-scan", "--trials", "1", "--model", "lhv-sign", "--format", "json"
@@ -631,25 +688,47 @@ def threads():
     task = "/proc/self/task"
     return len(os.listdir(task)) if os.path.isdir(task) else None
 
+def package_modules():
+    return sorted(m for m in sys.modules if m == "eprsim" or m.startswith("eprsim."))
+
+import gc
 import eprsim
 seen = {"numpy after import eprsim": "numpy" in sys.modules}
+seen["frozen after import eprsim"] = gc.get_freeze_count()
 import eprsim.cli
+seen["frozen after import eprsim.cli"] = gc.get_freeze_count()
 seen["blas threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
 seen["numpy.polynomial"] = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
 seen["threads after import"] = threads()
+seen["package after import"] = package_modules()
 seen["order-test"] = eprsim.cli.main(["order-test", "--trials", "10000", "--out", os.devnull])
 seen["scipy.special"] = "scipy.special" in sys.modules
 seen["threads after order-test"] = threads()
+seen["model-matrix"] = eprsim.cli.main(["model-matrix", "--trials", "1000", "--out", os.devnull])
+seen["package after runs"] = package_modules()
 print(json.dumps(seen))
 """
 
+# What `import eprsim.cli` loads of the package: the kernels' path, and not
+# the object layer (eprsim.reference) or the Jones algebra under it.
+_CLI_PACKAGE = [
+    "eprsim", "eprsim._version", "eprsim.cli", "eprsim.engine", "eprsim.kernels",
+    "eprsim.models", "eprsim.scenarios", "eprsim.stats",
+]
 
-def _import_probe(**env):
+_LIBRARY_PROBE = """
+import gc, json
+import eprsim.engine
+print(json.dumps(gc.get_freeze_count()))
+"""
+
+
+def _import_probe(probe=_IMPORT_PROBE, **env):
     src = os.path.dirname(os.path.dirname(os.path.abspath(eprsim.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
+        [sys.executable, "-c", probe],
         env={**base, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
@@ -672,6 +751,18 @@ def test_the_cli_starts_no_blas_thread():
         pytest.skip("no /proc/self/task to count threads in")
     assert seen["threads after import"] == 1
     assert seen["threads after order-test"] == 1
+
+
+def test_the_cli_loads_no_object_layer_and_freezes_its_imports():
+    seen = _import_probe()
+    assert seen["package after import"] == _CLI_PACKAGE
+    assert seen["order-test"] == seen["model-matrix"] == 0
+    assert seen["package after runs"] == _CLI_PACKAGE
+    # the CLI moves what it loaded into the permanent generation; a library
+    # import leaves the collector as it was
+    assert seen["frozen after import eprsim"] == 0
+    assert seen["frozen after import eprsim.cli"] > 0
+    assert _import_probe(_LIBRARY_PROBE, OPENBLAS_NUM_THREADS="1") == 0
 
 
 def test_the_cli_keeps_a_user_set_blas_thread_count():

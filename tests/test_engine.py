@@ -662,6 +662,16 @@ class TestBoundedMemory:
         peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
         assert peak < 16 * BLOCK_SIZE, peak
 
+    def test_a_float_path_block_peaks_below_30_bytes_per_trial(self):
+        # lhv-malus reads floats: at its peak an arm holds the hidden values,
+        # its scaled response and one slot's planes, about 28 bytes per trial
+        run = lambda n: run_experiment(
+            qm_config(model=build_model("lhv-malus"), trials=n), workers=1
+        )
+        run(BLOCK_SIZE)
+        peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
+        assert peak < 30 * BLOCK_SIZE, peak
+
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_peak_allocation_is_flat_in_trials(self, name):
         run = self.RUNS[name]

@@ -31,10 +31,10 @@ from eprsim.models import (
     NdvNonlocal,
     Ordering,
     QMFormal,
-    RAnalyzer,
     deterministic_sign_model,
     malus_response_model,
 )
+from eprsim.reference import RAnalyzer
 from eprsim.twophoton import ChannelOutcome
 
 

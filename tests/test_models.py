@@ -9,14 +9,11 @@ from eprsim import kernels
 from eprsim.engine import trial_draws
 from eprsim.models import (
     DefiniteCircular,
-    LambdaSample,
     Lhv,
     LhvModel,
     NdvNonlocal,
     Ordering,
     QMFormal,
-    RAnalyzer,
-    TrialDraws,
     definite_circular_as_lhv,
     deterministic_sign_model,
     lhv_correlation,
@@ -25,6 +22,7 @@ from eprsim.models import (
     validate_lhv_model,
 )
 from eprsim.polarization import Handedness
+from eprsim.reference import LambdaSample, RAnalyzer, TrialDraws
 from eprsim.twophoton import linear_entangled
 
 CANONICAL = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8)  # a, b, a', b'

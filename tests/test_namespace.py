@@ -7,7 +7,7 @@ import pytest
 
 import eprsim
 
-SUBMODULES = ("engine", "kernels", "models", "polarization", "stats", "twophoton")
+SUBMODULES = ("engine", "kernels", "models", "polarization", "reference", "stats", "twophoton")
 
 
 def test_every_public_name_is_its_submodules_object():

@@ -16,7 +16,7 @@ from eprsim.polarization import (
     phase_insensitive_equals,
     rotation_matrix,
 )
-from eprsim.models import RAnalyzer
+from eprsim.reference import RAnalyzer
 from eprsim.twophoton import (
     Arm,
     ChannelOutcome,
