@@ -443,24 +443,22 @@ def run_malus(
 def trial_draws(seed: int, trial_index: int) -> TrialDraws:
     """The five named draws of one trial, in the documented slot order.
 
-    Draw j is ``k * 2**-53`` with ``k = (c << 52) | (w >> 12)`` (see
-    :mod:`eprsim.kernels`): for ``i = trial_index``, w is output i of slot j's
-    word plane, the PCG64DXSM stream of ``SeedSequence(seed, spawn_key=(j,
-    0))``, and c is bit ``i % 64`` of output ``i // 64`` of its coin plane,
-    spawn key ``(j, 1)``. Each plane is read through the kernels' own
-    per-thread generator, jumped to the output it needs. The draws are the
-    object layer's input, so this loads it (:mod:`eprsim.reference`).
+    Draw j is ``k * 2**-53`` with ``k = (c << 52) | (d << 36) | (t >> 28)``
+    (see :mod:`eprsim.kernels`): for ``i = trial_index``, c is bit ``i % 64``
+    of output ``i // 64`` of slot j's coin plane, the PCG64DXSM stream of
+    ``SeedSequence(seed, spawn_key=(j, 1))``; d is 16-bit lane ``i % 4`` of
+    output ``i // 4`` of its digit plane, spawn key ``(j, 0)``; and t is
+    output i of its tail plane, spawn key ``(j, 2)``. Each plane is read
+    through the kernels' own per-thread generator, jumped to the output it
+    needs. The draws are the object layer's input, so this loads it
+    (:mod:`eprsim.reference`).
     """
     from .reference import TrialDraws
 
     kernels.check_seed(seed)
     kernels.check_int("trial_index", trial_index, 0, kernels.SEED_LIMIT - 1)
-    bit = trial_index % 64
-    u = []
-    for slot in range(kernels.DRAWS_PER_TRIAL):
-        w = int(kernels._plane_words(seed, trial_index, 1, slot, 0)[0])
-        c = int(kernels._plane_words(seed, trial_index // 64, 1, slot, 1)[0]) >> bit & 1
-        u.append(((c << 52) | (w >> 12)) * 2.0**-53)
+    u = [kernels._draw(seed, trial_index, slot) * 2.0**-53
+         for slot in range(kernels.DRAWS_PER_TRIAL)]
     return TrialDraws(
         settings=u[kernels.SLOT_SETTINGS],
         ordering=u[kernels.SLOT_ORDERING],

@@ -1,28 +1,31 @@
 """Hot per-trial kernels: a jumpable random stream plus vectorized trial loops.
 
 Every random number in the simulator comes from PCG64DXSM (O'Neill's PCG,
-2014; numpy's ``np.random.PCG64DXSM``, in C). Slot j of trial i reads two
+2014; numpy's ``np.random.PCG64DXSM``, in C). Slot j of trial i reads three
 planes, each its own stream:
 
-    word plane  w(i, j): output i of the stream of
-                ``SeedSequence(seed, spawn_key=(j, 0))``
-    coin plane  c(i, j): bit ``i % 64`` of output ``i // 64`` of the stream
-                of ``SeedSequence(seed, spawn_key=(j, 1))``
+    coin plane   c(i, j): bit ``i % 64`` of output ``i // 64`` of the stream
+                 of ``SeedSequence(seed, spawn_key=(j, 1))``
+    digit plane  d(i, j): 16-bit lane ``i % 4`` (little-endian) of output
+                 ``i // 4`` of the stream of ``SeedSequence(seed, spawn_key=(j, 0))``
+    tail plane   t(i, j): output i of the stream of
+                 ``SeedSequence(seed, spawn_key=(j, 2))``
 
-and the draw is the 53-bit integer ``k = (c << 52) | (w >> 12)``, read as the
-uniform ``u = k * 2**-53``. PCG's state is a 128-bit LCG, which jumps to any
-output in O(log n) steps (`_plane_words`), so trial i's draws are a pure
-function of (seed, i, slot): any subset of trials can be computed in any
-order or on any worker with bit-identical results. Independence of the
-planes rests on `SeedSequence` spawn keys, numpy's documented way to derive
-parallel streams. The entropy is the seed alone, with (slot, plane) as the
-spawn key, and not the tuple ``(seed, slot, plane)``: `SeedSequence` splits
-each int of a tuple into 32-bit words and pads short entropy with zeros, so
-``(5, 3, 0)`` and ``(5 + 3 * 2**32, 0, 0)`` would name one stream, while
-a spawn key is appended after the padding. ``u < 1/2`` holds exactly when
-``c == 0``, so a fair coin reads the coin plane alone, at 1/64 of an output
-per trial (`_slot_coins`); a slot's words for consecutive trials are
-consecutive outputs, read with one `_slot_words` call. Slots per trial:
+and the draw is the 53-bit integer ``k = (c << 52) | (d << 36) | (t >> 28)``,
+read as the uniform ``u = k * 2**-53``. PCG's state is a 128-bit LCG, which
+jumps to any output in O(log n) steps (`_plane_words`), so trial i's draws
+are a pure function of (seed, i, slot): any subset of trials can be computed
+in any order or on any worker with bit-identical results. Independence of
+the planes rests on `SeedSequence` spawn keys, numpy's documented way to
+derive parallel streams. The entropy is the seed alone, with (slot, plane)
+as the spawn key, and not the tuple ``(seed, slot, plane)``: `SeedSequence`
+splits each int of a tuple into 32-bit words and pads short entropy with
+zeros, so ``(5, 3, 0)`` and ``(5 + 3 * 2**32, 0, 0)`` would name one stream,
+while a spawn key is appended after the padding. ``u < 1/2`` holds exactly
+when ``c == 0``, so a fair coin reads the coin plane alone, at 1/64 of an
+output per trial (`_slot_coins`); a compare reads the digit plane too, at
+1/4 of an output per trial (`_slot_digits`), and the tail plane only at the
+trials that tie (`_slot_tails`). Slots per trial:
 
     0  settings-pair selection (randomized-settings runs only)
     1  emission (hidden parameter / handedness; entangled models skip it)
@@ -39,20 +42,22 @@ against a fixed probability never build the float: for any p in [0, 1]
     u < p   <=>   k < p * 2**53   <=>   k < ceil(p * 2**53) = K
 
 and ``p * 2**53`` is exact in binary floating point (a power-of-two scale),
-as is its ceiling. Nor do they build k: for ``K < 2**52``, ``k < K`` is
-``c == 0 and w < K << 12``; for ``K > 2**52`` it is ``c == 0 or
-w < (K - 2**52) << 12``; ``K = 2**52`` is the coin alone, ``K = 0`` never
-holds and ``K = 2**53`` always does (`_below`). Settings pairs are chosen
-against the integer cuts ``ceil(cumw * 2**53)`` the same way. These compares
-decide exactly as the float compares do, draw for draw. A deterministic
+as is its ceiling. Nor do they build k: c and d are its top 17 bits, so
+``k < K`` holds when ``c << 16 | d`` is below ``K >> 36`` and fails when it
+is above, whatever the tail. Only a trial whose coin and digit equal the
+cut's top 17 bits ties, about one in 2**17 per compare, and reads its tail
+with a jump of its own to decide ``t >> 28 < K mod 2**36`` (`_below`).
+Settings pairs are chosen against the integer cuts ``ceil(cumw * 2**53)``
+the same way, and a cut or a float response that differs per trial is met
+on each trial's top 17 bits as well (`_below_each`). These compares decide
+exactly as the float compares do, draw for draw. A deterministic
 hidden-variable model (responses exactly 0 or 1) is decided on the planes
 too: each arm is a step function of the emission integer k that flips at
 integer cuts found from the model's own float decisions (`_setting_cuts`).
-k itself is built only where a per-trial cut array or a float response
-needs it (several settings pairs, or the float path), and the float u only
-where a model maps it to a hidden value: hidden-variable models that need
-a float response per trial read their emission slot through
-`uniform_block`, and each arm decides ``u < p`` as ``k < p * 2**53``.
+k itself, and the float u, are built only where a model maps u to a hidden
+value: hidden-variable models that need a float response per trial read
+their emission slot through `uniform_block`, the one reader of a whole tail
+plane.
 
 Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
@@ -73,13 +78,14 @@ import math
 import numbers
 import sys
 import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import models
 from .models import DefiniteCircular, Lhv, NdvNonlocal, Ordering, QMFormal
 
-RNG_STREAM = "pcg64dxsm/v5"
+RNG_STREAM = "pcg64dxsm/v6"
 SEED_LIMIT = 1 << 64  # seeds and trial indices live in [0, 2**64)
 
 SLOT_SETTINGS = 0
@@ -104,7 +110,6 @@ MODEL_QM = MODEL_CODES["qm"]
 ORDER_ARM1_FIRST = Ordering.ARM1_FIRST
 ORDER_ARM2_FIRST = Ordering.ARM2_FIRST
 
-_HALF_PI = math.pi / 2
 _ZERO_PROB = 1e-24
 
 _log = logging.getLogger(__name__)
@@ -205,12 +210,6 @@ def _plane_words(seed: int, first: int, n: int, slot: int, plane: int) -> np.nda
     return gen.random_raw(n)
 
 
-def _slot_words(seed: int, start: int, count: int, slot: int) -> np.ndarray:
-    """Word-plane words w of one slot for trials [start, start+count)."""
-    start, count = _trial_range(seed, start, count)
-    return _plane_words(seed, start, count, slot, 0)
-
-
 def _slot_coins(seed: int, start: int, count: int, slot: int) -> np.ndarray:
     """Fair coins of one slot for trials [start, start+count), ``u < 1/2``:
     True where the coin-plane bit c is 0. Trial i reads bit ``i % 64`` of
@@ -222,8 +221,60 @@ def _slot_coins(seed: int, start: int, count: int, slot: int) -> np.ndarray:
     return bits[offset : offset + count].view(bool)
 
 
-_HALF = 1 << 52  # k < 2**52, u < 1/2, exactly when the coin bit is 0
+def _slot_digits(seed: int, start: int, count: int, slot: int) -> np.ndarray:
+    """16-bit digits d of one slot for trials [start, start+count). Trial i
+    reads lane ``i % 4`` of digit word ``i // 4``, counted from the low end,
+    so a block reads one word per 4 trials."""
+    start, count = _trial_range(seed, start, count)
+    first, offset = divmod(start, 4)
+    words = _plane_words(seed, first, -(-(start + count) // 4) - first, slot, 0)
+    return np.asarray(words, dtype="<u8").view("<u2")[offset : offset + count]
+
+
+def _slot_tails(seed: int, start: int, count: int, slot: int, at=None) -> np.ndarray:
+    """Tail words t of one slot for trials [start, start+count), trial i
+    reading output i of the tail plane; or, given block offsets `at`, of
+    trials ``start + at`` alone, each read with a jump of its own."""
+    start, count = _trial_range(seed, start, count)
+    if at is None:
+        return _plane_words(seed, start, count, slot, 2)
+    return np.array([_plane_words(seed, start + int(i), 1, slot, 2)[0] for i in at],
+                    dtype=np.uint64)
+
+
+def _draw(seed: int, trial: int, slot: int) -> int:
+    """The 53-bit draw k of one trial and slot, read from its three planes."""
+    coin = int(_plane_words(seed, trial // 64, 1, slot, 1)[0]) >> trial % 64 & 1
+    digit = int(_plane_words(seed, trial // 4, 1, slot, 0)[0]) >> 16 * (trial % 4) & 0xFFFF
+    tail = int(_plane_words(seed, trial, 1, slot, 2)[0])
+    return coin << 52 | digit << 36 | tail >> 28
+
+
+class _Planes(NamedTuple):
+    """One slot's planes over a block: `coins` (True where c == 0), the
+    `digits` d, and `tails`, which reads the tail words t at block offsets."""
+
+    coins: np.ndarray
+    digits: np.ndarray
+    tails: Callable[[np.ndarray], np.ndarray]
+
+
+def _slot_planes(seed: int, start: int, count: int, slot: int, coins=None) -> _Planes:
+    """The planes one slot's compares read for trials [start, start+count);
+    `coins` when the caller holds them already. No tail is read here."""
+    if coins is None:
+        coins = _slot_coins(seed, start, count, slot)
+    return _Planes(
+        coins,
+        _slot_digits(seed, start, count, slot),
+        lambda at: _slot_tails(seed, start, count, slot, at),
+    )
+
+
 _UNIT = float(1 << 53)  # u = k / _UNIT
+_LOW = 36  # bits of k below its coin and digit
+_TAIL_SHIFT = np.uint64(64 - _LOW)  # t >> 28 gives those bits
+_HIGH_HALF = 1 if sys.byteorder == "little" else 0  # the uint32 of a uint64 holding bits 32-63
 
 
 def _cut(p):
@@ -231,52 +282,101 @@ def _cut(p):
     return np.ceil(np.multiply(p, _UNIT)).astype(np.uint64)
 
 
-_BIT52_BYTE = 6 if sys.byteorder == "little" else 1  # the byte of a uint64 holding bit 52
+def _draws(coins: np.ndarray, digits: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """The 53-bit draws ``k = (c << 52) | (d << 36) | (t >> 28)`` of one slot
+    from its planes, built in the buffer of `tails`, which the caller gives
+    up. Coin and digit are set through the high 32-bit half of each word,
+    so no second 8-byte-per-trial array is made."""
+    tails >>= _TAIL_SHIFT
+    tops = _tops(coins, digits)
+    tops <<= _LOW - 32
+    high = tails.view(np.uint32)[_HIGH_HALF::2]
+    high |= tops
+    return tails
 
 
-def _draws(coins: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The 53-bit draws ``k = (c << 52) | (w >> 12)`` of one slot from its
-    planes, built in the buffer of `words`, which the caller gives up. Bit
-    52 is bit 4 of one byte of each word and is set through a byte view, so
-    no second 8-byte-per-trial array is made."""
-    words >>= np.uint64(12)
-    top = words.view(np.uint8)[_BIT52_BYTE::8]
-    top |= np.left_shift(~coins, 4, dtype=np.uint8)
-    return words
+def _true_at(flags: np.ndarray) -> np.ndarray:
+    """Indices of the True entries of a boolean array that holds few: each
+    one is found by `argmax`, which stops at the first True, so an array
+    with none costs one scan and builds no index array."""
+    found = []
+    at = 0
+    while at < flags.size:
+        at += int(flags[at:].argmax())
+        if not flags[at]:
+            break
+        found.append(at)
+        at += 1
+    return np.array(found, dtype=np.intp)
 
 
-def _below(coins: np.ndarray, words: np.ndarray, cut) -> np.ndarray:
-    """``k < cut`` per trial for an integer cut in [0, 2**53], decided on the
-    coins (True: c == 0) and the words without building k."""
+def _below(planes: _Planes, cut) -> np.ndarray:
+    """``k < cut`` per trial for an integer cut in [0, 2**53], decided on
+    each trial's coin and digit, the top 17 bits of k. A trial whose coin
+    and digit equal the cut's top 17 bits ties, and its tail decides."""
     cut = int(cut)
+    coins, digits = planes.coins, planes.digits
     if cut <= 0:
         return np.zeros(coins.shape, dtype=bool)
-    if cut >= 2 * _HALF:
+    if cut >= 1 << 53:
         return np.ones(coins.shape, dtype=bool)
-    if cut == _HALF:
-        return coins.copy()
-    if cut < _HALF:
-        below = words < np.uint64(cut << 12)
+    top, low = divmod(cut, 1 << _LOW)
+    digit = top & 0xFFFF
+    below = digits < digit
+    cut_coin_is_0 = top < 1 << 16
+    if cut_coin_is_0:
         below &= coins
     else:
-        below = words < np.uint64((cut - _HALF) << 12)
         below |= coins
+    if low:
+        at = _true_at(digits == digit)
+        at = at[coins[at] == cut_coin_is_0]
+        if at.size:
+            below[at] = planes.tails(at) >> _TAIL_SHIFT < np.uint64(low)
     return below
 
 
-def _comparer(coins: np.ndarray, words: np.ndarray, pair_idx: np.ndarray, pairs: int):
+def _tops(coins: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Each trial's top 17 bits of k, ``c << 16 | d``, as uint32."""
+    tops = np.left_shift(~coins, 16, dtype=np.uint32)
+    tops |= digits
+    return tops
+
+
+def _below_each(tops: np.ndarray, tails, x: np.ndarray) -> np.ndarray:
+    """``k < x * 2**36`` per trial, for a float array x that the call
+    overwrites, from the trials' `tops` (`_tops`) and their `tails` reader.
+    With ``r = x - top``, a trial is below when r >= 1 and not when r <= 0,
+    whatever its tail; otherwise it ties and is below when ``t >> 28 < r *
+    2**36``. Every step is exact: where 0 < r < 1, x and top are below 2**17,
+    so r is a multiple of the ulp of x, and a NaN is never below."""
+    x -= tops
+    below = x >= 1.0
+    ties = x > 0.0
+    ties ^= below
+    at = _true_at(ties)
+    if at.size:
+        below[at] = tails(at) >> _TAIL_SHIFT < x[at] * float(1 << _LOW)
+    return below
+
+
+def _comparer(planes: _Planes, pair_idx: np.ndarray, pairs: int):
     """``below(cuts)``: ``k < cuts[pair]`` per trial for one integer cut per
-    settings pair. A run with one pair compares on the planes (`_below`);
-    otherwise the cut differs per trial, and k is built once to meet it."""
+    settings pair. A run with one pair compares each cut with `_below`;
+    otherwise the cut differs per trial, and each trial's top 17 bits are
+    built once to meet it (`_below_each`)."""
     if pairs == 1:
-        return lambda cuts: _below(coins, words, cuts[0])
-    k = _draws(coins, words)
-    return lambda cuts: k < cuts[pair_idx]
+        return lambda cuts: _below(planes, cuts[0])
+    tops = _tops(planes.coins, planes.digits)
+    return lambda cuts: _below_each(tops, planes.tails, np.take(cuts * 2.0**-_LOW, pair_idx))
 
 
 def uniform_block(seed: int, start: int, count: int, slot: int) -> np.ndarray:
-    """Uniform [0, 1) draws ``k * 2**-53`` for trials [start, start+count) at one slot."""
-    k = _draws(_slot_coins(seed, start, count, slot), _slot_words(seed, start, count, slot))
+    """Uniform [0, 1) draws ``k * 2**-53`` for trials [start, start+count) at
+    one slot: the one reader that builds every trial's k, so it reads the
+    slot's tail plane whole."""
+    block = (seed, start, count, slot)
+    k = _draws(_slot_coins(*block), _slot_digits(*block), _slot_tails(*block))
     return k.view(np.int64) * (1.0 / _UNIT)  # k < 2**53: exact, and faster than from uint64
 
 
@@ -297,14 +397,17 @@ def arm2_first_flags(seed: int, start: int, count: int, ordering: Ordering) -> n
     return ~_slot_coins(seed, start, count, SLOT_ORDERING)
 
 
-def _malus_prob_array(delta) -> np.ndarray:
-    p = np.cos(delta) ** 2
+def _malus_prob_array(delta, perpendicular: bool = False) -> np.ndarray:
+    """The Malus probability of the parallel channel, ``cos²(delta)``, or of
+    the perpendicular one, ``sin²(delta)``, with values below 1e-24 snapped
+    to 0."""
+    p = (np.sin(delta) if perpendicular else np.cos(delta)) ** 2
     p[p < _ZERO_PROB] = 0.0
     np.clip(p, 0.0, 1.0, out=p)
     return p
 
 
-def _select_pairs(coins: np.ndarray, words: np.ndarray, cumw: np.ndarray) -> np.ndarray:
+def _select_pairs(planes: _Planes, cumw: np.ndarray) -> np.ndarray:
     """Per-trial settings-pair index from the settings slot's planes.
 
     The index is the number of interior integer cuts ``ceil(cumw[:-1] *
@@ -314,9 +417,9 @@ def _select_pairs(coins: np.ndarray, words: np.ndarray, cumw: np.ndarray) -> np.
     search up to dozens of pairs.
     """
     cuts = _cut(cumw[:-1])
-    pair_idx = np.full(coins.shape, cuts.size, dtype=np.int32)
+    pair_idx = np.full(planes.coins.shape, cuts.size, dtype=np.int32)
     for cut in cuts:
-        pair_idx -= _below(coins, words, cut)
+        pair_idx -= _below(planes, cut)
     return pair_idx
 
 
@@ -325,8 +428,7 @@ def _pair_index(seed: int, start: int, count: int, cumw: np.ndarray) -> np.ndarr
     allocates nothing: its index is a read-only zero-stride view of one 0."""
     if cumw.size == 1:
         return np.broadcast_to(np.int32(0), (count,))
-    block = (seed, start, count, SLOT_SETTINGS)
-    return _select_pairs(_slot_coins(*block), _slot_words(*block), cumw)
+    return _select_pairs(_slot_planes(seed, start, count, SLOT_SETTINGS), cumw)
 
 
 def _pick(flags: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
@@ -346,13 +448,12 @@ def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
 @functools.lru_cache(maxsize=256)
 def _malus_cuts(s_first: tuple[float, ...], s_second: tuple[float, ...]):
     """Per settings pair, the integer cuts of the second photon's parallel
-    answer after the first one answered parallel and perpendicular. Cached,
-    so a run tabulates them once and not once per block."""
-    first, second = np.array(s_first), np.array(s_second)
-    cuts = (
-        _cut(_malus_prob_array(first - second)),
-        _cut(_malus_prob_array(first + _HALF_PI - second)),
-    )
+    answer after the first one answered parallel, ``cos²(first - second)``,
+    and perpendicular, ``sin²(first - second)``: the same as ``cos²(first +
+    pi/2 - second)``, but kept at angles whose ulp exceeds pi/2. Cached, so
+    a run tabulates them once and not once per block."""
+    delta = np.array(s_first) - np.array(s_second)
+    cuts = (_cut(_malus_prob_array(delta)), _cut(_malus_prob_array(delta, perpendicular=True)))
     for table in cuts:
         table.setflags(write=False)
     return cuts
@@ -384,10 +485,10 @@ def two_channel_block(
 
     The arm measured first answers 1/2 and reads its coins alone. A fixed
     order turns the first arm's coins into its answers before it reads the
-    second arm's words, so one block of words is alive at a time. With one
-    settings pair the index is a read-only view that holds no per-trial
-    bytes (`_pair_index`), so the block allocates only the planes it reads
-    and the flags it returns: about 12 bytes per trial at its peak.
+    second arm's digits. With one settings pair the index is a read-only
+    view that holds no per-trial bytes (`_pair_index`), so the block
+    allocates only the planes it reads and the flags it returns: about 7
+    bytes per trial at its peak.
     """
     check_ordering(ordering)
     if isinstance(model, Lhv):
@@ -404,7 +505,7 @@ def two_channel_block(
         return pair_idx, oa, ob
 
     def below(coins, slot):
-        return _comparer(coins, _slot_words(*block, slot), pair_idx, cumw.size)
+        return _comparer(_slot_planes(*block, slot, coins), pair_idx, cumw.size)
 
     if ordering is Ordering.ARM1_FIRST:
         ob = _second_photon(oa, below(ob, SLOT_ARM_B), pair_a, pair_b)
@@ -463,8 +564,7 @@ def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
     c = math.cos(theta)
     p = min(c * c, 1.0)
     cut = _cut(0.0 if p < _ZERO_PROB else p)
-    block = (seed, start, count, SLOT_ARM_A)
-    return _below(_slot_coins(*block), _slot_words(*block), cut)
+    return _below(_slot_planes(seed, start, count, SLOT_ARM_A), cut)
 
 
 def qwp_code_for(name: str) -> models.HypothesisModel:
@@ -592,8 +692,7 @@ def two_channel_block_lhv(
     block = (seed, start, count)
     steps = lhv_word_steps(model, pair_a, pair_b)
     if steps is not None:
-        emission = (*block, SLOT_EMISSION)
-        below = _comparer(_slot_coins(*emission), _slot_words(*emission), pair_idx, cumw.size)
+        below = _comparer(_slot_planes(*block, SLOT_EMISSION), pair_idx, cumw.size)
         oa = _step_decision(below, pair_idx, *steps[0])
         ob = _step_decision(below, pair_idx, *steps[1])
         return pair_idx, oa, ob
@@ -605,11 +704,14 @@ def two_channel_block_lhv(
 
 def _float_arm(block: tuple, slot: int, response, setting, lam: np.ndarray) -> np.ndarray:
     """One arm's flags on the float path, ``u < response(setting, lam)`` for
-    the slot's uniforms u, decided as ``k < p * 2**53`` on its 53-bit draws
-    k: the same compare scaled by a power of two, so exact, and no u is
-    built. The response is scaled before the planes are read, so at its
-    peak the arm holds lam, the scaled response and one slot's planes,
-    about 27 bytes per trial."""
-    scaled = np.multiply(np.asarray(response(setting, lam), dtype=float), _UNIT)
-    k = _draws(_slot_coins(*block, slot), _slot_words(*block, slot))
-    return np.less(k.view(np.int64), scaled)
+    the slot's uniforms u, decided as ``k < p * 2**53`` (`_below_each`): the
+    same compare scaled by a power of two, so exact, and neither u nor k is
+    built. The arm reads the slot's coins and digits, and a tail only where
+    a trial ties. Its peak is while it scales the response: lam, the
+    response and the scaled copy, about 24 bytes per trial. A response may
+    answer with one number for every trial."""
+    p = np.asarray(response(setting, lam), dtype=float)
+    x = np.multiply(p, _UNIT * 2.0**-_LOW, out=np.empty(lam.shape))
+    del p  # the compares hold x and the tops, not the response too
+    tops = _tops(_slot_coins(*block, slot), _slot_digits(*block, slot))
+    return _below_each(tops, lambda at: _slot_tails(*block, slot, at), x)

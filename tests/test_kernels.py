@@ -90,13 +90,27 @@ def pcg64dxsm_reference(seed: int, slot: int, plane: int, q: int) -> int:
     return dxsm(pcg_jump(state, inc, q))
 
 
+def reference_coin(seed: int, trial: int, slot: int) -> int:
+    """The coin bit c: bit trial % 64 of output trial // 64 of the coin plane."""
+    return pcg64dxsm_reference(seed, slot, 1, trial // 64) >> (trial % 64) & 1
+
+
+def reference_digit(seed: int, trial: int, slot: int) -> int:
+    """The digit d: 16-bit lane trial % 4, counted from the low end, of
+    output trial // 4 of the digit plane."""
+    return pcg64dxsm_reference(seed, slot, 0, trial // 4) >> 16 * (trial % 4) & 0xFFFF
+
+
+def reference_tail(seed: int, trial: int, slot: int) -> int:
+    """The tail word t: output trial of the tail plane."""
+    return pcg64dxsm_reference(seed, slot, 2, trial)
+
+
 def reference_draw(seed: int, trial: int, slot: int) -> int:
-    """The 53-bit draw k of `slot` of `trial`: the coin bit, bit trial % 64 of
-    output trial // 64 of the coin plane, over the top 52 bits of output trial
-    of the word plane."""
-    word = pcg64dxsm_reference(seed, slot, 0, trial)
-    coin_word = pcg64dxsm_reference(seed, slot, 1, trial // 64)
-    return (coin_word >> (trial % 64) & 1) << 52 | word >> 12
+    """The 53-bit draw k of `slot` of `trial`: the coin bit over the digit
+    over the top 36 bits of the tail word."""
+    return (reference_coin(seed, trial, slot) << 52 | reference_digit(seed, trial, slot) << 36
+            | reference_tail(seed, trial, slot) >> 28)
 
 
 def reference_uniform(seed: int, trial: int, slot: int) -> float:
@@ -105,10 +119,17 @@ def reference_uniform(seed: int, trial: int, slot: int) -> float:
 
 
 def planes_of(ks, low=0):
-    """The coins (True: c == 0) and words of 53-bit draws k, the words' low
-    12 bits, which no draw reads, set to `low`."""
+    """The coins (True: c == 0), digits and tails of 53-bit draws k, the
+    tails' low 28 bits, which no draw reads, set to `low`."""
     ks = np.asarray(ks, dtype=np.uint64)
-    return ks >> 52 == 0, (ks & np.uint64(2**52 - 1)) << 12 | np.asarray(low, dtype=np.uint64)
+    digits = (ks >> np.uint64(36) & np.uint64(0xFFFF)).astype(np.uint16)
+    tails = (ks & np.uint64(2**36 - 1)) << np.uint64(28) | np.asarray(low, dtype=np.uint64)
+    return ks >> np.uint64(52) == 0, digits, tails
+
+
+def served(coins, digits, tails):
+    """The planes of one block, served from arrays: `tails` at block offsets."""
+    return kernels._Planes(coins, digits, lambda at: tails[at])
 
 
 # (seed, trial): both ends of the seed and trial ranges, and short jumps.
@@ -156,6 +177,9 @@ class TestCounterBasedUniforms:
             coins = kernels._slot_coins(3, start, count, slot)
             assert coins.dtype == bool
             assert list(coins) == [reference_draw(3, start + i, slot) < 2**52 for i in range(count)]
+            digits = kernels._slot_digits(3, start, count, slot)
+            assert digits.dtype == np.uint16
+            assert list(digits) == [reference_digit(3, start + i, slot) for i in range(count)]
 
     @pytest.mark.parametrize("trial", [0, 2**64 - 1])
     def test_stream_walks_past_the_named_slots(self, trial):
@@ -176,7 +200,9 @@ class TestCounterBasedUniforms:
     @pytest.mark.parametrize(
         "seed,start,count", [(-1, 0, 1), (2**64, 0, 1), (1, -1, 1), (1, 2**64 - 1, 2)]
     )
-    @pytest.mark.parametrize("reader", ["uniform_block", "_slot_words", "_slot_coins"])
+    @pytest.mark.parametrize(
+        "reader", ["uniform_block", "_slot_digits", "_slot_coins", "_slot_tails"]
+    )
     def test_rejects_seeds_and_trials_outside_64_bits(self, seed, start, count, reader):
         with pytest.raises(ValueError):
             getattr(kernels, reader)(seed, start, count, kernels.SLOT_ARM_A)
@@ -208,7 +234,9 @@ class TestPlaneStreams:
     """Each plane is its own PCG64DXSM stream, seeded by spawn key, that the
     kernels jump into instead of stepping."""
 
-    @pytest.mark.parametrize("seed,slot,plane", [(0, 0, 0), (5, 3, 1), (2**64 - 1, 4, 0)])
+    @pytest.mark.parametrize(
+        "seed,slot,plane", [(0, 0, 0), (5, 3, 1), (2**64 - 1, 4, 0), (7, 1, 2)]
+    )
     def test_plane_state_is_numpys_seeding(self, seed, slot, plane):
         ss = np.random.SeedSequence(seed, spawn_key=(slot, plane))
         state = np.random.PCG64DXSM(ss).state["state"]
@@ -233,7 +261,7 @@ class TestPlaneStreams:
         # seeds at the edges of the 32-bit words SeedSequence splits an int into
         seeds = [0, 1, 2**32, 2**63, 2**64 - 1, 5, 5 + 3 * 2**32]
         triples = [(seed, slot, plane) for seed in seeds
-                   for slot in range(kernels.DRAWS_PER_TRIAL) for plane in (0, 1)]
+                   for slot in range(kernels.DRAWS_PER_TRIAL) for plane in (0, 1, 2)]
         states = [kernels._plane_state(*triple) for triple in triples]
         # distinct increments too: no plane is another's stream at an offset
         assert len(set(states)) == len({inc for _, inc in states}) == len(triples)
@@ -362,7 +390,7 @@ SEAM_CUTS = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53]
 
 
 class TestWordDomain:
-    """Coins decided on the two planes equal the float compares they replace."""
+    """Coins decided on the planes equal the float compares they replace."""
 
     @pytest.mark.parametrize(
         "seed,start,count",
@@ -370,16 +398,21 @@ class TestWordDomain:
     )
     @pytest.mark.parametrize("slot", [kernels.SLOT_SETTINGS, kernels.SLOT_ORDERING])
     def test_floats_are_the_slot_words_bit_for_bit(self, seed, start, count, slot):
-        coins = kernels._slot_coins(seed, start, count, slot)
-        words = kernels._slot_words(seed, start, count, slot)
-        floats = kernels.uniform_block(seed, start, count, slot)
-        assert words.dtype == np.uint64
-        assert words.shape == coins.shape == floats.shape == (count,)
-        k = (words >> 12) | np.where(coins, 0, 2**52).astype(np.uint64)
+        block = (seed, start, count, slot)
+        coins = kernels._slot_coins(*block)
+        digits = kernels._slot_digits(*block)
+        tails = kernels._slot_tails(*block)
+        floats = kernels.uniform_block(*block)
+        assert digits.dtype == np.uint16 and tails.dtype == np.uint64
+        assert digits.shape == tails.shape == coins.shape == floats.shape == (count,)
+        k = (np.where(coins, 0, 2**52).astype(np.uint64) | digits.astype(np.uint64) << np.uint64(36)
+             | tails >> np.uint64(28))
         assert np.array_equal(k * 2.0**-53, floats)
         assert np.array_equal(coins, floats < 0.5)
         last = start + count - 1
-        assert int(words[-1]) == pcg64dxsm_reference(seed, slot, 0, last)
+        assert int(tails[-1]) == reference_tail(seed, last, slot)
+        offsets = np.array([0, count - 1])
+        assert np.array_equal(kernels._slot_tails(*block, offsets), tails[offsets])
 
     @staticmethod
     def _edge_draws(cut: int) -> np.ndarray:
@@ -387,7 +420,7 @@ class TestWordDomain:
         ks = {k for k in (cut - 1, cut, cut + 1) if 0 <= k < 2**53} | {0, 2**53 - 1}
         return np.array(sorted(ks), dtype=np.uint64)
 
-    @pytest.mark.parametrize("low", [0, 0xFFF])
+    @pytest.mark.parametrize("low", [0, 2**28 - 1])
     @pytest.mark.parametrize(
         "p",
         [0.0, 1e-30, float(kernels._malus_prob_array(np.array([math.pi / 2]))[0]), 0.5, 1.0,
@@ -397,18 +430,18 @@ class TestWordDomain:
     def test_threshold_compare_matches_float_compare(self, p, low):
         cut = kernels._cut(p)
         ks = self._edge_draws(int(cut))
-        coins, words = planes_of(ks, low)
+        coins, digits, tails = planes_of(ks, low)
         u = ks * 2.0**-53
-        assert np.array_equal(kernels._below(coins, words, cut), u < p)
+        assert np.array_equal(kernels._below(served(coins, digits, tails), cut), u < p)
         if p == 0.5:
             assert np.array_equal(coins, u < 0.5)
 
     @pytest.mark.parametrize("cut", SEAM_CUTS)
     def test_seam_cuts_match_the_built_draw(self, cut):
         ks = np.concatenate([self._edge_draws(c) for c in SEAM_CUTS])
-        coins, words = planes_of(ks, np.arange(ks.size) % 4096)
-        assert np.array_equal(kernels._draws(coins, words.copy()), ks)
-        assert np.array_equal(kernels._below(coins, words, cut), ks < cut)
+        coins, digits, tails = planes_of(ks, np.arange(ks.size) % 2**28)
+        assert np.array_equal(kernels._draws(coins, digits, tails.copy()), ks)
+        assert np.array_equal(kernels._below(served(coins, digits, tails), cut), ks < cut)
 
     @pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.25, 0.0, 0.75], [0.5, 0.5],
                                          np.random.default_rng(8).random(40).tolist()])
@@ -417,13 +450,75 @@ class TestWordDomain:
         cumw[-1] = 1.0
         cuts = [int(c) for c in kernels._cut(cumw)]
         edges = np.concatenate([self._edge_draws(c) for c in cuts])
-        coins, words = planes_of(edges, 0x800)
         block = (3, 0, 5000, kernels.SLOT_SETTINGS)
-        coins = np.concatenate([coins, kernels._slot_coins(*block)])
-        words = np.concatenate([words, kernels._slot_words(*block)])
-        u = kernels._draws(coins, words.copy()) * 2.0**-53
+        read = (kernels._slot_coins, kernels._slot_digits, kernels._slot_tails)
+        planes = [np.concatenate([edge, reader(*block)])
+                  for edge, reader in zip(planes_of(edges, 0x800), read)]
+        u = kernels._draws(*planes[:2], planes[2].copy()) * 2.0**-53
         want = np.clip(np.searchsorted(cumw, u, side="right"), 0, cumw.size - 1)
-        assert np.array_equal(kernels._select_pairs(coins, words, cumw), want)
+        assert np.array_equal(kernels._select_pairs(served(*planes), cumw), want)
+
+
+class TestTiesOnTheRealStream:
+    """Cuts one off each trial's own draw k, read from the random stream,
+    make that trial tie: its coin and digit are the cut's top 17 bits, so
+    its tail decides. Every trial of the block then decides as ``k < K`` on
+    the pure-Python reference draws, at both ends of the trial range and
+    on both sides of 2**52."""
+
+    COUNT = 24
+    SLOT = kernels.SLOT_ARM_B
+
+    @pytest.fixture(
+        scope="class",
+        params=[(0, 0), (7, 1001), (42, 2**40 + 3), (2**64 - 1, 2**64 - 24)],
+        ids=["first", "unaligned", "far", "last"],
+    )
+    def block(self, request):
+        seed, start = request.param
+        ks = np.array([reference_draw(seed, start + i, self.SLOT) for i in range(self.COUNT)],
+                      dtype=np.uint64)
+        assert 0 < np.count_nonzero(ks < 2**52) < self.COUNT  # both coins
+        return seed, start, ks
+
+    def _planes(self, seed, start, read):
+        planes = kernels._slot_planes(seed, start, self.COUNT, self.SLOT)
+
+        def tails(at):
+            read.extend(int(i) for i in at)
+            return planes.tails(at)
+
+        return planes._replace(tails=tails)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_scalar_cuts(self, block, offset):
+        seed, start, ks = block
+        for i, k in enumerate(ks.tolist()):
+            cut = k + offset
+            read = []
+            got = kernels._below(self._planes(seed, start, read), cut)
+            assert np.array_equal(got, ks < np.uint64(cut)), (i, cut)
+            assert i in read or cut % 2**36 == 0 or cut >> 36 != k >> 36, (i, cut)
+            assert all(int(ks[j]) >> 36 == cut >> 36 for j in read), (i, cut, read)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_per_trial_cuts(self, block, offset):
+        # each trial its own settings pair, whose cut is its own draw plus offset
+        seed, start, ks = block
+        read = []
+        cuts = ks + np.uint64(offset) if offset >= 0 else ks - np.uint64(-offset)
+        planes = self._planes(seed, start, read)
+        below = kernels._comparer(planes, np.arange(self.COUNT), self.COUNT)
+        assert np.array_equal(below(cuts), ks < cuts)
+        ties = cuts >> np.uint64(36) == ks >> np.uint64(36)
+        assert sorted(read) == np.flatnonzero(ties).tolist()
+
+    @pytest.mark.parametrize("offset", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_float_responses(self, block, offset):
+        seed, start, ks = block
+        p = (ks.astype(float) + offset) * 2.0**-53
+        got = kernels._float_arm((seed, start, self.COUNT), self.SLOT, lambda s, lam: lam, 0.0, p)
+        assert np.array_equal(got, ks * 2.0**-53 < p)
 
 
 class TestDeterministicModelOnWords:
@@ -597,8 +692,10 @@ class TestRandomizedSettingsMatchObjectLayer:
 class TestKernelsOnEdgeWords:
     """Every plane-domain kernel, fed draws that sit on and next to each of
     its cuts and of the planes' seams, decides as the float compares it
-    replaces, with one settings pair (compared on the planes) and with
-    several (compared on the built draws)."""
+    replaces, with one settings pair (each cut met on the coin and digit)
+    and with several (each trial's cut met on its top 17 bits). A draw one
+    off a cut shares the cut's top 17 bits unless a seam lies between, so
+    the table makes every kernel decide ties on their tails."""
 
     N = 4000
     PA = np.array([0.0, 0.7, 1.3, math.pi / 2])
@@ -609,12 +706,13 @@ class TestKernelsOnEdgeWords:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """An (N, 8) table of 53-bit draws for slots 0-7, served as both
-        planes in place of the random stream."""
+        """An (N, 8) table of 53-bit draws for slots 0-7, served as all
+        three planes in place of the random stream."""
         cuts = list(SEAM_CUTS)
         for s_first, s_second in ((self.PA, self.PB), (self.PB, self.PA)):
-            for delta in (s_first - s_second, s_first + math.pi / 2 - s_second):
-                cuts += [int(c) for c in kernels._cut(kernels._malus_prob_array(delta))]
+            for perpendicular in (False, True):
+                p = kernels._malus_prob_array(s_first - s_second, perpendicular)
+                cuts += [int(c) for c in kernels._cut(p)]
         cuts += [int(c) for c in kernels._cut(self.CUMW)]
         cuts += [int(kernels._cut(min(math.cos(t) ** 2, 1.0))) for t in self.THETAS]
         sign = deterministic_sign_model()
@@ -625,16 +723,23 @@ class TestKernelsOnEdgeWords:
         table = np.array(ks, dtype=np.uint64)[rng.integers(0, len(ks), (self.N, 8))]
         table[0] = 0
         table[1] = 2**53 - 1
-        coins, words = planes_of(table, rng.integers(0, 4096, table.shape))
-
-        def slot_words(seed, start, count, slot):
-            return words[start : start + count, slot].copy()
+        coins, digits, tails = planes_of(table, rng.integers(0, 2**28, table.shape))
 
         def slot_coins(seed, start, count, slot):
             return coins[start : start + count, slot].copy()
 
-        monkeypatch.setattr(kernels, "_slot_words", slot_words)
+        def slot_digits(seed, start, count, slot):
+            return digits[start : start + count, slot].copy()
+
+        def slot_tails(seed, start, count, slot, at=None):
+            rows = slice(start, start + count) if at is None else start + at
+            self.tail_reads += 0 if at is None else len(at)
+            return tails[rows, slot].copy()
+
+        self.tail_reads = 0
         monkeypatch.setattr(kernels, "_slot_coins", slot_coins)
+        monkeypatch.setattr(kernels, "_slot_digits", slot_digits)
+        monkeypatch.setattr(kernels, "_slot_tails", slot_tails)
         return table
 
     def _settings(self, which):
@@ -646,10 +751,10 @@ class TestKernelsOnEdgeWords:
     def _float_reduced(self, u_first, u_second, pair_idx, s_first, s_second):
         first = u_first < 0.5
         p_parallel = kernels._malus_prob_array(s_first - s_second)[pair_idx]
-        p_perpendicular = kernels._malus_prob_array(s_first + math.pi / 2 - s_second)[pair_idx]
+        p_perpendicular = kernels._malus_prob_array(s_first - s_second, True)[pair_idx]
         return first, np.where(first, u_second < p_parallel, u_second < p_perpendicular)
 
-    @pytest.mark.parametrize("name", ["qm", "ndv", "definite-circular", "lhv-sign"])
+    @pytest.mark.parametrize("name", ["qm", "ndv", "definite-circular", "lhv-sign", "lhv-malus"])
     @pytest.mark.parametrize("order", list(Ordering))
     @pytest.mark.parametrize("settings", SETTINGS)
     def test_two_channel(self, draws, name, order, settings):
@@ -664,6 +769,12 @@ class TestKernelsOnEdgeWords:
             lam = u[:, 1] * math.pi
             oa = np.cos(2 * (pa[pair_idx] - lam)) > 0
             ob = np.cos(2 * (pb[pair_idx] - lam)) > 0
+        elif name == "lhv-malus":
+            lhv = model.model
+            lam = lhv.sample(u[:, 1])
+            setting = (lambda s: s[0]) if cumw.size == 1 else (lambda s: s[pair_idx])
+            oa = u[:, 2] < lhv.response_a(setting(pa), lam)
+            ob = u[:, 3] < lhv.response_b(setting(pb), lam)
         elif name == "definite-circular":
             oa, ob = u[:, 2] < 0.5, u[:, 3] < 0.5
         else:
@@ -675,6 +786,39 @@ class TestKernelsOnEdgeWords:
             oa, ob = np.where(flags, oa2, oa1), np.where(flags, ob2, ob1)
         assert np.array_equal(got[1], oa)
         assert np.array_equal(got[2], ob)
+        if any(cut % 2**36 for cut in self._compared_cuts(name, pa, pb)):
+            assert self.tail_reads > 0
+
+    @staticmethod
+    def _compared_cuts(name, pa, pb):
+        """The integer cuts the arms of a one-pair-or-more run compare with."""
+        if name in ("qm", "ndv"):
+            tables = [*kernels._malus_cuts(tuple(pa), tuple(pb)),
+                      *kernels._malus_cuts(tuple(pb), tuple(pa))]
+        elif name == "lhv-sign":
+            sign = deterministic_sign_model()
+            tables = [kernels._word_steps(sign, arm, tuple(settings))[1]
+                      for arm, settings in (("response_a", pa), ("response_b", pb))]
+        else:
+            return []
+        return [int(cut) for table in tables for cut in np.ravel(table)]
+
+    @pytest.mark.parametrize("offset", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_a_float_response_one_off_each_draw(self, draws, offset):
+        # p * 2**53 at, between and next to the arm's own draws: every trial
+        # not on a seam ties, and its tail decides
+        k = draws[:, kernels.SLOT_ARM_A].astype(float)
+        p = (k + offset) * 2.0**-53
+        got = kernels._float_arm((1, 0, self.N), kernels.SLOT_ARM_A, lambda s, lam: lam, 0.0, p)
+        assert np.array_equal(got, k * 2.0**-53 < p)
+        assert self.tail_reads > self.N // 2
+
+    def test_a_scalar_float_response_holds_for_every_trial(self, draws):
+        # a response may answer one number for all trials, as validate_lhv_model allows
+        got = kernels._float_arm(
+            (1, 0, self.N), kernels.SLOT_ARM_A, lambda s, lam: 0.3, 0.0, np.zeros(self.N)
+        )
+        assert np.array_equal(got, draws[:, kernels.SLOT_ARM_A] * 2.0**-53 < 0.3)
 
     @pytest.mark.parametrize("order", list(Ordering))
     def test_chains(self, draws, order):
@@ -697,6 +841,8 @@ class TestKernelsOnEdgeWords:
         p = 0.0 if p < 1e-24 else min(p, 1.0)
         got = kernels.malus_block(1, 0, self.N, theta)
         assert np.array_equal(got, draws[:, 2] * 2.0**-53 < p)
+        if p not in (0.0, 0.5, 1.0):
+            assert self.tail_reads > 0
 
     def test_the_table_reaches_every_seam(self, draws):
         present = set(draws.flat)
@@ -709,13 +855,17 @@ S, E, A, B, O = (kernels.SLOT_SETTINGS, kernels.SLOT_EMISSION, kernels.SLOT_ARM_
 
 class TestWordBudget:
     """Each kernel reads every plane it decides on once per block, and no
-    other: a word costs one generator output per trial and a coin 1/64 of
-    one, so a fair coin that read its word would undo the stream's saving
-    without changing any outcome. Every coin-only decision reads no word."""
+    other: a digit costs a quarter of a generator output per trial and a
+    coin 1/64 of one, so a fair coin that read its digit would undo the
+    stream's saving without changing any outcome. Every coin-only decision
+    reads no digit. A compare reads a tail only at a trial that ties, whose
+    coin and digit are the top 17 bits of a cut it meets; only the float
+    path's emission draw, which builds k, reads its tail plane whole."""
 
+    SEED = 7
     SINGLE = (np.array([0.3]), np.array([1.0]), np.array([1.0]))
     THREE = (np.array([0.0, 0.7, 1.3]), np.array([0.4, 0.2, 1.3]), np.array([0.3, 0.55, 1.0]))
-    # name -> (coin slots, word slots); the arm measured first reads no word
+    # name -> (coin slots, digit slots); the arm measured first reads no digit
     TWO_CHANNEL = {
         ("qm", Ordering.ARM1_FIRST): ([A, B], [B]),
         ("qm", Ordering.ARM2_FIRST): ([A, B], [A]),
@@ -737,47 +887,92 @@ class TestWordBudget:
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """The slots passed to `_slot_coins` and `_slot_words`, one entry per call."""
-        slots = {"coins": [], "words": []}
-        for plane in slots:
+        """The slots passed to `_slot_coins` and `_slot_digits`, one entry per
+        call, and the tails read: (slot, trial) for each tail read alone,
+        (slot, None) for a whole block."""
+        reads = {"coins": [], "digits": [], "tails": []}
+        for plane in ("coins", "digits"):
             reader = getattr(kernels, f"_slot_{plane}")
 
-            def recording(seed, start, count, slot, reader=reader, log=slots[plane]):
+            def recording(seed, start, count, slot, reader=reader, log=reads[plane]):
                 log.append(slot)
                 return reader(seed, start, count, slot)
 
             monkeypatch.setattr(kernels, f"_slot_{plane}", recording)
-        return slots
+        tails = kernels._slot_tails
+
+        def recording_tails(seed, start, count, slot, at=None):
+            if at is None:
+                reads["tails"].append((slot, None))
+            else:
+                reads["tails"] += [(slot, start + int(i)) for i in at]
+            return tails(seed, start, count, slot, at)
+
+        monkeypatch.setattr(kernels, "_slot_tails", recording_tails)
+        return reads
 
     @staticmethod
     def _sorted(reads):
-        return sorted(reads["coins"]), sorted(reads["words"])
+        return sorted(reads["coins"]), sorted(reads["digits"])
+
+    def _cut_tops(self, name, pa, pb, cumw, slot, trial):
+        """The top 17 bits, ``floor(K / 2**36)``, of every cut a kernel may
+        compare trial `trial` of `slot` with, K a real for a float response."""
+        if slot == S:
+            cuts = kernels._cut(cumw[:-1]).tolist()
+        elif name in ("qm", "ndv"):
+            cuts = [int(c) for first, second in ((pa, pb), (pb, pa))
+                    for table in kernels._malus_cuts(tuple(first), tuple(second)) for c in table]
+        elif name == "lhv-sign":
+            sign = deterministic_sign_model()
+            cuts = [int(c) for arm, settings in (("response_a", pa), ("response_b", pb))
+                    for c in kernels._word_steps(sign, arm, tuple(settings))[1].flat]
+        else:
+            lhv = kernels.MODEL_CODES[name].model
+            lam = lhv.sample(kernels.uniform_block(self.SEED, trial, 1, E))
+            response, settings = (lhv.response_a, pa) if slot == A else (lhv.response_b, pb)
+            cuts = [float(response(s, lam)[0]) * 2.0**53 for s in settings]
+        return {math.floor(cut * 2.0**-36) for cut in cuts}
+
+    def _assert_tails_at_ties(self, reads, name, pa, pb, cumw, whole=()):
+        assert [slot for slot, trial in reads["tails"] if trial is None] == list(whole)
+        for slot, trial in reads["tails"]:
+            if trial is not None:
+                top = kernels._draw(self.SEED, trial, slot) >> 36
+                assert top in self._cut_tops(name, pa, pb, cumw, slot, trial), (slot, trial)
 
     @pytest.mark.parametrize("name,order", list(TWO_CHANNEL))
     @pytest.mark.parametrize("pairs", ["single", "three"])
     def test_two_channel(self, reads, name, order, pairs):
         pa, pb, cumw = self.SINGLE if pairs == "single" else self.THREE
-        kernels.two_channel_block(7, 5, BLOCK_SIZE, kernels.MODEL_CODES[name], pa, pb, cumw, order)
-        coins, words = (list(slots) for slots in self.TWO_CHANNEL[name, order])
+        model = kernels.MODEL_CODES[name]
+        kernels.two_channel_block(self.SEED, 5, BLOCK_SIZE, model, pa, pb, cumw, order)
+        coins, digits = (list(slots) for slots in self.TWO_CHANNEL[name, order])
         if pairs == "three":
             coins.append(S)
-            words.append(S)
-        assert self._sorted(reads) == (sorted(coins), sorted(words))
+            digits.append(S)
+        assert self._sorted(reads) == (sorted(coins), sorted(digits))
+        self._assert_tails_at_ties(reads, name, pa, pb, cumw, [E] if name == "lhv-malus" else [])
 
     @pytest.mark.parametrize("name,order", list(CHAINS))
     def test_chains(self, reads, name, order):
-        kernels.qwp_block(7, 5, BLOCK_SIZE, kernels.MODEL_CODES[name], order)
+        kernels.qwp_block(self.SEED, 5, BLOCK_SIZE, kernels.MODEL_CODES[name], order)
         assert self._sorted(reads) == (sorted(self.CHAINS[name, order]), [])
+        assert reads["tails"] == []
 
     def test_malus(self, reads):
-        kernels.malus_block(7, 5, BLOCK_SIZE, 0.3)
-        assert reads == {"coins": [A], "words": [A]}
+        theta = 0.3
+        kernels.malus_block(self.SEED, 5, BLOCK_SIZE, theta)
+        assert self._sorted(reads) == ([A], [A])
+        top = int(kernels._cut(math.cos(theta) ** 2)) >> 36
+        assert all(kernels._draw(self.SEED, trial, slot) >> 36 == top
+                   for slot, trial in reads["tails"])
 
     @pytest.mark.parametrize("order", list(Ordering))
     def test_ordering_flags(self, reads, order):
-        kernels.arm2_first_flags(7, 5, BLOCK_SIZE, order)
+        kernels.arm2_first_flags(self.SEED, 5, BLOCK_SIZE, order)
         want = [O] if order is Ordering.RANDOM_PER_TRIAL else []
-        assert reads == {"coins": want, "words": []}
+        assert reads == {"coins": want, "digits": [], "tails": []}
 
 
 class TestPerThreadGenerator:
@@ -792,7 +987,7 @@ class TestPerThreadGenerator:
         for start, count in [(0, 9), (63, 2), (100, 5), (250, 70), (2**64 - 70, 70)]
         for seed in (3, 2**64 - 1)
         for slot in (kernels.SLOT_EMISSION, kernels.SLOT_ARM_B, kernels.SLOT_ORDERING)
-        for reader in ("_slot_words", "_slot_coins")
+        for reader in ("_slot_digits", "_slot_coins")
     ]
 
     @staticmethod
