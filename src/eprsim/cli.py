@@ -23,7 +23,7 @@ import tempfile
 
 from ._version import __version__
 
-# The engine's parallelism is its own worker threads, and numpy's bundled
+# The engine's parallelism is its own worker processes, and numpy's bundled
 # OpenBLAS would start a thread pool at load whose idle threads spin a core
 # before they sleep. So pin OpenBLAS to one thread before `.scenarios` loads
 # numpy. A value the user set is kept, and only a process that imports this
@@ -63,7 +63,7 @@ _FLAGS: dict[str, tuple[str, dict]] = {
         dict(choices=tuple(ORDERING_NAMES), help="which arm is booked as measured first"),
     ),
     "k_sigma": ("--k-sigma", dict(type=float, help="verdict threshold in sigmas")),
-    "workers": ("--workers", dict(type=int, help="worker thread cap")),
+    "workers": ("--workers", dict(type=int, help="worker process cap")),
 }
 
 

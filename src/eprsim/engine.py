@@ -18,8 +18,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -42,7 +41,7 @@ if TYPE_CHECKING:
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 BLOCK_SIZE = 1 << 16
 
-# A run starts up to this many threads; more never helps a CPU-bound block loop.
+# A run starts up to this many processes; more never helps a CPU-bound block loop.
 MAX_WORKERS = 256
 
 
@@ -211,28 +210,95 @@ def _add(total: tuple | None, part: tuple) -> tuple:
     return part if total is None else tuple(map(operator.add, total, part))
 
 
-def _run_blocks(count, start: int, trials: int, workers: int) -> tuple:
+# Forking, exiting and reaping a worker process costs about 3 ms on a
+# 2-vCPU VM: a dozen blocks of a kernel decided on the random planes, under
+# one block of the factorized float path (about 4 ms). So a run starts one
+# more process only for each 32 plane blocks, or each 2 float-path blocks.
+_BLOCKS_PER_PROCESS = 32
+_FLOAT_BLOCKS_PER_PROCESS = 2
+
+
+def _run_blocks(
+    count, start: int, trials: int, workers: int, per_process: int = _BLOCKS_PER_PROCESS
+) -> tuple:
     """Component-wise sum of ``count(lo, hi)`` over the blocks of the range.
 
-    Workers take blocks from one shared iterator and keep their own sums, so
-    no block list is built. Integer addition is exact, so the sum does not
-    depend on the worker count.
+    The blocks are dealt round-robin to up to `workers` processes, at most
+    one per `per_process` blocks: this one and children forked from it,
+    each of which sends its own sum back (`_forked`). Processes and not
+    threads, because most kernels' blocks are some twenty numpy calls of a
+    few microseconds each, and threads trade the GIL at every call. Integer
+    addition is exact, so the sum does not depend on the worker count.
+    Where the platform has no ``os.fork``, every block runs here.
     """
     stop = start + trials
-    blocks = iter(range(start, stop, BLOCK_SIZE))
-    lock = threading.Lock()
+    blocks = range(start, stop, BLOCK_SIZE)
+    shares = max(1, min(workers, len(blocks) // per_process))
+    if not hasattr(os, "fork"):
+        shares = 1
 
-    def next_block() -> int | None:
-        with lock:
-            return next(blocks, None)
-
-    def own_sum(_) -> tuple | None:
-        parts = (count(lo, min(lo + BLOCK_SIZE, stop)) for lo in iter(next_block, None))
+    def own_sum(share: int) -> tuple | None:
+        parts = (count(lo, min(lo + BLOCK_SIZE, stop)) for lo in blocks[share::shares])
         return functools.reduce(_add, parts, None)
 
-    threads = min(workers, -(-trials // BLOCK_SIZE))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return functools.reduce(_add, filter(None, pool.map(own_sum, range(threads))))
+    if shares == 1:
+        return own_sum(0)
+    children = []
+    try:
+        for share in range(1, shares):
+            children.append(_forked(functools.partial(own_sum, share)))
+        total = own_sum(0)
+        for pid, result in children:
+            try:
+                ok, part = pickle.load(result)
+            except EOFError:
+                raise RuntimeError(f"worker process {pid} ended without a result") from None
+            if not ok:
+                raise part
+            total = _add(total, part)
+        return total
+    except BaseException:
+        import signal  # only a run that fails needs it
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, result in children:
+            result.close()
+            os.waitpid(pid, 0)
+
+
+def _forked(work):
+    """(pid, pipe) of a forked child that runs `work()` and writes to the
+    pipe, pickled, (True, what it returned) or (False, the exception it
+    raised). The child never returns into the caller: it ends in
+    ``os._exit``, which runs no cleanup of the parent's state."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        try:
+            message = pickle.dumps((True, work()))
+        except BaseException as exc:
+            try:
+                message = pickle.dumps((False, exc))
+            except Exception:  # an exception that does not pickle
+                message = pickle.dumps((False, RuntimeError(repr(exc))))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(message)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _replay(config: RunConfig, start_index: int, kernel):
@@ -269,7 +335,7 @@ class TwoChannelRun:
 
     def records(self) -> Iterator[TwoChannelRecord]:
         """Per-trial records, replayed block by block."""
-        _, kernel = _two_channel_kernel(self.config)
+        _, kernel, _ = _two_channel_kernel(self.config)
         blocks = _replay(self.config, self.start_index, kernel)
         for lo, arm2_first, (pair_index, out_a, out_b) in blocks:
             for i, flag in enumerate(arm2_first):
@@ -329,20 +395,21 @@ def _settings_tables(policy: SettingsPolicy) -> tuple[tuple, np.ndarray, np.ndar
 
 
 def _two_channel_kernel(config: RunConfig):
-    """The settings pairs of a two-channel run and its per-block kernel call:
-    (lo, hi) -> (pair index, outcome A, outcome B) per trial."""
+    """The settings pairs of a two-channel run, its per-block kernel call,
+    (lo, hi) -> (pair index, outcome A, outcome B) per trial, and whether
+    its blocks take the factorized float path."""
     pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
     if isinstance(config.model, Lhv):
-        # Find a deterministic model's cuts once, here, and not in a race of
-        # the workers' first blocks. Calling the factorized kernel directly
-        # keeps a traced run to one kernel span per block.
-        kernels.lhv_word_steps(config.model.model, pair_a, pair_b)
+        # Find a deterministic model's cuts once, here, and not once in each
+        # worker. Calling the factorized kernel directly keeps a traced run
+        # to one kernel span per block.
+        steps = kernels.lhv_word_steps(config.model.model, pair_a, pair_b)
         return pairs, lambda lo, hi: kernels.two_channel_block_lhv(
             config.seed, lo, hi - lo, config.model.model, pair_a, pair_b, cumw
-        )
+        ), steps is None
     return pairs, lambda lo, hi: kernels.two_channel_block(
         config.seed, lo, hi - lo, config.model, pair_a, pair_b, cumw, config.ordering
-    )
+    ), False
 
 
 def _qwp_kernel(config: RunConfig):
@@ -379,7 +446,7 @@ def run_experiment(
 
 
 def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoChannelRun:
-    pairs, kernel = _two_channel_kernel(config)
+    pairs, kernel, float_path = _two_channel_kernel(config)
 
     def count(lo: int, hi: int) -> tuple[CoincidenceCounts, ...]:
         pair_index, out_a, out_b = kernel(lo, hi)
@@ -394,7 +461,10 @@ def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoCh
         config=config,
         start_index=start_index,
         pair_table=pairs,
-        pair_counts=_run_blocks(count, start_index, config.trials, workers),
+        pair_counts=_run_blocks(
+            count, start_index, config.trials, workers,
+            _FLOAT_BLOCKS_PER_PROCESS if float_path else _BLOCKS_PER_PROCESS,
+        ),
     )
 
 

@@ -295,21 +295,6 @@ def _draws(coins: np.ndarray, digits: np.ndarray, tails: np.ndarray) -> np.ndarr
     return tails
 
 
-def _true_at(flags: np.ndarray) -> np.ndarray:
-    """Indices of the True entries of a boolean array that holds few: each
-    one is found by `argmax`, which stops at the first True, so an array
-    with none costs one scan and builds no index array."""
-    found = []
-    at = 0
-    while at < flags.size:
-        at += int(flags[at:].argmax())
-        if not flags[at]:
-            break
-        found.append(at)
-        at += 1
-    return np.array(found, dtype=np.intp)
-
-
 def _below(planes: _Planes, cut) -> np.ndarray:
     """``k < cut`` per trial for an integer cut in [0, 2**53], decided on
     each trial's coin and digit, the top 17 bits of k. A trial whose coin
@@ -329,7 +314,7 @@ def _below(planes: _Planes, cut) -> np.ndarray:
     else:
         below |= coins
     if low:
-        at = _true_at(digits == digit)
+        at = np.flatnonzero(digits == digit)
         at = at[coins[at] == cut_coin_is_0]
         if at.size:
             below[at] = planes.tails(at) >> _TAIL_SHIFT < np.uint64(low)
@@ -354,7 +339,7 @@ def _below_each(tops: np.ndarray, tails, x: np.ndarray) -> np.ndarray:
     below = x >= 1.0
     ties = x > 0.0
     ties ^= below
-    at = _true_at(ties)
+    at = np.flatnonzero(ties)
     if at.size:
         below[at] = tails(at) >> _TAIL_SHIFT < x[at] * float(1 << _LOW)
     return below

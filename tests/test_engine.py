@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -68,17 +67,18 @@ class TestDeterminism:
         ).n_pass
 
     def test_block_loop_takes_each_block_once(self):
-        # more threads than cores, switching often: a block taken twice or
-        # lost by the shared block iterator changes the exact sums
+        # more processes than cores: a block dealt to two shares or to none
+        # changes the exact sums
         trials, start = 3000 * BLOCK_SIZE + 11, 7
         blocks = 3001
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = engine._run_blocks(lambda lo, hi: (hi - lo, 1, lo), start, trials, 16)
-        finally:
-            sys.setswitchinterval(interval)
+        got = engine._run_blocks(lambda lo, hi: (hi - lo, 1, lo), start, trials, 16)
         assert got == (trials, blocks, blocks * start + BLOCK_SIZE * blocks * (blocks - 1) // 2)
+
+    def test_forked_workers_sum_to_the_same_counts(self):
+        cfg = qm_config(trials=3 * engine._BLOCKS_PER_PROCESS * BLOCK_SIZE + 5)
+        one = run_experiment(cfg, workers=1).counts()
+        assert run_experiment(cfg, workers=2).counts() == one
+        assert run_experiment(cfg, workers=3).counts() == one
 
     def test_start_index_shifts_the_stream(self):
         cfg = qm_config()
@@ -92,6 +92,111 @@ class TestDeterminism:
         again = list(run_experiment(cfg, TwoChannelProtocol()).records())
         assert records == again
         assert [r.trial_index for r in records] == list(range(50))
+
+
+class TestWorkerProcesses:
+    """`_run_blocks` forks one child per share of at least
+    `_BLOCKS_PER_PROCESS` blocks, takes back each child's sum or error, and
+    reaps every child it forked."""
+
+    SHARE = engine._BLOCKS_PER_PROCESS * BLOCK_SIZE
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        pids = []
+        fork = engine.os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(engine.os, "fork", counted)
+        yield pids
+        for pid in pids:  # every child was reaped
+            with pytest.raises(ChildProcessError):
+                engine.os.waitpid(pid, engine.os.WNOHANG)
+
+    @staticmethod
+    def _sums(trials, workers):
+        return engine._run_blocks(lambda lo, hi: (hi - lo, 1), 0, trials, workers)
+
+    def test_a_share_is_at_least_the_block_threshold(self, forks):
+        blocks = 2 * engine._BLOCKS_PER_PROCESS
+        short = (blocks - 1) * BLOCK_SIZE
+        assert self._sums(short, 4) == (short, blocks - 1)
+        assert forks == []
+        assert self._sums(blocks * BLOCK_SIZE, 4) == (blocks * BLOCK_SIZE, blocks)
+        assert len(forks) == 1
+        assert self._sums(3 * blocks * BLOCK_SIZE, 2) == (3 * blocks * BLOCK_SIZE, 3 * blocks)
+        assert len(forks) == 2
+
+    def test_a_failed_fork_closes_its_pipe(self, monkeypatch):
+        pipes = []
+        pipe = engine.os.pipe
+        monkeypatch.setattr(engine.os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+        monkeypatch.setattr(engine.os, "fork", mock.Mock(side_effect=OSError("no fork")))
+        with pytest.raises(OSError, match="no fork"):
+            self._sums(2 * self.SHARE, 2)
+        assert len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError):
+                engine.os.fstat(fd)
+
+    @pytest.mark.parametrize("model,forked", [("qm", 0), ("lhv-sign", 0), ("lhv-malus", 1)])
+    def test_a_float_path_run_forks_at_fewer_blocks(self, forks, model, forked):
+        trials = 2 * engine._FLOAT_BLOCKS_PER_PROCESS * BLOCK_SIZE
+        cfg = qm_config(model=build_model(model), trials=trials)
+        counts = run_experiment(cfg, workers=2).counts()
+        assert len(forks) == forked
+        assert run_experiment(cfg, workers=1).counts() == counts
+
+    def test_without_fork_every_block_runs_here(self, monkeypatch):
+        monkeypatch.delattr(engine.os, "fork")
+        assert self._sums(4 * self.SHARE, 4) == (4 * self.SHARE, 4 * engine._BLOCKS_PER_PROCESS)
+
+    @staticmethod
+    def _failing_in_the_child(error):
+        def count(lo, hi):
+            if lo == BLOCK_SIZE:  # the first block of the second share
+                error()
+            return (hi - lo,)
+
+        return count
+
+    def test_a_childs_error_reaches_the_caller(self, forks):
+        def error():
+            raise ValueError("bad block")
+
+        with pytest.raises(ValueError, match="^bad block$"):
+            engine._run_blocks(self._failing_in_the_child(error), 0, 2 * self.SHARE, 2)
+        assert len(forks) == 1
+
+    def test_an_error_that_does_not_pickle_is_named(self, forks):
+        class Local(Exception):
+            pass
+
+        def error():
+            raise Local("bad block")
+
+        with pytest.raises(RuntimeError, match="Local.*bad block"):
+            engine._run_blocks(self._failing_in_the_child(error), 0, 2 * self.SHARE, 2)
+
+    def test_a_child_that_dies_is_an_error(self, forks):
+        count = self._failing_in_the_child(lambda: engine.os._exit(3))
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            engine._run_blocks(count, 0, 2 * self.SHARE, 2)
+
+    def test_the_callers_error_stops_the_children(self, forks):
+        def count(lo, hi):
+            if lo == 0:
+                raise KeyboardInterrupt
+            return (hi - lo,)
+
+        with pytest.raises(KeyboardInterrupt):
+            engine._run_blocks(count, 0, 2 * self.SHARE, 2)
+        assert len(forks) == 1
 
 
 class TestMergeContract:
