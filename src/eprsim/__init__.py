@@ -26,6 +26,7 @@ _EXPORTS = {
         "QwpChainProtocol",
         "RandomizedSettings",
         "RunConfig",
+        "Schedule",
         "TwoChannelProtocol",
         "run_experiment",
         "run_malus",

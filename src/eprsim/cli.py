@@ -297,6 +297,10 @@ def main(argv=None) -> int:
         # other ValueError (NormalizationError included) is a broken invariant.
         print(f"epr: internal invariant violation: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # The engine has killed and reaped its worker processes by now.
+        print("epr: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -6,6 +6,10 @@ size, execution order or worker count. Each draw is read at its trial's
 position in a jumpable stream (see :mod:`eprsim.kernels`); workers only
 ever partition the trial-index range, and each block is reduced to exact
 integer counts on the worker that ran it.
+Workers are processes: the calling process and children forked from it,
+once for all the runs of a `Schedule` (a scenario opens one around its
+runs; a run called alone opens its own), each of which sends its share's
+counts back through a pipe.
 Runs keep those counts, not per-trial arrays, so memory does not grow with
 the trial count; per-trial records are recomputed on demand.
 
@@ -16,11 +20,12 @@ space-like-separation flag on records and never influences outcomes.
 from __future__ import annotations
 
 import functools
+import logging
 import operator
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 import numpy as np
 
@@ -212,93 +217,177 @@ def _add(total: tuple | None, part: tuple) -> tuple:
 
 # Forking, exiting and reaping a worker process costs about 3 ms on a
 # 2-vCPU VM: a dozen blocks of a kernel decided on the random planes, under
-# one block of the factorized float path (about 4 ms). So a run starts one
-# more process only for each 32 plane blocks, or each 2 float-path blocks.
+# one block of the factorized float path (about 4 ms). So a run deals its
+# blocks to one more process only for each 32 plane blocks, or each 2
+# float-path blocks.
 _BLOCKS_PER_PROCESS = 32
 _FLOAT_BLOCKS_PER_PROCESS = 2
 
 
-def _run_blocks(
-    count, start: int, trials: int, workers: int, per_process: int = _BLOCKS_PER_PROCESS
-) -> tuple:
-    """Component-wise sum of ``count(lo, hi)`` over the blocks of the range.
+class Schedule:
+    """The worker processes that a sequence of runs shares, so that they are
+    forked once and not once per run.
 
-    The blocks are dealt round-robin to up to `workers` processes, at most
-    one per `per_process` blocks: this one and children forked from it,
-    each of which sends its own sum back (`_forked`). Processes and not
-    threads, because most kernels' blocks are some twenty numpy calls of a
-    few microseconds each, and threads trade the GIL at every call. Integer
-    addition is exact, so the sum does not depend on the worker count.
-    Where the platform has no ``os.fork``, every block runs here.
+    Use it as ``with Schedule() as schedule:`` around runs that each take
+    ``schedule=schedule``. The first run that deals its blocks to more than
+    one process forks the children it needs; a later run that needs more
+    forks only the extra ones. A child is a copy of the calling process and
+    carries on through the body of the ``with`` block: at each run it
+    computes its own round-robin share of the blocks and sends the sum up
+    its pipe, and it leaves by ``os._exit`` where the block ends. So the
+    body must make the same runs in the same order in every process, and
+    write nothing; a run's result is complete in the calling process only.
+    When the block ends the caller reaps every child, and kills them first
+    if it ends in an error, Ctrl-C included (a child ignores SIGINT).
     """
-    stop = start + trials
-    blocks = range(start, stop, BLOCK_SIZE)
-    shares = max(1, min(workers, len(blocks) // per_process))
-    if not hasattr(os, "fork"):
-        shares = 1
 
-    def own_sum(share: int) -> tuple | None:
-        parts = (count(lo, min(lo + BLOCK_SIZE, stop)) for lo in blocks[share::shares])
-        return functools.reduce(_add, parts, None)
+    def __init__(self) -> None:
+        self._children: list[tuple[int, BinaryIO]] = []  # (pid, pipe), in the caller
+        self._pipe: BinaryIO | None = None  # in a child, its pipe to the caller
+        self._share = 0  # which share of each run this process takes
+        self._open = False
 
-    if shares == 1:
-        return own_sum(0)
-    children = []
-    try:
-        for share in range(1, shares):
-            children.append(_forked(functools.partial(own_sum, share)))
-        total = own_sum(0)
-        for pid, result in children:
+    def __enter__(self) -> Schedule:
+        self._open = True
+        return self
+
+    def __exit__(self, kind, error, traceback) -> None:
+        self._open = False
+        if self._pipe is not None:
+            os._exit(0 if kind is None else 1)
+        children, self._children = self._children, []
+        if kind is not None and children:
+            import signal
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+    def _fork_to(self, shares: int) -> None:
+        """Fork children until this process and its children make `shares`
+        processes. The caller first builds its random generator, so every
+        child inherits it and ``numpy.random`` loaded."""
+        if self._pipe is not None or len(self._children) + 1 >= shares:
+            return
+        if not self._open:
+            raise RuntimeError("a schedule forks only inside its with block")
+        kernels._generator()
+        while self._pipe is None and len(self._children) + 1 < shares:
+            self._fork()
+
+    def _fork(self) -> None:
+        """Fork one child with a pipe to it. SIGINT is blocked until the
+        caller has recorded the child, and the child ignores it."""
+        import signal  # only a schedule that forks needs it
+
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            read, write = os.pipe()
             try:
-                ok, part = pickle.load(result)
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid:
+                self._children.append((pid, os.fdopen(read, "rb")))
+                os.close(write)
+                return
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                logging.disable()  # a child reports through its pipe alone
+                os.close(read)
+                for _, pipe in self._children:
+                    pipe.close()
+                self._share, self._children = len(self._children) + 1, []
+                self._pipe = os.fdopen(write, "wb")
+            except BaseException:
+                os._exit(1)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+
+    def _send(self, run: tuple, work):
+        """In a child: send ``(run, True, work())`` up the pipe, pickled, and
+        return ``work()``; or send ``(run, False, the exception it raised)``
+        and exit. A child never raises into the caller's code."""
+        try:
+            try:
+                message = (run, True, work())
+            except BaseException as exc:
+                message = (run, False, exc)
+            try:
+                data = pickle.dumps(message)
+            except Exception:  # an exception that does not pickle
+                data = pickle.dumps((run, False, RuntimeError(repr(message[2]))))
+            self._pipe.write(data)
+            self._pipe.flush()
+        except BaseException:
+            os._exit(1)
+        if not message[1]:
+            os._exit(1)
+        return message[2]
+
+    def _gather(self, run: tuple, total: tuple) -> tuple:
+        """`total` plus the sum each child sent for `run`."""
+        for pid, pipe in self._children:
+            try:
+                sent, ok, part = pickle.load(pipe)
             except EOFError:
                 raise RuntimeError(f"worker process {pid} ended without a result") from None
             if not ok:
                 raise part
-            total = _add(total, part)
+            if sent != run:
+                raise RuntimeError(
+                    f"worker process {pid} ran trials {sent} where the caller ran {run}: "
+                    "a schedule's body must make the same runs in every process"
+                )
+            if part is not None:
+                total = _add(total, part)
         return total
-    except BaseException:
-        import signal  # only a run that fails needs it
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, result in children:
-            result.close()
-            os.waitpid(pid, 0)
 
 
-def _forked(work):
-    """(pid, pipe) of a forked child that runs `work()` and writes to the
-    pipe, pickled, (True, what it returned) or (False, the exception it
-    raised). The child never returns into the caller: it ends in
-    ``os._exit``, which runs no cleanup of the parent's state."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, os.fdopen(read, "rb")
-    status = 1
-    try:
-        os.close(read)
-        try:
-            message = pickle.dumps((True, work()))
-        except BaseException as exc:
-            try:
-                message = pickle.dumps((False, exc))
-            except Exception:  # an exception that does not pickle
-                message = pickle.dumps((False, RuntimeError(repr(exc))))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(message)
-        status = 0
-    finally:
-        os._exit(status)
+def _run_blocks(
+    count,
+    start: int,
+    trials: int,
+    workers: int,
+    per_process: int = _BLOCKS_PER_PROCESS,
+    schedule: Schedule | None = None,
+    zero: tuple | None = None,
+) -> tuple | None:
+    """Component-wise sum of ``count(lo, hi)`` over the blocks of the range.
+
+    The blocks are dealt round-robin to up to `workers` processes, at most
+    one per `per_process` blocks: this one and the children of `schedule`
+    (of a schedule of its own when None), each of which sends its own sum
+    back. Processes and not threads, because most kernels' blocks are some
+    twenty numpy calls of a few microseconds each, and threads trade the
+    GIL at every call. Integer addition is exact, so the sum does not depend
+    on the worker count. Where the platform has no ``os.fork``, every block
+    runs here. In a child the result is the sum of its own share, and
+    `zero`, the sum of no blocks, when the run leaves it none.
+    """
+    if schedule is None:
+        with Schedule() as schedule:
+            return _run_blocks(count, start, trials, workers, per_process, schedule, zero)
+    stop = start + trials
+    blocks = range(start, stop, BLOCK_SIZE)
+    shares = max(1, min(workers, len(blocks) // per_process)) if hasattr(os, "fork") else 1
+    schedule._fork_to(shares)
+    share = schedule._share
+
+    def own_sum() -> tuple | None:
+        if share >= shares:
+            return zero
+        parts = (count(lo, min(lo + BLOCK_SIZE, stop)) for lo in blocks[share::shares])
+        return functools.reduce(_add, parts, None)
+
+    run = (start, trials)
+    if schedule._pipe is not None:
+        return schedule._send(run, own_sum)
+    return schedule._gather(run, own_sum())
 
 
 def _replay(config: RunConfig, start_index: int, kernel):
@@ -425,6 +514,7 @@ def run_experiment(
     *,
     start_index: int = 0,
     workers: int | None = None,
+    schedule: Schedule | None = None,
 ) -> TwoChannelRun | QwpChainRun:
     """Run `config.trials` trials of the given protocol.
 
@@ -432,20 +522,23 @@ def run_experiment(
     one experiment draw from disjoint stream positions (hence independent
     samples). Worker count never changes results. A factorized model is
     validated (`validate_lhv_model`) before any block runs, as are
-    ``start_index`` and ``workers``.
+    ``start_index`` and ``workers``. The worker processes come from
+    `schedule` (see `Schedule`), or from one the run opens for itself.
     """
     start_index = _check_start(start_index, config.trials)
     workers = resolve_workers(workers)
     if isinstance(config.model, Lhv):
         validate_lhv_model(config.model.model)
     if isinstance(protocol, TwoChannelProtocol):
-        return _run_two_channel(config, start_index, workers)
+        return _run_two_channel(config, start_index, workers, schedule)
     if isinstance(protocol, QwpChainProtocol):
-        return _run_qwp_chain(config, start_index, workers)
+        return _run_qwp_chain(config, start_index, workers, schedule)
     raise TypeError(f"not a protocol: {protocol!r}")
 
 
-def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoChannelRun:
+def _run_two_channel(
+    config: RunConfig, start_index: int, workers: int, schedule: Schedule | None
+) -> TwoChannelRun:
     pairs, kernel, float_path = _two_channel_kernel(config)
 
     def count(lo: int, hi: int) -> tuple[CoincidenceCounts, ...]:
@@ -463,16 +556,20 @@ def _run_two_channel(config: RunConfig, start_index: int, workers: int) -> TwoCh
         pair_table=pairs,
         pair_counts=_run_blocks(
             count, start_index, config.trials, workers,
-            _FLOAT_BLOCKS_PER_PROCESS if float_path else _BLOCKS_PER_PROCESS,
+            _FLOAT_BLOCKS_PER_PROCESS if float_path else _BLOCKS_PER_PROCESS, schedule,
+            (CoincidenceCounts(0, 0, 0, 0),) * len(pairs),
         ),
     )
 
 
-def _run_qwp_chain(config: RunConfig, start_index: int, workers: int) -> QwpChainRun:
+def _run_qwp_chain(
+    config: RunConfig, start_index: int, workers: int, schedule: Schedule | None
+) -> QwpChainRun:
     kernel = _qwp_kernel(config)
     (detections,) = _run_blocks(
         lambda lo, hi: (ChainCounts.from_flags(*kernel(lo, hi)),),
-        start_index, config.trials, workers,
+        start_index, config.trials, workers, _BLOCKS_PER_PROCESS, schedule,
+        (ChainCounts(0, 0, 0, 0),),
     )
     return QwpChainRun(config=config, start_index=start_index, detections=detections)
 
@@ -495,9 +592,11 @@ def run_malus(
     *,
     start_index: int = 0,
     workers: int | None = None,
+    schedule: Schedule | None = None,
 ) -> MalusRun:
     """Send `trials` photons polarized at 0 through a polarizer at `theta`.
-    Every argument is checked before any block runs."""
+    Every argument is checked before any block runs. The worker processes
+    come from `schedule`, as in `run_experiment`."""
     kernels.check_seed(seed)
     kernels.check_real("theta", theta)
     check_trials(trials)
@@ -505,7 +604,7 @@ def run_malus(
     workers = resolve_workers(workers)
     (n_pass,) = _run_blocks(
         lambda lo, hi: (int(np.count_nonzero(kernels.malus_block(seed, lo, hi - lo, theta))),),
-        start_index, trials, workers,
+        start_index, trials, workers, _BLOCKS_PER_PROCESS, schedule, (0,),
     )
     return MalusRun(seed=seed, theta=theta, start_index=start_index, n_pass=n_pass, n_total=trials)
 

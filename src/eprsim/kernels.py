@@ -178,34 +178,41 @@ _thread = threading.local()
 
 
 @functools.lru_cache(maxsize=256)
-def _plane_state(seed: int, slot: int, plane: int) -> tuple[int, int]:
-    """(state, increment) of ``PCG64DXSM(SeedSequence(seed, spawn_key=(slot,
-    plane)))`` before its first output, by numpy's own seeding: four words of
-    the `SeedSequence` give the initial state s and stream t, the increment is
-    ``2t + 1``, and the LCG steps twice, from 0 and again after adding s.
-    Cached, with a fixed size, because the `SeedSequence` hash is the costly
-    step, and computed rather than read off a new generator, so each thread
-    builds one generator only."""
+def _plane_state(seed: int, slot: int, plane: int) -> dict:
+    """The state of ``PCG64DXSM(SeedSequence(seed, spawn_key=(slot,
+    plane)))`` before its first output, as the dict its ``state`` setter
+    takes, by numpy's own seeding: four words of the `SeedSequence` give the
+    initial state s and stream t, the increment is ``2t + 1``, and the LCG
+    steps twice, from 0 and again after adding s. Cached, with a fixed size,
+    because the `SeedSequence` hash is the costly step, and computed rather
+    than read off a new generator, so each thread builds one generator only.
+    Callers must not change the dict."""
     words = np.random.SeedSequence(seed, spawn_key=(slot, plane)).generate_state(4, np.uint64)
     s0, s1, t0, t1 = (int(x) for x in words)
     inc = ((t0 << 64 | t1) << 1 | 1) & _MASK128
-    return ((inc + (s0 << 64 | s1)) * _PCG_SEED_MULTIPLIER + inc) & _MASK128, inc
+    return {
+        "bit_generator": "PCG64DXSM",
+        "state": {"state": ((inc + (s0 << 64 | s1)) * _PCG_SEED_MULTIPLIER + inc) & _MASK128,
+                  "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _generator() -> np.random.PCG64DXSM:
+    """This thread's one PCG64DXSM, built on first use."""
+    gen = getattr(_thread, "pcg", None)
+    if gen is None:
+        gen = _thread.pcg = np.random.PCG64DXSM(0)
+    return gen
 
 
 def _plane_words(seed: int, first: int, n: int, slot: int, plane: int) -> np.ndarray:
     """Outputs [first, first+n) of one slot's plane. This thread's one
     PCG64DXSM is set to the plane's initial state, jumped `first` outputs
     ahead and read: a jump costs a few microseconds whatever its length."""
-    gen = getattr(_thread, "pcg", None)
-    if gen is None:
-        gen = _thread.pcg = np.random.PCG64DXSM(0)
-    state, inc = _plane_state(seed, slot, plane)
-    gen.state = {
-        "bit_generator": "PCG64DXSM",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    gen = _generator()
+    gen.state = _plane_state(seed, slot, plane)
     gen.advance(first)
     return gen.random_raw(n)
 
@@ -314,10 +321,12 @@ def _below(planes: _Planes, cut) -> np.ndarray:
     else:
         below |= coins
     if low:
-        at = np.flatnonzero(digits == digit)
-        at = at[coins[at] == cut_coin_is_0]
-        if at.size:
-            below[at] = planes.tails(at) >> _TAIL_SHIFT < np.uint64(low)
+        ties = digits == digit
+        if np.count_nonzero(ties):  # none in about a third of the blocks
+            at = np.flatnonzero(ties)
+            at = at[coins[at] == cut_coin_is_0]
+            if at.size:
+                below[at] = planes.tails(at) >> _TAIL_SHIFT < np.uint64(low)
     return below
 
 
@@ -412,8 +421,15 @@ def _pair_index(seed: int, start: int, count: int, cumw: np.ndarray) -> np.ndarr
     """`_select_pairs` on the settings slot. A single pair reads nothing and
     allocates nothing: its index is a read-only zero-stride view of one 0."""
     if cumw.size == 1:
-        return np.broadcast_to(np.int32(0), (count,))
+        return _one_pair_index(count)
     return _select_pairs(_slot_planes(seed, start, count, SLOT_SETTINGS), cumw)
+
+
+@functools.lru_cache(maxsize=16)
+def _one_pair_index(count: int) -> np.ndarray:
+    """The one-pair index of a block of `count` trials, built once per block
+    length: a run has at most two, the full block and the last one."""
+    return np.broadcast_to(np.int32(0), (count,))
 
 
 def _pick(flags: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:

@@ -28,8 +28,6 @@ NORM_ACCEPT_TOL = 1e-9
 # analyzer orthogonal to the state absorbs with probability exactly 0.
 ZERO_PROJECTION = 1e-24
 
-_HALF_PI = math.pi / 2
-
 
 class NormalizationError(ValueError):
     """A state that must be normalized is not (beyond NORM_ACCEPT_TOL)."""
@@ -112,11 +110,22 @@ class JonesVector:
         return f"JonesVector(({ax:.6g}, {ay:.6g}), frame={self.frame.value})"
 
 
-def linear(theta: float, frame: Frame = Frame.PLUS_Z) -> JonesVector:
-    """Linear polarization at angle theta to the shared x axis."""
+def _direction(theta: float, perpendicular: bool) -> np.ndarray:
+    """The unit vector at angle theta, or at right angles to it. The right
+    angle is built exactly, as (-sin theta, cos theta): ``theta + pi/2``
+    loses its quarter turn to rounding once theta is past about 1.7e18."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([-s, c] if perpendicular else [c, s])
+
+
+def linear(
+    theta: float, frame: Frame = Frame.PLUS_Z, *, perpendicular: bool = False
+) -> JonesVector:
+    """Linear polarization at angle theta to the shared x axis, or at right
+    angles to it."""
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    return JonesVector(np.array([math.cos(theta), math.sin(theta)]), frame)
+    return JonesVector(_direction(theta, perpendicular), frame)
 
 
 def circular(handedness: Handedness, frame: Frame = Frame.PLUS_Z) -> JonesVector:
@@ -174,9 +183,9 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def projector_matrix(axis: float) -> np.ndarray:
-    """Projector onto the linear state at `axis`."""
-    e = np.array([math.cos(axis), math.sin(axis)])
+def projector_matrix(axis: float, perpendicular: bool = False) -> np.ndarray:
+    """Projector onto the linear state at `axis`, or at right angles to it."""
+    e = _direction(axis, perpendicular)
     return np.outer(e, e).astype(np.complex128)
 
 
@@ -188,10 +197,7 @@ def jones_matrix(element: OpticalElement) -> np.ndarray:
         r = rotation_matrix(element.fast_axis)
         return r @ np.diag([1.0, 1.0j]) @ r.T
     if isinstance(element, AnalyzerChannel):
-        axis = element.orientation
-        if element.channel is Channel.PERPENDICULAR:
-            axis = axis + _HALF_PI
-        return projector_matrix(axis)
+        return projector_matrix(element.orientation, element.channel is Channel.PERPENDICULAR)
     raise TypeError(f"not an optical element: {element!r}")
 
 

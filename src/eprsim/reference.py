@@ -32,8 +32,7 @@ from .models import (
     QMFormal,
 )
 from .polarization import (
-    AnalyzerChannel,
-    Channel,
+    ZERO_PROJECTION,
     Handedness,
     JonesVector,
     LinearPolarizer,
@@ -42,6 +41,7 @@ from .polarization import (
     apply,
     circular,
     linear,
+    projector_matrix,
 )
 from .twophoton import (
     TwoPhotonState,
@@ -55,7 +55,6 @@ from .twophoton import (
 )
 
 _QUARTER_PI = math.pi / 4
-_HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,14 @@ def _outcome_pair(results: dict[Arm, ChannelOutcome]) -> tuple[ChannelOutcome, C
 
 
 def _parallel_pass_probability(photon: JonesVector, setting: float) -> float:
-    prob, _ = apply(AnalyzerChannel(setting, Channel.PARALLEL), photon)
-    return prob
+    """The Malus rule at the analyzer setting as given, as the kernels read
+    it. An `AnalyzerChannel` folds its orientation into [0, pi) by the float
+    nearest pi, which turns an analyzer set far past 2*pi (1e20 rad, say) to
+    another orientation altogether; on [0, pi) this is what `apply` gives."""
+    photon.require_normalized()
+    out = projector_matrix(setting) @ photon.amplitudes
+    raw = float(np.real(np.vdot(out, out)))
+    return 0.0 if raw < ZERO_PROJECTION else min(raw, 1.0)
 
 
 def _chain_detected(photon: JonesVector, chain: RAnalyzer, arm: Arm, coin: float) -> bool:
@@ -224,15 +229,11 @@ class _NdvNonlocal:
         _require_kind(emission, TwoPhotonState, "NdvNonlocal")
         first, second = _order_arms(ordering, draws)
         settings = {Arm.ONE: a, Arm.TWO: b}
-        if _coin_for(first, draws) < 0.5:
-            first_outcome = ChannelOutcome.PLUS
-            assigned = settings[first]
-        else:
-            first_outcome = ChannelOutcome.MINUS
-            assigned = settings[first] + _HALF_PI
-        # The distant photon now *is* linearly polarized along `assigned` and
-        # answers its own analyzer by the Malus rule.
-        partner = linear(assigned, frame_of_arm(second))
+        parallel = _coin_for(first, draws) < 0.5
+        first_outcome = ChannelOutcome.PLUS if parallel else ChannelOutcome.MINUS
+        # The distant photon now *is* linearly polarized along the first
+        # analyzer's exit channel and answers its own analyzer by the Malus rule.
+        partner = linear(settings[first], frame_of_arm(second), perpendicular=not parallel)
         prob = _parallel_pass_probability(partner, settings[second])
         second_outcome = (
             ChannelOutcome.PLUS if _coin_for(second, draws) < prob else ChannelOutcome.MINUS
@@ -256,11 +257,8 @@ class _NdvNonlocal:
         # along the polarizer axis (or is absorbed, fixing the orthogonal
         # polarization on the partner).
         detected_first = _coin_for(first, draws) < 0.5
-        axis_local = chains[first].polarizer_axis_local()
-        if not detected_first:
-            axis_local += _HALF_PI
-        assigned_shared = arm_local_angle_to_shared(axis_local, first)
-        partner = linear(assigned_shared, frame_of_arm(second))
+        axis_shared = arm_local_angle_to_shared(chains[first].polarizer_axis_local(), first)
+        partner = linear(axis_shared, frame_of_arm(second), perpendicular=not detected_first)
         detected_second = _chain_detected(
             partner, chains[second], second, _coin_for(second, draws)
         )

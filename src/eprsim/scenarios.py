@@ -29,6 +29,7 @@ from .engine import (
     FixedSettings,
     QwpChainProtocol,
     RunConfig,
+    Schedule,
     TwoChannelProtocol,
     check_trials,
     resolve_workers,
@@ -134,14 +135,17 @@ def _run_ranges(runs: list, trials: int) -> _Ranges:
     """Call each run with its ``start_index``: consecutive disjoint ranges of
     `trials` from index 0 of the seed, which draw independent streams, so
     the results carry no covariance. The ranges must fit in the seed's 2**64
-    trial indices; that is checked before any run starts."""
+    trial indices; that is checked before any run starts. The runs share
+    one `Schedule`, so the worker processes are forked once per scenario;
+    its children run this loop too, and leave where it ends."""
     trials_total = len(runs) * trials
     if trials_total > kernels.SEED_LIMIT:
         raise ConfigError(
             f"trials: {len(runs)} runs of {trials} trials leave the 2**64 trial indices of a seed"
         )
     started = time.perf_counter()
-    results = [run(start_index=j * trials) for j, run in enumerate(runs)]
+    with Schedule() as schedule:
+        results = [run(start_index=j * trials, schedule=schedule) for j, run in enumerate(runs)]
     return _Ranges(results, trials_total, started)
 
 

@@ -169,7 +169,7 @@ def measure_arm(
     if coin < prob_plus:
         reduced = plus / math.sqrt(raw_plus)
         return ArmMeasurement(ChannelOutcome.PLUS, TwoPhotonState(reduced), prob_plus)
-    minus = _arm_operator(projector_matrix(orientation + _HALF_PI), arm, state.amplitudes)
+    minus = _arm_operator(projector_matrix(orientation, True), arm, state.amplitudes)
     raw_minus = float(np.real(np.vdot(minus, minus)))
     reduced = minus / math.sqrt(raw_minus)
     return ArmMeasurement(ChannelOutcome.MINUS, TwoPhotonState(reduced), prob_plus)
@@ -203,10 +203,10 @@ def joint_probabilities(state: TwoPhotonState, a: float, b: float) -> JointProba
     """
     state.require_normalized()
     probs = []
-    for da in (0.0, _HALF_PI):
-        pa = projector_matrix(a + da)
-        for db in (0.0, _HALF_PI):
-            pb = projector_matrix(b + db)
+    for minus_a in (False, True):
+        pa = projector_matrix(a, minus_a)
+        for minus_b in (False, True):
+            pb = projector_matrix(b, minus_b)
             amps = pa @ state.amplitudes @ pb.T
             probs.append(float(np.real(np.vdot(amps, amps))))
     return JointProbabilities(*probs)
@@ -225,15 +225,15 @@ def joint_probabilities_sequential(
     first_angle, second_angle = (a, b) if first is Arm.ONE else (b, a)
     second = other_arm(first)
     table = {}
-    for o1 in (0.0, _HALF_PI):
-        proj1 = _arm_operator(projector_matrix(first_angle + o1), first, state.amplitudes)
+    for o1 in (False, True):
+        proj1 = _arm_operator(projector_matrix(first_angle, o1), first, state.amplitudes)
         raw1 = float(np.real(np.vdot(proj1, proj1)))
-        for o2 in (0.0, _HALF_PI):
+        for o2 in (False, True):
             if raw1 < ZERO_PROJECTION:
                 table[(o1, o2)] = 0.0
                 continue
             reduced = proj1 / math.sqrt(raw1)
-            proj2 = _arm_operator(projector_matrix(second_angle + o2), second, reduced)
+            proj2 = _arm_operator(projector_matrix(second_angle, o2), second, reduced)
             cond = float(np.real(np.vdot(proj2, proj2)))
             table[(o1, o2)] = raw1 * cond
     if first is Arm.ONE:
@@ -241,10 +241,10 @@ def joint_probabilities_sequential(
     else:
         key = lambda sa, sb: (sb, sa)
     return JointProbabilities(
-        p_pp=table[key(0.0, 0.0)],
-        p_pm=table[key(0.0, _HALF_PI)],
-        p_mp=table[key(_HALF_PI, 0.0)],
-        p_mm=table[key(_HALF_PI, _HALF_PI)],
+        p_pp=table[key(False, False)],
+        p_pm=table[key(False, True)],
+        p_mp=table[key(True, False)],
+        p_mm=table[key(True, True)],
     )
 
 
@@ -333,9 +333,7 @@ def measure_arm_chain(
             _check_coin(coin)
             if coin >= prob:
                 detected = False
-                blocked = _arm_operator(
-                    projector_matrix(element.axis + _HALF_PI), arm, pass_amps
-                )
+                blocked = _arm_operator(projector_matrix(element.axis, True), arm, pass_amps)
                 raw_blocked = float(np.real(np.vdot(blocked, blocked)))
                 result_amps = blocked / math.sqrt(raw_blocked)
         prob_detect *= prob

@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
 from eprsim.twophoton import TwoPhotonState
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_test():
+    """Every process a test starts, the engine's worker processes included,
+    has ended and been reaped when the test ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -769,3 +769,36 @@ def test_the_cli_keeps_a_user_set_blas_thread_count():
     seen = _import_probe(OPENBLAS_NUM_THREADS="2")
     assert seen["blas threads"] == "2"
     assert seen["order-test"] == 0
+
+
+def test_ctrl_c_ends_a_run_with_one_line_and_exit_130():
+    # Ctrl-C reaches the whole process group, as a terminal sends it: the
+    # caller kills and reaps its worker processes, which ignore it, and
+    # prints one line.
+    import signal
+    import time
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eprsim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "eprsim.cli", "chsh-scan", "--trials", "2000000000",
+         "--workers", "2"],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        time.sleep(1.0)
+        os.killpg(child.pid, signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    assert child.returncode == 130, err
+    assert out == ""
+    assert err == "epr: interrupted\n"
+    with pytest.raises(ProcessLookupError):  # no worker process outlived it
+        os.killpg(child.pid, 0)

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -24,7 +25,7 @@ from eprsim.engine import (
 )
 from eprsim.kernels import ConfigError
 from eprsim.models import Lhv, LhvModel, Ordering, QMFormal, malus_response_model
-from eprsim.scenarios import build_model
+from eprsim.scenarios import build_model, chsh_scan, malus_check, model_matrix, order_test
 from eprsim.stats import ChainCounts, CoincidenceCounts
 from eprsim.twophoton import Arm, ChannelOutcome
 
@@ -197,6 +198,99 @@ class TestWorkerProcesses:
         with pytest.raises(KeyboardInterrupt):
             engine._run_blocks(count, 0, 2 * self.SHARE, 2)
         assert len(forks) == 1
+
+
+class TestSchedule:
+    """A scenario's runs share one `Schedule`: its children are forked once
+    and carry on through every run, each sending its share's sum."""
+
+    SHARE = TestWorkerProcesses.SHARE
+    forks = TestWorkerProcesses.forks
+
+    @staticmethod
+    def _stable(doc):
+        """The document without the fields that may differ between runs."""
+        volatile = ("wall_time_s", "workers")
+        return {**doc, "engine": {k: v for k, v in doc["engine"].items() if k not in volatile}}
+
+    @pytest.mark.parametrize("scenario,params", [
+        (chsh_scan, {}),
+        (malus_check, {"angles_deg": [0.0, 30.0, 60.0]}),
+        (order_test, {}),
+    ], ids=["chsh-scan", "malus-check", "order-test"])
+    def test_a_scenario_forks_once(self, forks, scenario, params):
+        # runs of 64 blocks take two processes at 2 and at 4 workers
+        docs = {}
+        for workers, forked in ((1, 0), (2, 1), (4, 2)):
+            docs[workers] = self._stable(
+                scenario(trials=2 * self.SHARE, workers=workers, seed=3, **params)
+            )
+            assert len(forks) == forked, workers
+        assert docs[1] == docs[2] == docs[4]
+
+    def test_the_model_matrix_forks_none(self, forks):
+        model_matrix(trials=10**6, workers=2)
+        assert forks == []
+
+    def test_a_childs_error_mid_schedule_reaches_the_caller(self, forks, monkeypatch):
+        caller = os.getpid()
+        block = kernels.two_channel_block
+
+        def failing(seed, start, *args):
+            if os.getpid() != caller and start >= 2 * self.SHARE:  # a child, in the second run
+                raise ValueError("bad block")
+            return block(seed, start, *args)
+
+        monkeypatch.setattr(kernels, "two_channel_block", failing)
+        with pytest.raises(ValueError, match="^bad block$"):
+            chsh_scan(trials=2 * self.SHARE, workers=2)
+        assert len(forks) == 1
+
+    def test_children_are_forked_as_runs_need_them(self, forks):
+        # 64 blocks take 2 processes, 32 take 1 (the child sits it out), 128
+        # take 4 (two more children), 1 takes 1 and 96 take 3
+        sizes = [64, 32, 128, 1, 96]
+        with engine.Schedule() as schedule:
+            sums = [
+                engine._run_blocks(lambda lo, hi: (hi - lo, 1), 0, n * BLOCK_SIZE, 4,
+                                   schedule=schedule)
+                for n in sizes
+            ]
+        assert sums == [(n * BLOCK_SIZE, n) for n in sizes]
+        assert len(forks) == 3
+
+    def test_a_child_without_a_share_builds_every_kind_of_run(self, forks):
+        # after a run of two shares, the small runs leave the child no blocks
+        small = qm_config(trials=1000)
+        alone = (
+            run_experiment(small, workers=1).counts(),
+            run_experiment(small, QwpChainProtocol(), workers=1).chain_counts(),
+            run_malus(5, 0.7, 1000, workers=1).n_pass,
+        )
+        with engine.Schedule() as schedule:
+            run_experiment(qm_config(trials=2 * self.SHARE), workers=2, schedule=schedule)
+            shared = (
+                run_experiment(small, workers=2, schedule=schedule).counts(),
+                run_experiment(small, QwpChainProtocol(), workers=2,
+                               schedule=schedule).chain_counts(),
+                run_malus(5, 0.7, 1000, workers=2, schedule=schedule).n_pass,
+            )
+        assert shared == alone
+        assert len(forks) == 1
+
+    def test_a_schedule_forks_only_inside_its_with_block(self, forks):
+        with pytest.raises(RuntimeError, match="inside its with block"):
+            run_experiment(qm_config(trials=2 * self.SHARE), workers=2, schedule=engine.Schedule())
+        assert forks == []
+
+    def test_a_body_that_runs_otherwise_in_a_child_is_an_error(self, forks):
+        caller = os.getpid()
+        count = lambda lo, hi: (hi - lo,)
+        with pytest.raises(RuntimeError, match="same runs in every process"):
+            with engine.Schedule() as schedule:
+                engine._run_blocks(count, 0, 2 * self.SHARE, 2, schedule=schedule)
+                start = 0 if os.getpid() == caller else 1
+                engine._run_blocks(count, start, 2 * self.SHARE, 2, schedule=schedule)
 
 
 class TestMergeContract:

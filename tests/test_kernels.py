@@ -239,8 +239,9 @@ class TestPlaneStreams:
     )
     def test_plane_state_is_numpys_seeding(self, seed, slot, plane):
         ss = np.random.SeedSequence(seed, spawn_key=(slot, plane))
-        state = np.random.PCG64DXSM(ss).state["state"]
-        assert kernels._plane_state(seed, slot, plane) == (state["state"], state["inc"])
+        state = np.random.PCG64DXSM(ss).state
+        assert kernels._plane_state(seed, slot, plane) == state  # the dict the setter takes
+        state = state["state"]
         assert pcg_seed(seed, slot, plane) == (state["state"], state["inc"])
 
     @pytest.mark.parametrize("first", [0, 1, 63, 64, 1000, 4095])
@@ -257,14 +258,16 @@ class TestPlaneStreams:
     def test_no_two_planes_share_a_stream(self):
         # Tuple entropy would name one stream twice: SeedSequence((5, 3, 0))
         # and SeedSequence((5 + 3 * 2**32, 0, 0)) hash the same words.
-        assert kernels._plane_state(5, 3, 0) != kernels._plane_state(5 + 3 * 2**32, 0, 0)
+        assert (kernels._plane_state(5, 3, 0)["state"]
+                != kernels._plane_state(5 + 3 * 2**32, 0, 0)["state"])
         # seeds at the edges of the 32-bit words SeedSequence splits an int into
         seeds = [0, 1, 2**32, 2**63, 2**64 - 1, 5, 5 + 3 * 2**32]
         triples = [(seed, slot, plane) for seed in seeds
                    for slot in range(kernels.DRAWS_PER_TRIAL) for plane in (0, 1, 2)]
-        states = [kernels._plane_state(*triple) for triple in triples]
+        states = [kernels._plane_state(*triple)["state"] for triple in triples]
         # distinct increments too: no plane is another's stream at an offset
-        assert len(set(states)) == len({inc for _, inc in states}) == len(triples)
+        assert (len({(s["state"], s["inc"]) for s in states})
+                == len({s["inc"] for s in states}) == len(triples))
 
     def test_the_state_cache_is_bounded(self):
         maxsize = kernels._plane_state.cache_info().maxsize
@@ -305,8 +308,9 @@ class TestKernelsMatchObjectLayer:
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("ordering", list(Ordering))
-    def test_two_channel(self, model, ordering):
-        a, b = 0.3, 1.0
+    # 1e20 rad: past about 1.7e18, a quarter turn added to the angle is lost
+    @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.0, 1e20)], ids=["small", "huge"])
+    def test_two_channel(self, model, ordering, a, b):
         _, oa, ob = kernels.two_channel_block(
             self.SEED, 0, self.N, model, np.array([a]), np.array([b]), np.array([1.0]), ordering
         )

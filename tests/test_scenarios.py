@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from eprsim import scenarios
+from eprsim import engine, scenarios
 from eprsim.engine import MAX_WORKERS, FixedSettings, RunConfig, TwoChannelProtocol, run_experiment
 from eprsim.models import (
     deterministic_sign_model,
@@ -131,17 +131,27 @@ class TestOneCheckPerParameter:
         assert str(from_engine.value).startswith(f"{key}: ")
 
     def test_runs_take_consecutive_ranges_from_zero(self):
-        starts = []
-        runs = [lambda start_index, j=j: starts.append(start_index) or j for j in range(3)]
-        ranges = scenarios._run_ranges(runs, 7)
+        starts, schedules = [], set()
+
+        def make(j):
+            def run(start_index, schedule):
+                starts.append(start_index)
+                schedules.add(schedule)
+                return j
+
+            return run
+
+        ranges = scenarios._run_ranges([make(j) for j in range(3)], 7)
         assert starts == [0, 7, 14]
         assert ranges.results == [0, 1, 2]
         assert ranges.trials_total == 21
+        (schedule,) = schedules  # one schedule for every run
+        assert isinstance(schedule, engine.Schedule)
 
     def test_index_space_is_checked_before_any_run(self):
-        def run(start_index):
+        def run(start_index, schedule):
             raise AssertionError("ran")
 
         with pytest.raises(ConfigError, match="^trials: 3 runs of"):
             scenarios._run_ranges([run] * 3, 2**64 // 3 + 1)
-        assert scenarios._run_ranges([lambda start_index: start_index], 2**64).trials_total == 2**64
+        assert scenarios._run_ranges([lambda start_index, schedule: start_index], 2**64).trials_total == 2**64
