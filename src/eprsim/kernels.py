@@ -33,7 +33,9 @@ trials that tie (`_slot_tails`). Slots per trial:
     3  arm-B coin
     4  measurement-order selection (random-order runs only)
 
-``RNG_STREAM`` names this stream; it changes whenever any draw would.
+``RNG_STREAM`` names this stream and the kernels' decisions on it: it
+changes whenever any draw, or any kernel's decision on a draw, would. v7
+keeps v6's draws and changes the second-photon rule (`_second_photon`).
 
 Outcome coins are compared with strict less-than, so a probability snapped to
 exactly 0 never fires and a probability of exactly 1 always does. Coins
@@ -85,7 +87,7 @@ import numpy as np
 from . import models
 from .models import DefiniteCircular, Lhv, NdvNonlocal, Ordering, QMFormal
 
-RNG_STREAM = "pcg64dxsm/v6"
+RNG_STREAM = "pcg64dxsm/v7"
 SEED_LIMIT = 1 << 64  # seeds and trial indices live in [0, 2**64)
 
 SLOT_SETTINGS = 0
@@ -391,11 +393,12 @@ def arm2_first_flags(seed: int, start: int, count: int, ordering: Ordering) -> n
     return ~_slot_coins(seed, start, count, SLOT_ORDERING)
 
 
-def _malus_prob_array(delta, perpendicular: bool = False) -> np.ndarray:
-    """The Malus probability of the parallel channel, ``cos²(delta)``, or of
-    the perpendicular one, ``sin²(delta)``, with values below 1e-24 snapped
-    to 0."""
-    p = (np.sin(delta) if perpendicular else np.cos(delta)) ** 2
+def _malus_prob_array(first: np.ndarray, second=0.0) -> np.ndarray:
+    """``cos²(first - second)`` per settings pair, ``second`` 0 by default,
+    with values below 1e-24 snapped to 0. The cosine is ``cos first * cos
+    second + sin first * sin second``, symmetric bit for bit, so a small
+    angle is not lost beside one of 1e20 rad, as it is in ``first - second``."""
+    p = (np.cos(first) * np.cos(second) + np.sin(first) * np.sin(second)) ** 2
     p[p < _ZERO_PROB] = 0.0
     np.clip(p, 0.0, 1.0, out=p)
     return p
@@ -447,28 +450,22 @@ def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
 
 
 @functools.lru_cache(maxsize=256)
-def _malus_cuts(s_first: tuple[float, ...], s_second: tuple[float, ...]):
-    """Per settings pair, the integer cuts of the second photon's parallel
-    answer after the first one answered parallel, ``cos²(first - second)``,
-    and perpendicular, ``sin²(first - second)``: the same as ``cos²(first +
-    pi/2 - second)``, but kept at angles whose ulp exceeds pi/2. Cached, so
-    a run tabulates them once and not once per block."""
-    delta = np.array(s_first) - np.array(s_second)
-    cuts = (_cut(_malus_prob_array(delta)), _cut(_malus_prob_array(delta, perpendicular=True)))
-    for table in cuts:
-        table.setflags(write=False)
+def _malus_cuts(pair_a: tuple[float, ...], pair_b: tuple[float, ...]) -> np.ndarray:
+    """Per settings pair, the integer cut of ``cos²(a - b)`` (`_second_photon`),
+    whichever arm is measured first. Cached, so a run tabulates it once and
+    not once per block."""
+    cuts = _cut(_malus_prob_array(np.array(pair_a), np.array(pair_b)))
+    cuts.setflags(write=False)
     return cuts
 
 
-def _second_photon(first, below, s_first, s_second):
-    """The second analyzer's answer, given the first one's (True for
-    parallel), which answered 1/2: the entangled-state marginal, also the
-    collapse narrative's literal value. The second photon is linear along
-    the first one's exit channel and answers by the Malus rule; `below`
-    compares the second arm's draws with its per-pair cuts (`_comparer`).
-    """
-    cut_parallel, cut_perpendicular = _malus_cuts(tuple(s_first.tolist()), tuple(s_second.tolist()))
-    return _pick(first, below(cut_parallel), below(cut_perpendicular))
+def _second_photon(first: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """The second analyzer's answer (True: parallel), given the first one's,
+    which answered 1/2. The second photon is linear along the first one's
+    exit channel, so by the Malus rule it leaves by the channel of the same
+    name with probability cos²(a - b), which `same` compares with
+    (`_malus_cuts`). Built in the buffer of `same`."""
+    return np.equal(same, first, out=same)
 
 
 def two_channel_block(
@@ -488,7 +485,7 @@ def two_channel_block(
     order turns the first arm's coins into its answers before it reads the
     second arm's digits. With one settings pair the index is a read-only
     view that holds no per-trial bytes (`_pair_index`), so the block
-    allocates only the planes it reads and the flags it returns: about 7
+    allocates only the planes it reads and the flags it returns: about 6
     bytes per trial at its peak.
     """
     check_ordering(ordering)
@@ -505,16 +502,18 @@ def two_channel_block(
         # probability 1/2, whatever the orientation.
         return pair_idx, oa, ob
 
-    def below(coins, slot):
-        return _comparer(_slot_planes(*block, slot, coins), pair_idx, cumw.size)
+    cuts = _malus_cuts(tuple(pair_a.tolist()), tuple(pair_b.tolist()))
+
+    def same(coins, slot):
+        return _comparer(_slot_planes(*block, slot, coins), pair_idx, cumw.size)(cuts)
 
     if ordering is Ordering.ARM1_FIRST:
-        ob = _second_photon(oa, below(ob, SLOT_ARM_B), pair_a, pair_b)
+        ob = _second_photon(oa, same(ob, SLOT_ARM_B))
     elif ordering is Ordering.ARM2_FIRST:
-        oa = _second_photon(ob, below(oa, SLOT_ARM_A), pair_b, pair_a)
+        oa = _second_photon(ob, same(oa, SLOT_ARM_A))
     else:
-        ob1 = _second_photon(oa, below(ob, SLOT_ARM_B), pair_a, pair_b)
-        oa2 = _second_photon(ob, below(oa, SLOT_ARM_A), pair_b, pair_a)
+        ob1 = _second_photon(oa, same(ob, SLOT_ARM_B))
+        oa2 = _second_photon(ob, same(oa, SLOT_ARM_A))
         arm2_first = arm2_first_flags(seed, start, count, ordering)
         oa = _pick(arm2_first, oa2, oa)
         ob = _pick(arm2_first, ob, ob1)
@@ -562,9 +561,7 @@ def qwp_block(
 
 def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
     """Single-photon polarizer transmission flags at relative angle theta (True = pass)."""
-    c = math.cos(theta)
-    p = min(c * c, 1.0)
-    cut = _cut(0.0 if p < _ZERO_PROB else p)
+    cut = _cut(_malus_prob_array(np.array([float(theta)])))[0]
     return _below(_slot_planes(seed, start, count, SLOT_ARM_A), cut)
 
 

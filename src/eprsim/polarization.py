@@ -66,10 +66,14 @@ ABSORBED = _Absorbed()
 
 
 def canonical_axis(angle: float) -> float:
-    """Fold an optical-axis angle into [0, pi); axes are pi-periodic."""
+    """Fold an optical-axis angle into [0, pi); axes are pi-periodic. An angle
+    outside is folded by pi, not by the float nearest it, as a double angle."""
     if not math.isfinite(angle):
         raise ValueError(f"axis angle must be finite, got {angle!r}")
-    return angle % math.pi
+    if 0.0 <= angle < math.pi:
+        return angle
+    s, c = math.sin(angle), math.cos(angle)  # libm reduces any angle exactly
+    return math.atan2(2.0 * s * c, (c - s) * (c + s)) / 2.0 % math.pi
 
 
 @dataclass(frozen=True, eq=False)

@@ -145,13 +145,11 @@ def _outcome_pair(results: dict[Arm, ChannelOutcome]) -> tuple[ChannelOutcome, C
     return results[Arm.ONE], results[Arm.TWO]
 
 
-def _parallel_pass_probability(photon: JonesVector, setting: float) -> float:
-    """The Malus rule at the analyzer setting as given, as the kernels read
-    it. An `AnalyzerChannel` folds its orientation into [0, pi) by the float
-    nearest pi, which turns an analyzer set far past 2*pi (1e20 rad, say) to
-    another orientation altogether; on [0, pi) this is what `apply` gives."""
+def _pass_probability(photon: JonesVector, setting: float, perpendicular: bool = False) -> float:
+    """The Malus rule for the analyzer's parallel channel, or perpendicular
+    one, at the setting as given, as the kernels read it."""
     photon.require_normalized()
-    out = projector_matrix(setting) @ photon.amplitudes
+    out = projector_matrix(setting, perpendicular) @ photon.amplitudes
     raw = float(np.real(np.vdot(out, out)))
     return 0.0 if raw < ZERO_PROJECTION else min(raw, 1.0)
 
@@ -187,7 +185,9 @@ class _QMFormal:
         first, second = _order_arms(ordering, draws)
         settings = {Arm.ONE: a, Arm.TWO: b}
         m1 = measure_arm(emission, first, settings[first], _coin_for(first, draws))
-        m2 = measure_arm(m1.state, second, settings[second], _coin_for(second, draws))
+        # the second coin picks the channel named like the first exit
+        m2 = measure_arm(m1.state, second, settings[second], _coin_for(second, draws),
+                         perpendicular=m1.outcome is ChannelOutcome.MINUS)
         return _outcome_pair({first: m1.outcome, second: m2.outcome})
 
     def respond_qwp_chain(
@@ -232,12 +232,11 @@ class _NdvNonlocal:
         parallel = _coin_for(first, draws) < 0.5
         first_outcome = ChannelOutcome.PLUS if parallel else ChannelOutcome.MINUS
         # The distant photon now *is* linearly polarized along the first
-        # analyzer's exit channel and answers its own analyzer by the Malus rule.
+        # analyzer's exit channel, and by the Malus rule leaves by the same.
         partner = linear(settings[first], frame_of_arm(second), perpendicular=not parallel)
-        prob = _parallel_pass_probability(partner, settings[second])
-        second_outcome = (
-            ChannelOutcome.PLUS if _coin_for(second, draws) < prob else ChannelOutcome.MINUS
-        )
+        prob = _pass_probability(partner, settings[second], perpendicular=not parallel)
+        same = _coin_for(second, draws) < prob
+        second_outcome = ChannelOutcome.PLUS if same == parallel else ChannelOutcome.MINUS
         return _outcome_pair({first: first_outcome, second: second_outcome})
 
     def respond_qwp_chain(
@@ -287,7 +286,7 @@ class _DefiniteCircular:
         _require_kind(emission, Handedness, "DefiniteCircular")
         outcomes = {}
         for arm, setting in ((Arm.ONE, a), (Arm.TWO, b)):
-            prob = _parallel_pass_probability(_circular_photon(emission, arm), setting)
+            prob = _pass_probability(_circular_photon(emission, arm), setting)
             outcomes[arm] = (
                 ChannelOutcome.PLUS if _coin_for(arm, draws) < prob else ChannelOutcome.MINUS
             )

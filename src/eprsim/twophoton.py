@@ -153,26 +153,25 @@ class ArmMeasurement:
 
 
 def measure_arm(
-    state: TwoPhotonState, arm: Arm, orientation: float, coin: float
+    state: TwoPhotonState, arm: Arm, orientation: float, coin: float,
+    perpendicular: bool = False,
 ) -> ArmMeasurement:
     """Two-channel analyzer measurement on one arm, with state reduction.
 
-    ``prob_plus`` is the squared norm of the parallel-channel projection; the
-    outcome is PLUS iff ``coin < prob_plus``; the returned state is the
-    renormalized projection consistent with the outcome.
+    The outcome is the parallel channel, or the perpendicular one if
+    `perpendicular`, iff ``coin`` is below its squared projection norm, and
+    the other channel otherwise; ``prob_plus`` is the parallel channel's;
+    the returned state is the renormalized projection consistent with it.
     """
     state.require_normalized()
     _check_coin(coin)
-    plus = _arm_operator(projector_matrix(orientation), arm, state.amplitudes)
-    raw_plus = float(np.real(np.vdot(plus, plus)))
-    prob_plus = _snap_probability(raw_plus)
-    if coin < prob_plus:
-        reduced = plus / math.sqrt(raw_plus)
-        return ArmMeasurement(ChannelOutcome.PLUS, TwoPhotonState(reduced), prob_plus)
-    minus = _arm_operator(projector_matrix(orientation, True), arm, state.amplitudes)
-    raw_minus = float(np.real(np.vdot(minus, minus)))
-    reduced = minus / math.sqrt(raw_minus)
-    return ArmMeasurement(ChannelOutcome.MINUS, TwoPhotonState(reduced), prob_plus)
+    projections = [_arm_operator(projector_matrix(orientation, minus), arm, state.amplitudes)
+                   for minus in (False, True)]
+    raw = [float(np.real(np.vdot(amps, amps))) for amps in projections]
+    minus = perpendicular if coin < _snap_probability(raw[perpendicular]) else not perpendicular
+    outcome = ChannelOutcome.MINUS if minus else ChannelOutcome.PLUS
+    reduced = TwoPhotonState(projections[minus] / math.sqrt(raw[minus]))
+    return ArmMeasurement(outcome, reduced, _snap_probability(raw[False]))
 
 
 @dataclass(frozen=True)

@@ -308,8 +308,10 @@ class TestKernelsMatchObjectLayer:
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("ordering", list(Ordering))
-    # 1e20 rad: past about 1.7e18, a quarter turn added to the angle is lost
-    @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.0, 1e20)], ids=["small", "huge"])
+    # 1e20 rad: past about 1.7e18, a quarter turn added to the angle is lost,
+    # and a - b loses a small angle a
+    @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.0, 1e20), (0.3, 1e20)],
+                             ids=["small", "huge", "apart"])
     def test_two_channel(self, model, ordering, a, b):
         _, oa, ob = kernels.two_channel_block(
             self.SEED, 0, self.N, model, np.array([a]), np.array([b]), np.array([1.0]), ordering
@@ -693,6 +695,53 @@ class TestRandomizedSettingsMatchObjectLayer:
             assert (oa[i], ob[i]) == tuple(_flag(o) for o in want), i
 
 
+class TestSecondPhotonRule:
+    """The second photon leaves by the channel named like the first one's
+    exit with probability cos²(a - b), whatever the first one answered, and
+    one compare of the second arm's draws decides it."""
+
+    # the four CHSH pairs, one more, and two angles orders apart
+    PAIRS = [(0.0, math.pi / 8), (0.0, 3 * math.pi / 8), (math.pi / 4, math.pi / 8),
+             (math.pi / 4, 3 * math.pi / 8), (0.3, 1.0), (0.3, 1e20)]
+
+    @pytest.mark.parametrize("name", ["qm", "ndv"])
+    @pytest.mark.parametrize("order", list(Ordering))
+    def test_one_compare_per_order(self, monkeypatch, name, order):
+        compared = []
+        below = kernels._below
+
+        def recording(planes, cut):
+            compared.append(planes.digits.copy())
+            return below(planes, cut)
+
+        monkeypatch.setattr(kernels, "_below", recording)
+        block = (7, 5, 4096)
+        kernels.two_channel_block(*block, kernels.MODEL_CODES[name], np.array([0.3]),
+                                  np.array([1.0]), np.array([1.0]), order)
+        a, b = kernels.SLOT_ARM_A, kernels.SLOT_ARM_B
+        digits = {slot: kernels._slot_digits(*block, slot) for slot in (a, b)}
+        slots = sorted(slot for d in compared for slot in digits if np.array_equal(d, digits[slot]))
+        want = {Ordering.ARM1_FIRST: [b], Ordering.ARM2_FIRST: [a]}.get(order, [a, b])
+        assert len(compared) == len(want)
+        assert slots == want
+
+    @pytest.mark.parametrize("name", ["qm", "ndv"])
+    @pytest.mark.parametrize("order", list(Ordering))
+    def test_same_channel_frequency_is_malus(self, name, order):
+        n = 10**6
+        for i, (a, b) in enumerate(self.PAIRS):
+            block = (11, i * n, n)
+            _, oa, ob = kernels.two_channel_block(*block, kernels.MODEL_CODES[name], np.array([a]),
+                                                  np.array([b]), np.array([1.0]), order)
+            first = np.where(kernels.arm2_first_flags(*block, order), ob, oa)
+            p = (math.cos(a) * math.cos(b) + math.sin(a) * math.sin(b)) ** 2
+            for answer in (True, False):
+                trials = first == answer
+                same = np.count_nonzero((oa == ob) & trials)
+                sigma = math.sqrt(p * (1 - p) / np.count_nonzero(trials))
+                assert abs(same / np.count_nonzero(trials) - p) <= 5 * sigma, (a, b, answer)
+
+
 class TestKernelsOnEdgeWords:
     """Every plane-domain kernel, fed draws that sit on and next to each of
     its cuts and of the planes' seams, decides as the float compares it
@@ -713,10 +762,7 @@ class TestKernelsOnEdgeWords:
         """An (N, 8) table of 53-bit draws for slots 0-7, served as all
         three planes in place of the random stream."""
         cuts = list(SEAM_CUTS)
-        for s_first, s_second in ((self.PA, self.PB), (self.PB, self.PA)):
-            for perpendicular in (False, True):
-                p = kernels._malus_prob_array(s_first - s_second, perpendicular)
-                cuts += [int(c) for c in kernels._cut(p)]
+        cuts += [int(c) for c in kernels._cut(kernels._malus_prob_array(self.PA, self.PB))]
         cuts += [int(c) for c in kernels._cut(self.CUMW)]
         cuts += [int(kernels._cut(min(math.cos(t) ** 2, 1.0))) for t in self.THETAS]
         sign = deterministic_sign_model()
@@ -754,9 +800,8 @@ class TestKernelsOnEdgeWords:
 
     def _float_reduced(self, u_first, u_second, pair_idx, s_first, s_second):
         first = u_first < 0.5
-        p_parallel = kernels._malus_prob_array(s_first - s_second)[pair_idx]
-        p_perpendicular = kernels._malus_prob_array(s_first - s_second, True)[pair_idx]
-        return first, np.where(first, u_second < p_parallel, u_second < p_perpendicular)
+        p_same = kernels._malus_prob_array(s_first, s_second)[pair_idx]
+        return first, first == (u_second < p_same)
 
     @pytest.mark.parametrize("name", ["qm", "ndv", "definite-circular", "lhv-sign", "lhv-malus"])
     @pytest.mark.parametrize("order", list(Ordering))
@@ -797,8 +842,7 @@ class TestKernelsOnEdgeWords:
     def _compared_cuts(name, pa, pb):
         """The integer cuts the arms of a one-pair-or-more run compare with."""
         if name in ("qm", "ndv"):
-            tables = [*kernels._malus_cuts(tuple(pa), tuple(pb)),
-                      *kernels._malus_cuts(tuple(pb), tuple(pa))]
+            tables = [kernels._malus_cuts(tuple(pa), tuple(pb))]
         elif name == "lhv-sign":
             sign = deterministic_sign_model()
             tables = [kernels._word_steps(sign, arm, tuple(settings))[1]
@@ -925,8 +969,7 @@ class TestWordBudget:
         if slot == S:
             cuts = kernels._cut(cumw[:-1]).tolist()
         elif name in ("qm", "ndv"):
-            cuts = [int(c) for first, second in ((pa, pb), (pb, pa))
-                    for table in kernels._malus_cuts(tuple(first), tuple(second)) for c in table]
+            cuts = [int(c) for c in kernels._malus_cuts(tuple(pa), tuple(pb))]
         elif name == "lhv-sign":
             sign = deterministic_sign_model()
             cuts = [int(c) for arm, settings in (("response_a", pa), ("response_b", pb))

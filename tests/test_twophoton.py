@@ -11,12 +11,14 @@ from eprsim.polarization import (
     LinearPolarizer,
     NormalizationError,
     QuarterWavePlate,
+    apply,
+    canonical_axis,
     circular,
     linear,
     phase_insensitive_equals,
     rotation_matrix,
 )
-from eprsim.reference import RAnalyzer
+from eprsim.reference import RAnalyzer, _pass_probability
 from eprsim.twophoton import (
     Arm,
     ChannelOutcome,
@@ -93,6 +95,20 @@ class TestMeasureArm:
         m = measure_arm(state, Arm.ONE, math.pi / 2, 0.0)
         assert m.prob_plus == 0.0
         assert m.outcome is ChannelOutcome.MINUS
+
+    def test_the_coin_picks_the_named_channel(self):
+        # a pair polarized at 0 against an analyzer at 0.4: the perpendicular
+        # channel has probability sin²(0.4), and a coin below it picks that channel
+        state = product_state(linear(0.0), linear(0.0, Frame.MINUS_Z))
+        p_minus = math.sin(0.4) ** 2
+        for coin, outcome in ((p_minus - 1e-9, ChannelOutcome.MINUS),
+                              (p_minus + 1e-9, ChannelOutcome.PLUS)):
+            m = measure_arm(state, Arm.ONE, 0.4, coin, perpendicular=True)
+            assert m.outcome is outcome
+            assert m.prob_plus == pytest.approx(1.0 - p_minus, abs=1e-12)
+            named = linear(0.4, perpendicular=outcome is ChannelOutcome.MINUS)
+            expected = product_state(named, linear(0.0, Frame.MINUS_Z))
+            assert m.state.phase_insensitive_equals(expected, 1e-12)
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(NormalizationError):
@@ -239,3 +255,23 @@ def test_arm_local_angle_mapping():
     assert isinstance(plate, QuarterWavePlate)
     assert plate.fast_axis == pytest.approx(math.pi - 0.1)
     assert polarizer.axis == pytest.approx(math.pi - (0.1 + math.pi / 4))
+
+
+@pytest.mark.parametrize("angle", [1e20, -1e20, 7.5e17, 1e300])
+def test_elements_far_past_two_pi_stand_where_their_angle_names(angle):
+    # the fold is by pi, not by the float nearest it, whose error grows with
+    # the angle: at 1e20 rad that would be thousands of radians
+    for theta in (0.0, 0.3, 1.0, 2.5):
+        photon = linear(theta)
+        want = _pass_probability(photon, angle)
+        assert apply(LinearPolarizer(angle), photon)[0] == pytest.approx(want, abs=1e-12)
+        channel = AnalyzerChannel(angle, Channel.PERPENDICULAR)
+        want = _pass_probability(photon, angle, perpendicular=True)
+        assert apply(channel, photon)[0] == pytest.approx(want, abs=1e-12)
+
+
+def test_axes_in_range_are_kept_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for angle in [0.0, 1e-300, 0.3, math.pi / 2, math.nextafter(math.pi, 0.0),
+                  *(rng.random(100) * math.pi).tolist()]:
+        assert canonical_axis(angle) == angle
