@@ -28,6 +28,7 @@ _EXPORTS = {
         "RunConfig",
         "Schedule",
         "TwoChannelProtocol",
+        "WorkerError",
         "run_experiment",
         "run_malus",
         "trial_draws",
@@ -70,6 +71,7 @@ _EXPORTS = {
         "ChainCounts",
         "ChshReport",
         "CoincidenceCounts",
+        "PackedFlags",
         "PairEstimate",
         "chsh_report",
         "conditional_detection",

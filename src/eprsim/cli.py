@@ -30,6 +30,7 @@ from ._version import __version__
 # module (the `epr` entry point) is affected: `import eprsim` loads no numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from .engine import WorkerError  # noqa: E402
 from .scenarios import MODEL_NAMES, ORDERING_NAMES, SCENARIOS, ConfigError  # noqa: E402
 
 FORMATS = ("table", "tsv", "json")
@@ -296,6 +297,11 @@ def main(argv=None) -> int:
         # Every bad input is a ConfigError by the time it reaches here; any
         # other ValueError (NormalizationError included) is a broken invariant.
         print(f"epr: internal invariant violation: {exc}", file=sys.stderr)
+        return 2
+    except WorkerError as exc:
+        # A worker died without its counts (the engine has reaped the others
+        # by now), so the run has no result to give.
+        print(f"epr: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         # The engine has killed and reaped its worker processes by now.

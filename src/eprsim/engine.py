@@ -38,7 +38,7 @@ from .models import (
     Ordering,
     validate_lhv_model,
 )
-from .stats import ChainCounts, CoincidenceCounts
+from .stats import ChainCounts, CoincidenceCounts, PackedFlags
 
 if TYPE_CHECKING:
     from .reference import TrialDraws
@@ -224,6 +224,12 @@ _BLOCKS_PER_PROCESS = 32
 _FLOAT_BLOCKS_PER_PROCESS = 2
 
 
+class WorkerError(RuntimeError):
+    """A worker process failed the schedule: it ended without sending its
+    sum (killed, say, by a signal or the system's out-of-memory killer), or
+    it ran other trials than the caller."""
+
+
 class Schedule:
     """The worker processes that a sequence of runs shares, so that they are
     forked once and not once per run.
@@ -334,12 +340,12 @@ class Schedule:
         for pid, pipe in self._children:
             try:
                 sent, ok, part = pickle.load(pipe)
-            except EOFError:
-                raise RuntimeError(f"worker process {pid} ended without a result") from None
+            except (EOFError, pickle.UnpicklingError):
+                raise WorkerError(f"worker process {pid} ended without a result") from None
             if not ok:
                 raise part
             if sent != run:
-                raise RuntimeError(
+                raise WorkerError(
                     f"worker process {pid} ran trials {sent} where the caller ran {run}: "
                     "a schedule's body must make the same runs in every process"
                 )
@@ -391,14 +397,15 @@ def _run_blocks(
 
 
 def _replay(config: RunConfig, start_index: int, kernel):
-    """Per block of the run: first trial index, arm-2-first flags and the
-    kernel output, recomputed from the counter-based stream. The flags come
-    from the helper the kernels decide the order with."""
+    """Per block of the run: first trial index, arm-2-first flags (unpacked,
+    one boolean per trial) and the kernel output, recomputed from the
+    counter-based stream. The flags come from the helper the kernels decide
+    the order with."""
     stop = start_index + config.trials
     for lo in range(start_index, stop, BLOCK_SIZE):
         hi = min(lo + BLOCK_SIZE, stop)
         flags = kernels.arm2_first_flags(config.seed, lo, hi - lo, config.ordering)
-        yield lo, flags, kernel(lo, hi)
+        yield lo, flags.unpack(), kernel(lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,6 +434,7 @@ class TwoChannelRun:
         _, kernel, _ = _two_channel_kernel(self.config)
         blocks = _replay(self.config, self.start_index, kernel)
         for lo, arm2_first, (pair_index, out_a, out_b) in blocks:
+            out_a, out_b = out_a.unpack(), out_b.unpack()
             for i, flag in enumerate(arm2_first):
                 a, b = self.pair_table[pair_index[i]]
                 yield TwoChannelRecord(
@@ -459,6 +467,7 @@ class QwpChainRun:
         """Per-trial records, replayed block by block."""
         blocks = _replay(self.config, self.start_index, _qwp_kernel(self.config))
         for lo, arm2_first, (det_a, det_b) in blocks:
+            det_a, det_b = det_a.unpack(), det_b.unpack()
             for i, flag in enumerate(arm2_first):
                 yield ChainRecord(
                     trial_index=lo + i,
@@ -546,7 +555,7 @@ def _run_two_channel(
         if len(pairs) == 1:
             return (CoincidenceCounts.from_outcomes(out_a, out_b),)
         return tuple(
-            CoincidenceCounts.from_outcomes(out_a, out_b, pair_index == j)
+            CoincidenceCounts.from_outcomes(out_a, out_b, PackedFlags.pack(pair_index == j))
             for j in range(len(pairs))
         )
 
@@ -603,7 +612,7 @@ def run_malus(
     start_index = _check_start(start_index, trials)
     workers = resolve_workers(workers)
     (n_pass,) = _run_blocks(
-        lambda lo, hi: (int(np.count_nonzero(kernels.malus_block(seed, lo, hi - lo, theta))),),
+        lambda lo, hi: (kernels.malus_block(seed, lo, hi - lo, theta).popcount(),),
         start_index, trials, workers, _BLOCKS_PER_PROCESS, schedule, (0,),
     )
     return MalusRun(seed=seed, theta=theta, start_index=start_index, n_pass=n_pass, n_total=trials)

@@ -35,7 +35,8 @@ trials that tie (`_slot_tails`). Slots per trial:
 
 ``RNG_STREAM`` names this stream and the kernels' decisions on it: it
 changes whenever any draw, or any kernel's decision on a draw, would. v7
-keeps v6's draws and changes the second-photon rule (`_second_photon`).
+keeps v6's draws and changes the second-photon rule (`_second_photon`);
+packing the flags changed neither.
 
 Outcome coins are compared with strict less-than, so a probability snapped to
 exactly 0 never fires and a probability of exactly 1 always does. Coins
@@ -65,8 +66,17 @@ Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
 the model's type; a model no kernel knows raises TypeError, as does an
 ordering that is not an `Ordering` member. Every kernel answers each trial
-with a boolean flag (True: the parallel channel, detected, or passed), which
-the engine counts and records as it is.
+with one bit of a `stats.PackedFlags` (set: the parallel channel, detected,
+or passed): trial ``start + i`` of a block is bit ``i % 64`` of word
+``i // 64``, and the bits past the block's count are zero. The flags stay
+packed from the planes to the counts. A coin plane's words are a block's
+fair coins once inverted and shifted to its start (`_slot_coins`); a
+compare packs its digit test once and meets the coins with one word-wide
+``&=`` or ``|=`` (`_below`); the second photon, the measurement order and
+a deterministic model's flips are word-wide XNOR, select and XOR; and the
+engine counts the words by popcount. Only the float path (`_below_each`)
+and a per-trial settings-pair mask decide one boolean per trial, which they
+pack once, and only a per-trial record unpacks the words.
 
 The run-value rules are stated here once for the engine and the CLI: they
 raise `ConfigError` naming the field, and the seed rule guards every block.
@@ -86,6 +96,7 @@ import numpy as np
 
 from . import models
 from .models import DefiniteCircular, Lhv, NdvNonlocal, Ordering, QMFormal
+from .stats import PackedFlags, pack_words
 
 RNG_STREAM = "pcg64dxsm/v7"
 SEED_LIMIT = 1 << 64  # seeds and trial indices live in [0, 2**64)
@@ -165,7 +176,8 @@ def check_seed(seed) -> int:
 
 
 def _trial_range(seed: int, start: int, count: int) -> tuple[int, int]:
-    """(start, count) as ints once the seed and trials [start, start+count) are in range."""
+    """(start, count) as ints once the seed and trials [start, start+count)
+    are in range: the check a block makes once, at its kernel's entry."""
     check_seed(seed)
     start, count = int(start), int(count)
     if not (0 <= start and start + count <= SEED_LIMIT):
@@ -176,10 +188,12 @@ def _trial_range(seed: int, start: int, count: int) -> tuple[int, int]:
 _MASK128 = (1 << 128) - 1
 # PCG's 128-bit LCG multiplier, which numpy's PCG64DXSM seeding steps with
 _PCG_SEED_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+# Outputs of each plane (digit, coin, tail) that the 2**64 trials read
+_PLANE_OUTPUTS = (SEED_LIMIT // 4, SEED_LIMIT // 64, SEED_LIMIT)
 _thread = threading.local()
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _plane_state(seed: int, slot: int, plane: int) -> dict:
     """The state of ``PCG64DXSM(SeedSequence(seed, spawn_key=(slot,
     plane)))`` before its first output, as the dict its ``state`` setter
@@ -188,7 +202,9 @@ def _plane_state(seed: int, slot: int, plane: int) -> dict:
     steps twice, from 0 and again after adding s. Cached, with a fixed size,
     because the `SeedSequence` hash is the costly step, and computed rather
     than read off a new generator, so each thread builds one generator only.
-    Callers must not change the dict."""
+    The seed rule is checked here, once per cached state. Callers must not
+    change the dict."""
+    check_seed(seed)
     words = np.random.SeedSequence(seed, spawn_key=(slot, plane)).generate_state(4, np.uint64)
     s0, s1, t0, t1 = (int(x) for x in words)
     inc = ((t0 << 64 | t1) << 1 | 1) & _MASK128
@@ -212,29 +228,79 @@ def _generator() -> np.random.PCG64DXSM:
 def _plane_words(seed: int, first: int, n: int, slot: int, plane: int) -> np.ndarray:
     """Outputs [first, first+n) of one slot's plane. This thread's one
     PCG64DXSM is set to the plane's initial state, jumped `first` outputs
-    ahead and read: a jump costs a few microseconds whatever its length."""
+    ahead and read: a jump costs a few microseconds whatever its length.
+    Outputs past those the seed's 2**64 trials read raise ValueError."""
+    if not 0 <= first <= _PLANE_OUTPUTS[plane] - n:
+        raise ValueError(f"outputs [{first}, {first + n}) of plane {plane} leave the 2**64 trials")
     gen = _generator()
     gen.state = _plane_state(seed, slot, plane)
     gen.advance(first)
     return gen.random_raw(n)
 
 
+def _words(count: int) -> int:
+    """The words that hold `count` packed flags."""
+    return -(-count // 64)
+
+
 def _slot_coins(seed: int, start: int, count: int, slot: int) -> np.ndarray:
-    """Fair coins of one slot for trials [start, start+count), ``u < 1/2``:
-    True where the coin-plane bit c is 0. Trial i reads bit ``i % 64`` of
-    coin word ``i // 64``, so a block reads one word per 64 trials."""
-    start, count = _trial_range(seed, start, count)
+    """Fair coins of one slot for trials [start, start+count), ``u < 1/2``,
+    packed (`PackedFlags`): bit i is set where the coin-plane bit c of trial
+    ``start + i`` is 0. Trial j reads bit ``j % 64`` of coin word ``j // 64``,
+    so a block reads one word per 64 trials, inverted; one that starts
+    inside a word shifts each word down and funnels in the next one's low bits."""
     first, offset = divmod(start, 64)
-    words = _plane_words(seed, first, -(-(start + count) // 64) - first, slot, 1)
-    bits = np.unpackbits(np.asarray(~words, dtype="<u8").view(np.uint8), bitorder="little")
-    return bits[offset : offset + count].view(bool)
+    words = _plane_words(seed, first, _words(start + count) - first, slot, 1)
+    np.invert(words, out=words)
+    if offset:
+        carry = words[1:] << np.uint64(64 - offset)
+        words = words[: _words(count)] >> np.uint64(offset)
+        words[: carry.size] |= carry
+    if count % 64:
+        words[-1] &= np.uint64((1 << count % 64) - 1)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _ones(count: int) -> np.ndarray:
+    """Packed flags of `count` trials, every one set; read-only, built once
+    per block length."""
+    words = np.full(_words(count), (1 << 64) - 1, dtype=np.uint64)
+    if count % 64:
+        words[-1] = (1 << count % 64) - 1
+    words.setflags(write=False)
+    return words
+
+
+def _not(words: np.ndarray, count: int) -> np.ndarray:
+    """Packed flags of `count` trials inverted in place, padding kept zero."""
+    return np.bitwise_xor(words, _ones(count), out=words)
+
+
+def _bit(words: np.ndarray, i: int) -> bool:
+    """The packed flag at block offset i."""
+    return bool(int(words[i >> 6]) >> (i & 63) & 1)
+
+
+def _offsets(flags: np.ndarray) -> list[int]:
+    """The offsets where a boolean array is True, when they are few (a tie
+    is about one trial in 2**16): each `argmax` stops at the next one, so
+    the search reads the array once, and builds no index array."""
+    found = []
+    at = 0
+    while at < flags.size:
+        at += int(flags[at:].argmax())
+        if not flags[at]:
+            break
+        found.append(at)
+        at += 1
+    return found
 
 
 def _slot_digits(seed: int, start: int, count: int, slot: int) -> np.ndarray:
     """16-bit digits d of one slot for trials [start, start+count). Trial i
     reads lane ``i % 4`` of digit word ``i // 4``, counted from the low end,
     so a block reads one word per 4 trials."""
-    start, count = _trial_range(seed, start, count)
     first, offset = divmod(start, 4)
     words = _plane_words(seed, first, -(-(start + count) // 4) - first, slot, 0)
     return np.asarray(words, dtype="<u8").view("<u2")[offset : offset + count]
@@ -244,7 +310,6 @@ def _slot_tails(seed: int, start: int, count: int, slot: int, at=None) -> np.nda
     """Tail words t of one slot for trials [start, start+count), trial i
     reading output i of the tail plane; or, given block offsets `at`, of
     trials ``start + at`` alone, each read with a jump of its own."""
-    start, count = _trial_range(seed, start, count)
     if at is None:
         return _plane_words(seed, start, count, slot, 2)
     return np.array([_plane_words(seed, start + int(i), 1, slot, 2)[0] for i in at],
@@ -260,8 +325,8 @@ def _draw(seed: int, trial: int, slot: int) -> int:
 
 
 class _Planes(NamedTuple):
-    """One slot's planes over a block: `coins` (True where c == 0), the
-    `digits` d, and `tails`, which reads the tail words t at block offsets."""
+    """One slot's planes over a block: `coins` (packed, set where c == 0),
+    the `digits` d, and `tails`, which reads the tail words t at block offsets."""
 
     coins: np.ndarray
     digits: np.ndarray
@@ -305,42 +370,46 @@ def _draws(coins: np.ndarray, digits: np.ndarray, tails: np.ndarray) -> np.ndarr
 
 
 def _below(planes: _Planes, cut) -> np.ndarray:
-    """``k < cut`` per trial for an integer cut in [0, 2**53], decided on
-    each trial's coin and digit, the top 17 bits of k. A trial whose coin
+    """``k < cut`` per trial for an integer cut in [0, 2**53], packed, and
+    decided on each trial's coin and digit, the top 17 bits of k: the digit
+    test is packed once and meets the coins word-wide. A trial whose coin
     and digit equal the cut's top 17 bits ties, and its tail decides."""
     cut = int(cut)
     coins, digits = planes.coins, planes.digits
     if cut <= 0:
-        return np.zeros(coins.shape, dtype=bool)
+        return np.zeros(coins.shape, dtype=np.uint64)
     if cut >= 1 << 53:
-        return np.ones(coins.shape, dtype=bool)
+        return _ones(digits.size).copy()
     top, low = divmod(cut, 1 << _LOW)
     digit = top & 0xFFFF
-    below = digits < digit
     cut_coin_is_0 = top < 1 << 16
+    # A tie is about one trial in 2**16: none in about a third of the
+    # blocks. Its coin equals the cut's, so meeting the coins below leaves
+    # its tail's answer as it is. The ties are found before the compare is
+    # built, so one boolean per trial is alive at a time.
+    ties = [i for i in _offsets(digits == digit) if _bit(coins, i) == cut_coin_is_0] if low else []
+    below = digits < digit
+    if ties:
+        at = np.array(ties)
+        below[at] = planes.tails(at) >> _TAIL_SHIFT < np.uint64(low)
+    below = pack_words(below)
     if cut_coin_is_0:
         below &= coins
     else:
         below |= coins
-    if low:
-        ties = digits == digit
-        if np.count_nonzero(ties):  # none in about a third of the blocks
-            at = np.flatnonzero(ties)
-            at = at[coins[at] == cut_coin_is_0]
-            if at.size:
-                below[at] = planes.tails(at) >> _TAIL_SHIFT < np.uint64(low)
     return below
 
 
 def _tops(coins: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """Each trial's top 17 bits of k, ``c << 16 | d``, as uint32."""
-    tops = np.left_shift(~coins, 16, dtype=np.uint32)
+    """Each trial's top 17 bits of k, ``c << 16 | d``, as uint32, from the
+    packed coins (set where c == 0) and the digits."""
+    tops = np.left_shift(~PackedFlags(coins, digits.size).unpack(), 16, dtype=np.uint32)
     tops |= digits
     return tops
 
 
 def _below_each(tops: np.ndarray, tails, x: np.ndarray) -> np.ndarray:
-    """``k < x * 2**36`` per trial, for a float array x that the call
+    """``k < x * 2**36`` per trial, packed, for a float array x that the call
     overwrites, from the trials' `tops` (`_tops`) and their `tails` reader.
     With ``r = x - top``, a trial is below when r >= 1 and not when r <= 0,
     whatever its tail; otherwise it ties and is below when ``t >> 28 < r *
@@ -353,11 +422,11 @@ def _below_each(tops: np.ndarray, tails, x: np.ndarray) -> np.ndarray:
     at = np.flatnonzero(ties)
     if at.size:
         below[at] = tails(at) >> _TAIL_SHIFT < x[at] * float(1 << _LOW)
-    return below
+    return pack_words(below)
 
 
 def _comparer(planes: _Planes, pair_idx: np.ndarray, pairs: int):
-    """``below(cuts)``: ``k < cuts[pair]`` per trial for one integer cut per
+    """``below(cuts)``: ``k < cuts[pair]`` per trial, packed, for one integer cut per
     settings pair. A run with one pair compares each cut with `_below`;
     otherwise the cut differs per trial, and each trial's top 17 bits are
     built once to meet it (`_below_each`)."""
@@ -371,6 +440,7 @@ def uniform_block(seed: int, start: int, count: int, slot: int) -> np.ndarray:
     """Uniform [0, 1) draws ``k * 2**-53`` for trials [start, start+count) at
     one slot: the one reader that builds every trial's k, so it reads the
     slot's tail plane whole."""
+    start, count = _trial_range(seed, start, count)
     block = (seed, start, count, slot)
     k = _draws(_slot_coins(*block), _slot_digits(*block), _slot_tails(*block))
     return k.view(np.int64) * (1.0 / _UNIT)  # k < 2**53: exact, and faster than from uint64
@@ -382,15 +452,21 @@ def check_ordering(ordering: Ordering) -> None:
         raise TypeError(f"not an Ordering: {ordering!r}")
 
 
-def arm2_first_flags(seed: int, start: int, count: int, ordering: Ordering) -> np.ndarray:
-    """Per-trial flag for trials [start, start+count): True when arm 2 is
+def arm2_first_flags(seed: int, start: int, count: int, ordering: Ordering) -> PackedFlags:
+    """Per-trial flag for trials [start, start+count), set when arm 2 is
     measured first. Random order reads the ordering slot's coins, ``u >= 0.5``."""
     check_ordering(ordering)
+    start, count = _trial_range(seed, start, count)
+    return PackedFlags(_arm2_first(seed, start, count, ordering), count)
+
+
+def _arm2_first(seed: int, start: int, count: int, ordering: Ordering) -> np.ndarray:
+    """The words of `arm2_first_flags`, for a range already checked."""
     if ordering is Ordering.ARM1_FIRST:
-        return np.zeros(count, dtype=bool)
+        return np.zeros(_words(count), dtype=np.uint64)
     if ordering is Ordering.ARM2_FIRST:
-        return np.ones(count, dtype=bool)
-    return ~_slot_coins(seed, start, count, SLOT_ORDERING)
+        return _ones(count).copy()
+    return _not(_slot_coins(seed, start, count, SLOT_ORDERING), count)
 
 
 def _malus_prob_array(first: np.ndarray, second=0.0) -> np.ndarray:
@@ -414,9 +490,10 @@ def _select_pairs(planes: _Planes, cumw: np.ndarray) -> np.ndarray:
     search up to dozens of pairs.
     """
     cuts = _cut(cumw[:-1])
-    pair_idx = np.full(planes.coins.shape, cuts.size, dtype=np.int32)
+    count = planes.digits.size
+    pair_idx = np.full(count, cuts.size, dtype=np.int32)
     for cut in cuts:
-        pair_idx -= _below(planes, cut)
+        pair_idx -= PackedFlags(_below(planes, cut), count).unpack()
     return pair_idx
 
 
@@ -436,8 +513,8 @@ def _one_pair_index(count: int) -> np.ndarray:
 
 
 def _pick(flags: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
-    """``np.where(flags, if_true, if_false)`` for boolean arrays, at a fraction
-    of its cost, built in the buffer of `if_true`, which the caller gives up."""
+    """``np.where(flags, if_true, if_false)`` bit by bit for packed flags,
+    built in the buffer of `if_true`, which the caller gives up."""
     if_true ^= if_false
     if_true &= flags
     if_true ^= if_false
@@ -459,13 +536,15 @@ def _malus_cuts(pair_a: tuple[float, ...], pair_b: tuple[float, ...]) -> np.ndar
     return cuts
 
 
-def _second_photon(first: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """The second analyzer's answer (True: parallel), given the first one's,
-    which answered 1/2. The second photon is linear along the first one's
-    exit channel, so by the Malus rule it leaves by the channel of the same
-    name with probability cos²(a - b), which `same` compares with
-    (`_malus_cuts`). Built in the buffer of `same`."""
-    return np.equal(same, first, out=same)
+def _second_photon(first: np.ndarray, same: np.ndarray, count: int) -> np.ndarray:
+    """The second analyzer's packed answers (set: parallel), given the first
+    one's, which answered 1/2. The second photon is linear along the first
+    one's exit channel, so by the Malus rule it leaves by the channel of the
+    same name with probability cos²(a - b), which `same` compares with
+    (`_malus_cuts`): the answer is `same` XNOR `first`, built in the buffer
+    of `same`."""
+    same ^= first
+    return _not(same, count)
 
 
 def two_channel_block(
@@ -477,22 +556,23 @@ def two_channel_block(
     pair_b: np.ndarray,
     cumw: np.ndarray,
     ordering: Ordering,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial settings-pair index and two-channel flags of each arm
-    (True: the parallel channel, False: the perpendicular one).
+) -> tuple[np.ndarray, PackedFlags, PackedFlags]:
+    """Per-trial settings-pair index and packed two-channel flags of each
+    arm (set: the parallel channel, clear: the perpendicular one).
 
     The arm measured first answers 1/2 and reads its coins alone. A fixed
     order turns the first arm's coins into its answers before it reads the
     second arm's digits. With one settings pair the index is a read-only
     view that holds no per-trial bytes (`_pair_index`), so the block
-    allocates only the planes it reads and the flags it returns: about 6
-    bytes per trial at its peak.
+    allocates only the planes it reads, one boolean per trial while it packs
+    a compare, and the words it returns: about 3.6 bytes per trial at its peak.
     """
     check_ordering(ordering)
     if isinstance(model, Lhv):
         return two_channel_block_lhv(seed, start, count, model.model, pair_a, pair_b, cumw)
     if not isinstance(model, (QMFormal, NdvNonlocal, DefiniteCircular)):
         raise TypeError(f"no trial kernel for model {model!r}")
+    start, count = _trial_range(seed, start, count)
     pair_idx = _pair_index(seed, start, count, cumw)
     block = (seed, start, count)
     oa = _slot_coins(*block, SLOT_ARM_A)
@@ -500,7 +580,7 @@ def two_channel_block(
     if isinstance(model, DefiniteCircular):
         # A circular photon takes either exit of a linear analyzer with
         # probability 1/2, whatever the orientation.
-        return pair_idx, oa, ob
+        return pair_idx, PackedFlags(oa, count), PackedFlags(ob, count)
 
     cuts = _malus_cuts(tuple(pair_a.tolist()), tuple(pair_b.tolist()))
 
@@ -508,25 +588,26 @@ def two_channel_block(
         return _comparer(_slot_planes(*block, slot, coins), pair_idx, cumw.size)(cuts)
 
     if ordering is Ordering.ARM1_FIRST:
-        ob = _second_photon(oa, same(ob, SLOT_ARM_B))
+        ob = _second_photon(oa, same(ob, SLOT_ARM_B), count)
     elif ordering is Ordering.ARM2_FIRST:
-        oa = _second_photon(ob, same(oa, SLOT_ARM_A))
+        oa = _second_photon(ob, same(oa, SLOT_ARM_A), count)
     else:
-        ob1 = _second_photon(oa, same(ob, SLOT_ARM_B))
-        oa2 = _second_photon(ob, same(oa, SLOT_ARM_A))
-        arm2_first = arm2_first_flags(seed, start, count, ordering)
+        ob1 = _second_photon(oa, same(ob, SLOT_ARM_B), count)
+        oa2 = _second_photon(ob, same(oa, SLOT_ARM_A), count)
+        arm2_first = _arm2_first(*block, ordering)
         oa = _pick(arm2_first, oa2, oa)
         ob = _pick(arm2_first, ob, ob1)
-    return pair_idx, oa, ob
+    return pair_idx, PackedFlags(oa, count), PackedFlags(ob, count)
 
 
 def qwp_block(
     seed: int, start: int, count: int, model: models.HypothesisModel, ordering: Ordering
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial detection flags behind the plate-plus-polarizer chains.
-    Every chain passes with probability 1/2 or with certainty, so the
-    kernel reads coins alone."""
+) -> tuple[PackedFlags, PackedFlags]:
+    """Packed per-trial detection flags behind the plate-plus-polarizer
+    chains. Every chain passes with probability 1/2 or with certainty, so
+    the kernel reads coins alone."""
     check_ordering(ordering)
+    start, count = _trial_range(seed, start, count)
     block = (seed, start, count)
     if isinstance(model, DefiniteCircular):
         # Right-handed pairs clear both right-helicity analyzers with
@@ -543,9 +624,10 @@ def qwp_block(
         elif ordering is Ordering.ARM2_FIRST:
             det_a = _slot_coins(*block, SLOT_ARM_B)
         else:
-            arm2_first = arm2_first_flags(seed, start, count, ordering)
             det_a = _pick(
-                arm2_first, _slot_coins(*block, SLOT_ARM_B), _slot_coins(*block, SLOT_ARM_A)
+                _arm2_first(*block, ordering),
+                _slot_coins(*block, SLOT_ARM_B),
+                _slot_coins(*block, SLOT_ARM_A),
             )
         det_b = det_a
     elif isinstance(model, (NdvNonlocal, Lhv)):
@@ -556,13 +638,15 @@ def qwp_block(
         det_b = _slot_coins(*block, SLOT_ARM_B)
     else:
         raise TypeError(f"no chain kernel for model {model!r}")
-    return det_a, det_b
+    return PackedFlags(det_a, count), PackedFlags(det_b, count)
 
 
-def malus_block(seed: int, start: int, count: int, theta: float) -> np.ndarray:
-    """Single-photon polarizer transmission flags at relative angle theta (True = pass)."""
+def malus_block(seed: int, start: int, count: int, theta: float) -> PackedFlags:
+    """Packed single-photon polarizer transmission flags at relative angle
+    theta (set: pass)."""
+    start, count = _trial_range(seed, start, count)
     cut = _cut(_malus_prob_array(np.array([float(theta)])))[0]
-    return _below(_slot_planes(seed, start, count, SLOT_ARM_A), cut)
+    return PackedFlags(_below(_slot_planes(seed, start, count, SLOT_ARM_A), cut), count)
 
 
 def qwp_code_for(name: str) -> models.HypothesisModel:
@@ -652,15 +736,21 @@ def lhv_word_steps(model: models.LhvModel, pair_a: np.ndarray, pair_b: np.ndarra
 
 
 def _step_decision(below, pair_idx: np.ndarray, first: np.ndarray, cuts: np.ndarray):
-    """Per-trial decisions of one arm: its decision at k = 0 flipped once per
-    cut of the trial's settings pair at or below k. `below` (`_comparer`)
-    finds the cuts above k instead, so an odd count of columns flips the
-    decision once more. The first column's compare is the accumulator."""
+    """Packed per-trial decisions of one arm: its decision at k = 0 flipped
+    once per cut of the trial's settings pair at or below k. `below`
+    (`_comparer`) finds the cuts above k instead, so an odd count of columns
+    flips the decision once more. The first column's compare is the
+    accumulator, and every flip is word-wide."""
+    count = pair_idx.size
     columns = cuts.T
-    flipped = below(columns[0]) if len(columns) else np.zeros(pair_idx.shape, dtype=bool)
+    flipped = below(columns[0]) if len(columns) else np.zeros(_words(count), dtype=np.uint64)
     for column in columns[1:]:
         flipped ^= below(column)
-    flipped ^= _per_trial(first ^ (len(columns) % 2 == 1), pair_idx)
+    flip = first ^ (len(columns) % 2 == 1)
+    if flip.size > 1:
+        flipped ^= pack_words(flip[pair_idx])
+    elif flip[0]:
+        _not(flipped, count)
     return flipped
 
 
@@ -672,8 +762,9 @@ def two_channel_block_lhv(
     pair_a: np.ndarray,
     pair_b: np.ndarray,
     cumw: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-channel flags (True: parallel) for any factorized model, built-in or custom.
+) -> tuple[np.ndarray, PackedFlags, PackedFlags]:
+    """Packed two-channel flags (set: parallel) for any factorized model,
+    built-in or custom, with the per-trial settings-pair index.
 
     A deterministic model is decided on the emission slot's planes when its
     cuts pass the check of `_setting_cuts` at every setting of the run: each
@@ -686,6 +777,7 @@ def two_channel_block_lhv(
     index. A factorized model's outcomes do not depend on the measurement
     order.
     """
+    start, count = _trial_range(seed, start, count)
     pair_idx = _pair_index(seed, start, count, cumw)
     block = (seed, start, count)
     steps = lhv_word_steps(model, pair_a, pair_b)
@@ -693,15 +785,15 @@ def two_channel_block_lhv(
         below = _comparer(_slot_planes(*block, SLOT_EMISSION), pair_idx, cumw.size)
         oa = _step_decision(below, pair_idx, *steps[0])
         ob = _step_decision(below, pair_idx, *steps[1])
-        return pair_idx, oa, ob
-    lam = np.asarray(model.sample(uniform_block(*block, SLOT_EMISSION)), dtype=float)
-    oa = _float_arm(block, SLOT_ARM_A, model.response_a, _per_trial(pair_a, pair_idx), lam)
-    ob = _float_arm(block, SLOT_ARM_B, model.response_b, _per_trial(pair_b, pair_idx), lam)
-    return pair_idx, oa, ob
+    else:
+        lam = np.asarray(model.sample(uniform_block(*block, SLOT_EMISSION)), dtype=float)
+        oa = _float_arm(block, SLOT_ARM_A, model.response_a, _per_trial(pair_a, pair_idx), lam)
+        ob = _float_arm(block, SLOT_ARM_B, model.response_b, _per_trial(pair_b, pair_idx), lam)
+    return pair_idx, PackedFlags(oa, count), PackedFlags(ob, count)
 
 
 def _float_arm(block: tuple, slot: int, response, setting, lam: np.ndarray) -> np.ndarray:
-    """One arm's flags on the float path, ``u < response(setting, lam)`` for
+    """One arm's packed flags on the float path, ``u < response(setting, lam)`` for
     the slot's uniforms u, decided as ``k < p * 2**53`` (`_below_each`): the
     same compare scaled by a power of two, so exact, and neither u nor k is
     built. The arm reads the slot's coins and digits, and a tail only where

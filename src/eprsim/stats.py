@@ -17,31 +17,78 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
 
 
-def _tally(
-    a: np.ndarray, b: np.ndarray, where: np.ndarray | None = None
-) -> tuple[int, int, int, int]:
-    """The popcounts of two per-trial flag arrays over the trials `where`
-    marks (all of them when it is None): (a, b, both, trials).
+def pack_words(flags: np.ndarray) -> np.ndarray:
+    """Boolean flags packed 64 to a uint64 word: flag i is bit ``i % 64`` of
+    word ``i // 64``, and the bits past the last flag are zero."""
+    packed = np.packbits(flags, bitorder="little")
+    if packed.size % 8:
+        packed = np.concatenate([packed, np.zeros(-packed.size % 8, dtype=np.uint8)])
+    return np.asarray(packed.view("<u8"), dtype=np.uint64)
 
-    Flags are boolean arrays; any other dtype raises TypeError, since a -1 or
-    a 0/1 integer would be counted by truth and not by meaning.
+
+class PackedFlags:
+    """Per-trial flags of a block, 64 to a word: the flag of the block's
+    trial i is bit ``i % 64`` of ``words[i // 64]``, a uint64 array, and the
+    bits past its `count` trials are zero. The kernels answer in it, and the
+    counts below read it with one popcount per word."""
+
+    __slots__ = ("words", "count")
+
+    def __init__(self, words: np.ndarray, count: int) -> None:
+        self.words = words
+        self.count = count
+
+    @classmethod
+    def pack(cls, flags: np.ndarray) -> "PackedFlags":
+        """A boolean array packed; any other dtype raises TypeError."""
+        dtype = getattr(flags, "dtype", type(flags).__name__)
+        if dtype != bool:
+            raise TypeError(f"flags must be a boolean array, got {dtype}")
+        return cls(pack_words(flags), flags.size)
+
+    def unpack(self) -> np.ndarray:
+        """The flags as a boolean array, one per trial."""
+        octets = np.asarray(self.words, dtype="<u8").view(np.uint8)
+        return np.unpackbits(octets, count=self.count, bitorder="little").view(bool)
+
+    def popcount(self) -> int:
+        """How many trials are flagged."""
+        return int(np.bitwise_count(self.words).sum(dtype=np.uint64))
+
+
+def _tally(
+    a: PackedFlags, b: PackedFlags, where: PackedFlags | None = None
+) -> tuple[int, int, int, int]:
+    """The popcounts of two blocks' flags over the trials `where` marks (all
+    of them when it is None): (a, b, both, trials).
+
+    Flags are `PackedFlags` of one trial count; anything else raises
+    TypeError, since a -1 or a 0/1 integer would be counted by truth and not
+    by meaning.
     """
     for name, flags in (("a", a), ("b", b), ("where", where)):
-        dtype = getattr(flags, "dtype", type(flags).__name__)
-        if flags is not None and dtype != bool:
-            raise TypeError(f"{name}: flags must be a boolean array, got {dtype}")
+        if flags is not None and not isinstance(flags, PackedFlags):
+            raise TypeError(
+                f"{name}: flags must be packed boolean flags (PackedFlags), "
+                f"got {type(flags).__name__}"
+            )
+    if a.count != b.count or (where is not None and where.count != a.count):
+        raise ValueError("flags of different trial counts")
     if where is None:
-        n = a.size
+        n = a.count
+        a, b = a.words, b.words
     else:
-        a = a & where
-        b = b & where
-        n = np.count_nonzero(where)
-    return (
-        int(np.count_nonzero(a)),
-        int(np.count_nonzero(b)),
-        int(np.count_nonzero(a & b)),
-        int(n),
-    )
+        n = where.popcount()
+        a = a.words & where.words
+        b = b.words & where.words
+    # One reduction over the three rows of per-word popcounts: a reduction
+    # costs about as much as the popcounts of a block's words.
+    counts = np.empty((3, a.size), dtype=np.uint8)
+    np.bitwise_count(a, out=counts[0])
+    np.bitwise_count(b, out=counts[1])
+    np.bitwise_count(a & b, out=counts[2])
+    n_a, n_b, n_ab = np.add.reduce(counts, axis=1, dtype=np.uint64).tolist()
+    return n_a, n_b, n_ab, n
 
 
 @dataclass(frozen=True)
@@ -75,9 +122,9 @@ class CoincidenceCounts:
 
     @classmethod
     def from_outcomes(
-        cls, out_a: np.ndarray, out_b: np.ndarray, where: np.ndarray | None = None
+        cls, out_a: PackedFlags, out_b: PackedFlags, where: PackedFlags | None = None
     ) -> "CoincidenceCounts":
-        """Count joint outcomes from per-trial channel flags (True: parallel)
+        """Count joint outcomes from per-trial channel flags (set: parallel)
         over the trials `where` marks (all of them when it is None): N_pp is
         the `_tally` of both arms, the other cells follow from it."""
         n_a, n_b, n_pp, n = _tally(out_a, out_b, where)
@@ -102,7 +149,7 @@ class ChainCounts:
         )
 
     @classmethod
-    def from_flags(cls, det_a: np.ndarray, det_b: np.ndarray) -> "ChainCounts":
+    def from_flags(cls, det_a: PackedFlags, det_b: PackedFlags) -> "ChainCounts":
         """Count detections from per-trial detection flags of each arm."""
         return cls(*_tally(det_a, det_b))
 

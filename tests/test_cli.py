@@ -187,6 +187,19 @@ class TestErrors:
         assert out == ""
         assert err == "epr: internal invariant violation: pair counts do not sum to the trials\n"
 
+    def test_a_worker_that_dies_exits_2_in_one_line(self, capsys, monkeypatch):
+        # a forked worker killed before it sends its counts (by the
+        # out-of-memory killer, say) ends the run in one line, not a traceback
+        from eprsim import engine
+
+        monkeypatch.setattr(engine.Schedule, "_send", lambda self, run, work: os._exit(1))
+        trials = str(2 * engine._BLOCKS_PER_PROCESS * engine.BLOCK_SIZE)  # two processes
+        code, out, err = run_cli(capsys, "chsh-scan", "--trials", trials, "--workers", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("epr: worker process ") and len(err.splitlines()) == 1, err
+        assert err.endswith(" ended without a result\n"), err
+
 
 def assert_one_line_config_error(code, out, err, key):
     assert code == 1

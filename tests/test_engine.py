@@ -186,7 +186,7 @@ class TestWorkerProcesses:
 
     def test_a_child_that_dies_is_an_error(self, forks):
         count = self._failing_in_the_child(lambda: engine.os._exit(3))
-        with pytest.raises(RuntimeError, match="ended without a result"):
+        with pytest.raises(engine.WorkerError, match="ended without a result"):
             engine._run_blocks(count, 0, 2 * self.SHARE, 2)
 
     def test_the_callers_error_stops_the_children(self, forks):
@@ -286,7 +286,7 @@ class TestSchedule:
     def test_a_body_that_runs_otherwise_in_a_child_is_an_error(self, forks):
         caller = os.getpid()
         count = lambda lo, hi: (hi - lo,)
-        with pytest.raises(RuntimeError, match="same runs in every process"):
+        with pytest.raises(engine.WorkerError, match="same runs in every process"):
             with engine.Schedule() as schedule:
                 engine._run_blocks(count, 0, 2 * self.SHARE, 2, schedule=schedule)
                 start = 0 if os.getpid() == caller else 1
@@ -359,7 +359,7 @@ class TestCountsMatchRecords:
         cfg = qm_config(trials=3000, ordering=Ordering.RANDOM_PER_TRIAL)
         run = run_experiment(cfg, TwoChannelProtocol(), start_index=11)
         flags = kernels.arm2_first_flags(cfg.seed, 11, 3000, Ordering.RANDOM_PER_TRIAL)
-        assert [r.first_arm is Arm.TWO for r in run.records()] == flags.tolist()
+        assert [r.first_arm is Arm.TWO for r in run.records()] == flags.unpack().tolist()
 
 
 class TestFactorizedModelPath:
@@ -865,13 +865,15 @@ class TestBoundedMemory:
     }
 
     @pytest.mark.parametrize("name", sorted(ONE_PAIR_RUNS))
-    def test_a_block_peaks_below_8_bytes_per_trial(self, name):
-        # a block holds the coins and digits it reads and the flags it
-        # decides, and no per-trial settings-pair index, mask or tail
+    def test_a_block_peaks_below_4_bytes_per_trial(self, name):
+        # a block holds the coins and digits it reads, one boolean per trial
+        # while it packs a compare, and the packed flags it decides, and no
+        # per-trial settings-pair index, mask or tail: 3.7 bytes per trial
+        # at most
         run = self.ONE_PAIR_RUNS[name]
         run(BLOCK_SIZE)  # tables and caches a run builds once
         peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
-        assert peak < 8 * BLOCK_SIZE, peak
+        assert peak < 4 * BLOCK_SIZE, peak
 
     def test_a_float_path_block_peaks_below_30_bytes_per_trial(self):
         # lhv-malus reads floats: at its peak an arm holds the hidden values,

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsim import kernels
 from eprsim.engine import (
@@ -35,6 +37,7 @@ from eprsim.models import (
     malus_response_model,
 )
 from eprsim.reference import RAnalyzer
+from eprsim.stats import ChainCounts, CoincidenceCounts, PackedFlags, pack_words
 from eprsim.twophoton import ChannelOutcome
 
 
@@ -128,8 +131,25 @@ def planes_of(ks, low=0):
 
 
 def served(coins, digits, tails):
-    """The planes of one block, served from arrays: `tails` at block offsets."""
-    return kernels._Planes(coins, digits, lambda at: tails[at])
+    """The planes of one block, served from arrays: the boolean `coins`
+    packed, and `tails` at block offsets."""
+    return kernels._Planes(pack_words(coins), digits, lambda at: tails[at])
+
+
+def unpacked(words, count):
+    """The packed flags of `count` trials that a kernel helper returns, one
+    boolean per trial."""
+    return PackedFlags(words, count).unpack()
+
+
+def slot_coins(seed, start, count, slot):
+    """`kernels._slot_coins`, one boolean per trial."""
+    return unpacked(kernels._slot_coins(seed, start, count, slot), count)
+
+
+def as_arrays(result):
+    """A kernel's result with its packed flags unpacked, one boolean per trial."""
+    return [x.unpack() if isinstance(x, PackedFlags) else x for x in result]
 
 
 # (seed, trial): both ends of the seed and trial ranges, and short jumps.
@@ -174,8 +194,10 @@ class TestCounterBasedUniforms:
         for slot in (kernels.SLOT_ARM_B, kernels.SLOT_ORDERING):
             got = kernels.uniform_block(3, start, count, slot)
             assert list(got) == [reference_uniform(3, start + i, slot) for i in range(count)]
-            coins = kernels._slot_coins(3, start, count, slot)
-            assert coins.dtype == bool
+            words = kernels._slot_coins(3, start, count, slot)
+            assert words.dtype == np.uint64 and words.shape == (-(-count // 64),)
+            assert count % 64 == 0 or int(words[-1]) >> count % 64 == 0  # padding clear
+            coins = unpacked(words, count)
             assert list(coins) == [reference_draw(3, start + i, slot) < 2**52 for i in range(count)]
             digits = kernels._slot_digits(3, start, count, slot)
             assert digits.dtype == np.uint16
@@ -317,8 +339,8 @@ class TestKernelsMatchObjectLayer:
             self.SEED, 0, self.N, model, np.array([a]), np.array([b]), np.array([1.0]), ordering
         )
         expected = self._object_two_channel(model, a, b, ordering)
-        assert np.array_equal(oa, expected[:, 0])
-        assert np.array_equal(ob, expected[:, 1])
+        assert np.array_equal(oa.unpack(), expected[:, 0])
+        assert np.array_equal(ob.unpack(), expected[:, 1])
 
     @pytest.mark.parametrize(
         "model",
@@ -327,6 +349,7 @@ class TestKernelsMatchObjectLayer:
     )
     def test_qwp_chain(self, model):
         det_a, det_b = kernels.qwp_block(self.SEED, 0, self.N, model, Ordering.ARM1_FIRST)
+        det_a, det_b = det_a.unpack(), det_b.unpack()
         chain = RAnalyzer()
         for i in range(self.N):
             d = trial_draws(self.SEED, i)
@@ -342,7 +365,7 @@ class TestKernelsMatchObjectLayer:
         want = kernels.two_channel_block(
             self.SEED, 0, self.N, kernels.MODEL_CODES["lhv-sign"], pa, pb, cw, Ordering.ARM1_FIRST
         )
-        for x, y in zip(got, want):
+        for x, y in zip(as_arrays(got), as_arrays(want)):
             assert np.array_equal(x, y)
 
 
@@ -357,6 +380,13 @@ def test_kernels_reject_a_model_they_do_not_know(model):
         kernels.qwp_block(1, 0, 10, model, Ordering.ARM1_FIRST)
 
 
+def _assert_packed(flags, count):
+    """`flags` are PackedFlags of `count` trials whose padding bits are clear."""
+    assert isinstance(flags, PackedFlags) and flags.count == count
+    assert flags.words.dtype == np.uint64 and flags.words.shape == (-(-count // 64),)
+    assert count % 64 == 0 or int(flags.words[-1]) >> count % 64 == 0
+
+
 @pytest.mark.parametrize(
     "kernel,name,ordering",
     [(kernel, name, order) for kernel in ("two_channel_block", "qwp_block")
@@ -364,7 +394,8 @@ def test_kernels_reject_a_model_they_do_not_know(model):
     + [("malus_block", None, None)],
 )
 def test_kernels_return_boolean_flags(kernel, name, ordering):
-    # the counts and records read the flags as they are, so no kernel may cast them
+    # the counts popcount the packed words as they are, so every kernel
+    # answers in PackedFlags of the block's count, padding bits clear
     pa, pb, cw = np.array([0.0, 0.7]), np.array([0.4, 0.2]), np.array([0.5, 1.0])
     count = 1001
     if kernel == "two_channel_block":
@@ -375,8 +406,62 @@ def test_kernels_return_boolean_flags(kernel, name, ordering):
     else:
         outcomes = [kernels.malus_block(5, 3, count, 0.3)]
     for flags in outcomes:
-        assert flags.dtype == bool
-        assert flags.shape == (count,)
+        _assert_packed(flags, count)
+        assert flags.unpack().dtype == bool and flags.unpack().shape == (count,)
+
+
+@st.composite
+def block_ranges(draw):
+    """(start, count) of a block: lengths on either side of a word and a
+    whole engine block, starting on or off a word near 0, anywhere, or
+    against the end of the seed's 2**64 trials."""
+    count = draw(st.sampled_from([1, 63, 65, 1001, BLOCK_SIZE]))
+    start = draw(st.one_of(
+        st.integers(0, 4096),
+        st.integers(0, 2**64 - count),
+        st.integers(0, 130).map(lambda gap: 2**64 - count - gap),
+    ))
+    return start, count
+
+
+@settings(max_examples=20, deadline=None)
+@given(block=block_ranges())
+def test_packed_counts_equal_the_counts_of_the_unpacked_flags(block):
+    start, count = block
+    one = (np.array([0.3]), np.array([1.0]), np.array([1.0]))
+    three = (np.array([0.0, 0.7, 1.3]), np.array([0.4, 0.2, 1.3]), np.array([0.3, 0.55, 1.0]))
+    for order in Ordering:
+        flags = kernels.arm2_first_flags(9, start, count, order)
+        _assert_packed(flags, count)
+        for name, model in kernels.MODEL_CODES.items():
+            for pa, pb, cw in (one, three):
+                pair_idx, oa, ob = kernels.two_channel_block(9, start, count, model, pa, pb, cw, order)
+                _assert_packed(oa, count)
+                _assert_packed(ob, count)
+                a, b = oa.unpack(), ob.unpack()
+                for j in range(cw.size):
+                    mask = pair_idx == j
+                    got = CoincidenceCounts.from_outcomes(oa, ob, PackedFlags.pack(mask))
+                    want = [np.count_nonzero(mask & x & y) for x, y in
+                            ((a, b), (a, ~b), (~a, b), (~a, ~b))]
+                    assert got.as_array().tolist() == want, (name, order, j)
+            det_a, det_b = kernels.qwp_block(9, start, count, model, order)
+            _assert_packed(det_a, count)
+            _assert_packed(det_b, count)
+            a, b = det_a.unpack(), det_b.unpack()
+            assert ChainCounts.from_flags(det_a, det_b) == ChainCounts(
+                np.count_nonzero(a), np.count_nonzero(b), np.count_nonzero(a & b), count
+            ), (name, order)
+    passed = kernels.malus_block(9, start, count, 0.3)
+    _assert_packed(passed, count)
+    assert passed.popcount() == np.count_nonzero(passed.unpack())
+    # a block decides its trials as the word-aligned block that covers it does
+    lo = start - start % 64
+    run = (kernels.MODEL_QM, *one, Ordering.RANDOM_PER_TRIAL)
+    _, *flags = kernels.two_channel_block(9, start, count, *run)
+    _, *covering = kernels.two_channel_block(9, lo, start + count - lo, *run)
+    for got, cover in zip(flags, covering):
+        assert np.array_equal(got.unpack(), cover.unpack()[start - lo :])
 
 
 def test_benchmark_kernel_probes_name_kernel_models():
@@ -405,7 +490,7 @@ class TestWordDomain:
     @pytest.mark.parametrize("slot", [kernels.SLOT_SETTINGS, kernels.SLOT_ORDERING])
     def test_floats_are_the_slot_words_bit_for_bit(self, seed, start, count, slot):
         block = (seed, start, count, slot)
-        coins = kernels._slot_coins(*block)
+        coins = slot_coins(*block)
         digits = kernels._slot_digits(*block)
         tails = kernels._slot_tails(*block)
         floats = kernels.uniform_block(*block)
@@ -438,7 +523,8 @@ class TestWordDomain:
         ks = self._edge_draws(int(cut))
         coins, digits, tails = planes_of(ks, low)
         u = ks * 2.0**-53
-        assert np.array_equal(kernels._below(served(coins, digits, tails), cut), u < p)
+        assert np.array_equal(unpacked(kernels._below(served(coins, digits, tails), cut), ks.size),
+                              u < p)
         if p == 0.5:
             assert np.array_equal(coins, u < 0.5)
 
@@ -446,8 +532,9 @@ class TestWordDomain:
     def test_seam_cuts_match_the_built_draw(self, cut):
         ks = np.concatenate([self._edge_draws(c) for c in SEAM_CUTS])
         coins, digits, tails = planes_of(ks, np.arange(ks.size) % 2**28)
-        assert np.array_equal(kernels._draws(coins, digits, tails.copy()), ks)
-        assert np.array_equal(kernels._below(served(coins, digits, tails), cut), ks < cut)
+        assert np.array_equal(kernels._draws(pack_words(coins), digits, tails.copy()), ks)
+        assert np.array_equal(unpacked(kernels._below(served(coins, digits, tails), cut), ks.size),
+                              ks < cut)
 
     @pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.25, 0.0, 0.75], [0.5, 0.5],
                                          np.random.default_rng(8).random(40).tolist()])
@@ -457,10 +544,10 @@ class TestWordDomain:
         cuts = [int(c) for c in kernels._cut(cumw)]
         edges = np.concatenate([self._edge_draws(c) for c in cuts])
         block = (3, 0, 5000, kernels.SLOT_SETTINGS)
-        read = (kernels._slot_coins, kernels._slot_digits, kernels._slot_tails)
+        read = (slot_coins, kernels._slot_digits, kernels._slot_tails)
         planes = [np.concatenate([edge, reader(*block)])
                   for edge, reader in zip(planes_of(edges, 0x800), read)]
-        u = kernels._draws(*planes[:2], planes[2].copy()) * 2.0**-53
+        u = kernels._draws(pack_words(planes[0]), planes[1], planes[2].copy()) * 2.0**-53
         want = np.clip(np.searchsorted(cumw, u, side="right"), 0, cumw.size - 1)
         assert np.array_equal(kernels._select_pairs(served(*planes), cumw), want)
 
@@ -502,7 +589,7 @@ class TestTiesOnTheRealStream:
         for i, k in enumerate(ks.tolist()):
             cut = k + offset
             read = []
-            got = kernels._below(self._planes(seed, start, read), cut)
+            got = unpacked(kernels._below(self._planes(seed, start, read), cut), self.COUNT)
             assert np.array_equal(got, ks < np.uint64(cut)), (i, cut)
             assert i in read or cut % 2**36 == 0 or cut >> 36 != k >> 36, (i, cut)
             assert all(int(ks[j]) >> 36 == cut >> 36 for j in read), (i, cut, read)
@@ -515,7 +602,7 @@ class TestTiesOnTheRealStream:
         cuts = ks + np.uint64(offset) if offset >= 0 else ks - np.uint64(-offset)
         planes = self._planes(seed, start, read)
         below = kernels._comparer(planes, np.arange(self.COUNT), self.COUNT)
-        assert np.array_equal(below(cuts), ks < cuts)
+        assert np.array_equal(unpacked(below(cuts), self.COUNT), ks < cuts)
         ties = cuts >> np.uint64(36) == ks >> np.uint64(36)
         assert sorted(read) == np.flatnonzero(ties).tolist()
 
@@ -524,7 +611,7 @@ class TestTiesOnTheRealStream:
         seed, start, ks = block
         p = (ks.astype(float) + offset) * 2.0**-53
         got = kernels._float_arm((seed, start, self.COUNT), self.SLOT, lambda s, lam: lam, 0.0, p)
-        assert np.array_equal(got, ks * 2.0**-53 < p)
+        assert np.array_equal(unpacked(got, self.COUNT), ks * 2.0**-53 < p)
 
 
 class TestDeterministicModelOnWords:
@@ -548,7 +635,7 @@ class TestDeterministicModelOnWords:
         for start in range(0, trials, block):
             got = kernels.two_channel_block_lhv(seed, start, block, model, pa, pb, cumw)
             want = kernels.two_channel_block_lhv(seed, start, block, on_floats, pa, pb, cumw)
-            for x, y in zip(got, want):
+            for x, y in zip(as_arrays(got), as_arrays(want)):
                 assert np.array_equal(x, y), start
 
     @pytest.mark.parametrize(
@@ -645,11 +732,11 @@ class TestOrderingDecision:
     def test_random_order_reads_the_ordering_slot(self):
         flags = kernels.arm2_first_flags(21, 2**64 - 4000, 4000, Ordering.RANDOM_PER_TRIAL)
         u = kernels.uniform_block(21, 2**64 - 4000, 4000, kernels.SLOT_ORDERING)
-        assert np.array_equal(flags, u >= 0.5)
+        assert np.array_equal(flags.unpack(), u >= 0.5)
 
     def test_fixed_orders_are_constant(self):
-        assert not kernels.arm2_first_flags(1, 0, 5, Ordering.ARM1_FIRST).any()
-        assert kernels.arm2_first_flags(1, 0, 5, Ordering.ARM2_FIRST).all()
+        assert not kernels.arm2_first_flags(1, 0, 5, Ordering.ARM1_FIRST).unpack().any()
+        assert kernels.arm2_first_flags(1, 0, 5, Ordering.ARM2_FIRST).unpack().all()
         with pytest.raises(TypeError):
             kernels.arm2_first_flags(1, 0, 5, 7)
 
@@ -657,15 +744,15 @@ class TestOrderingDecision:
     def test_random_order_trials_replay_their_fixed_order(self, model):
         pa, pb, cw = np.array([0.3, 1.2]), np.array([1.0, 0.1]), np.array([0.5, 1.0])
         args = (17, 1000, 3000, model, pa, pb, cw)
-        flags = kernels.arm2_first_flags(17, 1000, 3000, Ordering.RANDOM_PER_TRIAL)
-        _, oa, ob = kernels.two_channel_block(*args, Ordering.RANDOM_PER_TRIAL)
-        _, oa1, ob1 = kernels.two_channel_block(*args, Ordering.ARM1_FIRST)
-        _, oa2, ob2 = kernels.two_channel_block(*args, Ordering.ARM2_FIRST)
+        flags = kernels.arm2_first_flags(17, 1000, 3000, Ordering.RANDOM_PER_TRIAL).unpack()
+        _, oa, ob = as_arrays(kernels.two_channel_block(*args, Ordering.RANDOM_PER_TRIAL))
+        _, oa1, ob1 = as_arrays(kernels.two_channel_block(*args, Ordering.ARM1_FIRST))
+        _, oa2, ob2 = as_arrays(kernels.two_channel_block(*args, Ordering.ARM2_FIRST))
         assert np.array_equal(oa, np.where(flags, oa2, oa1))
         assert np.array_equal(ob, np.where(flags, ob2, ob1))
-        det_a, _ = kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.RANDOM_PER_TRIAL)
-        det_a1, _ = kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.ARM1_FIRST)
-        det_a2, _ = kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.ARM2_FIRST)
+        det_a, _ = as_arrays(kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.RANDOM_PER_TRIAL))
+        det_a1, _ = as_arrays(kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.ARM1_FIRST))
+        det_a2, _ = as_arrays(kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.ARM2_FIRST))
         assert np.array_equal(det_a, np.where(flags, det_a2, det_a1))
 
 
@@ -683,9 +770,9 @@ class TestRandomizedSettingsMatchObjectLayer:
     def test_two_channel(self, model, ordering):
         pa = np.array([p[0] for p in self.PAIRS])
         pb = np.array([p[1] for p in self.PAIRS])
-        pair_idx, oa, ob = kernels.two_channel_block(
+        pair_idx, oa, ob = as_arrays(kernels.two_channel_block(
             self.SEED, 0, self.N, model, pa, pb, self.CUMW, ordering
-        )
+        ))
         for i in range(self.N):
             d = trial_draws(self.SEED, i)
             j = int(np.searchsorted(self.CUMW, d.settings, side="right"))
@@ -731,9 +818,10 @@ class TestSecondPhotonRule:
         n = 10**6
         for i, (a, b) in enumerate(self.PAIRS):
             block = (11, i * n, n)
-            _, oa, ob = kernels.two_channel_block(*block, kernels.MODEL_CODES[name], np.array([a]),
-                                                  np.array([b]), np.array([1.0]), order)
-            first = np.where(kernels.arm2_first_flags(*block, order), ob, oa)
+            _, oa, ob = as_arrays(kernels.two_channel_block(
+                *block, kernels.MODEL_CODES[name], np.array([a]), np.array([b]), np.array([1.0]),
+                order))
+            first = np.where(kernels.arm2_first_flags(*block, order).unpack(), ob, oa)
             p = (math.cos(a) * math.cos(b) + math.sin(a) * math.sin(b)) ** 2
             for answer in (True, False):
                 trials = first == answer
@@ -776,7 +864,7 @@ class TestKernelsOnEdgeWords:
         coins, digits, tails = planes_of(table, rng.integers(0, 2**28, table.shape))
 
         def slot_coins(seed, start, count, slot):
-            return coins[start : start + count, slot].copy()
+            return pack_words(coins[start : start + count, slot])
 
         def slot_digits(seed, start, count, slot):
             return digits[start : start + count, slot].copy()
@@ -812,7 +900,7 @@ class TestKernelsOnEdgeWords:
         pair_idx = np.clip(np.searchsorted(cumw, u[:, 0], side="right"), 0, cumw.size - 1)
         arm2_first = u[:, 4] >= 0.5
         model = kernels.MODEL_CODES[name]
-        got = kernels.two_channel_block(1, 0, self.N, model, pa, pb, cumw, order)
+        got = as_arrays(kernels.two_channel_block(1, 0, self.N, model, pa, pb, cumw, order))
         assert np.array_equal(got[0], pair_idx)
         if name == "lhv-sign":
             lam = u[:, 1] * math.pi
@@ -858,7 +946,7 @@ class TestKernelsOnEdgeWords:
         k = draws[:, kernels.SLOT_ARM_A].astype(float)
         p = (k + offset) * 2.0**-53
         got = kernels._float_arm((1, 0, self.N), kernels.SLOT_ARM_A, lambda s, lam: lam, 0.0, p)
-        assert np.array_equal(got, k * 2.0**-53 < p)
+        assert np.array_equal(unpacked(got, self.N), k * 2.0**-53 < p)
         assert self.tail_reads > self.N // 2
 
     def test_a_scalar_float_response_holds_for_every_trial(self, draws):
@@ -866,7 +954,7 @@ class TestKernelsOnEdgeWords:
         got = kernels._float_arm(
             (1, 0, self.N), kernels.SLOT_ARM_A, lambda s, lam: 0.3, 0.0, np.zeros(self.N)
         )
-        assert np.array_equal(got, draws[:, kernels.SLOT_ARM_A] * 2.0**-53 < 0.3)
+        assert np.array_equal(unpacked(got, self.N), draws[:, kernels.SLOT_ARM_A] * 2.0**-53 < 0.3)
 
     @pytest.mark.parametrize("order", list(Ordering))
     def test_chains(self, draws, order):
@@ -879,7 +967,7 @@ class TestKernelsOnEdgeWords:
             "definite-circular": (u[:, 1] < 0.5, u[:, 1] < 0.5),
         }
         for name, (det_a, det_b) in cases.items():
-            got_a, got_b = kernels.qwp_block(1, 0, self.N, kernels.MODEL_CODES[name], order)
+            got_a, got_b = as_arrays(kernels.qwp_block(1, 0, self.N, kernels.MODEL_CODES[name], order))
             assert np.array_equal(got_a, det_a)
             assert np.array_equal(got_b, det_b)
 
@@ -887,7 +975,7 @@ class TestKernelsOnEdgeWords:
     def test_malus(self, draws, theta):
         p = math.cos(theta) ** 2
         p = 0.0 if p < 1e-24 else min(p, 1.0)
-        got = kernels.malus_block(1, 0, self.N, theta)
+        got = kernels.malus_block(1, 0, self.N, theta).unpack()
         assert np.array_equal(got, draws[:, 2] * 2.0**-53 < p)
         if p not in (0.0, 0.5, 1.0):
             assert self.tail_reads > 0

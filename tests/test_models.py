@@ -50,7 +50,7 @@ class TestEmission:
         model = DefiniteCircular()
         # engine-scale check via the chain kernel: arm-A detection marks RR
         det_a, _ = kernels.qwp_block(11, 0, 1_000_000, model, Ordering.ARM1_FIRST)
-        frac_rr = det_a.mean()
+        frac_rr = det_a.unpack().mean()
         assert abs(frac_rr - 0.5) <= 0.002  # ~4 sigma at 1e6
         # and the object layer agrees with the emission draw rule
         for d in draws_for(11, 200):
@@ -80,7 +80,7 @@ class TestTwoChannelResponses:
         cw = np.array([1.0])
         n = 1_000_000
         _, oa, ob = kernels.two_channel_block(5, 0, n, QMFormal(), pa, pb, cw, Ordering.ARM1_FIRST)
-        p_pp = np.count_nonzero(oa & ob) / n
+        p_pp = np.count_nonzero(oa.unpack() & ob.unpack()) / n
         want = 0.5 * math.cos(theta) ** 2
         sigma = math.sqrt(want * (1.0 - want) / n)
         assert abs(p_pp - want) <= 4 * sigma
@@ -91,7 +91,7 @@ class TestTwoChannelResponses:
         _, oa, ob = kernels.two_channel_block(
             6, 0, n, DefiniteCircular(), pa, pb, cw, Ordering.ARM1_FIRST
         )
-        e = float(np.mean(np.where(oa == ob, 1.0, -1.0)))
+        e = float(np.mean(np.where(oa.unpack() == ob.unpack(), 1.0, -1.0)))
         assert abs(e) <= 4.0 / math.sqrt(n)
         # matches its factorized recasting exactly at the oracle level
         oracle = lhv_joint_probabilities(definite_circular_as_lhv(), 0.2, 1.0)
@@ -105,8 +105,8 @@ class TestTwoChannelResponses:
         order = Ordering.ARM1_FIRST
         _, oa_qm, ob_qm = kernels.two_channel_block(7, 0, n, QMFormal(), pa, pb, cw, order)
         _, oa_nd, ob_nd = kernels.two_channel_block(7, 0, n, NdvNonlocal(), pa, pb, cw, order)
-        e_qm = float(np.mean(np.where(oa_qm == ob_qm, 1.0, -1.0)))
-        e_nd = float(np.mean(np.where(oa_nd == ob_nd, 1.0, -1.0)))
+        e_qm = float(np.mean(np.where(oa_qm.unpack() == ob_qm.unpack(), 1.0, -1.0)))
+        e_nd = float(np.mean(np.where(oa_nd.unpack() == ob_nd.unpack(), 1.0, -1.0)))
         assert abs(e_qm - e_nd) <= 8.0 / math.sqrt(n)
 
     def test_model_emission_mismatch_raises(self):
@@ -139,6 +139,7 @@ class TestQwpChainResponses:
 
     def test_ndv_conditional_detection_is_half(self):
         det_a, det_b = kernels.qwp_block(10, 0, 1_000_000, NdvNonlocal(), Ordering.ARM1_FIRST)
+        det_a, det_b = det_a.unpack(), det_b.unpack()
         both = np.count_nonzero(det_a & det_b)
         n_a = np.count_nonzero(det_a)
         p = both / n_a
@@ -211,6 +212,7 @@ class TestLhvOracle:
             _, oa, ob = kernels.two_channel_block(
                 12, offset * n, n, Lhv(model), pa, pb, cw, Ordering.ARM1_FIRST
             )
+            oa, ob = oa.unpack(), ob.unpack()
             oracle = lhv_joint_probabilities(model, a, b)
             emp = np.array(
                 [

@@ -10,6 +10,7 @@ from eprsim.stats import (
     MIN_ORDER_TEST_TRIALS,
     ChainCounts,
     CoincidenceCounts,
+    PackedFlags,
     PairEstimate,
     binomial_stderr,
     chsh_report,
@@ -41,8 +42,8 @@ class TestCorrelationEstimator:
         assert stderr == pytest.approx(math.sqrt((1 - 0.36) / 100))
 
     def test_from_outcomes(self):
-        out_a = np.array([True, True, False, False, True])
-        out_b = np.array([True, False, True, False, True])
+        out_a = PackedFlags.pack(np.array([True, True, False, False, True]))
+        out_b = PackedFlags.pack(np.array([True, False, True, False, True]))
         counts = CoincidenceCounts.from_outcomes(out_a, out_b)
         assert counts == CoincidenceCounts(2, 1, 1, 1)
 
@@ -58,14 +59,17 @@ class TestCorrelationEstimator:
         rng = np.random.default_rng(size)
         out_a = rng.choice(np.array([False, True]), size)
         out_b = rng.choice(np.array([False, True]), size)
-        assert CoincidenceCounts.from_outcomes(out_a, out_b) == self._bincount_counts(out_a, out_b)
+        packed_a, packed_b = PackedFlags.pack(out_a), PackedFlags.pack(out_b)
+        assert CoincidenceCounts.from_outcomes(packed_a, packed_b) == self._bincount_counts(
+            out_a, out_b
+        )
         pair_index = rng.integers(0, 3, size).astype(np.int32)
         for j in range(3):
             mask = pair_index == j
-            got = CoincidenceCounts.from_outcomes(out_a, out_b, mask)
+            got = CoincidenceCounts.from_outcomes(packed_a, packed_b, PackedFlags.pack(mask))
             assert got == self._bincount_counts(out_a[mask], out_b[mask])
         assert CoincidenceCounts.from_outcomes(
-            out_a, out_b, np.zeros(size, dtype=bool)
+            packed_a, packed_b, PackedFlags.pack(np.zeros(size, dtype=bool))
         ) == CoincidenceCounts(0, 0, 0, 0)
 
     def test_counts_are_mergeable(self):
@@ -166,8 +170,8 @@ class TestConditionalDetection:
             conditional_detection(ChainCounts(0, 10, 0, 100))
 
     def test_from_flags(self):
-        det_a = np.array([True, True, False, False, True])
-        det_b = np.array([True, False, True, False, True])
+        det_a = PackedFlags.pack(np.array([True, True, False, False, True]))
+        det_b = PackedFlags.pack(np.array([True, False, True, False, True]))
         counts = ChainCounts.from_flags(det_a, det_b)
         assert counts == ChainCounts(3, 3, 2, 5)
 
@@ -176,15 +180,29 @@ class TestConditionalDetection:
     "count,args",
     [
         (CoincidenceCounts.from_outcomes, (np.array([1, -1], dtype=np.int8),) * 2),
-        (CoincidenceCounts.from_outcomes, (np.ones(2, bool), np.ones(2, bool), np.ones(2, int))),
+        (
+            CoincidenceCounts.from_outcomes,
+            (PackedFlags.pack(np.ones(2, bool)),) * 2 + (np.ones(2, int),),
+        ),
         (ChainCounts.from_flags, (np.array([1, 0], dtype=np.uint8),) * 2),
+        (ChainCounts.from_flags, (np.ones(2, bool),) * 2),
+        (PackedFlags.pack, (np.array([1, -1], dtype=np.int8),)),
     ],
-    ids=["signs", "integer-mask", "uint8"],
+    ids=["signs", "integer-mask", "uint8", "unpacked", "pack-signs"],
 )
 def test_counts_take_only_boolean_flags(count, args):
     # a -1 is truthy, so a +-1 array counted by truth would read every trial as parallel
     with pytest.raises(TypeError, match="boolean"):
         count(*args)
+
+
+def test_counts_take_flags_of_one_trial_count():
+    five = PackedFlags.pack(np.ones(5, bool))
+    six = PackedFlags.pack(np.ones(6, bool))
+    with pytest.raises(ValueError, match="trial counts"):
+        CoincidenceCounts.from_outcomes(five, six)
+    with pytest.raises(ValueError, match="trial counts"):
+        CoincidenceCounts.from_outcomes(five, five, six)
 
 
 class TestOrderInvariance:
