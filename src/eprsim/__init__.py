@@ -11,12 +11,73 @@ loads no numpy: the CLI can pin numpy's BLAS threads before numpy starts.
 """
 
 import importlib
-import logging
+import sys
 
 from ._version import __version__
 
-# Opt-in diagnostics: silent unless the application configures logging.
-logging.getLogger(__name__).addHandler(logging.NullHandler())
+# Opt-in diagnostics go to the `eprsim` logger, silent unless the program
+# configures logging. The package never imports `logging`: it logs through
+# the program's, once the program has imported it (`sys.modules`).
+if "logging" in sys.modules:
+    sys.modules["logging"].getLogger(__name__).addHandler(sys.modules["logging"].NullHandler())
+
+
+class _Frozen:
+    """Base of the package's value classes, with what a frozen dataclass
+    gives them but none of its per-class code generation at import.
+
+    The fields are the class's own annotations, after its bases' fields, and
+    a class attribute of a field's name is its default. An instance is made
+    by position or by keyword, checked by `__post_init__`, and immutable
+    from then on. It equals only an instance of its own class with equal
+    fields, hashes and shows by its fields, and pickles as them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Each field's value: by position, by keyword, or its class default."""
+        fields, cls = self._fields, type(self)
+        values = dict(zip(fields, args))
+        unknown = [key for key in kwargs if key not in fields or key in values]
+        values.update(kwargs)
+        missing = [key for key in fields if key not in values and not hasattr(cls, key)]
+        if len(args) > len(fields) or unknown or missing:
+            raise TypeError(f"{cls.__name__}() takes the fields {fields}, got {args} and {kwargs}")
+        return [values[key] if key in values else getattr(cls, key) for key in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        from dataclasses import FrozenInstanceError  # what a frozen dataclass raises
+
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
 
 # Each public submodule and the names it exports through the package.
 _EXPORTS = {

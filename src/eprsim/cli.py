@@ -244,6 +244,8 @@ def _open_out(path: str | None):
     file gets the mode a shell redirect would give it; a path that is not a
     regular file, such as /dev/null, is written in place."""
     if path is None:
+        if sys.stdout is None:  # Python's stdout where fd 1 was closed at start
+            raise ConfigError("out: cannot write to standard output: it is closed")
         yield sys.stdout
         return
     temporary = None

@@ -20,16 +20,19 @@ space-like-separation flag on records and never influences outcomes.
 from __future__ import annotations
 
 import functools
-import logging
 import operator
 import os
 import pickle
-from dataclasses import dataclass, field
+import sys
+import threading
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 import numpy as np
 
-from . import kernels
+import eprsim.kernels as kernels
+
+from . import _Frozen
 from .models import (
     Arm,
     ChannelOutcome,
@@ -41,7 +44,7 @@ from .models import (
 from .stats import ChainCounts, CoincidenceCounts, PackedFlags
 
 if TYPE_CHECKING:
-    from .reference import TrialDraws
+    from .reference import ChainRecord, TrialDraws, TwoChannelRecord
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 BLOCK_SIZE = 1 << 16
@@ -50,8 +53,7 @@ BLOCK_SIZE = 1 << 16
 MAX_WORKERS = 256
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(_Frozen):
     """Distance between the measurement stations and their timing offset."""
 
     arm_separation_m: float = 0.0
@@ -67,8 +69,7 @@ class Geometry:
         return self.arm_separation_m > SPEED_OF_LIGHT_M_PER_S * self.inter_measurement_delay_s
 
 
-@dataclass(frozen=True)
-class FixedSettings:
+class FixedSettings(_Frozen):
     """One analyzer orientation pair (radians, shared coordinates)."""
 
     a: float
@@ -79,8 +80,7 @@ class FixedSettings:
         kernels.check_real("b", self.b)
 
 
-@dataclass(frozen=True)
-class RandomizedSettings:
+class RandomizedSettings(_Frozen):
     """Per-trial choice from a finite weighted list of orientation pairs."""
 
     pairs: tuple[tuple[float, float], ...]
@@ -141,8 +141,7 @@ def _check_start(start_index, trials: int) -> int:
     return kernels.check_int("start_index", start_index, 0, kernels.SEED_LIMIT - trials)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Frozen):
     """Everything that determines a run, and therefore every record in it."""
 
     model: HypothesisModel
@@ -150,7 +149,7 @@ class RunConfig:
     settings: SettingsPolicy = FixedSettings(0.0, 0.0)
     ordering: Ordering = Ordering.ARM1_FIRST
     seed: int = 1
-    geometry: Geometry = field(default_factory=Geometry)
+    geometry: Geometry = Geometry()
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, HypothesisModel):
@@ -162,13 +161,11 @@ class RunConfig:
         kernels.check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class TwoChannelProtocol:
+class TwoChannelProtocol(_Frozen):
     """Two-channel analyzers on both arms, oriented per the settings policy."""
 
 
-@dataclass(frozen=True)
-class QwpChainProtocol:
+class QwpChainProtocol(_Frozen):
     """Right-helicity analyzer chains (plate + polarizer) on both arms; each
     trial yields one detection flag per arm. The plates' fast axes are not
     parameters: detection does not depend on them for any model, since the
@@ -176,26 +173,6 @@ class QwpChainProtocol:
 
 
 Protocol = TwoChannelProtocol | QwpChainProtocol
-
-
-@dataclass(frozen=True)
-class TwoChannelRecord:
-    trial_index: int
-    a: float
-    b: float
-    first_arm: Arm
-    outcome_a: ChannelOutcome
-    outcome_b: ChannelOutcome
-    spacelike: bool
-
-
-@dataclass(frozen=True)
-class ChainRecord:
-    trial_index: int
-    first_arm: Arm
-    detected_a: bool
-    detected_b: bool
-    spacelike: bool
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -244,7 +221,9 @@ class Schedule:
     body must make the same runs in the same order in every process, and
     write nothing; a run's result is complete in the calling process only.
     When the block ends the caller reaps every child, and kills them first
-    if it ends in an error, Ctrl-C included (a child ignores SIGINT).
+    if it ends in an error, Ctrl-C included (a child ignores SIGINT). A
+    schedule forks none where the platform has no ``os.fork``, or if it is
+    made while another thread runs: a child could inherit a lock it held.
     """
 
     def __init__(self) -> None:
@@ -252,6 +231,7 @@ class Schedule:
         self._pipe: BinaryIO | None = None  # in a child, its pipe to the caller
         self._share = 0  # which share of each run this process takes
         self._open = False
+        self._forks = hasattr(os, "fork") and threading.active_count() == 1
 
     def __enter__(self) -> Schedule:
         self._open = True
@@ -303,7 +283,8 @@ class Schedule:
                 return
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                logging.disable()  # a child reports through its pipe alone
+                if "logging" in sys.modules:  # a child reports through its pipe alone
+                    sys.modules["logging"].disable()
                 os.close(read)
                 for _, pipe in self._children:
                     pipe.close()
@@ -371,8 +352,8 @@ def _run_blocks(
     back. Processes and not threads, because most kernels' blocks are some
     twenty numpy calls of a few microseconds each, and threads trade the
     GIL at every call. Integer addition is exact, so the sum does not depend
-    on the worker count. Where the platform has no ``os.fork``, every block
-    runs here. In a child the result is the sum of its own share, and
+    on the worker count. Where the schedule forks none, every block runs
+    here. In a child the result is the sum of its own share, and
     `zero`, the sum of no blocks, when the run leaves it none.
     """
     if schedule is None:
@@ -380,7 +361,7 @@ def _run_blocks(
             return _run_blocks(count, start, trials, workers, per_process, schedule, zero)
     stop = start + trials
     blocks = range(start, stop, BLOCK_SIZE)
-    shares = max(1, min(workers, len(blocks) // per_process)) if hasattr(os, "fork") else 1
+    shares = max(1, min(workers, len(blocks) // per_process)) if schedule._forks else 1
     schedule._fork_to(shares)
     share = schedule._share
 
@@ -431,6 +412,8 @@ class TwoChannelRun:
 
     def records(self) -> Iterator[TwoChannelRecord]:
         """Per-trial records, replayed block by block."""
+        from .reference import TwoChannelRecord
+
         _, kernel, _ = _two_channel_kernel(self.config)
         blocks = _replay(self.config, self.start_index, kernel)
         for lo, arm2_first, (pair_index, out_a, out_b) in blocks:
@@ -465,6 +448,8 @@ class QwpChainRun:
 
     def records(self) -> Iterator[ChainRecord]:
         """Per-trial records, replayed block by block."""
+        from .reference import ChainRecord
+
         blocks = _replay(self.config, self.start_index, _qwp_kernel(self.config))
         for lo, arm2_first, (det_a, det_b) in blocks:
             det_a, det_b = det_a.unpack(), det_b.unpack()

@@ -85,7 +85,6 @@ raise `ConfigError` naming the field, and the seed rule guards every block.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import numbers
 import sys
@@ -94,7 +93,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import models
+import eprsim.models as models
+
 from .models import DefiniteCircular, Lhv, NdvNonlocal, Ordering, QMFormal
 from .stats import PackedFlags, pack_words
 
@@ -124,8 +124,6 @@ ORDER_ARM1_FIRST = Ordering.ARM1_FIRST
 ORDER_ARM2_FIRST = Ordering.ARM2_FIRST
 
 _ZERO_PROB = 1e-24
-
-_log = logging.getLogger(__name__)
 
 
 def backend() -> str:
@@ -704,13 +702,17 @@ def _word_steps(model: models.LhvModel, arm: str, settings: tuple[float, ...]):
     rows padded with 2**53, which no k reaches; None if any setting fails.
 
     Cached, so a run finds its cuts once and not once per block, and logs
-    each failing setting once, at INFO on the ``eprsim.kernels`` logger.
+    each failing setting once, at INFO on the ``eprsim.kernels`` logger. It
+    logs only where the program has imported `logging`, which this package
+    never does: only such a program can have configured a handler.
     """
     rows = [_setting_cuts(model, getattr(model, arm), s) for s in settings]
     failed = [setting for setting, row in zip(settings, rows) if row is None]
-    for setting in failed:
-        _log.info("%s: %s fails the cut check at setting %r; the run takes the float path",
-                  model.name, arm, setting)
+    for setting in failed if "logging" in sys.modules else ():
+        sys.modules["logging"].getLogger(__name__).info(
+            "%s: %s fails the cut check at setting %r; the run takes the float path",
+            model.name, arm, setting,
+        )
     if failed:
         return None
     cuts = np.full((len(rows), max(len(c) for _, c in rows)), 1 << 53, dtype=np.uint64)

@@ -44,6 +44,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import _Frozen
+
 _QUARTER_PI = math.pi / 4
 
 LAMBDA_SUPPORT = (0.0, math.pi)
@@ -276,7 +278,7 @@ def lhv_correlation(model: LhvModel, a: float, b: float, **kwargs) -> float:
     return lhv_joint_probabilities(model, a, b, **kwargs).correlation()
 
 
-class _PerTrial:
+class _PerTrial(_Frozen):
     """The object layer's per-trial methods, forwarded to this model type's
     answers in :mod:`eprsim.reference`, which loads on the first call."""
 
@@ -298,12 +300,10 @@ class _PerTrial:
         return self._answers().respond_qwp_chain(self, emission, chain_a, chain_b, ordering, draws)
 
 
-@dataclass(frozen=True)
 class QMFormal(_PerTrial):
     """State-vector reduction, and nothing else."""
 
 
-@dataclass(frozen=True)
 class NdvNonlocal(_PerTrial):
     """No definite polarization at emission, plus instantaneous collapse.
 
@@ -315,12 +315,10 @@ class NdvNonlocal(_PerTrial):
     """
 
 
-@dataclass(frozen=True)
 class DefiniteCircular(_PerTrial):
     """Both photons leave the source with the same definite helicity."""
 
 
-@dataclass(frozen=True)
 class Lhv(_PerTrial):
     """A pair governed by a shared hidden parameter with local responses."""
 

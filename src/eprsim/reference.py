@@ -12,7 +12,9 @@ Every model consumes per-trial randomness through :class:`TrialDraws`, one
 uniform per slot of the stream's documented layout (settings choice, emission,
 arm-A draw, arm-B draw, ordering choice; see :mod:`eprsim.kernels`), so trials
 are reproducible and the same draws can be replayed through the vectorized
-kernels (`eprsim.engine.trial_draws`).
+kernels (`eprsim.engine.trial_draws`). The per-trial records a run
+replays from the kernels (`TwoChannelRecord`, `ChainRecord`) are kept here
+too, so a run that makes none, such as every ``epr`` command, defines none.
 """
 
 from __future__ import annotations
@@ -74,6 +76,30 @@ class TrialDraws:
     emission: float
     arm_a: float
     arm_b: float
+
+
+@dataclass(frozen=True)
+class TwoChannelRecord:
+    """One two-channel trial of a run, as `TwoChannelRun.records` replays it."""
+
+    trial_index: int
+    a: float
+    b: float
+    first_arm: Arm
+    outcome_a: ChannelOutcome
+    outcome_b: ChannelOutcome
+    spacelike: bool
+
+
+@dataclass(frozen=True)
+class ChainRecord:
+    """One chain-protocol trial of a run, as `QwpChainRun.records` replays it."""
+
+    trial_index: int
+    first_arm: Arm
+    detected_a: bool
+    detected_b: bool
+    spacelike: bool
 
 
 def first_arm(ordering: Ordering, draws: TrialDraws) -> Arm:

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+import eprsim.kernels as kernels
+
 from ._version import __version__
 from .engine import (
     FixedSettings,

@@ -9,9 +9,10 @@ accumulated as floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from . import _Frozen
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
@@ -91,8 +92,7 @@ def _tally(
     return n_a, n_b, n_ab, n
 
 
-@dataclass(frozen=True)
-class CoincidenceCounts:
+class CoincidenceCounts(_Frozen):
     """Joint two-channel outcome counts for one settings pair."""
 
     n_pp: int
@@ -131,8 +131,7 @@ class CoincidenceCounts:
         return cls(n_pp, n_a - n_pp, n_b - n_pp, n - n_a - n_b + n_pp)
 
 
-@dataclass(frozen=True)
-class ChainCounts:
+class ChainCounts(_Frozen):
     """Detection counts behind per-arm element chains."""
 
     n_det_a: int
@@ -167,8 +166,7 @@ def estimate_correlation(counts: CoincidenceCounts) -> tuple[float, float]:
     return e, stderr
 
 
-@dataclass(frozen=True)
-class PairEstimate:
+class PairEstimate(_Frozen):
     """Correlation estimate at one analyzer settings pair (angles in radians)."""
 
     a: float
@@ -183,8 +181,7 @@ class PairEstimate:
         return cls(a=a, b=b, counts=counts, e=e, e_stderr=stderr)
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(_Frozen):
     """The four-pair correlation combination with verdicts.
 
     ``s = E(a,b) - E(a,b') + E(a',b) + E(a',b')``; the stored pair estimates
@@ -247,8 +244,7 @@ def conditional_detection(counts: ChainCounts) -> tuple[float, float]:
     return p, stderr
 
 
-@dataclass(frozen=True)
-class OrderInvarianceResult:
+class OrderInvarianceResult(_Frozen):
     chi_square: float
     p_value: float
     degrees_of_freedom: int

@@ -353,6 +353,30 @@ class TestBoundary:
         assert "cannot write" in err
         assert not os.path.exists(tmp_path / "x")
 
+    def test_closed_stdout_exits_1_before_the_run(self):
+        # fd 1 closed, as `epr ... >&-` leaves it: at this trial count only
+        # a run that never started can end within the timeout
+        import signal
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eprsim.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "eprsim.cli", "chsh-scan", "--trials", str(10**15)],
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=lambda: os.close(1),
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+        assert child.returncode == 1
+        assert err == "epr: config error: out: cannot write to standard output: it is closed\n"
+
     def test_failed_run_leaves_the_previous_output(self, tmp_path, capsys):
         # one trial is too few for the matrix: the run fails after it started
         path = tmp_path / "result.tsv"
@@ -704,6 +728,13 @@ def threads():
 def package_modules():
     return sorted(m for m in sys.modules if m == "eprsim" or m.startswith("eprsim."))
 
+def dataclasses():
+    return sorted({
+        f"{cls.__module__}.{cls.__qualname__}"
+        for module in package_modules() for cls in vars(sys.modules[module]).values()
+        if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")
+    })
+
 import gc
 import eprsim
 seen = {"numpy after import eprsim": "numpy" in sys.modules}
@@ -714,11 +745,16 @@ seen["blas threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
 seen["numpy.polynomial"] = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
 seen["threads after import"] = threads()
 seen["package after import"] = package_modules()
+seen["logging after import"] = "logging" in sys.modules
 seen["order-test"] = eprsim.cli.main(["order-test", "--trials", "10000", "--out", os.devnull])
 seen["scipy.special"] = "scipy.special" in sys.modules
 seen["threads after order-test"] = threads()
 seen["model-matrix"] = eprsim.cli.main(["model-matrix", "--trials", "1000", "--out", os.devnull])
 seen["package after runs"] = package_modules()
+seen["package binds logging"] = [
+    m for m in package_modules() if hasattr(sys.modules[m], "logging")
+]
+seen["dataclasses after runs"] = dataclasses()
 print(json.dumps(seen))
 """
 
@@ -771,11 +807,50 @@ def test_the_cli_loads_no_object_layer_and_freezes_its_imports():
     assert seen["package after import"] == _CLI_PACKAGE
     assert seen["order-test"] == seen["model-matrix"] == 0
     assert seen["package after runs"] == _CLI_PACKAGE
+    # no `logging` (the order test's scipy.special loads it), and no
+    # dataclass but the run results and the factorized model: the package's
+    # other value classes are plain classes
+    assert seen["logging after import"] is False
+    assert seen["package binds logging"] == []
+    assert seen["dataclasses after runs"] == [
+        "eprsim.engine.MalusRun", "eprsim.engine.QwpChainRun", "eprsim.engine.TwoChannelRun",
+        "eprsim.models.LhvModel",
+    ]
     # the CLI moves what it loaded into the permanent generation; a library
     # import leaves the collector as it was
     assert seen["frozen after import eprsim"] == 0
     assert seen["frozen after import eprsim.cli"] > 0
     assert _import_probe(_LIBRARY_PROBE, OPENBLAS_NUM_THREADS="1") == 0
+
+
+_LOGGING_PROBE = """
+import dataclasses, json, math
+import eprsim.kernels, numpy as np
+import logging
+
+records = []
+handler = logging.Handler()
+handler.emit = lambda record: records.append([record.name, record.levelname, record.getMessage()])
+logging.getLogger("eprsim").addHandler(handler)
+logging.getLogger("eprsim").setLevel(logging.INFO)
+sign = eprsim.models.deterministic_sign_model()
+shifted = dataclasses.replace(  # breakpoints that fail the cut check
+    sign, name="shifted",
+    response_breakpoints=lambda s: (sign.response_breakpoints(s) + 0.1) % math.pi,
+)
+eprsim.kernels.lhv_word_steps(shifted, np.array([0.3]), np.array([1.0]))
+print(json.dumps(records))
+"""
+
+
+def test_a_program_that_loads_logging_after_the_package_gets_its_records():
+    # The package never imports `logging`; it logs through the one the program loaded.
+    assert _import_probe(_LOGGING_PROBE, OPENBLAS_NUM_THREADS="1") == [
+        ["eprsim.kernels", "INFO",
+         f"shifted: response_{arm} fails the cut check at setting {setting!r}; "
+         "the run takes the float path"]
+        for arm, setting in (("a", 0.3), ("b", 1.0))
+    ]
 
 
 def test_the_cli_keeps_a_user_set_blas_thread_count():

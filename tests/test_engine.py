@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -156,6 +157,22 @@ class TestWorkerProcesses:
     def test_without_fork_every_block_runs_here(self, monkeypatch):
         monkeypatch.delattr(engine.os, "fork")
         assert self._sums(4 * self.SHARE, 4) == (4 * self.SHARE, 4 * engine._BLOCKS_PER_PROCESS)
+
+    def test_a_process_with_a_second_thread_forks_none(self, forks):
+        # a child could inherit a lock that the other thread holds
+        cfg = qm_config(trials=2 * self.SHARE)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            counts = run_experiment(cfg, workers=2).counts()
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        assert run_experiment(cfg, workers=1).counts() == counts
+        assert run_experiment(cfg, workers=2).counts() == counts
+        assert len(forks) == 1  # once the thread has ended
 
     @staticmethod
     def _failing_in_the_child(error):
@@ -907,3 +924,58 @@ class TestBoundedMemory:
         first_sum = blocks * start + BLOCK_SIZE * blocks * (blocks - 1) // 2
         assert got == [(trials, blocks, first_sum)]
         assert peak < 2**20, peak
+
+
+class TestValueClasses:
+    """The run-side value classes keep a frozen dataclass's behaviour: made
+    by position or keyword, immutable, equal only within their own class,
+    hashed and shown by their fields, and pickled whole."""
+
+    @staticmethod
+    def _values():
+        from eprsim.models import DefiniteCircular, NdvNonlocal, deterministic_sign_model
+        from eprsim.stats import OrderInvarianceResult, PairEstimate, chsh_report
+
+        counts = CoincidenceCounts(5, 1, 2, 4)
+        angles = ((0, 1), (0, 3), (2, 1), (2, 3))
+        pairs = [PairEstimate.from_counts(a, b, counts) for a, b in angles]
+        return [
+            Geometry(3.0, 1e-9), FixedSettings(0.1, 0.2), RandomizedSettings(((0, 1), (2, 3))),
+            qm_config(), TwoChannelProtocol(), QwpChainProtocol(), counts, ChainCounts(3, 3, 2, 5),
+            pairs[0], chsh_report(*pairs), OrderInvarianceResult(1.5, 0.2, 3, True), QMFormal(),
+            NdvNonlocal(), DefiniteCircular(), Lhv(deterministic_sign_model()),
+        ]
+
+    def test_copies_are_equal_and_hash_alike_and_fields_are_frozen(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        for value in self._values():
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                value.extra = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del value._fields
+
+    def test_equality_is_by_class_and_fields(self):
+        from eprsim.models import NdvNonlocal
+
+        assert QMFormal() != NdvNonlocal()
+        assert CoincidenceCounts(1, 2, 3, 4) != ChainCounts(1, 2, 3, 4)
+        assert CoincidenceCounts(1, 2, 3, 4) != (1, 2, 3, 4)
+        assert CoincidenceCounts(1, 2, 3, 4) != CoincidenceCounts(1, 2, 3, 5)
+        shown = "CoincidenceCounts(n_pp=1, n_pm=2, n_mp=3, n_mm=4)"
+        assert repr(CoincidenceCounts(1, 2, 3, 4)) == shown
+        assert repr(QMFormal()) == "QMFormal()"
+
+    def test_arguments_bind_as_a_signature_would(self):
+        config = RunConfig(QMFormal(), trials=5)
+        assert (config.seed, config.geometry) == (1, Geometry())
+        assert config.settings == FixedSettings(0, 0)
+        assert FixedSettings(b=2.0, a=1.0) == FixedSettings(1.0, 2.0)
+        for args, kwargs in [((1.0,), {}), ((1.0, 2.0, 3.0), {}), ((1.0,), {"a": 2.0}),
+                             ((1.0, 2.0), {"c": 3.0})]:
+            with pytest.raises(TypeError):
+                FixedSettings(*args, **kwargs)
