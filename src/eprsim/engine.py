@@ -39,7 +39,7 @@ from .models import (
     HypothesisModel,
     Lhv,
     Ordering,
-    validate_lhv_model,
+    validate_lhv_model_once,
 )
 from .stats import ChainCounts, CoincidenceCounts, PackedFlags
 
@@ -47,7 +47,12 @@ if TYPE_CHECKING:
     from .reference import ChainRecord, TrialDraws, TwoChannelRecord
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
-BLOCK_SIZE = 1 << 16
+# Trials per block of a run decided on the random planes with one settings
+# pair. A run that holds per-trial arrays (floats on the factorized float
+# path, a settings-pair index on a run of several pairs) takes blocks a
+# quarter this size: at 20-26 bytes per trial, a 2**18-trial block of it
+# would not fit a 2 MB L2 cache.
+BLOCK_SIZE = 1 << 18
 
 # A run starts up to this many processes; more never helps a CPU-bound block loop.
 MAX_WORKERS = 256
@@ -192,12 +197,15 @@ def _add(total: tuple | None, part: tuple) -> tuple:
     return part if total is None else tuple(map(operator.add, total, part))
 
 
-# Forking, exiting and reaping a worker process costs about 3 ms on a
-# 2-vCPU VM: a dozen blocks of a kernel decided on the random planes, under
-# one block of the factorized float path (about 4 ms). So a run deals its
-# blocks to one more process only for each 32 plane blocks, or each 2
-# float-path blocks.
-_BLOCKS_PER_PROCESS = 32
+# Forking, exiting and reaping a worker process costs the caller about 3 ms
+# on a 2-vCPU VM, and its later writes to pages it shared with the child
+# about 4 ms more by its exit (`BENCH_27.json`, `fork_probe`); one thread
+# runs about 2**21 trials of `qm`, or 2**16 of the factorized float path, in
+# 3 ms. So a run deals its blocks to one more process only for each 2**21
+# trials (8 blocks of BLOCK_SIZE, or 32 quarter blocks of a run of several
+# settings pairs), or for each 2**17 trials (2 quarter blocks) of the float
+# path.
+_BLOCKS_PER_PROCESS = 8
 _FLOAT_BLOCKS_PER_PROCESS = 2
 
 
@@ -340,11 +348,13 @@ def _run_blocks(
     start: int,
     trials: int,
     workers: int,
+    block: int | None = None,
     per_process: int = _BLOCKS_PER_PROCESS,
     schedule: Schedule | None = None,
     zero: tuple | None = None,
 ) -> tuple | None:
-    """Component-wise sum of ``count(lo, hi)`` over the blocks of the range.
+    """Component-wise sum of ``count(lo, hi)`` over the range's blocks of
+    `block` trials (`BLOCK_SIZE` when None).
 
     The blocks are dealt round-robin to up to `workers` processes, at most
     one per `per_process` blocks: this one and the children of `schedule`
@@ -358,9 +368,10 @@ def _run_blocks(
     """
     if schedule is None:
         with Schedule() as schedule:
-            return _run_blocks(count, start, trials, workers, per_process, schedule, zero)
+            return _run_blocks(count, start, trials, workers, block, per_process, schedule, zero)
+    block = block or BLOCK_SIZE
     stop = start + trials
-    blocks = range(start, stop, BLOCK_SIZE)
+    blocks = range(start, stop, block)
     shares = max(1, min(workers, len(blocks) // per_process)) if schedule._forks else 1
     schedule._fork_to(shares)
     share = schedule._share
@@ -368,7 +379,7 @@ def _run_blocks(
     def own_sum() -> tuple | None:
         if share >= shares:
             return zero
-        parts = (count(lo, min(lo + BLOCK_SIZE, stop)) for lo in blocks[share::shares])
+        parts = (count(lo, min(lo + block, stop)) for lo in blocks[share::shares])
         return functools.reduce(_add, parts, None)
 
     run = (start, trials)
@@ -377,14 +388,14 @@ def _run_blocks(
     return schedule._gather(run, own_sum())
 
 
-def _replay(config: RunConfig, start_index: int, kernel):
-    """Per block of the run: first trial index, arm-2-first flags (unpacked,
-    one boolean per trial) and the kernel output, recomputed from the
-    counter-based stream. The flags come from the helper the kernels decide
-    the order with."""
+def _replay(config: RunConfig, start_index: int, kernel, block: int):
+    """Per block of `block` trials of the run: first trial index,
+    arm-2-first flags (unpacked, one boolean per trial) and the kernel
+    output, recomputed from the counter-based stream. The flags come from
+    the helper the kernels decide the order with."""
     stop = start_index + config.trials
-    for lo in range(start_index, stop, BLOCK_SIZE):
-        hi = min(lo + BLOCK_SIZE, stop)
+    for lo in range(start_index, stop, block):
+        hi = min(lo + block, stop)
         flags = kernels.arm2_first_flags(config.seed, lo, hi - lo, config.ordering)
         yield lo, flags.unpack(), kernel(lo, hi)
 
@@ -414,8 +425,8 @@ class TwoChannelRun:
         """Per-trial records, replayed block by block."""
         from .reference import TwoChannelRecord
 
-        _, kernel, _ = _two_channel_kernel(self.config)
-        blocks = _replay(self.config, self.start_index, kernel)
+        _, kernel, block, _ = _two_channel_kernel(self.config)
+        blocks = _replay(self.config, self.start_index, kernel, block)
         for lo, arm2_first, (pair_index, out_a, out_b) in blocks:
             out_a, out_b = out_a.unpack(), out_b.unpack()
             for i, flag in enumerate(arm2_first):
@@ -450,7 +461,7 @@ class QwpChainRun:
         """Per-trial records, replayed block by block."""
         from .reference import ChainRecord
 
-        blocks = _replay(self.config, self.start_index, _qwp_kernel(self.config))
+        blocks = _replay(self.config, self.start_index, _qwp_kernel(self.config), BLOCK_SIZE)
         for lo, arm2_first, (det_a, det_b) in blocks:
             det_a, det_b = det_a.unpack(), det_b.unpack()
             for i, flag in enumerate(arm2_first):
@@ -479,20 +490,29 @@ def _settings_tables(policy: SettingsPolicy) -> tuple[tuple, np.ndarray, np.ndar
 
 def _two_channel_kernel(config: RunConfig):
     """The settings pairs of a two-channel run, its per-block kernel call,
-    (lo, hi) -> (pair index, outcome A, outcome B) per trial, and whether
-    its blocks take the factorized float path."""
+    (lo, hi) -> (pair index, outcome A, outcome B) per trial, its block size
+    and the blocks that make one worker process's share: a quarter
+    `BLOCK_SIZE` for a run that holds per-trial arrays, the factorized float
+    path or several settings pairs, and `BLOCK_SIZE` otherwise."""
     pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
+    float_path = False
     if isinstance(config.model, Lhv):
         # Find a deterministic model's cuts once, here, and not once in each
         # worker. Calling the factorized kernel directly keeps a traced run
         # to one kernel span per block.
-        steps = kernels.lhv_word_steps(config.model.model, pair_a, pair_b)
-        return pairs, lambda lo, hi: kernels.two_channel_block_lhv(
+        float_path = kernels.lhv_word_steps(config.model.model, pair_a, pair_b) is None
+        kernel = lambda lo, hi: kernels.two_channel_block_lhv(
             config.seed, lo, hi - lo, config.model.model, pair_a, pair_b, cumw
-        ), steps is None
-    return pairs, lambda lo, hi: kernels.two_channel_block(
-        config.seed, lo, hi - lo, config.model, pair_a, pair_b, cumw, config.ordering
-    ), False
+        )
+    else:
+        kernel = lambda lo, hi: kernels.two_channel_block(
+            config.seed, lo, hi - lo, config.model, pair_a, pair_b, cumw, config.ordering
+        )
+    if float_path:
+        return pairs, kernel, BLOCK_SIZE >> 2, _FLOAT_BLOCKS_PER_PROCESS
+    if len(pairs) > 1:
+        return pairs, kernel, BLOCK_SIZE >> 2, 4 * _BLOCKS_PER_PROCESS
+    return pairs, kernel, BLOCK_SIZE, _BLOCKS_PER_PROCESS
 
 
 def _qwp_kernel(config: RunConfig):
@@ -515,14 +535,15 @@ def run_experiment(
     ``start_index`` offsets the trial-index range so that disjoint blocks of
     one experiment draw from disjoint stream positions (hence independent
     samples). Worker count never changes results. A factorized model is
-    validated (`validate_lhv_model`) before any block runs, as are
-    ``start_index`` and ``workers``. The worker processes come from
-    `schedule` (see `Schedule`), or from one the run opens for itself.
+    validated (`validate_lhv_model`, once per process for a model that
+    hashes) before any block runs, as are ``start_index`` and ``workers``.
+    The worker processes come from `schedule` (see `Schedule`), or from one
+    the run opens for itself.
     """
     start_index = _check_start(start_index, config.trials)
     workers = resolve_workers(workers)
     if isinstance(config.model, Lhv):
-        validate_lhv_model(config.model.model)
+        validate_lhv_model_once(config.model.model)
     if isinstance(protocol, TwoChannelProtocol):
         return _run_two_channel(config, start_index, workers, schedule)
     if isinstance(protocol, QwpChainProtocol):
@@ -533,7 +554,7 @@ def run_experiment(
 def _run_two_channel(
     config: RunConfig, start_index: int, workers: int, schedule: Schedule | None
 ) -> TwoChannelRun:
-    pairs, kernel, float_path = _two_channel_kernel(config)
+    pairs, kernel, block, per_process = _two_channel_kernel(config)
 
     def count(lo: int, hi: int) -> tuple[CoincidenceCounts, ...]:
         pair_index, out_a, out_b = kernel(lo, hi)
@@ -549,8 +570,7 @@ def _run_two_channel(
         start_index=start_index,
         pair_table=pairs,
         pair_counts=_run_blocks(
-            count, start_index, config.trials, workers,
-            _FLOAT_BLOCKS_PER_PROCESS if float_path else _BLOCKS_PER_PROCESS, schedule,
+            count, start_index, config.trials, workers, block, per_process, schedule,
             (CoincidenceCounts(0, 0, 0, 0),) * len(pairs),
         ),
     )
@@ -562,7 +582,7 @@ def _run_qwp_chain(
     kernel = _qwp_kernel(config)
     (detections,) = _run_blocks(
         lambda lo, hi: (ChainCounts.from_flags(*kernel(lo, hi)),),
-        start_index, config.trials, workers, _BLOCKS_PER_PROCESS, schedule,
+        start_index, config.trials, workers, BLOCK_SIZE, _BLOCKS_PER_PROCESS, schedule,
         (ChainCounts(0, 0, 0, 0),),
     )
     return QwpChainRun(config=config, start_index=start_index, detections=detections)
@@ -598,7 +618,7 @@ def run_malus(
     workers = resolve_workers(workers)
     (n_pass,) = _run_blocks(
         lambda lo, hi: (kernels.malus_block(seed, lo, hi - lo, theta).popcount(),),
-        start_index, trials, workers, _BLOCKS_PER_PROCESS, schedule, (0,),
+        start_index, trials, workers, BLOCK_SIZE, _BLOCKS_PER_PROCESS, schedule, (0,),
     )
     return MalusRun(seed=seed, theta=theta, start_index=start_index, n_pass=n_pass, n_total=trials)
 

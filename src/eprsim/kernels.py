@@ -281,9 +281,10 @@ def _bit(words: np.ndarray, i: int) -> bool:
 
 
 def _offsets(flags: np.ndarray) -> list[int]:
-    """The offsets where a boolean array is True, when they are few (a tie
-    is about one trial in 2**16): each `argmax` stops at the next one, so
-    the search reads the array once, and builds no index array."""
+    """The offsets where a boolean array is True, when they are few (a
+    digit equals a given one at about one trial in 2**16): each `argmax`
+    stops at the next one, so the search reads the array once, and builds
+    no index array."""
     found = []
     at = 0
     while at < flags.size:
@@ -381,10 +382,11 @@ def _below(planes: _Planes, cut) -> np.ndarray:
     top, low = divmod(cut, 1 << _LOW)
     digit = top & 0xFFFF
     cut_coin_is_0 = top < 1 << 16
-    # A tie is about one trial in 2**16: none in about a third of the
-    # blocks. Its coin equals the cut's, so meeting the coins below leaves
-    # its tail's answer as it is. The ties are found before the compare is
-    # built, so one boolean per trial is alive at a time.
+    # A tie is about one trial in 2**17: its digit matches the cut's at one
+    # trial in 2**16, and its coin at half of those. Its coin equals the
+    # cut's, so meeting the coins below leaves its tail's answer as it is.
+    # The ties are found before the compare is built, so one boolean per
+    # trial is alive at a time.
     ties = [i for i in _offsets(digits == digit) if _bit(coins, i) == cut_coin_is_0] if low else []
     below = digits < digit
     if ties:

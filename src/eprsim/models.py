@@ -130,6 +130,25 @@ def validate_lhv_model(model: LhvModel, tol: float = 1e-6, n: int = 4096) -> Non
             raise ValueError(f"{model.name}: {label} must accept per-trial settings like a scalar")
 
 
+@functools.lru_cache(maxsize=256)
+def _validated(model: LhvModel) -> None:
+    validate_lhv_model(model)
+
+
+def validate_lhv_model_once(model: LhvModel) -> None:
+    """`validate_lhv_model` at its defaults, once per process for each model
+    that hashes: equal models share one check, as they share the cuts that
+    `kernels._word_steps` caches. A cache keeps no exception, so an invalid
+    model raises on every call, and a model that does not hash is checked
+    every time."""
+    try:
+        hash(model)
+    except TypeError:
+        validate_lhv_model(model)
+    else:
+        _validated(model)
+
+
 def _uniform_density(lam: np.ndarray) -> np.ndarray:
     return np.full_like(np.asarray(lam, dtype=float), 1.0 / math.pi)
 
@@ -167,7 +186,7 @@ def deterministic_sign_model() -> LhvModel:
         response_breakpoints=_sign_breakpoints,
         deterministic=True,
     )
-    validate_lhv_model(model)
+    validate_lhv_model_once(model)
     return model
 
 
@@ -183,7 +202,7 @@ def malus_response_model() -> LhvModel:
         response_a=_malus_response,
         response_b=_malus_response,
     )
-    validate_lhv_model(model)
+    validate_lhv_model_once(model)
     return model
 
 
@@ -263,7 +282,7 @@ def lhv_joint_probabilities(
     """
     from .twophoton import JointProbabilities
 
-    validate_lhv_model(model)
+    validate_lhv_model_once(model)
     m_a, m_b, m_ab = _lhv_moments(model, a, b, method, n)
     return JointProbabilities(
         p_pp=m_ab,

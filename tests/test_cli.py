@@ -4,10 +4,12 @@ import json
 import math
 import os
 import platform
+import re
 import stat
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,6 +463,40 @@ class TestSignatureDerivedCli:
         for flag, param in (("--model", "model"), ("--ordering", "ordering"),
                             ("--k-sigma", "k_sigma"), ("--theta", "theta_deg")):
             assert (flag in usage) == (param in params), flag
+
+
+class TestReadmeFlags:
+    """README's "Command line" section, up to the next top-level heading,
+    names every flag of `epr` and of each scenario, and no other."""
+
+    @staticmethod
+    def _parser_flags() -> set[str]:
+        import argparse
+
+        from eprsim.cli import build_parser
+
+        parser = build_parser()
+        parsers = [parser]
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+        return {
+            flag for p in parsers for action in p._actions for flag in action.option_strings
+            if flag.startswith("--")
+        }
+
+    @staticmethod
+    def _readme_flags() -> set[str]:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("\n## Command line\n")
+        end = readme.index("\n## ", start + 1)
+        return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme[start:end]))
+
+    def test_every_flag_is_in_the_readme(self):
+        assert self._parser_flags() - self._readme_flags() == set()
+
+    def test_every_flag_the_readme_names_exists(self):
+        assert self._readme_flags() - self._parser_flags() == set()
 
 
 # Values of arbitrary JSON type, mostly wrong for the key they land on.

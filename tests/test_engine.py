@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import threading
@@ -377,6 +378,95 @@ class TestCountsMatchRecords:
         run = run_experiment(cfg, TwoChannelProtocol(), start_index=11)
         flags = kernels.arm2_first_flags(cfg.seed, 11, 3000, Ordering.RANDOM_PER_TRIAL)
         assert [r.first_arm is Arm.TWO for r in run.records()] == flags.unpack().tolist()
+
+
+class TestBlockSizeInvariance:
+    """Counts and records do not depend on the block size. A run at the
+    default block sizes equals one with `BLOCK_SIZE` patched to 2**16 and
+    one with it patched to 700; a run that holds per-trial arrays takes a
+    quarter of each. Packed one-pair runs take blocks of 2**18 trials, and
+    float-path or multi-pair runs blocks of 2**16."""
+
+    TRIALS = 2**18 + 2**14 + 77  # no block size divides it: every run ends ragged
+    RECORD_TRIALS = 3001
+    # each patched BLOCK_SIZE and the trials counted at it; 700-trial blocks
+    # count a shorter run, which is still many ragged blocks
+    PATCHES = ((2**16, TRIALS), (700, 20_011))
+    START = 4101  # not a multiple of 64: blocks start inside a coin word
+    PAIRS = TestCountsMatchRecords.PAIRS
+    MODELS = ("qm", "ndv-nonlocal", "definite-circular", "lhv-sign", "lhv-malus")
+
+    @staticmethod
+    def _two_channel(model_name, ordering, pairs):
+        settings = (
+            RandomizedSettings(TestBlockSizeInvariance.PAIRS, (0.5, 0.2, 0.3)) if pairs == 3
+            else FixedSettings(*TestBlockSizeInvariance.PAIRS[1])
+        )
+
+        def run(trials, workers):
+            cfg = RunConfig(
+                model=build_model(model_name), trials=trials, settings=settings,
+                ordering=ordering, seed=37,
+            )
+            run = run_experiment(cfg, start_index=TestBlockSizeInvariance.START, workers=workers)
+            return run.counts(), run.records
+
+        return run
+
+    @staticmethod
+    def _chain(model_name):
+        def run(trials, workers):
+            cfg = RunConfig(model=build_model(model_name), trials=trials, seed=37)
+            run = run_experiment(
+                cfg, QwpChainProtocol(), start_index=TestBlockSizeInvariance.START,
+                workers=workers,
+            )
+            return run.chain_counts(), run.records
+
+        return run
+
+    @staticmethod
+    def _malus(trials, workers):
+        run = run_malus(37, 0.7, trials, start_index=TestBlockSizeInvariance.START,
+                        workers=workers)
+        return run.n_pass, lambda: []
+
+    def _assert_invariant(self, monkeypatch, run, block):
+        def results(trials):
+            counts, _ = run(trials, 2)
+            _, records = run(self.RECORD_TRIALS, 2)
+            return counts, list(records())
+
+        counts = []
+        for name in ("two_channel_block", "two_channel_block_lhv", "qwp_block", "malus_block"):
+            def counted(seed, start, count, *args, real=getattr(kernels, name)):
+                counts.append(count)
+                return real(seed, start, count, *args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        run(self.TRIALS, 1)
+        assert max(counts) == block
+        assert sum(counts) == self.TRIALS
+
+        default = {trials: results(trials) for _, trials in self.PATCHES}
+        for size, trials in self.PATCHES:
+            monkeypatch.setattr(engine, "BLOCK_SIZE", size)
+            assert results(trials) == default[trials], size
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("pairs", [1, 3])
+    def test_two_channel(self, monkeypatch, model_name, ordering, pairs):
+        arrays = pairs > 1 or model_name == "lhv-malus"  # per-trial arrays: quarter blocks
+        block = 2**16 if arrays else 2**18
+        self._assert_invariant(monkeypatch, self._two_channel(model_name, ordering, pairs), block)
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_chain(self, monkeypatch, model_name):
+        self._assert_invariant(monkeypatch, self._chain(model_name), 2**18)
+
+    def test_malus(self, monkeypatch):
+        self._assert_invariant(monkeypatch, self._malus, 2**18)
 
 
 class TestFactorizedModelPath:
@@ -806,6 +896,65 @@ class TestValidation:
         with pytest.raises(ValueError, match="scalar-setting: response_a"):
             run_experiment(config)
 
+    @staticmethod
+    def _counted_validations(monkeypatch):
+        """The models `validate_lhv_model` checks, in order; it still runs."""
+        from eprsim import models
+
+        checked = []
+        validate = models.validate_lhv_model
+
+        def counted(model, *args):
+            checked.append(model)
+            return validate(model, *args)
+
+        monkeypatch.setattr(models, "validate_lhv_model", counted)
+        return checked
+
+    @staticmethod
+    def _malus_model(density):
+        return LhvModel(
+            name="once", density=density, sample=lambda u: np.asarray(u) * math.pi,
+            response_a=lambda s, lam: np.cos(s - np.asarray(lam)) ** 2,
+            response_b=lambda s, lam: np.cos(s - np.asarray(lam)) ** 2,
+        )
+
+    def test_a_factorized_model_is_validated_once_per_process(self, monkeypatch):
+        checked = self._counted_validations(monkeypatch)
+        model = self._malus_model(lambda lam: np.full_like(np.asarray(lam), 1.0 / math.pi))
+        twin = dataclasses.replace(model)  # equal, not the same object
+        for m in (model, twin, model):
+            run_experiment(qm_config(model=Lhv(m), trials=100), workers=1)
+        run_experiment(qm_config(model=Lhv(model), trials=100), QwpChainProtocol(), workers=1)
+        assert checked == [model]
+
+    def test_an_invalid_model_raises_on_every_run(self, monkeypatch):
+        checked = self._counted_validations(monkeypatch)
+        model = self._malus_model(lambda lam: np.full_like(np.asarray(lam), 2.0 / math.pi))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="once: density integrates to"):
+                run_experiment(qm_config(model=Lhv(model), trials=100), workers=1)
+        assert checked == [model] * 3
+
+    def test_a_model_that_does_not_hash_is_validated_every_run(self, monkeypatch):
+        class Uniform:
+            """A density that compares by value, and so does not hash."""
+
+            def __call__(self, lam):
+                return np.full_like(np.asarray(lam), 1.0 / math.pi)
+
+            def __eq__(self, other):
+                return isinstance(other, Uniform)
+
+        checked = self._counted_validations(monkeypatch)
+        model = self._malus_model(Uniform())
+        with pytest.raises(TypeError):
+            hash(model)
+        runs = [run_experiment(qm_config(model=Lhv(model), trials=100), workers=1)
+                for _ in range(3)]
+        assert checked == [model] * 3
+        assert runs[0].counts() == runs[2].counts()
+
     @settings(max_examples=200, deadline=None)
     @given(
         trials=_int_or_other(1, PROPERTY_TRIALS, 0, 2**64 + 1),
@@ -894,26 +1043,29 @@ class TestBoundedMemory:
 
     def test_a_float_path_block_peaks_below_30_bytes_per_trial(self):
         # lhv-malus reads floats: at its peak an arm holds the hidden values,
-        # its response and the scaled response, about 26 bytes per trial
+        # its response and the scaled response, about 26 bytes per trial of
+        # the float path's own block, a quarter of BLOCK_SIZE
+        block = BLOCK_SIZE >> 2
         run = lambda n: run_experiment(
             qm_config(model=build_model("lhv-malus"), trials=n), workers=1
         )
-        run(BLOCK_SIZE)
-        peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
-        assert peak < 30 * BLOCK_SIZE, peak
+        run(block)
+        peak = self._peak_bytes(lambda: run(4 * block))
+        assert peak < 30 * block, peak
 
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_peak_allocation_is_flat_in_trials(self, name):
+        # each of these runs takes blocks of BLOCK_SIZE
         run = self.RUNS[name]
-        small = self._peak_bytes(lambda: run(2**17))
-        large = self._peak_bytes(lambda: run(2**22))
+        small = self._peak_bytes(lambda: run(2 * BLOCK_SIZE))
+        large = self._peak_bytes(lambda: run(64 * BLOCK_SIZE))
         assert large <= 1.25 * small, (small, large)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_loop_lists_no_blocks(self, workers):
         # a stub count leaves only the block loop's own allocations, at a
         # trial count with tens of thousands of blocks
-        trials, start = 2**32 + 777, 5
+        trials, start = 2**16 * BLOCK_SIZE + 777, 5
         blocks = -(-trials // BLOCK_SIZE)
         got = []
         peak = self._peak_bytes(
