@@ -47,11 +47,9 @@ if TYPE_CHECKING:
     from .reference import ChainRecord, TrialDraws, TwoChannelRecord
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
-# Trials per block of a run decided on the random planes with one settings
-# pair. A run that holds per-trial arrays (floats on the factorized float
-# path, a settings-pair index on a run of several pairs) takes blocks a
-# quarter this size: at 20-26 bytes per trial, a 2**18-trial block of it
-# would not fit a 2 MB L2 cache.
+# Trials per block. A run on the factorized float path takes blocks a
+# quarter this size: at about 24 bytes of floats per trial, a 2**18-trial
+# block of it would not fit a 2 MB L2 cache (`BENCH_27.json`, `float_block`).
 BLOCK_SIZE = 1 << 18
 
 # A run starts up to this many processes; more never helps a CPU-bound block loop.
@@ -202,11 +200,11 @@ def _add(total: tuple | None, part: tuple) -> tuple:
 # about 4 ms more by its exit (`BENCH_27.json`, `fork_probe`); one thread
 # runs about 2**21 trials of `qm`, or 2**16 of the factorized float path, in
 # 3 ms. So a run deals its blocks to one more process only for each 2**21
-# trials (8 blocks of BLOCK_SIZE, or 32 quarter blocks of a run of several
-# settings pairs), or for each 2**17 trials (2 quarter blocks) of the float
-# path.
-_BLOCKS_PER_PROCESS = 8
-_FLOAT_BLOCKS_PER_PROCESS = 2
+# trials, or each 2**17 trials of the float path, counted in whole units of
+# 2**16 trials.
+_TRIALS_PER_PROCESS = 1 << 21
+_FLOAT_TRIALS_PER_PROCESS = 1 << 17
+_FORK_UNIT = 1 << 16
 
 
 class WorkerError(RuntimeError):
@@ -349,7 +347,7 @@ def _run_blocks(
     trials: int,
     workers: int,
     block: int | None = None,
-    per_process: int = _BLOCKS_PER_PROCESS,
+    per_process: int = _TRIALS_PER_PROCESS,
     schedule: Schedule | None = None,
     zero: tuple | None = None,
 ) -> tuple | None:
@@ -357,7 +355,8 @@ def _run_blocks(
     `block` trials (`BLOCK_SIZE` when None).
 
     The blocks are dealt round-robin to up to `workers` processes, at most
-    one per `per_process` blocks: this one and the children of `schedule`
+    one per `per_process` trials (the run's trials rounded up to whole
+    `_FORK_UNIT`s): this one and the children of `schedule`
     (of a schedule of its own when None), each of which sends its own sum
     back. Processes and not threads, because most kernels' blocks are some
     twenty numpy calls of a few microseconds each, and threads trade the
@@ -372,7 +371,8 @@ def _run_blocks(
     block = block or BLOCK_SIZE
     stop = start + trials
     blocks = range(start, stop, block)
-    shares = max(1, min(workers, len(blocks) // per_process)) if schedule._forks else 1
+    units = -(-trials // _FORK_UNIT)
+    shares = max(1, min(workers, units * _FORK_UNIT // per_process)) if schedule._forks else 1
     schedule._fork_to(shares)
     share = schedule._share
 
@@ -491,9 +491,9 @@ def _settings_tables(policy: SettingsPolicy) -> tuple[tuple, np.ndarray, np.ndar
 def _two_channel_kernel(config: RunConfig):
     """The settings pairs of a two-channel run, its per-block kernel call,
     (lo, hi) -> (pair index, outcome A, outcome B) per trial, its block size
-    and the blocks that make one worker process's share: a quarter
-    `BLOCK_SIZE` for a run that holds per-trial arrays, the factorized float
-    path or several settings pairs, and `BLOCK_SIZE` otherwise."""
+    and the trials that make one worker process's share: a quarter
+    `BLOCK_SIZE` and `_FLOAT_TRIALS_PER_PROCESS` on the factorized float
+    path, and `BLOCK_SIZE` and `_TRIALS_PER_PROCESS` otherwise."""
     pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
     float_path = False
     if isinstance(config.model, Lhv):
@@ -509,10 +509,8 @@ def _two_channel_kernel(config: RunConfig):
             config.seed, lo, hi - lo, config.model, pair_a, pair_b, cumw, config.ordering
         )
     if float_path:
-        return pairs, kernel, BLOCK_SIZE >> 2, _FLOAT_BLOCKS_PER_PROCESS
-    if len(pairs) > 1:
-        return pairs, kernel, BLOCK_SIZE >> 2, 4 * _BLOCKS_PER_PROCESS
-    return pairs, kernel, BLOCK_SIZE, _BLOCKS_PER_PROCESS
+        return pairs, kernel, BLOCK_SIZE >> 2, _FLOAT_TRIALS_PER_PROCESS
+    return pairs, kernel, BLOCK_SIZE, _TRIALS_PER_PROCESS
 
 
 def _qwp_kernel(config: RunConfig):
@@ -582,7 +580,7 @@ def _run_qwp_chain(
     kernel = _qwp_kernel(config)
     (detections,) = _run_blocks(
         lambda lo, hi: (ChainCounts.from_flags(*kernel(lo, hi)),),
-        start_index, config.trials, workers, BLOCK_SIZE, _BLOCKS_PER_PROCESS, schedule,
+        start_index, config.trials, workers, BLOCK_SIZE, _TRIALS_PER_PROCESS, schedule,
         (ChainCounts(0, 0, 0, 0),),
     )
     return QwpChainRun(config=config, start_index=start_index, detections=detections)
@@ -618,7 +616,7 @@ def run_malus(
     workers = resolve_workers(workers)
     (n_pass,) = _run_blocks(
         lambda lo, hi: (kernels.malus_block(seed, lo, hi - lo, theta).popcount(),),
-        start_index, trials, workers, BLOCK_SIZE, _BLOCKS_PER_PROCESS, schedule, (0,),
+        start_index, trials, workers, BLOCK_SIZE, _TRIALS_PER_PROCESS, schedule, (0,),
     )
     return MalusRun(seed=seed, theta=theta, start_index=start_index, n_pass=n_pass, n_total=trials)
 

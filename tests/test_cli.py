@@ -195,7 +195,7 @@ class TestErrors:
         from eprsim import engine
 
         monkeypatch.setattr(engine.Schedule, "_send", lambda self, run, work: os._exit(1))
-        trials = str(2 * engine._BLOCKS_PER_PROCESS * engine.BLOCK_SIZE)  # two processes
+        trials = str(2 * engine._TRIALS_PER_PROCESS)  # two processes
         code, out, err = run_cli(capsys, "chsh-scan", "--trials", trials, "--workers", "2")
         assert code == 2
         assert out == ""

@@ -78,7 +78,7 @@ class TestDeterminism:
         assert got == (trials, blocks, blocks * start + BLOCK_SIZE * blocks * (blocks - 1) // 2)
 
     def test_forked_workers_sum_to_the_same_counts(self):
-        cfg = qm_config(trials=3 * engine._BLOCKS_PER_PROCESS * BLOCK_SIZE + 5)
+        cfg = qm_config(trials=3 * engine._TRIALS_PER_PROCESS + 5)
         one = run_experiment(cfg, workers=1).counts()
         assert run_experiment(cfg, workers=2).counts() == one
         assert run_experiment(cfg, workers=3).counts() == one
@@ -99,10 +99,10 @@ class TestDeterminism:
 
 class TestWorkerProcesses:
     """`_run_blocks` forks one child per share of at least
-    `_BLOCKS_PER_PROCESS` blocks, takes back each child's sum or error, and
+    `_TRIALS_PER_PROCESS` trials, takes back each child's sum or error, and
     reaps every child it forked."""
 
-    SHARE = engine._BLOCKS_PER_PROCESS * BLOCK_SIZE
+    SHARE = engine._TRIALS_PER_PROCESS
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -126,14 +126,24 @@ class TestWorkerProcesses:
         return engine._run_blocks(lambda lo, hi: (hi - lo, 1), 0, trials, workers)
 
     def test_a_share_is_at_least_the_block_threshold(self, forks):
-        blocks = 2 * engine._BLOCKS_PER_PROCESS
-        short = (blocks - 1) * BLOCK_SIZE
-        assert self._sums(short, 4) == (short, blocks - 1)
-        assert forks == []
-        assert self._sums(blocks * BLOCK_SIZE, 4) == (blocks * BLOCK_SIZE, blocks)
-        assert len(forks) == 1
-        assert self._sums(3 * blocks * BLOCK_SIZE, 2) == (3 * blocks * BLOCK_SIZE, 3 * blocks)
-        assert len(forks) == 2
+        # a run's trials count in whole fork units, so a second process
+        # comes past two shares less one unit
+        short = 2 * self.SHARE - engine._FORK_UNIT
+        for trials, forked in ((short, 0), (short + 1, 1), (6 * self.SHARE, 2)):
+            workers = 4 if trials <= short + 1 else 2
+            assert self._sums(trials, workers) == (trials, -(-trials // BLOCK_SIZE))
+            assert len(forks) == forked, trials
+
+    @pytest.mark.parametrize("trials,forked", [
+        (4_000_000, 0), (61 * 2**16, 0), (63 * 2**16, 0), (63 * 2**16 + 1, 1),
+    ])
+    def test_a_run_forks_at_the_trials_it_did_in_2_16_trial_blocks(self, forks, trials, forked):
+        # the threshold is 2**21 trials, rounded up to whole 2**16-trial
+        # units: one share while ceil(trials / 2**16) // 32 is 1
+        cfg = qm_config(trials=trials)
+        counts = run_experiment(cfg, workers=2).counts()
+        assert len(forks) == forked
+        assert run_experiment(cfg, workers=1).counts() == counts
 
     def test_a_failed_fork_closes_its_pipe(self, monkeypatch):
         pipes = []
@@ -149,7 +159,7 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("model,forked", [("qm", 0), ("lhv-sign", 0), ("lhv-malus", 1)])
     def test_a_float_path_run_forks_at_fewer_blocks(self, forks, model, forked):
-        trials = 2 * engine._FLOAT_BLOCKS_PER_PROCESS * BLOCK_SIZE
+        trials = 2 * engine._FLOAT_TRIALS_PER_PROCESS
         cfg = qm_config(model=build_model(model), trials=trials)
         counts = run_experiment(cfg, workers=2).counts()
         assert len(forks) == forked
@@ -157,7 +167,7 @@ class TestWorkerProcesses:
 
     def test_without_fork_every_block_runs_here(self, monkeypatch):
         monkeypatch.delattr(engine.os, "fork")
-        assert self._sums(4 * self.SHARE, 4) == (4 * self.SHARE, 4 * engine._BLOCKS_PER_PROCESS)
+        assert self._sums(4 * self.SHARE, 4) == (4 * self.SHARE, 4 * self.SHARE // BLOCK_SIZE)
 
     def test_a_process_with_a_second_thread_forks_none(self, forks):
         # a child could inherit a lock that the other thread holds
@@ -237,7 +247,7 @@ class TestSchedule:
         (order_test, {}),
     ], ids=["chsh-scan", "malus-check", "order-test"])
     def test_a_scenario_forks_once(self, forks, scenario, params):
-        # runs of 64 blocks take two processes at 2 and at 4 workers
+        # runs of two shares take two processes at 2 and at 4 workers
         docs = {}
         for workers, forked in ((1, 0), (2, 1), (4, 2)):
             docs[workers] = self._stable(
@@ -265,17 +275,18 @@ class TestSchedule:
         assert len(forks) == 1
 
     def test_children_are_forked_as_runs_need_them(self, forks):
-        # 64 blocks take 2 processes, 32 take 1 (the child sits it out), 128
-        # take 4 (two more children), 1 takes 1 and 96 take 3
-        sizes = [64, 32, 128, 1, 96]
+        # two shares take 2 processes, one takes 1 (the child sits it out),
+        # four take 4 (two more children), one fork unit takes 1 and three
+        # shares take 3
+        sizes = [2 * self.SHARE, self.SHARE, 4 * self.SHARE, engine._FORK_UNIT, 3 * self.SHARE]
+        sums, forked = [], []
         with engine.Schedule() as schedule:
-            sums = [
-                engine._run_blocks(lambda lo, hi: (hi - lo, 1), 0, n * BLOCK_SIZE, 4,
-                                   schedule=schedule)
-                for n in sizes
-            ]
-        assert sums == [(n * BLOCK_SIZE, n) for n in sizes]
-        assert len(forks) == 3
+            for n in sizes:
+                sums.append(engine._run_blocks(lambda lo, hi: (hi - lo, 1), 0, n, 4,
+                                               schedule=schedule))
+                forked.append(len(forks))
+        assert sums == [(n, -(-n // BLOCK_SIZE)) for n in sizes]
+        assert forked == [1, 1, 3, 3, 3]
 
     def test_a_child_without_a_share_builds_every_kind_of_run(self, forks):
         # after a run of two shares, the small runs leave the child no blocks
@@ -383,9 +394,8 @@ class TestCountsMatchRecords:
 class TestBlockSizeInvariance:
     """Counts and records do not depend on the block size. A run at the
     default block sizes equals one with `BLOCK_SIZE` patched to 2**16 and
-    one with it patched to 700; a run that holds per-trial arrays takes a
-    quarter of each. Packed one-pair runs take blocks of 2**18 trials, and
-    float-path or multi-pair runs blocks of 2**16."""
+    one with it patched to 700; a float-path run takes a quarter of each.
+    Runs take blocks of 2**18 trials, and float-path runs blocks of 2**16."""
 
     TRIALS = 2**18 + 2**14 + 77  # no block size divides it: every run ends ragged
     RECORD_TRIALS = 3001
@@ -457,8 +467,7 @@ class TestBlockSizeInvariance:
     @pytest.mark.parametrize("ordering", list(Ordering))
     @pytest.mark.parametrize("pairs", [1, 3])
     def test_two_channel(self, monkeypatch, model_name, ordering, pairs):
-        arrays = pairs > 1 or model_name == "lhv-malus"  # per-trial arrays: quarter blocks
-        block = 2**16 if arrays else 2**18
+        block = 2**16 if model_name == "lhv-malus" else 2**18
         self._assert_invariant(monkeypatch, self._two_channel(model_name, ordering, pairs), block)
 
     @pytest.mark.parametrize("model_name", MODELS)
