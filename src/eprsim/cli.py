@@ -5,7 +5,8 @@ config file is a single JSON object whose keys mirror the echoed ``config``
 section of every result document, so any emitted document can be re-run
 verbatim. Unknown or repeated config keys are errors.
 
-Exit codes: 0 success, 1 configuration error, 2 internal invariant violation.
+Exit codes: 0 success, 1 configuration error, 2 internal invariant violation
+or a worker process that ended without its counts, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -23,11 +24,15 @@ import tempfile
 
 from ._version import __version__
 
-# The engine's parallelism is its own worker processes, and numpy's bundled
-# OpenBLAS would start a thread pool at load whose idle threads spin a core
-# before they sleep. So pin OpenBLAS to one thread before `.scenarios` loads
-# numpy. A value the user set is kept, and only a process that imports this
-# module (the `epr` entry point) is affected: `import eprsim` loads no numpy.
+# The engine's parallelism is its own worker processes, and eprsim makes no
+# BLAS call a thread pool would speed up (its Jones algebra is 2x2), but
+# numpy's bundled OpenBLAS would start a thread pool at load whose idle
+# threads spin a core before they sleep: on a 2-vCPU VM, `import numpy` and
+# 0.3 s of idling cost 0.14 s of CPU with the pool and 0.06 s without it,
+# and numpy plus `scipy.special` (what `order-test` loads) 0.29 s against
+# 0.15 s. So pin OpenBLAS to one thread before `.scenarios` loads numpy. A
+# value the user set is kept, and only a process that imports this module
+# (the `epr` entry point) is affected: `import eprsim` loads no numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .engine import WorkerError  # noqa: E402
@@ -315,9 +320,11 @@ def main(argv=None) -> int:
 # Move every object loaded so far, numpy's and this package's, into the
 # collector's permanent generation: an `epr` process then scans them neither
 # in a collection nor in the module sweep at exit, which was most of a short
-# run's teardown. Done once, here at import and not in `main`, which tests
-# call many times in one process. A program that imports `eprsim`, or any
-# module of it but this one, keeps its collector as it was.
+# run's teardown: a `model-matrix` child's fell from about 30 ms to about
+# 9 ms on a 2-vCPU VM (`BENCH_17.json`, `child_phases`). Done once, here at
+# import and not in `main`, which tests call many times in one process. A
+# program that imports `eprsim`, or any module of it but this one, keeps its
+# collector as it was.
 gc.freeze()
 
 if __name__ == "__main__":

@@ -8,10 +8,16 @@ ever partition the trial-index range, and each block is reduced to exact
 integer counts on the worker that ran it.
 Workers are processes: the calling process and children forked from it,
 once for all the runs of a `Schedule` (a scenario opens one around its
-runs; a run called alone opens its own), each of which sends its share's
-counts back through a pipe.
-Runs keep those counts, not per-trial arrays, so memory does not grow with
-the trial count; per-trial records are recomputed on demand.
+runs, so `chsh-scan` forks once and not once per settings pair; a run
+called alone opens its own), each of which sends its share's counts back
+through a pipe; an error in a child is raised in the caller. Not threads:
+a block decided on the random planes is some twenty numpy calls of a few
+microseconds each, and threads trade the GIL at every call
+(`BENCH_18.json`, `worker_probe`). The blocks are dealt round-robin off a
+`range`, so no block list is built, and each process sums its own blocks
+as it goes. Runs keep those counts, not per-trial arrays, so peak memory is
+set by the blocks in flight and does not grow with the trial count;
+per-trial records are recomputed on demand.
 
 Geometry (arm length, inter-measurement delay) is bookkeeping: it sets the
 space-like-separation flag on records and never influences outcomes.
@@ -160,6 +166,8 @@ class RunConfig(_Frozen):
         if not isinstance(self.settings, SettingsPolicy):
             raise TypeError(f"not a settings policy: {self.settings!r}")
         kernels.check_ordering(self.ordering)
+        if not isinstance(self.geometry, Geometry):
+            raise TypeError(f"not a Geometry: {self.geometry!r}")
         check_trials(self.trials)
         kernels.check_seed(self.seed)
 
@@ -201,7 +209,9 @@ def _add(total: tuple | None, part: tuple) -> tuple:
 # runs about 2**21 trials of `qm`, or 2**16 of the factorized float path, in
 # 3 ms. So a run deals its blocks to one more process only for each 2**21
 # trials, or each 2**17 trials of the float path, counted in whole units of
-# 2**16 trials.
+# 2**16 trials: at two workers or more, a `qm` run of more than 63 * 2**16
+# trials takes a second process, and a 1e6-trial run, as each of
+# `model-matrix`'s is, stays in one.
 _TRIALS_PER_PROCESS = 1 << 21
 _FLOAT_TRIALS_PER_PROCESS = 1 << 17
 _FORK_UNIT = 1 << 16
@@ -356,14 +366,12 @@ def _run_blocks(
 
     The blocks are dealt round-robin to up to `workers` processes, at most
     one per `per_process` trials (the run's trials rounded up to whole
-    `_FORK_UNIT`s): this one and the children of `schedule`
-    (of a schedule of its own when None), each of which sends its own sum
-    back. Processes and not threads, because most kernels' blocks are some
-    twenty numpy calls of a few microseconds each, and threads trade the
-    GIL at every call. Integer addition is exact, so the sum does not depend
-    on the worker count. Where the schedule forks none, every block runs
-    here. In a child the result is the sum of its own share, and
-    `zero`, the sum of no blocks, when the run leaves it none.
+    `_FORK_UNIT`s): this one and the children of `schedule` (of a schedule
+    of its own when None), each of which sends its own sum back. Integer
+    addition is exact, so the sum does not depend on the worker count. Where
+    the schedule forks none, every block runs here. In a child the result is
+    the sum of its own share, and `zero`, the sum of no blocks, when the run
+    leaves it none.
     """
     if schedule is None:
         with Schedule() as schedule:
@@ -390,14 +398,19 @@ def _run_blocks(
 
 def _replay(config: RunConfig, start_index: int, kernel, block: int):
     """Per block of `block` trials of the run: first trial index,
-    arm-2-first flags (unpacked, one boolean per trial) and the kernel
+    arm-2-first flags (a list of one bool per trial) and the kernel
     output, recomputed from the counter-based stream. The flags come from
     the helper the kernels decide the order with."""
     stop = start_index + config.trials
     for lo in range(start_index, stop, block):
         hi = min(lo + block, stop)
         flags = kernels.arm2_first_flags(config.seed, lo, hi - lo, config.ordering)
-        yield lo, flags.unpack(), kernel(lo, hi)
+        yield lo, flags.unpack().tolist(), kernel(lo, hi)
+
+
+# A record's enum members, indexed by a replayed flag (False, True).
+_FIRST_ARMS = (Arm.ONE, Arm.TWO)
+_OUTCOMES = (ChannelOutcome.MINUS, ChannelOutcome.PLUS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,19 +439,21 @@ class TwoChannelRun:
         from .reference import TwoChannelRecord
 
         _, kernel, block, _ = _two_channel_kernel(self.config)
+        pairs, spacelike = self.pair_table, self.spacelike
         blocks = _replay(self.config, self.start_index, kernel, block)
         for lo, arm2_first, (pair_index, out_a, out_b) in blocks:
-            out_a, out_b = out_a.unpack(), out_b.unpack()
-            for i, flag in enumerate(arm2_first):
-                a, b = self.pair_table[pair_index[i]]
+            trials = zip(arm2_first, pair_index.tolist(), out_a.unpack().tolist(),
+                         out_b.unpack().tolist())
+            for i, (flag, pair, plus_a, plus_b) in enumerate(trials, lo):
+                a, b = pairs[pair]
                 yield TwoChannelRecord(
-                    trial_index=lo + i,
+                    trial_index=i,
                     a=a,
                     b=b,
-                    first_arm=Arm.TWO if flag else Arm.ONE,
-                    outcome_a=ChannelOutcome.PLUS if out_a[i] else ChannelOutcome.MINUS,
-                    outcome_b=ChannelOutcome.PLUS if out_b[i] else ChannelOutcome.MINUS,
-                    spacelike=self.spacelike,
+                    first_arm=_FIRST_ARMS[flag],
+                    outcome_a=_OUTCOMES[plus_a],
+                    outcome_b=_OUTCOMES[plus_b],
+                    spacelike=spacelike,
                 )
 
 
@@ -461,16 +476,17 @@ class QwpChainRun:
         """Per-trial records, replayed block by block."""
         from .reference import ChainRecord
 
+        spacelike = self.spacelike
         blocks = _replay(self.config, self.start_index, _qwp_kernel(self.config), BLOCK_SIZE)
         for lo, arm2_first, (det_a, det_b) in blocks:
-            det_a, det_b = det_a.unpack(), det_b.unpack()
-            for i, flag in enumerate(arm2_first):
+            trials = zip(arm2_first, det_a.unpack().tolist(), det_b.unpack().tolist())
+            for i, (flag, detected_a, detected_b) in enumerate(trials, lo):
                 yield ChainRecord(
-                    trial_index=lo + i,
-                    first_arm=Arm.TWO if flag else Arm.ONE,
-                    detected_a=bool(det_a[i]),
-                    detected_b=bool(det_b[i]),
-                    spacelike=self.spacelike,
+                    trial_index=i,
+                    first_arm=_FIRST_ARMS[flag],
+                    detected_a=detected_a,
+                    detected_b=detected_b,
+                    spacelike=spacelike,
                 )
 
 
@@ -629,16 +645,17 @@ def trial_draws(seed: int, trial_index: int) -> TrialDraws:
     of output ``i // 64`` of slot j's coin plane, the PCG64DXSM stream of
     ``SeedSequence(seed, spawn_key=(j, 1))``; d is 16-bit lane ``i % 4`` of
     output ``i // 4`` of its digit plane, spawn key ``(j, 0)``; and t is
-    output i of its tail plane, spawn key ``(j, 2)``. Each plane is read
-    through the kernels' own per-thread generator, jumped to the output it
-    needs. The draws are the object layer's input, so this loads it
+    output i of its tail plane, spawn key ``(j, 2)``. Each draw is a
+    one-trial `kernels.uniform_block`, the kernels' own reader of the three
+    planes. The draws are the object layer's input, so this loads it
     (:mod:`eprsim.reference`).
     """
     from .reference import TrialDraws
 
     kernels.check_seed(seed)
     kernels.check_int("trial_index", trial_index, 0, kernels.SEED_LIMIT - 1)
-    u = [kernels._draw(seed, trial_index, slot) * 2.0**-53
+    # float(): numpy 2 shows a bare np.float64 as np.float64(...)
+    u = [float(kernels.uniform_block(seed, trial_index, 1, slot)[0])
          for slot in range(kernels.DRAWS_PER_TRIAL)]
     return TrialDraws(
         settings=u[kernels.SLOT_SETTINGS],

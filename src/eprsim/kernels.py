@@ -15,7 +15,10 @@ and the draw is the 53-bit integer ``k = (c << 52) | (d << 36) | (t >> 28)``,
 read as the uniform ``u = k * 2**-53``. PCG's state is a 128-bit LCG, which
 jumps to any output in O(log n) steps (`_plane_words`), so trial i's draws
 are a pure function of (seed, i, slot): any subset of trials can be computed
-in any order or on any worker with bit-identical results. Independence of
+in any order or on any worker with bit-identical results. Each thread that
+runs a kernel reuses one PCG64DXSM and sets its state for every plane it
+reads; each plane's initial state is cached, in a cache of fixed size,
+because hashing the `SeedSequence` is the costly step. Independence of
 the planes rests on `SeedSequence` spawn keys, numpy's documented way to
 derive parallel streams. The entropy is the seed alone, with (slot, plane)
 as the spawn key, and not the tuple ``(seed, slot, plane)``: `SeedSequence`
@@ -25,18 +28,16 @@ while a spawn key is appended after the padding. ``u < 1/2`` holds exactly
 when ``c == 0``, so a fair coin reads the coin plane alone, at 1/64 of an
 output per trial (`_slot_coins`); a compare reads the digit plane too, at
 1/4 of an output per trial (`_slot_digits`), and the tail plane only at the
-trials that tie (`_slot_tails`). Slots per trial:
+trials that tie (`_slot_tails`). One slot's coin words for consecutive
+trials are consecutive outputs, and so are its digit words, so a block
+reads each plane it needs with one ``random_raw`` call, and a plane no
+kernel of the run reads is never made. Slots per trial:
 
     0  settings-pair selection (randomized-settings runs only)
     1  emission (hidden parameter / handedness; entangled models skip it)
     2  arm-A coin
     3  arm-B coin
     4  measurement-order selection (random-order runs only)
-
-``RNG_STREAM`` names this stream and the kernels' decisions on it: it
-changes whenever any draw, or any kernel's decision on a draw, would. v7
-keeps v6's draws and changes the second-photon rule (`_second_photon`);
-packing the flags changed neither.
 
 Outcome coins are compared with strict less-than, so a probability snapped to
 exactly 0 never fires and a probability of exactly 1 always does. Coins
@@ -49,18 +50,62 @@ as is its ceiling. Nor do they build k: c and d are its top 17 bits, so
 ``k < K`` holds when ``c << 16 | d`` is below ``K >> 36`` and fails when it
 is above, whatever the tail. Only a trial whose coin and digit equal the
 cut's top 17 bits ties, about one in 2**17 per compare, and reads its tail
-with a jump of its own to decide ``t >> 28 < K mod 2**36`` (`_below`).
-Settings pairs are chosen against the integer cuts ``ceil(cumw * 2**53)``
-the same way, and a cut or a float response that differs per trial is met
-on each trial's top 17 bits as well (`_below_each`). These compares decide
-exactly as the float compares do, draw for draw. A deterministic
-hidden-variable model (responses exactly 0 or 1) is decided on the planes
-too: each arm is a step function of the emission integer k that flips at
-integer cuts found from the model's own float decisions (`_setting_cuts`).
-k itself, and the float u, are built only where a model maps u to a hidden
-value: hidden-variable models that need a float response per trial read
-their emission slot through `uniform_block`, the one reader of a whole tail
-plane.
+with a jump of its own to decide ``t >> 28 < K mod 2**36`` (`_below`). This
+is the lazy reading of random bits of Knuth and Yao ("The complexity of
+nonuniform random number generation", 1976) with a 16-bit digit: a 32-bit
+one would read twice the words, and an 8-bit one would tie 256 times as
+often. Settings pairs are chosen against the integer cuts
+``ceil(cumw * 2**53)`` the same way, and a cut or a float response that
+differs per trial is met on each trial's top 17 bits as well
+(`_below_each`). These compares decide exactly as the float compares do,
+draw for draw.
+
+Every factorized (hidden-variable) model, built in or custom, runs on one
+kernel, `two_channel_block_lhv`. A model that declares ``deterministic=True``
+(responses exactly 0 or 1, as `lhv-sign`'s are) is decided on the emission
+slot's planes too: each arm is a step function of the emission integer k
+that flips only at the model's declared ``response_breakpoints``. The
+model's own float decision is evaluated on every k within 2**10 of each
+breakpoint and on a coarse grid, once per model and settings
+(`_setting_cuts`), and each trial is decided by the parity of the integer
+cuts at or below its k. If those decisions do not show exactly the declared
+flips, the run takes the float path instead, so the outcomes are the float
+path's either way, and the ``eprsim.kernels`` logger says so at INFO. k
+itself, and the float u, are built only where a model maps u to a hidden
+value: a factorized model that needs a float response per trial reads its
+emission slot through `uniform_block`, the one reader of a whole tail plane,
+and each arm then decides ``u < p`` on its own slot's coins and digits. Each
+arm's response is called once per block, with the setting as a scalar when
+the run has one settings pair and as a per-trial array otherwise;
+`models.validate_lhv_model`, which the engine runs before a run's first
+block, checks that a response answers both forms alike.
+
+Which planes each kernel reads (`tests/test_kernels.py` pins it): every
+fair coin is read on the coin plane alone. The chain kernel reads coins
+only, of one slot for `qm` (the arm measured first) and
+`definite-circular` (the emission) and of both arm slots for the other
+models; the two-channel kernels read the coins of the arm measured first
+(of both arms for `definite-circular`); random ordering adds the ordering
+slot's coins. The digit plane is read, beside the same slot's coins,
+wherever a draw meets a cut other than 1/2: the second arm of the
+two-channel `qm` and `ndv-nonlocal` kernels (both arms on random-order
+runs, whose outcome depends on the order), the emission slot of a
+deterministic factorized model such as `lhv-sign`, the emission and both
+arm slots of a factorized model on the float path, and the Malus kernel's
+arm-A slot; randomized settings add the settings slot. The tail plane is
+read whole only for the float path's emission slot (`uniform_block`), and
+elsewhere only at trials that tie.
+
+``RNG_STREAM`` names this stream and the kernels' decisions on it: it
+changes whenever any draw, or any kernel's decision on a draw, would. v7
+keeps v6's draws and changes the second-photon rule (`_second_photon`): the
+photon measured second meets one cut, ``ceil(cos²(a - b) * 2**53)``, and
+answers "same channel as the first" or "the other one", where v6 met cos²
+after a parallel first answer and sin² after a perpendicular one. Each
+trial's chance of each answer is the same under both rules, but which trials
+give which answer differs; a random-order block compares twice instead of
+four times (`BENCH_21.json`, `block_timing`). Packing the flags changed
+neither draws nor decisions.
 
 Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
@@ -76,7 +121,8 @@ compare packs its digit test once and meets the coins with one word-wide
 a deterministic model's flips are word-wide XNOR, select and XOR; and the
 engine counts the words by popcount. Only the float path (`_below_each`)
 and a per-trial settings-pair mask decide one boolean per trial, which they
-pack once, and only a per-trial record unpacks the words.
+pack once; a run of several settings pairs counts each pair through one
+packed mask, and only a per-trial record unpacks the words.
 
 The run-value rules are stated here once for the engine and the CLI: they
 raise `ConfigError` naming the field, and the seed rule guards every block.
@@ -313,14 +359,6 @@ def _slot_tails(seed: int, start: int, count: int, slot: int, at=None) -> np.nda
         return _plane_words(seed, start, count, slot, 2)
     return np.array([_plane_words(seed, start + int(i), 1, slot, 2)[0] for i in at],
                     dtype=np.uint64)
-
-
-def _draw(seed: int, trial: int, slot: int) -> int:
-    """The 53-bit draw k of one trial and slot, read from its three planes."""
-    coin = int(_plane_words(seed, trial // 64, 1, slot, 1)[0]) >> trial % 64 & 1
-    digit = int(_plane_words(seed, trial // 4, 1, slot, 0)[0]) >> 16 * (trial % 4) & 0xFFFF
-    tail = int(_plane_words(seed, trial, 1, slot, 2)[0])
-    return coin << 52 | digit << 36 | tail >> 28
 
 
 class _Planes(NamedTuple):
@@ -565,7 +603,8 @@ def two_channel_block(
     second arm's digits. With one settings pair the index is a read-only
     view that holds no per-trial bytes (`_pair_index`), so the block
     allocates only the planes it reads, one boolean per trial while it packs
-    a compare, and the words it returns: about 3.6 bytes per trial at its peak.
+    a compare, and the words it returns: about 3.6 bytes per trial at its
+    peak (`BENCH_27.json`, `peak_alloc_block_bytes`).
     """
     check_ordering(ordering)
     if isinstance(model, Lhv):

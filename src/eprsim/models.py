@@ -343,5 +343,9 @@ class Lhv(_PerTrial):
 
     model: LhvModel
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.model, LhvModel):
+            raise TypeError(f"not a hidden-variable model: {self.model!r}")
+
 
 HypothesisModel = QMFormal | NdvNonlocal | DefiniteCircular | Lhv

@@ -3,7 +3,9 @@
 Counts are exact integers and merge by component-wise addition, so statistics
 accumulated over any partition of a run equal a single sequential pass
 exactly. Probabilities and correlations are always derived from counts, never
-accumulated as floats.
+accumulated as floats. The counts take nothing but `PackedFlags`: a ±1 or
+0/1 integer array, or an unpacked boolean one, raises TypeError instead of
+being counted by truth.
 """
 
 from __future__ import annotations

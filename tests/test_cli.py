@@ -499,6 +499,43 @@ class TestReadmeFlags:
         assert self._readme_flags() - self._parser_flags() == set()
 
 
+class TestReadmeReference:
+    """README's "Command line" section names every config key and exit code,
+    and every BENCH file and `eprsim` module README points to exists."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def _readme(self) -> str:
+        return (self.ROOT / "README.md").read_text()
+
+    def _command_line(self) -> str:
+        readme = self._readme()
+        start = readme.index("\n## Command line\n")
+        return readme[start : readme.index("\n## ", start + 1)]
+
+    def test_every_config_key_is_named(self):
+        keys = {key for params in SCENARIO_PARAMS.values() for key in params}
+        keys |= {"scenario", "format", "out"}
+        assert keys - set(re.findall(r"`([a-z_]+)`", self._command_line())) == set()
+
+    def test_every_exit_code_is_named(self):
+        codes = re.findall(r"^- `(\d+)`:", self._command_line(), re.MULTILINE)
+        assert sorted(codes, key=int) == ["0", "1", "2", "130"]
+
+    def test_every_cited_bench_file_exists(self):
+        cited = set(re.findall(r"\bBENCH_\d+\.json", self._readme()))
+        assert cited
+        assert {name for name in cited if not (self.ROOT / name).is_file()} == set()
+
+    def test_every_module_pointed_to_imports(self):
+        import importlib
+
+        modules = set(re.findall(r"\beprsim\.([a-z_][a-z0-9_]*)", self._readme()))
+        assert "kernels" in modules and "engine" in modules
+        for module in sorted(modules):
+            importlib.import_module(f"eprsim.{module}")
+
+
 # Values of arbitrary JSON type, mostly wrong for the key they land on.
 _JUNK = st.one_of(
     st.none(),

@@ -830,11 +830,18 @@ class TestValidation:
         assert run_malus(2**64 - 1, 0.5, 100).n_total == 100
 
     @pytest.mark.parametrize(
-        "field,value", [("model", object()), ("settings", (0.0, 0.0)), ("ordering", "random")]
+        "field,value",
+        [("model", object()), ("settings", (0.0, 0.0)), ("ordering", "random"),
+         ("geometry", "far")],
     )
     def test_config_types_checked_at_construction(self, field, value):
         with pytest.raises(TypeError):
             qm_config(**{field: value})
+
+    def test_lhv_model_type_checked_at_construction(self):
+        # a string used to fail only inside run_experiment, on `.density`
+        with pytest.raises(TypeError, match="not a hidden-variable model"):
+            Lhv("x")
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(TypeError):
