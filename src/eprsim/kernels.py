@@ -55,10 +55,10 @@ is the lazy reading of random bits of Knuth and Yao ("The complexity of
 nonuniform random number generation", 1976) with a 16-bit digit: a 32-bit
 one would read twice the words, and an 8-bit one would tie 256 times as
 often. Settings pairs are chosen against the integer cuts
-``ceil(cumw * 2**53)`` the same way, and a cut or a float response that
-differs per trial is met on each trial's top 17 bits as well
-(`_below_each`). These compares decide exactly as the float compares do,
-draw for draw.
+``ceil(cumw * 2**53)`` the same way; a run of several pairs meets each
+pair's cut over the whole block and keeps each trial's own (`_by_pair`),
+and only a float response is met per trial (`_below_each`). These
+compares decide exactly as the float compares do, draw for draw.
 
 Every factorized (hidden-variable) model, built in or custom, runs on one
 kernel, `two_channel_block_lhv`. A model that declares ``deterministic=True``
@@ -120,9 +120,9 @@ compare packs its digit test once and meets the coins with one word-wide
 ``&=`` or ``|=`` (`_below`); the second photon, the measurement order and
 a deterministic model's flips are word-wide XNOR, select and XOR; and the
 engine counts the words by popcount. Only the float path (`_below_each`)
-and a per-trial settings-pair mask decide one boolean per trial, which they
-pack once; a run of several settings pairs counts each pair through one
-packed mask, and only a per-trial record unpacks the words.
+and the settings-pair index hold a value per trial, each pair's mask is
+packed from the index once per block, and only a per-trial record unpacks
+the words.
 
 The run-value rules are stated here once for the engine and the CLI: they
 raise `ConfigError` naming the field, and the seed rule guards every block.
@@ -452,7 +452,8 @@ def _below_each(tops: np.ndarray, tails, x: np.ndarray) -> np.ndarray:
     With ``r = x - top``, a trial is below when r >= 1 and not when r <= 0,
     whatever its tail; otherwise it ties and is below when ``t >> 28 < r *
     2**36``. Every step is exact: where 0 < r < 1, x and top are below 2**17,
-    so r is a multiple of the ulp of x, and a NaN is never below."""
+    so r is a multiple of the ulp of x, and a NaN is never below. Only the
+    float path compares so (`_float_arm`); an integer cut goes to `_below`."""
     x -= tops
     below = x >= 1.0
     ties = x > 0.0
@@ -461,17 +462,6 @@ def _below_each(tops: np.ndarray, tails, x: np.ndarray) -> np.ndarray:
     if at.size:
         below[at] = tails(at) >> _TAIL_SHIFT < x[at] * float(1 << _LOW)
     return pack_words(below)
-
-
-def _comparer(planes: _Planes, pair_idx: np.ndarray, pairs: int):
-    """``below(cuts)``: ``k < cuts[pair]`` per trial, packed, for one integer cut per
-    settings pair. A run with one pair compares each cut with `_below`;
-    otherwise the cut differs per trial, and each trial's top 17 bits are
-    built once to meet it (`_below_each`)."""
-    if pairs == 1:
-        return lambda cuts: _below(planes, cuts[0])
-    tops = _tops(planes.coins, planes.digits)
-    return lambda cuts: _below_each(tops, planes.tails, np.take(cuts * 2.0**-_LOW, pair_idx))
 
 
 def uniform_block(seed: int, start: int, count: int, slot: int) -> np.ndarray:
@@ -559,6 +549,21 @@ def _pick(flags: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.nd
     return if_true
 
 
+def _by_pair(pair_idx: np.ndarray, pairs: int, decide):
+    """``decide(p)``, packed answers of the whole block as settings pair p,
+    kept at each trial for its own pair: each pair's mask is packed once per
+    block, one at a time, and meets its pair's answers word-wide."""
+    if pairs == 1:
+        return decide(0)
+    kept = None
+    for pair in range(pairs):
+        mask = pack_words(pair_idx == pair)
+        answers = [np.bitwise_and(words, mask, out=words) for words in decide(pair)]
+        kept = answers if kept is None else [np.bitwise_or(k, a, out=k)
+                                             for k, a in zip(kept, answers)]
+    return kept
+
+
 def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
     """Per-pair values spread over trials; a scalar when there is one pair."""
     return values[0] if values.size == 1 else values[pair_idx]
@@ -622,17 +627,20 @@ def two_channel_block(
         return pair_idx, PackedFlags(oa, count), PackedFlags(ob, count)
 
     cuts = _malus_cuts(tuple(pair_a.tolist()), tuple(pair_b.tolist()))
-
-    def same(coins, slot):
-        return _comparer(_slot_planes(*block, slot, coins), pair_idx, cumw.size)(cuts)
-
-    if ordering is Ordering.ARM1_FIRST:
-        ob = _second_photon(oa, same(ob, SLOT_ARM_B), count)
-    elif ordering is Ordering.ARM2_FIRST:
-        oa = _second_photon(ob, same(oa, SLOT_ARM_A), count)
+    arms = [(ob, SLOT_ARM_B), (oa, SLOT_ARM_A)]  # an arm measured second meets the cuts
+    arms = {Ordering.ARM1_FIRST: arms[:1], Ordering.ARM2_FIRST: arms[1:]}.get(ordering, arms)
+    if cumw.size == 1:  # one arm's planes alive at a time
+        same = [_below(_slot_planes(*block, slot, coins), cuts[0]) for coins, slot in arms]
     else:
-        ob1 = _second_photon(oa, same(ob, SLOT_ARM_B), count)
-        oa2 = _second_photon(ob, same(oa, SLOT_ARM_A), count)
+        planes = [_slot_planes(*block, slot, coins) for coins, slot in arms]
+        same = _by_pair(pair_idx, cumw.size, lambda p: [_below(arm, cuts[p]) for arm in planes])
+    if ordering is Ordering.ARM1_FIRST:
+        ob = _second_photon(oa, same[0], count)
+    elif ordering is Ordering.ARM2_FIRST:
+        oa = _second_photon(ob, same[0], count)
+    else:
+        ob1 = _second_photon(oa, same[0], count)
+        oa2 = _second_photon(ob, same[1], count)
         arm2_first = _arm2_first(*block, ordering)
         oa = _pick(arm2_first, oa2, oa)
         ob = _pick(arm2_first, ob, ob1)
@@ -733,14 +741,14 @@ def _setting_cuts(model: models.LhvModel, response, setting: float):
     at_edge = (lo == 0) | (hi == _TOP)
     if np.any((found != 1) & ~(at_edge & (found == 0))):
         return None
-    return bool(parallel[0]), cuts.astype(np.uint64)
+    return bool(parallel[0]), tuple(cuts.tolist())
 
 
 @functools.lru_cache(maxsize=256)
 def _word_steps(model: models.LhvModel, arm: str, settings: tuple[float, ...]):
     """`_setting_cuts` for one arm ("response_a" or "response_b") at each
-    settings pair: (decision at k = 0 per pair, cuts per pair and column),
-    rows padded with 2**53, which no k reaches; None if any setting fails.
+    of its settings: one row per setting, (decision at k = 0, cuts), or None
+    if any setting fails.
 
     Cached, so a run finds its cuts once and not once per block, and logs
     each failing setting once, at INFO on the ``eprsim.kernels`` logger. It
@@ -754,15 +762,7 @@ def _word_steps(model: models.LhvModel, arm: str, settings: tuple[float, ...]):
             "%s: %s fails the cut check at setting %r; the run takes the float path",
             model.name, arm, setting,
         )
-    if failed:
-        return None
-    cuts = np.full((len(rows), max(len(c) for _, c in rows)), 1 << 53, dtype=np.uint64)
-    for padded, (_, row) in zip(cuts, rows):
-        padded[: row.size] = row
-    first = np.array([v for v, _ in rows])
-    cuts.setflags(write=False)
-    first.setflags(write=False)
-    return first, cuts
+    return None if failed else tuple(rows)
 
 
 def lhv_word_steps(model: models.LhvModel, pair_a: np.ndarray, pair_b: np.ndarray):
@@ -778,21 +778,18 @@ def lhv_word_steps(model: models.LhvModel, pair_a: np.ndarray, pair_b: np.ndarra
     return steps_a, steps_b
 
 
-def _step_decision(below, pair_idx: np.ndarray, first: np.ndarray, cuts: np.ndarray):
-    """Packed per-trial decisions of one arm: its decision at k = 0 flipped
-    once per cut of the trial's settings pair at or below k. `below`
-    (`_comparer`) finds the cuts above k instead, so an odd count of columns
-    flips the decision once more. The first column's compare is the
-    accumulator, and every flip is word-wide."""
-    count = pair_idx.size
-    columns = cuts.T
-    flipped = below(columns[0]) if len(columns) else np.zeros(_words(count), dtype=np.uint64)
-    for column in columns[1:]:
-        flipped ^= below(column)
-    flip = first ^ (len(columns) % 2 == 1)
-    if flip.size > 1:
-        flipped ^= pack_words(flip[pair_idx])
-    elif flip[0]:
+def _step_decision(planes: _Planes, row: tuple[bool, tuple[int, ...]]) -> np.ndarray:
+    """Packed decisions of one arm at one setting, its `_word_steps` row, on
+    the emission slot's planes: the decision at k = 0 flipped once per cut
+    at or below k. `_below` finds the cuts above k instead, so an odd count
+    of cuts flips it once more; the first cut's compare is the accumulator,
+    and every flip is word-wide."""
+    first, cuts = row
+    count = planes.digits.size
+    flipped = _below(planes, cuts[0]) if cuts else np.zeros(_words(count), dtype=np.uint64)
+    for cut in cuts[1:]:
+        flipped ^= _below(planes, cut)
+    if first != (len(cuts) % 2 == 1):
         _not(flipped, count)
     return flipped
 
@@ -811,8 +808,9 @@ def two_channel_block_lhv(
 
     A deterministic model is decided on the emission slot's planes when its
     cuts pass the check of `_setting_cuts` at every setting of the run: each
-    arm is `_step_decision` of the emission integer k, the float decision
-    draw for draw, and no float is built. Otherwise the hidden values are
+    arm is `_step_decision` of the emission integer k at each setting, kept
+    per trial for its own pair (`_by_pair`): the float decision draw for
+    draw, and no float is built. Otherwise the hidden values are
     sampled from `uniform_block` and each arm answers by `_float_arm`:
     responses get the setting as a scalar when there is one settings pair
     and as a per-trial array otherwise. Determinism holds for
@@ -825,9 +823,9 @@ def two_channel_block_lhv(
     block = (seed, start, count)
     steps = lhv_word_steps(model, pair_a, pair_b)
     if steps is not None:
-        below = _comparer(_slot_planes(*block, SLOT_EMISSION), pair_idx, cumw.size)
-        oa = _step_decision(below, pair_idx, *steps[0])
-        ob = _step_decision(below, pair_idx, *steps[1])
+        planes = _slot_planes(*block, SLOT_EMISSION)
+        oa, ob = _by_pair(pair_idx, cumw.size,
+                          lambda p: [_step_decision(planes, rows[p]) for rows in steps])
     else:
         lam = np.asarray(model.sample(uniform_block(*block, SLOT_EMISSION)), dtype=float)
         oa = _float_arm(block, SLOT_ARM_A, model.response_a, _per_trial(pair_a, pair_idx), lam)

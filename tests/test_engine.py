@@ -1057,6 +1057,21 @@ class TestBoundedMemory:
         peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
         assert peak < 4 * BLOCK_SIZE, peak
 
+    @pytest.mark.parametrize("name", ["qm", "ndv-nonlocal", "definite-circular", "lhv-sign"])
+    def test_a_three_pair_block_peaks_below_10_bytes_per_trial(self, name):
+        # beside a one-pair block's arrays, a block of several settings pairs
+        # holds the int32 pair index, one boolean per trial while it packs a
+        # pair's mask, and that one mask: each pair's cut is met with the
+        # one-pair compare, so no per-trial cut or top is built (7.9 bytes
+        # per trial at most)
+        settings = RandomizedSettings(((0.0, 0.4), (0.7, 0.2), (1.3, 1.3)), (0.2, 0.5, 0.3))
+        run = lambda n: run_experiment(
+            qm_config(model=build_model(name), trials=n, settings=settings), workers=1
+        )
+        run(BLOCK_SIZE)
+        peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
+        assert peak < 10 * BLOCK_SIZE, peak
+
     def test_a_float_path_block_peaks_below_30_bytes_per_trial(self):
         # lhv-malus reads floats: at its peak an arm holds the hidden values,
         # its response and the scaled response, about 26 bytes per trial of

@@ -594,18 +594,6 @@ class TestTiesOnTheRealStream:
             assert i in read or cut % 2**36 == 0 or cut >> 36 != k >> 36, (i, cut)
             assert all(int(ks[j]) >> 36 == cut >> 36 for j in read), (i, cut, read)
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_per_trial_cuts(self, block, offset):
-        # each trial its own settings pair, whose cut is its own draw plus offset
-        seed, start, ks = block
-        read = []
-        cuts = ks + np.uint64(offset) if offset >= 0 else ks - np.uint64(-offset)
-        planes = self._planes(seed, start, read)
-        below = kernels._comparer(planes, np.arange(self.COUNT), self.COUNT)
-        assert np.array_equal(unpacked(below(cuts), self.COUNT), ks < cuts)
-        ties = cuts >> np.uint64(36) == ks >> np.uint64(36)
-        assert sorted(read) == np.flatnonzero(ties).tolist()
-
     @pytest.mark.parametrize("offset", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_float_responses(self, block, offset):
         seed, start, ks = block
@@ -685,7 +673,7 @@ class TestDeterministicModelOnWords:
             response_b=lambda s, lam: np.zeros(np.broadcast(s, lam).shape),
             response_breakpoints=lambda s: np.array([]),
         )
-        assert kernels._word_steps(model, "response_a", (pairs[0][0],))[1].shape == (1, 0)
+        assert kernels._word_steps(model, "response_a", (pairs[0][0],)) == ((True, ()),)
         self._assert_paths_agree(model, pairs, weights, seed=31, trials=2**16)
 
     def test_the_float_path_is_logged_once_per_failing_setting(self, caplog):
@@ -782,6 +770,36 @@ class TestRandomizedSettingsMatchObjectLayer:
             assert (oa[i], ob[i]) == tuple(_flag(o) for o in want), i
 
 
+class TestSeveralPairsDecideAsOnePair:
+    """A block of several settings pairs answers each trial exactly as the
+    one-pair block of that trial's own pair answers it, over the same
+    trials: each pair's cut is met over the whole block, and a trial keeps
+    the answer of the pair its own index names."""
+
+    SEED = 19
+    START = 2**40 + 4101  # inside a coin word and a digit word
+    COUNT = 2**18 - 77  # the last word ragged, and ties expected on every cut
+    PA = np.array([0.0, 0.7, 1.3])
+    PB = np.array([0.4, 0.2, math.pi / 4])
+    CUMW = np.array([0.2, 0.7, 1.0])  # weights 0.2, 0.5 and 0.3
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("order", list(Ordering))
+    def test_each_trial_answers_as_its_own_pair(self, model, order):
+        block = (self.SEED, self.START, self.COUNT)
+        pair_idx, oa, ob = as_arrays(
+            kernels.two_channel_block(*block, model, self.PA, self.PB, self.CUMW, order)
+        )
+        assert np.array_equal(np.unique(pair_idx), [0, 1, 2])
+        for j in range(3):
+            _, one_a, one_b = as_arrays(kernels.two_channel_block(
+                *block, model, self.PA[j : j + 1], self.PB[j : j + 1], np.array([1.0]), order
+            ))
+            own = pair_idx == j
+            assert np.array_equal(oa[own], one_a[own]), j
+            assert np.array_equal(ob[own], one_b[own]), j
+
+
 class TestSecondPhotonRule:
     """The second photon leaves by the channel named like the first one's
     exit with probability cos²(a - b), whatever the first one answered, and
@@ -833,10 +851,10 @@ class TestSecondPhotonRule:
 class TestKernelsOnEdgeWords:
     """Every plane-domain kernel, fed draws that sit on and next to each of
     its cuts and of the planes' seams, decides as the float compares it
-    replaces, with one settings pair (each cut met on the coin and digit)
-    and with several (each trial's cut met on its top 17 bits). A draw one
-    off a cut shares the cut's top 17 bits unless a seam lies between, so
-    the table makes every kernel decide ties on their tails."""
+    replaces, with one settings pair and with several (each pair's cut met
+    over the whole block, each trial keeping its own pair's answer). A draw
+    one off a cut shares the cut's top 17 bits unless a seam lies between,
+    so the table makes every kernel decide ties on their tails."""
 
     N = 4000
     PA = np.array([0.0, 0.7, 1.3, math.pi / 2])
@@ -855,7 +873,7 @@ class TestKernelsOnEdgeWords:
         cuts += [int(kernels._cut(min(math.cos(t) ** 2, 1.0))) for t in self.THETAS]
         sign = deterministic_sign_model()
         for arm, settings in (("response_a", self.PA), ("response_b", self.PB)):
-            cuts += [int(c) for c in kernels._word_steps(sign, arm, tuple(settings))[1].flat]
+            cuts += [c for _, row in kernels._word_steps(sign, arm, tuple(settings)) for c in row]
         ks = sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k < 2**53})
         rng = np.random.default_rng(12)
         table = np.array(ks, dtype=np.uint64)[rng.integers(0, len(ks), (self.N, 8))]
@@ -933,8 +951,8 @@ class TestKernelsOnEdgeWords:
             tables = [kernels._malus_cuts(tuple(pa), tuple(pb))]
         elif name == "lhv-sign":
             sign = deterministic_sign_model()
-            tables = [kernels._word_steps(sign, arm, tuple(settings))[1]
-                      for arm, settings in (("response_a", pa), ("response_b", pb))]
+            tables = [cuts for arm, settings in (("response_a", pa), ("response_b", pb))
+                      for _, cuts in kernels._word_steps(sign, arm, tuple(settings))]
         else:
             return []
         return [int(cut) for table in tables for cut in np.ravel(table)]
@@ -1061,7 +1079,7 @@ class TestWordBudget:
         elif name == "lhv-sign":
             sign = deterministic_sign_model()
             cuts = [int(c) for arm, settings in (("response_a", pa), ("response_b", pb))
-                    for c in kernels._word_steps(sign, arm, tuple(settings))[1].flat]
+                    for _, row in kernels._word_steps(sign, arm, tuple(settings)) for c in row]
         else:
             lhv = kernels.MODEL_CODES[name].model
             lam = lhv.sample(kernels.uniform_block(self.SEED, trial, 1, E))
