@@ -85,7 +85,6 @@ _EXPORTS = {
         "FixedSettings",
         "Geometry",
         "QwpChainProtocol",
-        "RandomizedSettings",
         "RunConfig",
         "Schedule",
         "TwoChannelProtocol",

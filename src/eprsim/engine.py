@@ -47,7 +47,7 @@ from .models import (
     Ordering,
     validate_lhv_model_once,
 )
-from .stats import ChainCounts, CoincidenceCounts, PackedFlags
+from .stats import ChainCounts, CoincidenceCounts
 
 if TYPE_CHECKING:
     from .reference import ChainRecord, TrialDraws, TwoChannelRecord
@@ -89,57 +89,6 @@ class FixedSettings(_Frozen):
         kernels.check_real("b", self.b)
 
 
-class RandomizedSettings(_Frozen):
-    """Per-trial choice from a finite weighted list of orientation pairs."""
-
-    pairs: tuple[tuple[float, float], ...]
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        items = _items("pairs", self.pairs, "a sequence of (a, b) pairs")
-        pairs = tuple(map(_settings_pair, items))
-        if not pairs:
-            raise kernels.ConfigError("pairs: need at least one settings pair")
-        if self.weights is None:
-            weights = tuple(1.0 / len(pairs) for _ in pairs)
-        else:
-            weights = tuple(
-                kernels.check_real("weights", w, minimum=0.0)
-                for w in _items("weights", self.weights, "a sequence of numbers")
-            )
-            if len(weights) != len(pairs):
-                raise kernels.ConfigError(
-                    f"weights: {len(weights)} weights for {len(pairs)} settings pairs; "
-                    "they must match one to one"
-                )
-            if abs(sum(weights) - 1.0) > 1e-12:
-                raise kernels.ConfigError(f"weights: sum to {sum(weights)!r}, not 1 within 1e-12")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "weights", weights)
-
-
-def _items(key: str, value, what: str) -> tuple:
-    """The items of `value`; a string or a value that is not iterable breaks
-    `key`'s rule, which says it must be `what`."""
-    if not isinstance(value, str):
-        try:
-            return tuple(value)
-        except TypeError:
-            pass
-    raise kernels.ConfigError(f"{key}: must be {what}, got {value!r}")
-
-
-def _settings_pair(pair) -> tuple[float, float]:
-    """One settings pair as two finite floats."""
-    items = _items("pairs", pair, "an (a, b) pair")
-    if len(items) != 2:
-        raise kernels.ConfigError(f"pairs: must be an (a, b) pair, got {pair!r}")
-    return kernels.check_real("pairs", items[0]), kernels.check_real("pairs", items[1])
-
-
-SettingsPolicy = FixedSettings | RandomizedSettings
-
-
 def check_trials(trials) -> int:
     """The trials rule: an int in [1, 2**64], at most the trial indices of a seed."""
     return kernels.check_int("trials", trials, 1, kernels.SEED_LIMIT)
@@ -155,7 +104,7 @@ class RunConfig(_Frozen):
 
     model: HypothesisModel
     trials: int
-    settings: SettingsPolicy = FixedSettings(0.0, 0.0)
+    settings: FixedSettings = FixedSettings(0.0, 0.0)
     ordering: Ordering = Ordering.ARM1_FIRST
     seed: int = 1
     geometry: Geometry = Geometry()
@@ -163,8 +112,8 @@ class RunConfig(_Frozen):
     def __post_init__(self) -> None:
         if not isinstance(self.model, HypothesisModel):
             raise TypeError(f"not a hypothesis model: {self.model!r}")
-        if not isinstance(self.settings, SettingsPolicy):
-            raise TypeError(f"not a settings policy: {self.settings!r}")
+        if not isinstance(self.settings, FixedSettings):
+            raise TypeError(f"not a FixedSettings: {self.settings!r}")
         kernels.check_ordering(self.ordering)
         if not isinstance(self.geometry, Geometry):
             raise TypeError(f"not a Geometry: {self.geometry!r}")
@@ -173,7 +122,7 @@ class RunConfig(_Frozen):
 
 
 class TwoChannelProtocol(_Frozen):
-    """Two-channel analyzers on both arms, oriented per the settings policy."""
+    """Two-channel analyzers on both arms, oriented per the run's settings."""
 
 
 class QwpChainProtocol(_Frozen):
@@ -415,7 +364,8 @@ _OUTCOMES = (ChannelOutcome.MINUS, ChannelOutcome.PLUS)
 
 @dataclass(frozen=True, eq=False)
 class TwoChannelRun:
-    """Exact joint-outcome counts of a two-channel run, one per settings pair."""
+    """Exact joint-outcome counts of a two-channel run: `pair_table` holds
+    its one settings pair (a, b) and `pair_counts` that pair's counts."""
 
     config: RunConfig
     start_index: int
@@ -438,14 +388,12 @@ class TwoChannelRun:
         """Per-trial records, replayed block by block."""
         from .reference import TwoChannelRecord
 
-        _, kernel, block, _ = _two_channel_kernel(self.config)
-        pairs, spacelike = self.pair_table, self.spacelike
+        kernel, block, _ = _two_channel_kernel(self.config)
+        a, b, spacelike = self.config.settings.a, self.config.settings.b, self.spacelike
         blocks = _replay(self.config, self.start_index, kernel, block)
-        for lo, arm2_first, (pair_index, out_a, out_b) in blocks:
-            trials = zip(arm2_first, pair_index.tolist(), out_a.unpack().tolist(),
-                         out_b.unpack().tolist())
-            for i, (flag, pair, plus_a, plus_b) in enumerate(trials, lo):
-                a, b = pairs[pair]
+        for lo, arm2_first, (_, out_a, out_b) in blocks:
+            trials = zip(arm2_first, out_a.unpack().tolist(), out_b.unpack().tolist())
+            for i, (flag, plus_a, plus_b) in enumerate(trials, lo):
                 yield TwoChannelRecord(
                     trial_index=i,
                     a=a,
@@ -490,33 +438,21 @@ class QwpChainRun:
                 )
 
 
-def _settings_tables(policy: SettingsPolicy) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(policy, FixedSettings):
-        pairs = ((policy.a, policy.b),)
-        weights = np.array([1.0])
-    else:
-        pairs = policy.pairs
-        weights = np.array(policy.weights)
-    pair_a = np.array([p[0] for p in pairs], dtype=np.float64)
-    pair_b = np.array([p[1] for p in pairs], dtype=np.float64)
-    cumw = np.cumsum(weights)
-    cumw[-1] = 1.0  # guard float drift; weights already sum to 1 within 1e-12
-    return pairs, pair_a, pair_b, cumw
-
-
 def _two_channel_kernel(config: RunConfig):
-    """The settings pairs of a two-channel run, its per-block kernel call,
-    (lo, hi) -> (pair index, outcome A, outcome B) per trial, its block size
-    and the trials that make one worker process's share: a quarter
-    `BLOCK_SIZE` and `_FLOAT_TRIALS_PER_PROCESS` on the factorized float
-    path, and `BLOCK_SIZE` and `_TRIALS_PER_PROCESS` otherwise."""
-    pairs, pair_a, pair_b, cumw = _settings_tables(config.settings)
+    """The per-block kernel call of a two-channel run, (lo, hi) -> (pair
+    index, outcome A, outcome B) per trial, its block size and the trials
+    that make one worker process's share: a quarter `BLOCK_SIZE` and
+    `_FLOAT_TRIALS_PER_PROCESS` on the factorized float path, and
+    `BLOCK_SIZE` and `_TRIALS_PER_PROCESS` otherwise."""
+    a, b = config.settings.a, config.settings.b
+    pair_a, pair_b = np.array([a], dtype=np.float64), np.array([b], dtype=np.float64)
+    cumw = np.array([1.0])
     float_path = False
     if isinstance(config.model, Lhv):
         # Find a deterministic model's cuts once, here, and not once in each
         # worker. Calling the factorized kernel directly keeps a traced run
         # to one kernel span per block.
-        float_path = kernels.lhv_word_steps(config.model.model, pair_a, pair_b) is None
+        float_path = kernels.lhv_word_steps(config.model.model, a, b) is None
         kernel = lambda lo, hi: kernels.two_channel_block_lhv(
             config.seed, lo, hi - lo, config.model.model, pair_a, pair_b, cumw
         )
@@ -525,8 +461,8 @@ def _two_channel_kernel(config: RunConfig):
             config.seed, lo, hi - lo, config.model, pair_a, pair_b, cumw, config.ordering
         )
     if float_path:
-        return pairs, kernel, BLOCK_SIZE >> 2, _FLOAT_TRIALS_PER_PROCESS
-    return pairs, kernel, BLOCK_SIZE, _TRIALS_PER_PROCESS
+        return kernel, BLOCK_SIZE >> 2, _FLOAT_TRIALS_PER_PROCESS
+    return kernel, BLOCK_SIZE, _TRIALS_PER_PROCESS
 
 
 def _qwp_kernel(config: RunConfig):
@@ -568,24 +504,19 @@ def run_experiment(
 def _run_two_channel(
     config: RunConfig, start_index: int, workers: int, schedule: Schedule | None
 ) -> TwoChannelRun:
-    pairs, kernel, block, per_process = _two_channel_kernel(config)
+    kernel, block, per_process = _two_channel_kernel(config)
 
-    def count(lo: int, hi: int) -> tuple[CoincidenceCounts, ...]:
-        pair_index, out_a, out_b = kernel(lo, hi)
-        if len(pairs) == 1:
-            return (CoincidenceCounts.from_outcomes(out_a, out_b),)
-        return tuple(
-            CoincidenceCounts.from_outcomes(out_a, out_b, PackedFlags.pack(pair_index == j))
-            for j in range(len(pairs))
-        )
+    def count(lo: int, hi: int) -> tuple[CoincidenceCounts]:
+        _, out_a, out_b = kernel(lo, hi)
+        return (CoincidenceCounts.from_outcomes(out_a, out_b),)
 
     return TwoChannelRun(
         config=config,
         start_index=start_index,
-        pair_table=pairs,
+        pair_table=((config.settings.a, config.settings.b),),
         pair_counts=_run_blocks(
             count, start_index, config.trials, workers, block, per_process, schedule,
-            (CoincidenceCounts(0, 0, 0, 0),) * len(pairs),
+            (CoincidenceCounts(0, 0, 0, 0),),
         ),
     )
 

@@ -33,7 +33,8 @@ trials are consecutive outputs, and so are its digit words, so a block
 reads each plane it needs with one ``random_raw`` call, and a plane no
 kernel of the run reads is never made. Slots per trial:
 
-    0  settings-pair selection (randomized-settings runs only)
+    0  reserved: no kernel reads it, kept so that every other slot's
+       stream and `trial_draws` stay unchanged
     1  emission (hidden parameter / handedness; entangled models skip it)
     2  arm-A coin
     3  arm-B coin
@@ -54,10 +55,7 @@ with a jump of its own to decide ``t >> 28 < K mod 2**36`` (`_below`). This
 is the lazy reading of random bits of Knuth and Yao ("The complexity of
 nonuniform random number generation", 1976) with a 16-bit digit: a 32-bit
 one would read twice the words, and an 8-bit one would tie 256 times as
-often. Settings pairs are chosen against the integer cuts
-``ceil(cumw * 2**53)`` the same way; a run of several pairs meets each
-pair's cut over the whole block and keeps each trial's own (`_by_pair`),
-and only a float response is met per trial (`_below_each`). These
+often. Only a float response is met per trial (`_below_each`). These
 compares decide exactly as the float compares do, draw for draw.
 
 Every factorized (hidden-variable) model, built in or custom, runs on one
@@ -66,7 +64,7 @@ kernel, `two_channel_block_lhv`. A model that declares ``deterministic=True``
 slot's planes too: each arm is a step function of the emission integer k
 that flips only at the model's declared ``response_breakpoints``. The
 model's own float decision is evaluated on every k within 2**10 of each
-breakpoint and on a coarse grid, once per model and settings
+breakpoint and on a coarse grid, once per model and setting
 (`_setting_cuts`), and each trial is decided by the parity of the integer
 cuts at or below its k. If those decisions do not show exactly the declared
 flips, the run takes the float path instead, so the outcomes are the float
@@ -75,10 +73,7 @@ itself, and the float u, are built only where a model maps u to a hidden
 value: a factorized model that needs a float response per trial reads its
 emission slot through `uniform_block`, the one reader of a whole tail plane,
 and each arm then decides ``u < p`` on its own slot's coins and digits. Each
-arm's response is called once per block, with the setting as a scalar when
-the run has one settings pair and as a per-trial array otherwise;
-`models.validate_lhv_model`, which the engine runs before a run's first
-block, checks that a response answers both forms alike.
+arm's response is called once per block, with the setting as a scalar.
 
 Which planes each kernel reads (`tests/test_kernels.py` pins it): every
 fair coin is read on the coin plane alone. The chain kernel reads coins
@@ -92,9 +87,8 @@ two-channel `qm` and `ndv-nonlocal` kernels (both arms on random-order
 runs, whose outcome depends on the order), the emission slot of a
 deterministic factorized model such as `lhv-sign`, the emission and both
 arm slots of a factorized model on the float path, and the Malus kernel's
-arm-A slot; randomized settings add the settings slot. The tail plane is
-read whole only for the float path's emission slot (`uniform_block`), and
-elsewhere only at trials that tie.
+arm-A slot. The tail plane is read whole only for the float path's
+emission slot (`uniform_block`), and elsewhere only at trials that tie.
 
 ``RNG_STREAM`` names this stream and the kernels' decisions on it: it
 changes whenever any draw, or any kernel's decision on a draw, would. v7
@@ -110,7 +104,11 @@ neither draws nor decisions.
 Kernels take the engine's own types: the hypothesis model itself and the
 `Ordering` member. Which kernel answers which model is decided once, here, by
 the model's type; a model no kernel knows raises TypeError, as does an
-ordering that is not an `Ordering` member. Every kernel answers each trial
+ordering that is not an `Ordering` member. A run has one settings pair:
+the two-channel kernels take it as the one-element arrays ``pair_a`` and
+``pair_b``, beside a one-element ``cumw``, and answer with a settings-pair
+index that is 0 for every trial before the two arms' flags, the call shape
+perfbench's probes use. Every kernel answers each trial
 with one bit of a `stats.PackedFlags` (set: the parallel channel, detected,
 or passed): trial ``start + i`` of a block is bit ``i % 64`` of word
 ``i // 64``, and the bits past the block's count are zero. The flags stay
@@ -120,9 +118,7 @@ compare packs its digit test once and meets the coins with one word-wide
 ``&=`` or ``|=`` (`_below`); the second photon, the measurement order and
 a deterministic model's flips are word-wide XNOR, select and XOR; and the
 engine counts the words by popcount. Only the float path (`_below_each`)
-and the settings-pair index hold a value per trial, each pair's mask is
-packed from the index once per block, and only a per-trial record unpacks
-the words.
+holds a value per trial, and only a per-trial record unpacks the words.
 
 The run-value rules are stated here once for the engine and the CLI: they
 raise `ConfigError` naming the field, and the seed rule guards every block.
@@ -498,7 +494,7 @@ def _arm2_first(seed: int, start: int, count: int, ordering: Ordering) -> np.nda
 
 
 def _malus_prob_array(first: np.ndarray, second=0.0) -> np.ndarray:
-    """``cos²(first - second)`` per settings pair, ``second`` 0 by default,
+    """``cos²(first - second)`` per angle, ``second`` 0 by default,
     with values below 1e-24 snapped to 0. The cosine is ``cos first * cos
     second + sin first * sin second``, symmetric bit for bit, so a small
     angle is not lost beside one of 1e20 rad, as it is in ``first - second``."""
@@ -508,35 +504,21 @@ def _malus_prob_array(first: np.ndarray, second=0.0) -> np.ndarray:
     return p
 
 
-def _select_pairs(planes: _Planes, cumw: np.ndarray) -> np.ndarray:
-    """Per-trial settings-pair index from the settings slot's planes.
-
-    The index is the number of interior integer cuts ``ceil(cumw[:-1] *
-    2**53)`` at or below k, counted as the cuts less those above k: the same
-    choice as ``searchsorted(cumw, u, side="right")`` clipped to the last
-    pair, made exactly. One compare per cut beats numpy's per-key binary
-    search up to dozens of pairs.
-    """
-    cuts = _cut(cumw[:-1])
-    count = planes.digits.size
-    pair_idx = np.full(count, cuts.size, dtype=np.int32)
-    for cut in cuts:
-        pair_idx -= PackedFlags(_below(planes, cut), count).unpack()
-    return pair_idx
-
-
-def _pair_index(seed: int, start: int, count: int, cumw: np.ndarray) -> np.ndarray:
-    """`_select_pairs` on the settings slot. A single pair reads nothing and
-    allocates nothing: its index is a read-only zero-stride view of one 0."""
-    if cumw.size == 1:
-        return _one_pair_index(count)
-    return _select_pairs(_slot_planes(seed, start, count, SLOT_SETTINGS), cumw)
+def _one_pair(pair_a: np.ndarray, pair_b: np.ndarray, cumw: np.ndarray) -> tuple[float, float]:
+    """The settings (a, b) of a two-channel block, which takes them as
+    one-element arrays, with the one-element `cumw` beside them; any other
+    length raises ValueError naming the argument."""
+    for name, values in (("pair_a", pair_a), ("pair_b", pair_b), ("cumw", cumw)):
+        if np.size(values) != 1:
+            raise ValueError(f"{name}: must hold exactly one element, got {np.size(values)}")
+    return float(np.ravel(pair_a)[0]), float(np.ravel(pair_b)[0])
 
 
 @functools.lru_cache(maxsize=16)
 def _one_pair_index(count: int) -> np.ndarray:
-    """The one-pair index of a block of `count` trials, built once per block
-    length: a run has at most two, the full block and the last one."""
+    """The settings-pair index a two-channel block returns: every trial's is
+    0, in a read-only zero-stride view built once per block length (a run
+    has at most two, the full block and the last one)."""
     return np.broadcast_to(np.int32(0), (count,))
 
 
@@ -549,34 +531,11 @@ def _pick(flags: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.nd
     return if_true
 
 
-def _by_pair(pair_idx: np.ndarray, pairs: int, decide):
-    """``decide(p)``, packed answers of the whole block as settings pair p,
-    kept at each trial for its own pair: each pair's mask is packed once per
-    block, one at a time, and meets its pair's answers word-wide."""
-    if pairs == 1:
-        return decide(0)
-    kept = None
-    for pair in range(pairs):
-        mask = pack_words(pair_idx == pair)
-        answers = [np.bitwise_and(words, mask, out=words) for words in decide(pair)]
-        kept = answers if kept is None else [np.bitwise_or(k, a, out=k)
-                                             for k, a in zip(kept, answers)]
-    return kept
-
-
-def _per_trial(values: np.ndarray, pair_idx: np.ndarray):
-    """Per-pair values spread over trials; a scalar when there is one pair."""
-    return values[0] if values.size == 1 else values[pair_idx]
-
-
 @functools.lru_cache(maxsize=256)
-def _malus_cuts(pair_a: tuple[float, ...], pair_b: tuple[float, ...]) -> np.ndarray:
-    """Per settings pair, the integer cut of ``cos²(a - b)`` (`_second_photon`),
-    whichever arm is measured first. Cached, so a run tabulates it once and
-    not once per block."""
-    cuts = _cut(_malus_prob_array(np.array(pair_a), np.array(pair_b)))
-    cuts.setflags(write=False)
-    return cuts
+def _malus_cut(a: float, b: float) -> int:
+    """The integer cut of ``cos²(a - b)`` (`_second_photon`), whichever arm
+    is measured first. Cached, so a run finds it once and not once per block."""
+    return int(_cut(_malus_prob_array(np.array([a]), np.array([b])))[0])
 
 
 def _second_photon(first: np.ndarray, same: np.ndarray, count: int) -> np.ndarray:
@@ -584,7 +543,7 @@ def _second_photon(first: np.ndarray, same: np.ndarray, count: int) -> np.ndarra
     one's, which answered 1/2. The second photon is linear along the first
     one's exit channel, so by the Malus rule it leaves by the channel of the
     same name with probability cos²(a - b), which `same` compares with
-    (`_malus_cuts`): the answer is `same` XNOR `first`, built in the buffer
+    (`_malus_cut`): the answer is `same` XNOR `first`, built in the buffer
     of `same`."""
     same ^= first
     return _not(same, count)
@@ -600,40 +559,37 @@ def two_channel_block(
     cumw: np.ndarray,
     ordering: Ordering,
 ) -> tuple[np.ndarray, PackedFlags, PackedFlags]:
-    """Per-trial settings-pair index and packed two-channel flags of each
-    arm (set: the parallel channel, clear: the perpendicular one).
+    """The settings-pair index and packed two-channel flags of each arm
+    (set: the parallel channel, clear: the perpendicular one) at the one
+    settings pair (`_one_pair`).
 
     The arm measured first answers 1/2 and reads its coins alone. A fixed
     order turns the first arm's coins into its answers before it reads the
-    second arm's digits. With one settings pair the index is a read-only
-    view that holds no per-trial bytes (`_pair_index`), so the block
-    allocates only the planes it reads, one boolean per trial while it packs
-    a compare, and the words it returns: about 3.6 bytes per trial at its
-    peak (`BENCH_27.json`, `peak_alloc_block_bytes`).
+    second arm's digits. The index is a read-only view that holds no
+    per-trial bytes (`_one_pair_index`), so the block allocates only the
+    planes it reads, one arm's at a time, one boolean per trial while it
+    packs a compare, and the words it returns: about 3.6 bytes per trial at
+    its peak (`BENCH_27.json`, `peak_alloc_block_bytes`).
     """
     check_ordering(ordering)
     if isinstance(model, Lhv):
         return two_channel_block_lhv(seed, start, count, model.model, pair_a, pair_b, cumw)
     if not isinstance(model, (QMFormal, NdvNonlocal, DefiniteCircular)):
         raise TypeError(f"no trial kernel for model {model!r}")
+    a, b = _one_pair(pair_a, pair_b, cumw)
     start, count = _trial_range(seed, start, count)
-    pair_idx = _pair_index(seed, start, count, cumw)
     block = (seed, start, count)
     oa = _slot_coins(*block, SLOT_ARM_A)
     ob = _slot_coins(*block, SLOT_ARM_B)
     if isinstance(model, DefiniteCircular):
         # A circular photon takes either exit of a linear analyzer with
         # probability 1/2, whatever the orientation.
-        return pair_idx, PackedFlags(oa, count), PackedFlags(ob, count)
+        return _one_pair_index(count), PackedFlags(oa, count), PackedFlags(ob, count)
 
-    cuts = _malus_cuts(tuple(pair_a.tolist()), tuple(pair_b.tolist()))
-    arms = [(ob, SLOT_ARM_B), (oa, SLOT_ARM_A)]  # an arm measured second meets the cuts
+    cut = _malus_cut(a, b)
+    arms = [(ob, SLOT_ARM_B), (oa, SLOT_ARM_A)]  # an arm measured second meets the cut
     arms = {Ordering.ARM1_FIRST: arms[:1], Ordering.ARM2_FIRST: arms[1:]}.get(ordering, arms)
-    if cumw.size == 1:  # one arm's planes alive at a time
-        same = [_below(_slot_planes(*block, slot, coins), cuts[0]) for coins, slot in arms]
-    else:
-        planes = [_slot_planes(*block, slot, coins) for coins, slot in arms]
-        same = _by_pair(pair_idx, cumw.size, lambda p: [_below(arm, cuts[p]) for arm in planes])
+    same = [_below(_slot_planes(*block, slot, coins), cut) for coins, slot in arms]
     if ordering is Ordering.ARM1_FIRST:
         ob = _second_photon(oa, same[0], count)
     elif ordering is Ordering.ARM2_FIRST:
@@ -644,7 +600,7 @@ def two_channel_block(
         arm2_first = _arm2_first(*block, ordering)
         oa = _pick(arm2_first, oa2, oa)
         ob = _pick(arm2_first, ob, ob1)
-    return pair_idx, PackedFlags(oa, count), PackedFlags(ob, count)
+    return _one_pair_index(count), PackedFlags(oa, count), PackedFlags(ob, count)
 
 
 def qwp_block(
@@ -745,41 +701,39 @@ def _setting_cuts(model: models.LhvModel, response, setting: float):
 
 
 @functools.lru_cache(maxsize=256)
-def _word_steps(model: models.LhvModel, arm: str, settings: tuple[float, ...]):
-    """`_setting_cuts` for one arm ("response_a" or "response_b") at each
-    of its settings: one row per setting, (decision at k = 0, cuts), or None
-    if any setting fails.
+def _word_steps(model: models.LhvModel, arm: str, setting: float):
+    """`_setting_cuts` for one arm ("response_a" or "response_b") at its
+    setting: the row (decision at k = 0, cuts), or None if it fails.
 
     Cached, so a run finds its cuts once and not once per block, and logs
-    each failing setting once, at INFO on the ``eprsim.kernels`` logger. It
+    a failing setting once, at INFO on the ``eprsim.kernels`` logger. It
     logs only where the program has imported `logging`, which this package
     never does: only such a program can have configured a handler.
     """
-    rows = [_setting_cuts(model, getattr(model, arm), s) for s in settings]
-    failed = [setting for setting, row in zip(settings, rows) if row is None]
-    for setting in failed if "logging" in sys.modules else ():
+    row = _setting_cuts(model, getattr(model, arm), setting)
+    if row is None and "logging" in sys.modules:
         sys.modules["logging"].getLogger(__name__).info(
             "%s: %s fails the cut check at setting %r; the run takes the float path",
             model.name, arm, setting,
         )
-    return None if failed else tuple(rows)
+    return row
 
 
-def lhv_word_steps(model: models.LhvModel, pair_a: np.ndarray, pair_b: np.ndarray):
-    """Both arms' `_word_steps` at a run's settings pairs, or None when the
+def lhv_word_steps(model: models.LhvModel, a: float, b: float):
+    """Both arms' `_word_steps` rows at settings (a, b), or None when the
     run takes the float path: the model is not deterministic, or a setting
     fails the cut check."""
     if not model.deterministic:
         return None
-    steps_a = _word_steps(model, "response_a", tuple(pair_a.tolist()))
-    steps_b = _word_steps(model, "response_b", tuple(pair_b.tolist()))
-    if steps_a is None or steps_b is None:
+    row_a = _word_steps(model, "response_a", float(a))
+    row_b = _word_steps(model, "response_b", float(b))
+    if row_a is None or row_b is None:
         return None
-    return steps_a, steps_b
+    return row_a, row_b
 
 
 def _step_decision(planes: _Planes, row: tuple[bool, tuple[int, ...]]) -> np.ndarray:
-    """Packed decisions of one arm at one setting, its `_word_steps` row, on
+    """Packed decisions of one arm at its setting, its `_word_steps` row, on
     the emission slot's planes: the decision at k = 0 flipped once per cut
     at or below k. `_below` finds the cuts above k instead, so an odd count
     of cuts flips it once more; the first cut's compare is the accumulator,
@@ -804,38 +758,36 @@ def two_channel_block_lhv(
     cumw: np.ndarray,
 ) -> tuple[np.ndarray, PackedFlags, PackedFlags]:
     """Packed two-channel flags (set: parallel) for any factorized model,
-    built-in or custom, with the per-trial settings-pair index.
+    built-in or custom, at the one settings pair (`_one_pair`), with the
+    settings-pair index of `two_channel_block`.
 
     A deterministic model is decided on the emission slot's planes when its
-    cuts pass the check of `_setting_cuts` at every setting of the run: each
-    arm is `_step_decision` of the emission integer k at each setting, kept
-    per trial for its own pair (`_by_pair`): the float decision draw for
-    draw, and no float is built. Otherwise the hidden values are
-    sampled from `uniform_block` and each arm answers by `_float_arm`:
-    responses get the setting as a scalar when there is one settings pair
-    and as a per-trial array otherwise. Determinism holds for
-    any vectorized callables because each draw is a function of its trial
-    index. A factorized model's outcomes do not depend on the measurement
-    order.
+    cuts pass the check of `_setting_cuts` at both settings: each arm is
+    `_step_decision` of the emission integer k at its setting, the float
+    decision draw for draw, and no float is built. Otherwise the hidden
+    values are sampled from `uniform_block` and each arm answers by
+    `_float_arm`, whose response gets its setting as a scalar. Determinism
+    holds for any vectorized callables because each draw is a function of
+    its trial index. A factorized model's outcomes do not depend on the
+    measurement order.
     """
+    a, b = _one_pair(pair_a, pair_b, cumw)
     start, count = _trial_range(seed, start, count)
-    pair_idx = _pair_index(seed, start, count, cumw)
     block = (seed, start, count)
-    steps = lhv_word_steps(model, pair_a, pair_b)
+    steps = lhv_word_steps(model, a, b)
     if steps is not None:
         planes = _slot_planes(*block, SLOT_EMISSION)
-        oa, ob = _by_pair(pair_idx, cumw.size,
-                          lambda p: [_step_decision(planes, rows[p]) for rows in steps])
+        oa, ob = (_step_decision(planes, row) for row in steps)
     else:
         lam = np.asarray(model.sample(uniform_block(*block, SLOT_EMISSION)), dtype=float)
-        oa = _float_arm(block, SLOT_ARM_A, model.response_a, _per_trial(pair_a, pair_idx), lam)
-        ob = _float_arm(block, SLOT_ARM_B, model.response_b, _per_trial(pair_b, pair_idx), lam)
-    return pair_idx, PackedFlags(oa, count), PackedFlags(ob, count)
+        oa = _float_arm(block, SLOT_ARM_A, model.response_a, a, lam)
+        ob = _float_arm(block, SLOT_ARM_B, model.response_b, b, lam)
+    return _one_pair_index(count), PackedFlags(oa, count), PackedFlags(ob, count)
 
 
-def _float_arm(block: tuple, slot: int, response, setting, lam: np.ndarray) -> np.ndarray:
+def _float_arm(block: tuple, slot: int, response, setting: float, lam: np.ndarray) -> np.ndarray:
     """One arm's packed flags on the float path, ``u < response(setting, lam)`` for
-    the slot's uniforms u, decided as ``k < p * 2**53`` (`_below_each`): the
+    the slot's uniforms u and the scalar setting, decided as ``k < p * 2**53`` (`_below_each`): the
     same compare scaled by a power of two, so exact, and neither u nor k is
     built. The arm reads the slot's coins and digits, and a tail only where
     a trial ties. Its peak is while it scales the response: lam, the

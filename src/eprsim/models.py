@@ -78,9 +78,9 @@ class LhvModel:
     ``sample`` maps a uniform draw through its inverse CDF. ``response_a`` and
     ``response_b`` give each arm's probability of the parallel channel as a
     function of (analyzer setting, lambda); both must broadcast over numpy
-    arrays of lambda. The setting is a scalar, or on randomized-settings
-    runs a per-trial array matching lambda, and both must give the same
-    probabilities. ``response_breakpoints`` lists the discontinuity
+    arrays of lambda. The kernels pass the setting as a scalar;
+    `validate_lhv_model` also requires a per-trial array of settings
+    matching lambda to give the same probabilities. ``response_breakpoints`` lists the discontinuity
     locations of the responses for a given setting so the oracle can
     integrate piecewise-smooth integrands exactly.
 

@@ -63,8 +63,8 @@ _QUARTER_PI = math.pi / 4
 class TrialDraws:
     """The uniform [0, 1) draws one trial may consume, one per stream slot.
 
-    ``settings`` (slot 0) selects the analyzer pair on randomized-settings
-    runs, ``ordering`` (slot 4) breaks measurement-order ties on random-order
+    ``settings`` (slot 0) is reserved, read by no model or kernel,
+    ``ordering`` (slot 4) breaks measurement-order ties on random-order
     runs, and the model draws are ``emission`` (slot 1), ``arm_a`` (slot 2)
     and ``arm_b`` (slot 3). Each is ``k * 2**-53`` for the slot's 53-bit draw
     k, whose top bit is its coin-plane bit, so ``draw < 0.5`` is the slot's

@@ -898,7 +898,7 @@ def test_the_cli_loads_no_object_layer_and_freezes_its_imports():
 
 _LOGGING_PROBE = """
 import dataclasses, json, math
-import eprsim.kernels, numpy as np
+import eprsim.kernels
 import logging
 
 records = []
@@ -911,7 +911,7 @@ shifted = dataclasses.replace(  # breakpoints that fail the cut check
     sign, name="shifted",
     response_breakpoints=lambda s: (sign.response_breakpoints(s) + 0.1) % math.pi,
 )
-eprsim.kernels.lhv_word_steps(shifted, np.array([0.3]), np.array([1.0]))
+eprsim.kernels.lhv_word_steps(shifted, 0.3, 1.0)
 print(json.dumps(records))
 """
 

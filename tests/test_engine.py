@@ -18,7 +18,6 @@ from eprsim.engine import (
     FixedSettings,
     Geometry,
     QwpChainProtocol,
-    RandomizedSettings,
     RunConfig,
     TwoChannelProtocol,
     resolve_workers,
@@ -346,21 +345,16 @@ class TestMergeContract:
 class TestCountsMatchRecords:
     """Counts reduced on the workers equal a tally of the replayed records."""
 
-    PAIRS = ((0.0, 0.0), (0.0, math.pi / 8), (math.pi / 4, 3 * math.pi / 8))
+    SETTINGS = FixedSettings(0.0, math.pi / 8)
 
     @pytest.mark.parametrize(
         "model_name", ["qm", "ndv-nonlocal", "definite-circular", "lhv-sign", "lhv-malus"]
     )
     @pytest.mark.parametrize("ordering", list(Ordering))
-    @pytest.mark.parametrize("randomized", [False, True])
-    def test_two_channel(self, monkeypatch, model_name, ordering, randomized):
+    def test_two_channel(self, monkeypatch, model_name, ordering):
         monkeypatch.setattr(engine, "BLOCK_SIZE", 700)  # several ragged blocks
-        settings = (
-            RandomizedSettings(self.PAIRS, (0.5, 0.2, 0.3)) if randomized
-            else FixedSettings(*self.PAIRS[1])
-        )
         cfg = RunConfig(
-            model=build_model(model_name), trials=2000, settings=settings,
+            model=build_model(model_name), trials=2000, settings=self.SETTINGS,
             ordering=ordering, seed=19,
         )
         run = run_experiment(cfg, TwoChannelProtocol(), start_index=123, workers=2)
@@ -403,19 +397,14 @@ class TestBlockSizeInvariance:
     # count a shorter run, which is still many ragged blocks
     PATCHES = ((2**16, TRIALS), (700, 20_011))
     START = 4101  # not a multiple of 64: blocks start inside a coin word
-    PAIRS = TestCountsMatchRecords.PAIRS
     MODELS = ("qm", "ndv-nonlocal", "definite-circular", "lhv-sign", "lhv-malus")
 
     @staticmethod
-    def _two_channel(model_name, ordering, pairs):
-        settings = (
-            RandomizedSettings(TestBlockSizeInvariance.PAIRS, (0.5, 0.2, 0.3)) if pairs == 3
-            else FixedSettings(*TestBlockSizeInvariance.PAIRS[1])
-        )
-
+    def _two_channel(model_name, ordering):
         def run(trials, workers):
             cfg = RunConfig(
-                model=build_model(model_name), trials=trials, settings=settings,
+                model=build_model(model_name), trials=trials,
+                settings=TestCountsMatchRecords.SETTINGS,
                 ordering=ordering, seed=37,
             )
             run = run_experiment(cfg, start_index=TestBlockSizeInvariance.START, workers=workers)
@@ -465,10 +454,9 @@ class TestBlockSizeInvariance:
 
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("ordering", list(Ordering))
-    @pytest.mark.parametrize("pairs", [1, 3])
-    def test_two_channel(self, monkeypatch, model_name, ordering, pairs):
+    def test_two_channel(self, monkeypatch, model_name, ordering):
         block = 2**16 if model_name == "lhv-malus" else 2**18
-        self._assert_invariant(monkeypatch, self._two_channel(model_name, ordering, pairs), block)
+        self._assert_invariant(monkeypatch, self._two_channel(model_name, ordering), block)
 
     @pytest.mark.parametrize("model_name", MODELS)
     def test_chain(self, monkeypatch, model_name):
@@ -479,37 +467,8 @@ class TestBlockSizeInvariance:
 
 
 class TestFactorizedModelPath:
-    """The engine's factorized-model path, pinned per settings pair for the
-    built-in models and replayed against the object layer for a model that
-    is not built in."""
-
-    SETTINGS = RandomizedSettings(
-        ((0.0, math.pi / 8), (math.pi / 4, math.pi / 8), (0.0, 3 * math.pi / 8)),
-        (0.5, 0.3, 0.2),
-    )
-    PINNED = {
-        "lhv-sign": [
-            CoincidenceCounts(920, 308, 311, 958),
-            CoincidenceCounts(559, 176, 205, 524),
-            CoincidenceCounts(139, 385, 391, 124),
-        ],
-        "lhv-malus": [
-            CoincidenceCounts(825, 388, 392, 892),
-            CoincidenceCounts(524, 195, 259, 486),
-            CoincidenceCounts(160, 347, 352, 180),
-        ],
-    }
-
-    def _config(self, model):
-        return RunConfig(
-            model=model, trials=5000, settings=self.SETTINGS,
-            ordering=Ordering.RANDOM_PER_TRIAL, seed=20201231,
-        )
-
-    @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_builtin_counts_are_pinned(self, name):
-        run = run_experiment(self._config(build_model(name)))
-        assert run.counts() == self.PINNED[name]
+    """The engine's factorized-model path, replayed against the object layer
+    for a model that is not built in."""
 
     def test_custom_model_replays_the_object_layer(self):
         malus = lambda setting, lam: np.cos(setting - np.asarray(lam, dtype=float)) ** 2
@@ -520,14 +479,15 @@ class TestFactorizedModelPath:
             response_a=malus,
             response_b=malus,
         ))
-        cfg = self._config(model)
-        cumw = np.cumsum(self.SETTINGS.weights)
+        cfg = RunConfig(
+            model=model, trials=5000, settings=FixedSettings(math.pi / 4, math.pi / 8),
+            ordering=Ordering.RANDOM_PER_TRIAL, seed=20201231,
+        )
         records = list(run_experiment(cfg).records())
         assert len(records) == cfg.trials
         for r in records:
             d = engine.trial_draws(cfg.seed, r.trial_index)
-            j = min(int(np.searchsorted(cumw, d.settings, side="right")), len(cumw) - 1)
-            assert (r.a, r.b) == self.SETTINGS.pairs[j], r.trial_index
+            assert (r.a, r.b) == (cfg.settings.a, cfg.settings.b), r.trial_index
             want = model.respond_two_channel(model.emit(d), r.a, r.b, cfg.ordering, d)
             assert (r.outcome_a, r.outcome_b) == want, r.trial_index
 
@@ -562,108 +522,21 @@ class TestGeometry:
 
 
 class TestSettingsPolicies:
-    def test_randomized_settings_hit_declared_weights(self):
-        pairs = ((0.0, 0.0), (0.0, math.pi / 8), (math.pi / 4, math.pi / 8))
-        weights = (0.5, 0.25, 0.25)
-        cfg = qm_config(trials=100_000, settings=RandomizedSettings(pairs, weights))
-        run = run_experiment(cfg, TwoChannelProtocol())
-        freqs = [c.total / cfg.trials for c in run.counts()]
-        for got, want in zip(freqs, weights):
-            assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / cfg.trials)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", True, -0.5])
-    def test_weights_must_be_finite(self, bad):
-        with pytest.raises(ValueError, match="^weights:"):
-            RandomizedSettings(((0.0, 0.0), (0.5, 0.5)), (bad, 1.0))
-
     @pytest.mark.parametrize(
         "make,field",
         [(lambda: FixedSettings(True, 0.0), "a"), (lambda: FixedSettings("x", 0.0), "a"),
-         (lambda: FixedSettings(0.0, math.inf), "b"),
-         (lambda: RandomizedSettings(((0.0, "0.1"),)), "pairs")],
+         (lambda: FixedSettings(0.0, math.inf), "b")],
     )
     def test_settings_are_finite_numbers(self, make, field):
         # a bool setting used to run as 0 or 1, and a string to fail in float()
         with pytest.raises(ConfigError, match=f"^{field}:"):
             make()
 
-    @pytest.mark.parametrize(
-        "pairs,weights,field",
-        [
-            (((0.0,),), None, "pairs"),
-            (((0.0, 0.1, 0.2),), None, "pairs"),
-            (5, None, "pairs"),
-            ("ab", None, "pairs"),
-            ((0.0, 0.1), None, "pairs"),
-            ((), None, "pairs"),
-            (((0.0, 0.1),), 5, "weights"),
-            (((0.0, 0.1),), (0.5, 0.5), "weights"),
-            (((0.0, 0.1), (0.2, 0.3)), (1.0,), "weights"),
-            (((0.0, 0.1), (0.2, 0.3)), (0.5, 0.5 + 1e-9), "weights"),
-        ],
-    )
-    def test_randomized_settings_name_the_broken_field(self, pairs, weights, field):
-        # each shape rule, not only each number's, names its field
-        with pytest.raises(ConfigError, match=f"^{field}:"):
-            RandomizedSettings(pairs, weights)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            RandomizedSettings(((0.0, 0.0), (0.1, 0.1)), (0.5, 0.6))
-
-    def test_uniform_weights_by_default(self):
-        policy = RandomizedSettings(((0.0, 0.0), (0.1, 0.1)))
-        assert policy.weights == (0.5, 0.5)
-
-    def test_counts_split_by_pair(self):
-        pairs = ((0.0, 0.0), (0.0, math.pi / 2))
-        cfg = qm_config(trials=40_000, settings=RandomizedSettings(pairs))
-        run = run_experiment(cfg, TwoChannelProtocol())
-        aligned = run.counts_for_pair(0)
-        crossed = run.counts_for_pair(1)
-        assert aligned.total + crossed.total == cfg.trials
-        # aligned analyzers never disagree; crossed never agree
-        assert aligned.n_pm == aligned.n_mp == 0
-        assert crossed.n_pp == crossed.n_mm == 0
-
     @pytest.mark.parametrize("pair", [-1, 2])
     def test_counts_for_a_pair_the_run_lacks_raise(self, pair):
-        pairs = ((0.0, 0.0), (0.0, math.pi / 2))
-        run = run_experiment(qm_config(trials=100, settings=RandomizedSettings(pairs)))
+        run = run_experiment(qm_config(trials=100))
         with pytest.raises(IndexError):
             run.counts_for_pair(pair)
-
-
-class TestOnePairCounting:
-    """A one-pair run counts without a settings-pair mask; a two-pair run
-    whose second pair has weight 0 takes the masked path (and builds k) on
-    the same trials, so both must agree count for count and trial for trial."""
-
-    FIXED = (0.0, math.pi / 8)
-    OTHER = (math.pi / 4, 3 * math.pi / 8)
-
-    @pytest.mark.parametrize(
-        "model_name", ["qm", "ndv-nonlocal", "definite-circular", "lhv-sign", "lhv-malus"]
-    )
-    @pytest.mark.parametrize("ordering", list(Ordering))
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mask_free_counts_equal_the_masked_ones(
-        self, monkeypatch, model_name, ordering, workers
-    ):
-        monkeypatch.setattr(engine, "BLOCK_SIZE", 700)  # several ragged blocks
-
-        def run(settings):
-            cfg = RunConfig(
-                model=build_model(model_name), trials=3000, settings=settings,
-                ordering=ordering, seed=29,
-            )
-            return run_experiment(cfg, start_index=123, workers=workers)
-
-        fixed = run(FixedSettings(*self.FIXED))
-        masked = run(RandomizedSettings((self.FIXED, self.OTHER), (1.0, 0.0)))
-        assert masked.counts_for_pair(0) == fixed.counts_for_pair(0)
-        assert masked.counts_for_pair(1) == CoincidenceCounts(0, 0, 0, 0)
-        assert list(masked.records()) == list(fixed.records())
 
 
 class TestOrderingInvariance:
@@ -888,8 +761,8 @@ class TestValidation:
         assert resolve_workers() == 4
 
     def test_custom_model_is_validated_before_any_block(self, monkeypatch):
-        # a response that takes only a scalar setting used to fail inside a
-        # worker thread with a bare TypeError on randomized settings
+        # a response must answer a per-trial array of settings as it answers
+        # the scalar, and the check runs before the first block
         def scalar_only(setting, lam):
             return math.cos(setting) ** 2 * np.ones_like(np.asarray(lam, dtype=float))
 
@@ -900,10 +773,7 @@ class TestValidation:
             response_a=scalar_only,
             response_b=scalar_only,
         )
-        config = RunConfig(
-            model=Lhv(model), trials=100, seed=3,
-            settings=RandomizedSettings(((0.0, 0.1), (0.4, 0.9)), (0.5, 0.5)),
-        )
+        config = RunConfig(model=Lhv(model), trials=100, seed=3, settings=FixedSettings(0.0, 0.1))
 
         def no_blocks(*args):
             raise AssertionError("a block ran before the model was validated")
@@ -1057,21 +927,6 @@ class TestBoundedMemory:
         peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
         assert peak < 4 * BLOCK_SIZE, peak
 
-    @pytest.mark.parametrize("name", ["qm", "ndv-nonlocal", "definite-circular", "lhv-sign"])
-    def test_a_three_pair_block_peaks_below_10_bytes_per_trial(self, name):
-        # beside a one-pair block's arrays, a block of several settings pairs
-        # holds the int32 pair index, one boolean per trial while it packs a
-        # pair's mask, and that one mask: each pair's cut is met with the
-        # one-pair compare, so no per-trial cut or top is built (7.9 bytes
-        # per trial at most)
-        settings = RandomizedSettings(((0.0, 0.4), (0.7, 0.2), (1.3, 1.3)), (0.2, 0.5, 0.3))
-        run = lambda n: run_experiment(
-            qm_config(model=build_model(name), trials=n, settings=settings), workers=1
-        )
-        run(BLOCK_SIZE)
-        peak = self._peak_bytes(lambda: run(4 * BLOCK_SIZE))
-        assert peak < 10 * BLOCK_SIZE, peak
-
     def test_a_float_path_block_peaks_below_30_bytes_per_trial(self):
         # lhv-malus reads floats: at its peak an arm holds the hidden values,
         # its response and the scaled response, about 26 bytes per trial of
@@ -1123,8 +978,7 @@ class TestValueClasses:
         angles = ((0, 1), (0, 3), (2, 1), (2, 3))
         pairs = [PairEstimate.from_counts(a, b, counts) for a, b in angles]
         return [
-            Geometry(3.0, 1e-9), FixedSettings(0.1, 0.2), RandomizedSettings(((0, 1), (2, 3))),
-            qm_config(), TwoChannelProtocol(), QwpChainProtocol(), counts, ChainCounts(3, 3, 2, 5),
+            Geometry(3.0, 1e-9), FixedSettings(0.1, 0.2), qm_config(), TwoChannelProtocol(), QwpChainProtocol(), counts, ChainCounts(3, 3, 2, 5),
             pairs[0], chsh_report(*pairs), OrderInvarianceResult(1.5, 0.2, 3, True), QMFormal(),
             NdvNonlocal(), DefiniteCircular(), Lhv(deterministic_sign_model()),
         ]

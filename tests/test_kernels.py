@@ -380,6 +380,27 @@ def test_kernels_reject_a_model_they_do_not_know(model):
         kernels.qwp_block(1, 0, 10, model, Ordering.ARM1_FIRST)
 
 
+@pytest.mark.parametrize(
+    "kernel,name",
+    [("two_channel_block", name) for name in MODEL_IDS]
+    + [("two_channel_block_lhv", name) for name in ("lhv-sign", "lhv-malus")],
+)
+@pytest.mark.parametrize("arg", ["pair_a", "pair_b", "cumw"])
+@pytest.mark.parametrize("size", [0, 2])
+def test_two_channel_kernels_take_exactly_one_settings_pair(kernel, name, arg, size):
+    # a run has one settings pair; a call with several must not answer with the first
+    model = kernels.MODEL_CODES[name]
+    settings = {"pair_a": np.array([0.3]), "pair_b": np.array([1.0]), "cumw": np.array([1.0])}
+    settings[arg] = np.linspace(0.5, 1.0, size)
+    args = [5, 0, 100, model, settings["pair_a"], settings["pair_b"], settings["cumw"]]
+    if kernel == "two_channel_block":
+        args.append(Ordering.ARM1_FIRST)
+    else:
+        args[3] = model.model
+    with pytest.raises(ValueError, match=f"^{arg}: must hold exactly one element, got {size}$"):
+        getattr(kernels, kernel)(*args)
+
+
 def _assert_packed(flags, count):
     """`flags` are PackedFlags of `count` trials whose padding bits are clear."""
     assert isinstance(flags, PackedFlags) and flags.count == count
@@ -396,7 +417,7 @@ def _assert_packed(flags, count):
 def test_kernels_return_boolean_flags(kernel, name, ordering):
     # the counts popcount the packed words as they are, so every kernel
     # answers in PackedFlags of the block's count, padding bits clear
-    pa, pb, cw = np.array([0.0, 0.7]), np.array([0.4, 0.2]), np.array([0.5, 1.0])
+    pa, pb, cw = np.array([0.7]), np.array([0.2]), np.array([1.0])
     count = 1001
     if kernel == "two_channel_block":
         model = kernels.MODEL_CODES[name]
@@ -429,22 +450,17 @@ def block_ranges(draw):
 def test_packed_counts_equal_the_counts_of_the_unpacked_flags(block):
     start, count = block
     one = (np.array([0.3]), np.array([1.0]), np.array([1.0]))
-    three = (np.array([0.0, 0.7, 1.3]), np.array([0.4, 0.2, 1.3]), np.array([0.3, 0.55, 1.0]))
     for order in Ordering:
         flags = kernels.arm2_first_flags(9, start, count, order)
         _assert_packed(flags, count)
         for name, model in kernels.MODEL_CODES.items():
-            for pa, pb, cw in (one, three):
-                pair_idx, oa, ob = kernels.two_channel_block(9, start, count, model, pa, pb, cw, order)
-                _assert_packed(oa, count)
-                _assert_packed(ob, count)
-                a, b = oa.unpack(), ob.unpack()
-                for j in range(cw.size):
-                    mask = pair_idx == j
-                    got = CoincidenceCounts.from_outcomes(oa, ob, PackedFlags.pack(mask))
-                    want = [np.count_nonzero(mask & x & y) for x, y in
-                            ((a, b), (a, ~b), (~a, b), (~a, ~b))]
-                    assert got.as_array().tolist() == want, (name, order, j)
+            _, oa, ob = kernels.two_channel_block(9, start, count, model, *one, order)
+            _assert_packed(oa, count)
+            _assert_packed(ob, count)
+            a, b = oa.unpack(), ob.unpack()
+            got = CoincidenceCounts.from_outcomes(oa, ob)
+            want = [np.count_nonzero(x & y) for x, y in ((a, b), (a, ~b), (~a, b), (~a, ~b))]
+            assert got.as_array().tolist() == want, (name, order)
             det_a, det_b = kernels.qwp_block(9, start, count, model, order)
             _assert_packed(det_a, count)
             _assert_packed(det_b, count)
@@ -536,21 +552,6 @@ class TestWordDomain:
         assert np.array_equal(unpacked(kernels._below(served(coins, digits, tails), cut), ks.size),
                               ks < cut)
 
-    @pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.25, 0.0, 0.75], [0.5, 0.5],
-                                         np.random.default_rng(8).random(40).tolist()])
-    def test_pair_selection_matches_float_searchsorted(self, weights):
-        cumw = np.cumsum(np.array(weights) / np.sum(weights))
-        cumw[-1] = 1.0
-        cuts = [int(c) for c in kernels._cut(cumw)]
-        edges = np.concatenate([self._edge_draws(c) for c in cuts])
-        block = (3, 0, 5000, kernels.SLOT_SETTINGS)
-        read = (slot_coins, kernels._slot_digits, kernels._slot_tails)
-        planes = [np.concatenate([edge, reader(*block)])
-                  for edge, reader in zip(planes_of(edges, 0x800), read)]
-        u = kernels._draws(pack_words(planes[0]), planes[1], planes[2].copy()) * 2.0**-53
-        want = np.clip(np.searchsorted(cumw, u, side="right"), 0, cumw.size - 1)
-        assert np.array_equal(kernels._select_pairs(served(*planes), cumw), want)
-
 
 class TestTiesOnTheRealStream:
     """Cuts one off each trial's own draw k, read from the random stream,
@@ -607,18 +608,15 @@ class TestDeterministicModelOnWords:
     float path's outcomes, and takes the float path when its cuts fail the check."""
 
     @staticmethod
-    def _on_words(model, pa, pb):
+    def _on_words(model, a, b):
         return all(
-            kernels._word_steps(model, arm, tuple(settings)) is not None
-            for arm, settings in (("response_a", pa), ("response_b", pb))
+            kernels._word_steps(model, arm, setting) is not None
+            for arm, setting in (("response_a", a), ("response_b", b))
         )
 
     @staticmethod
-    def _assert_paths_agree(model, pairs, weights, seed, trials, block=2**16):
-        pa = np.array([p[0] for p in pairs])
-        pb = np.array([p[1] for p in pairs])
-        cumw = np.cumsum(weights)
-        cumw[-1] = 1.0
+    def _assert_paths_agree(model, a, b, seed, trials, block=2**16):
+        pa, pb, cumw = np.array([a]), np.array([b]), np.array([1.0])
         on_floats = dataclasses.replace(model, deterministic=False)
         for start in range(0, trials, block):
             got = kernels.two_channel_block_lhv(seed, start, block, model, pa, pb, cumw)
@@ -627,19 +625,18 @@ class TestDeterministicModelOnWords:
                 assert np.array_equal(x, y), start
 
     @pytest.mark.parametrize(
-        "pairs,weights",
+        "a,b",
         [
-            (((0.0, math.pi / 8),), [1.0]),
-            (((math.pi / 4, 3 * math.pi / 8),), [1.0]),  # a breakpoint at lambda = 0
-            (((-0.7, -2.9),), [1.0]),
-            (((4.0, 7.5),), [1.0]),
-            (((0.0, math.pi / 4), (-1.1, 3.5), (math.pi / 2, 2 * math.pi)), [0.2, 0.5, 0.3]),
+            (0.0, math.pi / 8),
+            (math.pi / 4, 3 * math.pi / 8),  # a breakpoint at lambda = 0
+            (-0.7, -2.9),
+            (4.0, 7.5),
         ],
     )
-    def test_sign_model_words_match_floats(self, pairs, weights):
+    def test_sign_model_words_match_floats(self, a, b):
         model = deterministic_sign_model()
-        assert self._on_words(model, [p[0] for p in pairs], [p[1] for p in pairs])
-        self._assert_paths_agree(model, pairs, weights, seed=23, trials=2**20)
+        assert self._on_words(model, a, b)
+        self._assert_paths_agree(model, a, b, seed=23, trials=2**20)
 
     @staticmethod
     def _shifted_sign_model():
@@ -651,20 +648,12 @@ class TestDeterministicModelOnWords:
             response_breakpoints=lambda s: (sign.response_breakpoints(s) + 0.1) % math.pi,
         )
 
-    @pytest.mark.parametrize(
-        "pairs,weights",
-        [(((0.3, 1.0),), [1.0]), (((0.0, 0.4), (0.7, 0.2), (1.3, 1.3)), [0.3, 0.25, 0.45])],
-    )
-    def test_wrong_breakpoints_take_the_float_path(self, pairs, weights):
+    def test_wrong_breakpoints_take_the_float_path(self):
         model = self._shifted_sign_model()
-        assert not self._on_words(model, [p[0] for p in pairs], [p[1] for p in pairs])
-        self._assert_paths_agree(model, pairs, weights, seed=29, trials=2**16)
+        assert not self._on_words(model, 0.3, 1.0)
+        self._assert_paths_agree(model, 0.3, 1.0, seed=29, trials=2**16)
 
-    @pytest.mark.parametrize(
-        "pairs,weights",
-        [(((0.3, 1.0),), [1.0]), (((0.0, 0.4), (0.7, 0.2)), [0.5, 0.5])],
-    )
-    def test_an_arm_that_never_flips_has_no_cuts(self, pairs, weights):
+    def test_an_arm_that_never_flips_has_no_cuts(self):
         # zero cut columns: the decision at k = 0 holds on every trial
         model = dataclasses.replace(
             deterministic_sign_model(),
@@ -673,15 +662,16 @@ class TestDeterministicModelOnWords:
             response_b=lambda s, lam: np.zeros(np.broadcast(s, lam).shape),
             response_breakpoints=lambda s: np.array([]),
         )
-        assert kernels._word_steps(model, "response_a", (pairs[0][0],)) == ((True, ()),)
-        self._assert_paths_agree(model, pairs, weights, seed=31, trials=2**16)
+        assert kernels._word_steps(model, "response_a", 0.3) == (True, ())
+        self._assert_paths_agree(model, 0.3, 1.0, seed=31, trials=2**16)
 
     def test_the_float_path_is_logged_once_per_failing_setting(self, caplog):
         model = self._shifted_sign_model()
         pa, pb = np.array([0.3, 0.7]), np.array([1.0, 0.2])
         with caplog.at_level(logging.INFO, logger="eprsim"):
-            assert kernels.lhv_word_steps(model, pa, pb) is None
-            assert kernels.lhv_word_steps(model, pa, pb) is None  # cached: no second record
+            for a, b in zip(pa, pb):
+                assert kernels.lhv_word_steps(model, a, b) is None
+                assert kernels.lhv_word_steps(model, a, b) is None  # cached: no second record
         got = sorted((r.name, r.levelno, r.getMessage()) for r in caplog.records)
         want = sorted(
             ("eprsim.kernels", logging.INFO,
@@ -730,7 +720,7 @@ class TestOrderingDecision:
 
     @pytest.mark.parametrize("model", [QMFormal(), NdvNonlocal()], ids=["qm", "ndv"])
     def test_random_order_trials_replay_their_fixed_order(self, model):
-        pa, pb, cw = np.array([0.3, 1.2]), np.array([1.0, 0.1]), np.array([0.5, 1.0])
+        pa, pb, cw = np.array([0.3]), np.array([1.0]), np.array([1.0])
         args = (17, 1000, 3000, model, pa, pb, cw)
         flags = kernels.arm2_first_flags(17, 1000, 3000, Ordering.RANDOM_PER_TRIAL).unpack()
         _, oa, ob = as_arrays(kernels.two_channel_block(*args, Ordering.RANDOM_PER_TRIAL))
@@ -742,62 +732,6 @@ class TestOrderingDecision:
         det_a1, _ = as_arrays(kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.ARM1_FIRST))
         det_a2, _ = as_arrays(kernels.qwp_block(17, 1000, 3000, QMFormal(), Ordering.ARM2_FIRST))
         assert np.array_equal(det_a, np.where(flags, det_a2, det_a1))
-
-
-class TestRandomizedSettingsMatchObjectLayer:
-    """Per-trial settings chosen in the word domain replay the object layer,
-    which chooses the pair from the float settings draw."""
-
-    N = 1000
-    SEED = 47
-    PAIRS = ((0.0, 0.4), (0.7, 0.2), (1.3, 1.3))
-    CUMW = np.array([0.3, 0.55, 1.0])
-
-    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-    @pytest.mark.parametrize("ordering", [Ordering.ARM1_FIRST, Ordering.RANDOM_PER_TRIAL])
-    def test_two_channel(self, model, ordering):
-        pa = np.array([p[0] for p in self.PAIRS])
-        pb = np.array([p[1] for p in self.PAIRS])
-        pair_idx, oa, ob = as_arrays(kernels.two_channel_block(
-            self.SEED, 0, self.N, model, pa, pb, self.CUMW, ordering
-        ))
-        for i in range(self.N):
-            d = trial_draws(self.SEED, i)
-            j = int(np.searchsorted(self.CUMW, d.settings, side="right"))
-            assert pair_idx[i] == j, i
-            a, b = self.PAIRS[j]
-            want = model.respond_two_channel(model.emit(d), a, b, ordering, d)
-            assert (oa[i], ob[i]) == tuple(_flag(o) for o in want), i
-
-
-class TestSeveralPairsDecideAsOnePair:
-    """A block of several settings pairs answers each trial exactly as the
-    one-pair block of that trial's own pair answers it, over the same
-    trials: each pair's cut is met over the whole block, and a trial keeps
-    the answer of the pair its own index names."""
-
-    SEED = 19
-    START = 2**40 + 4101  # inside a coin word and a digit word
-    COUNT = 2**18 - 77  # the last word ragged, and ties expected on every cut
-    PA = np.array([0.0, 0.7, 1.3])
-    PB = np.array([0.4, 0.2, math.pi / 4])
-    CUMW = np.array([0.2, 0.7, 1.0])  # weights 0.2, 0.5 and 0.3
-
-    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-    @pytest.mark.parametrize("order", list(Ordering))
-    def test_each_trial_answers_as_its_own_pair(self, model, order):
-        block = (self.SEED, self.START, self.COUNT)
-        pair_idx, oa, ob = as_arrays(
-            kernels.two_channel_block(*block, model, self.PA, self.PB, self.CUMW, order)
-        )
-        assert np.array_equal(np.unique(pair_idx), [0, 1, 2])
-        for j in range(3):
-            _, one_a, one_b = as_arrays(kernels.two_channel_block(
-                *block, model, self.PA[j : j + 1], self.PB[j : j + 1], np.array([1.0]), order
-            ))
-            own = pair_idx == j
-            assert np.array_equal(oa[own], one_a[own]), j
-            assert np.array_equal(ob[own], one_b[own]), j
 
 
 class TestSecondPhotonRule:
@@ -851,17 +785,15 @@ class TestSecondPhotonRule:
 class TestKernelsOnEdgeWords:
     """Every plane-domain kernel, fed draws that sit on and next to each of
     its cuts and of the planes' seams, decides as the float compares it
-    replaces, with one settings pair and with several (each pair's cut met
-    over the whole block, each trial keeping its own pair's answer). A draw
-    one off a cut shares the cut's top 17 bits unless a seam lies between,
-    so the table makes every kernel decide ties on their tails."""
+    replaces, at each of several settings pairs. A draw one off a cut
+    shares the cut's top 17 bits unless a seam lies between, so the table
+    makes every kernel decide ties on their tails."""
 
     N = 4000
     PA = np.array([0.0, 0.7, 1.3, math.pi / 2])
     PB = np.array([0.4, 0.2, 1.3, 0.0])
-    CUMW = np.array([0.3, 0.5, 0.8, 1.0])
     THETAS = [0.0, 0.3, math.pi / 4, math.pi / 2]
-    SETTINGS = ["all", 0, 1, 2, 3]
+    SETTINGS = [0, 1, 2, 3]
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -869,11 +801,10 @@ class TestKernelsOnEdgeWords:
         three planes in place of the random stream."""
         cuts = list(SEAM_CUTS)
         cuts += [int(c) for c in kernels._cut(kernels._malus_prob_array(self.PA, self.PB))]
-        cuts += [int(c) for c in kernels._cut(self.CUMW)]
         cuts += [int(kernels._cut(min(math.cos(t) ** 2, 1.0))) for t in self.THETAS]
         sign = deterministic_sign_model()
         for arm, settings in (("response_a", self.PA), ("response_b", self.PB)):
-            cuts += [c for _, row in kernels._word_steps(sign, arm, tuple(settings)) for c in row]
+            cuts += [c for s in settings for c in kernels._word_steps(sign, arm, s)[1]]
         ks = sorted({k for c in cuts for k in (c - 1, c, c + 1) if 0 <= k < 2**53})
         rng = np.random.default_rng(12)
         table = np.array(ks, dtype=np.uint64)[rng.integers(0, len(ks), (self.N, 8))]
@@ -899,14 +830,12 @@ class TestKernelsOnEdgeWords:
         return table
 
     def _settings(self, which):
-        """(pair_a, pair_b, cumw) of all four pairs, or of the one pair `which`."""
-        if which == "all":
-            return self.PA, self.PB, self.CUMW
+        """(pair_a, pair_b, cumw) of the one pair `which`."""
         return self.PA[which : which + 1], self.PB[which : which + 1], np.array([1.0])
 
-    def _float_reduced(self, u_first, u_second, pair_idx, s_first, s_second):
+    def _float_reduced(self, u_first, u_second, s_first, s_second):
         first = u_first < 0.5
-        p_same = kernels._malus_prob_array(s_first, s_second)[pair_idx]
+        p_same = kernels._malus_prob_array(s_first, s_second)
         return first, first == (u_second < p_same)
 
     @pytest.mark.parametrize("name", ["qm", "ndv", "definite-circular", "lhv-sign", "lhv-malus"])
@@ -915,26 +844,24 @@ class TestKernelsOnEdgeWords:
     def test_two_channel(self, draws, name, order, settings):
         u = draws * 2.0**-53
         pa, pb, cumw = self._settings(settings)
-        pair_idx = np.clip(np.searchsorted(cumw, u[:, 0], side="right"), 0, cumw.size - 1)
         arm2_first = u[:, 4] >= 0.5
         model = kernels.MODEL_CODES[name]
         got = as_arrays(kernels.two_channel_block(1, 0, self.N, model, pa, pb, cumw, order))
-        assert np.array_equal(got[0], pair_idx)
+        assert not got[0].any()
         if name == "lhv-sign":
             lam = u[:, 1] * math.pi
-            oa = np.cos(2 * (pa[pair_idx] - lam)) > 0
-            ob = np.cos(2 * (pb[pair_idx] - lam)) > 0
+            oa = np.cos(2 * (pa[0] - lam)) > 0
+            ob = np.cos(2 * (pb[0] - lam)) > 0
         elif name == "lhv-malus":
             lhv = model.model
             lam = lhv.sample(u[:, 1])
-            setting = (lambda s: s[0]) if cumw.size == 1 else (lambda s: s[pair_idx])
-            oa = u[:, 2] < lhv.response_a(setting(pa), lam)
-            ob = u[:, 3] < lhv.response_b(setting(pb), lam)
+            oa = u[:, 2] < lhv.response_a(pa[0], lam)
+            ob = u[:, 3] < lhv.response_b(pb[0], lam)
         elif name == "definite-circular":
             oa, ob = u[:, 2] < 0.5, u[:, 3] < 0.5
         else:
-            oa1, ob1 = self._float_reduced(u[:, 2], u[:, 3], pair_idx, pa, pb)
-            ob2, oa2 = self._float_reduced(u[:, 3], u[:, 2], pair_idx, pb, pa)
+            oa1, ob1 = self._float_reduced(u[:, 2], u[:, 3], pa, pb)
+            ob2, oa2 = self._float_reduced(u[:, 3], u[:, 2], pb, pa)
             flags = {Ordering.ARM1_FIRST: False, Ordering.ARM2_FIRST: True}.get(
                 order, arm2_first
             )
@@ -946,16 +873,14 @@ class TestKernelsOnEdgeWords:
 
     @staticmethod
     def _compared_cuts(name, pa, pb):
-        """The integer cuts the arms of a one-pair-or-more run compare with."""
+        """The integer cuts the arms of a one-pair run compare with."""
         if name in ("qm", "ndv"):
-            tables = [kernels._malus_cuts(tuple(pa), tuple(pb))]
-        elif name == "lhv-sign":
+            return [kernels._malus_cut(pa[0], pb[0])]
+        if name == "lhv-sign":
             sign = deterministic_sign_model()
-            tables = [cuts for arm, settings in (("response_a", pa), ("response_b", pb))
-                      for _, cuts in kernels._word_steps(sign, arm, tuple(settings))]
-        else:
-            return []
-        return [int(cut) for table in tables for cut in np.ravel(table)]
+            return [cut for arm, setting in (("response_a", pa[0]), ("response_b", pb[0]))
+                    for cut in kernels._word_steps(sign, arm, setting)[1]]
+        return []
 
     @pytest.mark.parametrize("offset", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_a_float_response_one_off_each_draw(self, draws, offset):
@@ -1003,8 +928,7 @@ class TestKernelsOnEdgeWords:
         assert {k for c in SEAM_CUTS for k in (c - 1, c) if 0 <= k < 2**53} <= present
 
 
-S, E, A, B, O = (kernels.SLOT_SETTINGS, kernels.SLOT_EMISSION, kernels.SLOT_ARM_A,
-                 kernels.SLOT_ARM_B, kernels.SLOT_ORDERING)
+E, A, B, O = kernels.SLOT_EMISSION, kernels.SLOT_ARM_A, kernels.SLOT_ARM_B, kernels.SLOT_ORDERING
 
 
 class TestWordBudget:
@@ -1018,7 +942,6 @@ class TestWordBudget:
 
     SEED = 7
     SINGLE = (np.array([0.3]), np.array([1.0]), np.array([1.0]))
-    THREE = (np.array([0.0, 0.7, 1.3]), np.array([0.4, 0.2, 1.3]), np.array([0.3, 0.55, 1.0]))
     # name -> (coin slots, digit slots); the arm measured first reads no digit
     TWO_CHANNEL = {
         ("qm", Ordering.ARM1_FIRST): ([A, B], [B]),
@@ -1069,17 +992,15 @@ class TestWordBudget:
     def _sorted(reads):
         return sorted(reads["coins"]), sorted(reads["digits"])
 
-    def _cut_tops(self, name, pa, pb, cumw, slot, trial):
+    def _cut_tops(self, name, pa, pb, slot, trial):
         """The top 17 bits, ``floor(K / 2**36)``, of every cut a kernel may
         compare trial `trial` of `slot` with, K a real for a float response."""
-        if slot == S:
-            cuts = kernels._cut(cumw[:-1]).tolist()
-        elif name in ("qm", "ndv"):
-            cuts = [int(c) for c in kernels._malus_cuts(tuple(pa), tuple(pb))]
+        if name in ("qm", "ndv"):
+            cuts = [kernels._malus_cut(pa[0], pb[0])]
         elif name == "lhv-sign":
             sign = deterministic_sign_model()
-            cuts = [int(c) for arm, settings in (("response_a", pa), ("response_b", pb))
-                    for _, row in kernels._word_steps(sign, arm, tuple(settings)) for c in row]
+            cuts = [c for arm, setting in (("response_a", pa[0]), ("response_b", pb[0]))
+                    for c in kernels._word_steps(sign, arm, setting)[1]]
         else:
             lhv = kernels.MODEL_CODES[name].model
             lam = lhv.sample(kernels.uniform_block(self.SEED, trial, 1, E))
@@ -1087,25 +1008,21 @@ class TestWordBudget:
             cuts = [float(response(s, lam)[0]) * 2.0**53 for s in settings]
         return {math.floor(cut * 2.0**-36) for cut in cuts}
 
-    def _assert_tails_at_ties(self, reads, name, pa, pb, cumw, whole=()):
+    def _assert_tails_at_ties(self, reads, name, pa, pb, whole=()):
         assert [slot for slot, trial in reads["tails"] if trial is None] == list(whole)
         for slot, trial in reads["tails"]:
             if trial is not None:
                 top = reference_draw(self.SEED, trial, slot) >> 36
-                assert top in self._cut_tops(name, pa, pb, cumw, slot, trial), (slot, trial)
+                assert top in self._cut_tops(name, pa, pb, slot, trial), (slot, trial)
 
     @pytest.mark.parametrize("name,order", list(TWO_CHANNEL))
-    @pytest.mark.parametrize("pairs", ["single", "three"])
-    def test_two_channel(self, reads, name, order, pairs):
-        pa, pb, cumw = self.SINGLE if pairs == "single" else self.THREE
+    def test_two_channel(self, reads, name, order):
+        pa, pb, cumw = self.SINGLE
         model = kernels.MODEL_CODES[name]
         kernels.two_channel_block(self.SEED, 5, BLOCK_SIZE, model, pa, pb, cumw, order)
-        coins, digits = (list(slots) for slots in self.TWO_CHANNEL[name, order])
-        if pairs == "three":
-            coins.append(S)
-            digits.append(S)
+        coins, digits = self.TWO_CHANNEL[name, order]
         assert self._sorted(reads) == (sorted(coins), sorted(digits))
-        self._assert_tails_at_ties(reads, name, pa, pb, cumw, [E] if name == "lhv-malus" else [])
+        self._assert_tails_at_ties(reads, name, pa, pb, [E] if name == "lhv-malus" else [])
 
     @pytest.mark.parametrize("name,order", list(CHAINS))
     def test_chains(self, reads, name, order):
