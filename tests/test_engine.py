@@ -345,16 +345,23 @@ class TestMergeContract:
 class TestCountsMatchRecords:
     """Counts reduced on the workers equal a tally of the replayed records."""
 
-    SETTINGS = FixedSettings(0.0, math.pi / 8)
+    # aligned analyzers, the pair the other classes use, and a pair on a
+    # breakpoint of the sign model at lambda = 0
+    SETTINGS = {
+        "aligned": FixedSettings(0.0, 0.0),
+        "apart": FixedSettings(0.0, math.pi / 8),
+        "breakpoint": FixedSettings(math.pi / 4, 3 * math.pi / 8),
+    }
 
     @pytest.mark.parametrize(
         "model_name", ["qm", "ndv-nonlocal", "definite-circular", "lhv-sign", "lhv-malus"]
     )
     @pytest.mark.parametrize("ordering", list(Ordering))
-    def test_two_channel(self, monkeypatch, model_name, ordering):
+    @pytest.mark.parametrize("pair", sorted(SETTINGS))
+    def test_two_channel(self, monkeypatch, model_name, ordering, pair):
         monkeypatch.setattr(engine, "BLOCK_SIZE", 700)  # several ragged blocks
         cfg = RunConfig(
-            model=build_model(model_name), trials=2000, settings=self.SETTINGS,
+            model=build_model(model_name), trials=2000, settings=self.SETTINGS[pair],
             ordering=ordering, seed=19,
         )
         run = run_experiment(cfg, TwoChannelProtocol(), start_index=123, workers=2)
@@ -400,11 +407,11 @@ class TestBlockSizeInvariance:
     MODELS = ("qm", "ndv-nonlocal", "definite-circular", "lhv-sign", "lhv-malus")
 
     @staticmethod
-    def _two_channel(model_name, ordering):
+    def _two_channel(model_name, ordering, pair):
         def run(trials, workers):
             cfg = RunConfig(
                 model=build_model(model_name), trials=trials,
-                settings=TestCountsMatchRecords.SETTINGS,
+                settings=TestCountsMatchRecords.SETTINGS[pair],
                 ordering=ordering, seed=37,
             )
             run = run_experiment(cfg, start_index=TestBlockSizeInvariance.START, workers=workers)
@@ -454,9 +461,10 @@ class TestBlockSizeInvariance:
 
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("ordering", list(Ordering))
-    def test_two_channel(self, monkeypatch, model_name, ordering):
+    @pytest.mark.parametrize("pair", ["apart", "breakpoint"])
+    def test_two_channel(self, monkeypatch, model_name, ordering, pair):
         block = 2**16 if model_name == "lhv-malus" else 2**18
-        self._assert_invariant(monkeypatch, self._two_channel(model_name, ordering), block)
+        self._assert_invariant(monkeypatch, self._two_channel(model_name, ordering, pair), block)
 
     @pytest.mark.parametrize("model_name", MODELS)
     def test_chain(self, monkeypatch, model_name):
@@ -467,8 +475,32 @@ class TestBlockSizeInvariance:
 
 
 class TestFactorizedModelPath:
-    """The engine's factorized-model path, replayed against the object layer
-    for a model that is not built in."""
+    """The engine's factorized-model path, pinned at three settings pairs
+    for the built-in models and replayed against the object layer for a
+    model that is not built in."""
+
+    PAIRS = ((0.0, math.pi / 8), (math.pi / 4, math.pi / 8), (0.0, 3 * math.pi / 8))
+    PINNED = {
+        "lhv-sign": [
+            CoincidenceCounts(1878, 624, 633, 1865),
+            CoincidenceCounts(1842, 622, 669, 1867),
+            CoincidenceCounts(625, 1877, 1902, 596),
+        ],
+        "lhv-malus": [
+            CoincidenceCounts(1701, 762, 812, 1725),
+            CoincidenceCounts(1669, 768, 844, 1719),
+            CoincidenceCounts(783, 1680, 1736, 801),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_builtin_counts_are_pinned(self, name, pair):
+        cfg = RunConfig(
+            model=build_model(name), trials=5000, settings=FixedSettings(*self.PAIRS[pair]),
+            ordering=Ordering.RANDOM_PER_TRIAL, seed=20201231,
+        )
+        assert run_experiment(cfg).counts() == [self.PINNED[name][pair]]
 
     def test_custom_model_replays_the_object_layer(self):
         malus = lambda setting, lam: np.cos(setting - np.asarray(lam, dtype=float)) ** 2
@@ -525,7 +557,11 @@ class TestSettingsPolicies:
     @pytest.mark.parametrize(
         "make,field",
         [(lambda: FixedSettings(True, 0.0), "a"), (lambda: FixedSettings("x", 0.0), "a"),
-         (lambda: FixedSettings(0.0, math.inf), "b")],
+         (lambda: FixedSettings(0.0, math.inf), "b"),
+         (lambda: FixedSettings(math.nan, 0.0), "a"), (lambda: FixedSettings(None, 0.0), "a"),
+         (lambda: FixedSettings(0.0, -math.inf), "b"),
+         (lambda: FixedSettings(0.0, "0.1"), "b"), (lambda: FixedSettings(0.0, False), "b"),
+         (lambda: FixedSettings(0.0, 1j), "b"), (lambda: FixedSettings(0.0, 10**400), "b")],
     )
     def test_settings_are_finite_numbers(self, make, field):
         # a bool setting used to run as 0 or 1, and a string to fail in float()

@@ -5,6 +5,7 @@ per-trial with the slow object-layer models when fed the same draws.
 """
 
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -320,10 +321,16 @@ class TestKernelsMatchObjectLayer:
     N = 2000
     SEED = 31
 
+    @staticmethod
+    @functools.cache
+    def _draws():
+        """The trials' draws, built once: each is a scalar stream read."""
+        return tuple(trial_draws(TestKernelsMatchObjectLayer.SEED, i)
+                     for i in range(TestKernelsMatchObjectLayer.N))
+
     def _object_two_channel(self, model, a, b, ordering):
         outs = np.empty((self.N, 2), dtype=bool)
-        for i in range(self.N):
-            d = trial_draws(self.SEED, i)
+        for i, d in enumerate(self._draws()):
             oa, ob = model.respond_two_channel(model.emit(d), a, b, ordering, d)
             outs[i] = (_flag(oa), _flag(ob))
         return outs
@@ -331,9 +338,13 @@ class TestKernelsMatchObjectLayer:
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("ordering", list(Ordering))
     # 1e20 rad: past about 1.7e18, a quarter turn added to the angle is lost,
-    # and a - b loses a small angle a
-    @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.0, 1e20), (0.3, 1e20)],
-                             ids=["small", "huge", "apart"])
+    # and a - b loses a small angle a; close, crossed and aligned are pairs of
+    # TestKernelsOnEdgeWords' table
+    @pytest.mark.parametrize(
+        "a,b",
+        [(0.3, 1.0), (0.0, 1e20), (0.3, 1e20), (0.0, 0.4), (0.7, 0.2), (1.3, 1.3)],
+        ids=["small", "huge", "apart", "close", "crossed", "aligned"],
+    )
     def test_two_channel(self, model, ordering, a, b):
         _, oa, ob = kernels.two_channel_block(
             self.SEED, 0, self.N, model, np.array([a]), np.array([b]), np.array([1.0]), ordering
@@ -351,8 +362,7 @@ class TestKernelsMatchObjectLayer:
         det_a, det_b = kernels.qwp_block(self.SEED, 0, self.N, model, Ordering.ARM1_FIRST)
         det_a, det_b = det_a.unpack(), det_b.unpack()
         chain = RAnalyzer()
-        for i in range(self.N):
-            d = trial_draws(self.SEED, i)
+        for i, d in enumerate(self._draws()):
             da, db = model.respond_qwp_chain(model.emit(d), chain, chain, Ordering.ARM1_FIRST, d)
             assert bool(det_a[i]) == da, i
             assert bool(det_b[i]) == db, i
@@ -631,6 +641,9 @@ class TestDeterministicModelOnWords:
             (math.pi / 4, 3 * math.pi / 8),  # a breakpoint at lambda = 0
             (-0.7, -2.9),
             (4.0, 7.5),
+            (0.0, math.pi / 4),
+            (-1.1, 3.5),
+            (math.pi / 2, 2 * math.pi),
         ],
     )
     def test_sign_model_words_match_floats(self, a, b):
@@ -648,12 +661,14 @@ class TestDeterministicModelOnWords:
             response_breakpoints=lambda s: (sign.response_breakpoints(s) + 0.1) % math.pi,
         )
 
-    def test_wrong_breakpoints_take_the_float_path(self):
+    @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.0, 0.4), (0.7, 0.2), (1.3, 1.3)])
+    def test_wrong_breakpoints_take_the_float_path(self, a, b):
         model = self._shifted_sign_model()
-        assert not self._on_words(model, 0.3, 1.0)
-        self._assert_paths_agree(model, 0.3, 1.0, seed=29, trials=2**16)
+        assert not self._on_words(model, a, b)
+        self._assert_paths_agree(model, a, b, seed=29, trials=2**16)
 
-    def test_an_arm_that_never_flips_has_no_cuts(self):
+    @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.0, 0.4)])
+    def test_an_arm_that_never_flips_has_no_cuts(self, a, b):
         # zero cut columns: the decision at k = 0 holds on every trial
         model = dataclasses.replace(
             deterministic_sign_model(),
@@ -662,8 +677,9 @@ class TestDeterministicModelOnWords:
             response_b=lambda s, lam: np.zeros(np.broadcast(s, lam).shape),
             response_breakpoints=lambda s: np.array([]),
         )
-        assert kernels._word_steps(model, "response_a", 0.3) == (True, ())
-        self._assert_paths_agree(model, 0.3, 1.0, seed=31, trials=2**16)
+        assert kernels._word_steps(model, "response_a", a) == (True, ())
+        assert kernels._word_steps(model, "response_b", b) == (False, ())
+        self._assert_paths_agree(model, a, b, seed=31, trials=2**16)
 
     def test_the_float_path_is_logged_once_per_failing_setting(self, caplog):
         model = self._shifted_sign_model()
@@ -790,10 +806,11 @@ class TestKernelsOnEdgeWords:
     makes every kernel decide ties on their tails."""
 
     N = 4000
-    PA = np.array([0.0, 0.7, 1.3, math.pi / 2])
-    PB = np.array([0.4, 0.2, 1.3, 0.0])
+    # the last pair puts a breakpoint of the sign model at lambda = 0
+    PA = np.array([0.0, 0.7, 1.3, math.pi / 2, math.pi / 4])
+    PB = np.array([0.4, 0.2, 1.3, 0.0, 3 * math.pi / 8])
     THETAS = [0.0, 0.3, math.pi / 4, math.pi / 2]
-    SETTINGS = [0, 1, 2, 3]
+    SETTINGS = list(range(PA.size))
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -941,7 +958,8 @@ class TestWordBudget:
     path's emission draw, which builds k, reads its tail plane whole."""
 
     SEED = 7
-    SINGLE = (np.array([0.3]), np.array([1.0]), np.array([1.0]))
+    # a pair apart, and one on a breakpoint of the sign model at lambda = 0
+    PAIRS = {"apart": (0.3, 1.0), "breakpoint": (math.pi / 4, 3 * math.pi / 8)}
     # name -> (coin slots, digit slots); the arm measured first reads no digit
     TWO_CHANNEL = {
         ("qm", Ordering.ARM1_FIRST): ([A, B], [B]),
@@ -1016,8 +1034,9 @@ class TestWordBudget:
                 assert top in self._cut_tops(name, pa, pb, slot, trial), (slot, trial)
 
     @pytest.mark.parametrize("name,order", list(TWO_CHANNEL))
-    def test_two_channel(self, reads, name, order):
-        pa, pb, cumw = self.SINGLE
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_two_channel(self, reads, name, order, pair):
+        pa, pb, cumw = (np.array([x]) for x in (*self.PAIRS[pair], 1.0))
         model = kernels.MODEL_CODES[name]
         kernels.two_channel_block(self.SEED, 5, BLOCK_SIZE, model, pa, pb, cumw, order)
         coins, digits = self.TWO_CHANNEL[name, order]
