@@ -147,11 +147,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return min(4, cpus)
 
 
-def _add(total: tuple | None, part: tuple) -> tuple:
-    """Component-wise sum of two count tuples; a None total is the empty sum."""
-    return part if total is None else tuple(map(operator.add, total, part))
-
-
 # Forking, exiting and reaping a worker process costs the caller about 3 ms
 # on a 2-vCPU VM, and its later writes to pages it shared with the child
 # about 4 ms more by its exit (`BENCH_27.json`, `fork_probe`); one thread
@@ -281,8 +276,9 @@ class Schedule:
             os._exit(1)
         return message[2]
 
-    def _gather(self, run: tuple, total: tuple) -> tuple:
-        """`total` plus the sum each child sent for `run`."""
+    def _gather(self, run: tuple, total):
+        """`total` plus the sum each child sent for `run`, added with `+`
+        into a new value, so a zero the caller passed is never changed."""
         for pid, pipe in self._children:
             try:
                 sent, ok, part = pickle.load(pipe)
@@ -295,23 +291,23 @@ class Schedule:
                     f"worker process {pid} ran trials {sent} where the caller ran {run}: "
                     "a schedule's body must make the same runs in every process"
                 )
-            if part is not None:
-                total = _add(total, part)
+            total = total + part
         return total
 
 
 def _run_blocks(
     count,
+    zero,
     start: int,
     trials: int,
     workers: int,
     block: int | None = None,
     per_process: int = _TRIALS_PER_PROCESS,
     schedule: Schedule | None = None,
-    zero: tuple | None = None,
-) -> tuple | None:
-    """Component-wise sum of ``count(lo, hi)`` over the range's blocks of
-    `block` trials (`BLOCK_SIZE` when None).
+):
+    """The sum with `+`, from the run's `zero`, of ``count(lo, hi)`` over
+    the range's blocks of `block` trials (`BLOCK_SIZE` when None): one
+    count per block, of the type of `zero`, the count of no trials.
 
     The blocks are dealt round-robin to up to `workers` processes, at most
     one per `per_process` trials (the run's trials rounded up to whole
@@ -319,12 +315,11 @@ def _run_blocks(
     of its own when None), each of which sends its own sum back. Integer
     addition is exact, so the sum does not depend on the worker count. Where
     the schedule forks none, every block runs here. In a child the result is
-    the sum of its own share, and `zero`, the sum of no blocks, when the run
-    leaves it none.
+    the sum of its own share, and `zero` when the run leaves it none.
     """
     if schedule is None:
         with Schedule() as schedule:
-            return _run_blocks(count, start, trials, workers, block, per_process, schedule, zero)
+            return _run_blocks(count, zero, start, trials, workers, block, per_process, schedule)
     block = block or BLOCK_SIZE
     stop = start + trials
     blocks = range(start, stop, block)
@@ -333,11 +328,11 @@ def _run_blocks(
     schedule._fork_to(shares)
     share = schedule._share
 
-    def own_sum() -> tuple | None:
+    def own_sum():
         if share >= shares:
             return zero
         parts = (count(lo, min(lo + block, stop)) for lo in blocks[share::shares])
-        return functools.reduce(_add, parts, None)
+        return functools.reduce(operator.add, parts, zero)
 
     run = (start, trials)
     if schedule._pipe is not None:
@@ -364,25 +359,22 @@ _OUTCOMES = (ChannelOutcome.MINUS, ChannelOutcome.PLUS)
 
 @dataclass(frozen=True, eq=False)
 class TwoChannelRun:
-    """Exact joint-outcome counts of a two-channel run: `pair_table` holds
-    its one settings pair (a, b) and `pair_counts` that pair's counts."""
+    """Exact joint-outcome counts of a two-channel run at its one settings
+    pair, ``config.settings``."""
 
     config: RunConfig
     start_index: int
-    pair_table: tuple[tuple[float, float], ...]
-    pair_counts: tuple[CoincidenceCounts, ...]
+    counts: CoincidenceCounts
 
     @property
     def spacelike(self) -> bool:
         return self.config.geometry.spacelike
 
     def counts_for_pair(self, pair: int) -> CoincidenceCounts:
-        if not 0 <= pair < len(self.pair_table):
-            raise IndexError(f"pair {pair} not in 0..{len(self.pair_table) - 1}")
-        return self.pair_counts[pair]
-
-    def counts(self) -> list[CoincidenceCounts]:
-        return [self.counts_for_pair(j) for j in range(len(self.pair_table))]
+        """`counts` for pair 0, the run's one pair; any other pair raises IndexError."""
+        if pair != 0:
+            raise IndexError(f"pair {pair} not in 0..0")
+        return self.counts
 
     def records(self) -> Iterator[TwoChannelRecord]:
         """Per-trial records, replayed block by block."""
@@ -411,14 +403,11 @@ class QwpChainRun:
 
     config: RunConfig
     start_index: int
-    detections: ChainCounts
+    counts: ChainCounts
 
     @property
     def spacelike(self) -> bool:
         return self.config.geometry.spacelike
-
-    def chain_counts(self) -> ChainCounts:
-        return self.detections
 
     def records(self) -> Iterator[ChainRecord]:
         """Per-trial records, replayed block by block."""
@@ -495,42 +484,23 @@ def run_experiment(
     if isinstance(config.model, Lhv):
         validate_lhv_model_once(config.model.model)
     if isinstance(protocol, TwoChannelProtocol):
-        return _run_two_channel(config, start_index, workers, schedule)
-    if isinstance(protocol, QwpChainProtocol):
-        return _run_qwp_chain(config, start_index, workers, schedule)
-    raise TypeError(f"not a protocol: {protocol!r}")
+        kernel, block, per_process = _two_channel_kernel(config)
 
+        def count(lo: int, hi: int) -> CoincidenceCounts:
+            _, out_a, out_b = kernel(lo, hi)
+            return CoincidenceCounts.from_outcomes(out_a, out_b)
 
-def _run_two_channel(
-    config: RunConfig, start_index: int, workers: int, schedule: Schedule | None
-) -> TwoChannelRun:
-    kernel, block, per_process = _two_channel_kernel(config)
-
-    def count(lo: int, hi: int) -> tuple[CoincidenceCounts]:
-        _, out_a, out_b = kernel(lo, hi)
-        return (CoincidenceCounts.from_outcomes(out_a, out_b),)
-
-    return TwoChannelRun(
-        config=config,
-        start_index=start_index,
-        pair_table=((config.settings.a, config.settings.b),),
-        pair_counts=_run_blocks(
-            count, start_index, config.trials, workers, block, per_process, schedule,
-            (CoincidenceCounts(0, 0, 0, 0),),
-        ),
+        zero, result = CoincidenceCounts(0, 0, 0, 0), TwoChannelRun
+    elif isinstance(protocol, QwpChainProtocol):
+        kernel, block, per_process = _qwp_kernel(config), BLOCK_SIZE, _TRIALS_PER_PROCESS
+        count = lambda lo, hi: ChainCounts.from_flags(*kernel(lo, hi))
+        zero, result = ChainCounts(0, 0, 0, 0), QwpChainRun
+    else:
+        raise TypeError(f"not a protocol: {protocol!r}")
+    counts = _run_blocks(
+        count, zero, start_index, config.trials, workers, block, per_process, schedule
     )
-
-
-def _run_qwp_chain(
-    config: RunConfig, start_index: int, workers: int, schedule: Schedule | None
-) -> QwpChainRun:
-    kernel = _qwp_kernel(config)
-    (detections,) = _run_blocks(
-        lambda lo, hi: (ChainCounts.from_flags(*kernel(lo, hi)),),
-        start_index, config.trials, workers, BLOCK_SIZE, _TRIALS_PER_PROCESS, schedule,
-        (ChainCounts(0, 0, 0, 0),),
-    )
-    return QwpChainRun(config=config, start_index=start_index, detections=detections)
+    return result(config, start_index, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,9 +531,9 @@ def run_malus(
     check_trials(trials)
     start_index = _check_start(start_index, trials)
     workers = resolve_workers(workers)
-    (n_pass,) = _run_blocks(
-        lambda lo, hi: (kernels.malus_block(seed, lo, hi - lo, theta).popcount(),),
-        start_index, trials, workers, BLOCK_SIZE, _TRIALS_PER_PROCESS, schedule, (0,),
+    n_pass = _run_blocks(
+        lambda lo, hi: kernels.malus_block(seed, lo, hi - lo, theta).popcount(),
+        0, start_index, trials, workers, BLOCK_SIZE, _TRIALS_PER_PROCESS, schedule,
     )
     return MalusRun(seed=seed, theta=theta, start_index=start_index, n_pass=n_pass, n_total=trials)
 

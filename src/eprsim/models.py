@@ -78,11 +78,10 @@ class LhvModel:
     ``sample`` maps a uniform draw through its inverse CDF. ``response_a`` and
     ``response_b`` give each arm's probability of the parallel channel as a
     function of (analyzer setting, lambda); both must broadcast over numpy
-    arrays of lambda. The kernels pass the setting as a scalar;
-    `validate_lhv_model` also requires a per-trial array of settings
-    matching lambda to give the same probabilities. ``response_breakpoints`` lists the discontinuity
-    locations of the responses for a given setting so the oracle can
-    integrate piecewise-smooth integrands exactly.
+    arrays of lambda. Every caller passes the setting as a scalar, so a
+    response need not take an array of settings. ``response_breakpoints``
+    lists the discontinuity locations of the responses for a given setting
+    so the oracle can integrate piecewise-smooth integrands exactly.
 
     ``deterministic`` declares that both responses are exactly 0 or 1, so an
     arm never reads its coin and its outcome is a step function of the
@@ -102,10 +101,9 @@ class LhvModel:
 
 
 def validate_lhv_model(model: LhvModel, tol: float = 1e-6, n: int = 4096) -> None:
-    """Check the model invariants: density normalized, responses in [0, 1]
-    (exactly 0 or 1 for a deterministic model, which must also declare its
-    breakpoints), and a per-trial array of settings answered as the scalar
-    setting is."""
+    """Check the model invariants: density normalized, and responses in
+    [0, 1] (exactly 0 or 1 for a deterministic model, which must also
+    declare its breakpoints)."""
     lo, hi = LAMBDA_SUPPORT
     grid = lo + (np.arange(n) + 0.5) * (hi - lo) / n
     rho = np.asarray(model.density(grid), dtype=float)
@@ -122,12 +120,6 @@ def validate_lhv_model(model: LhvModel, tol: float = 1e-6, n: int = 4096) -> Non
             raise ValueError(f"{model.name}: {label} must map into [0, 1]")
         if model.deterministic and not np.all((probs == 0.0) | (probs == 1.0)):
             raise ValueError(f"{model.name}: deterministic {label} must be exactly 0 or 1")
-        try:
-            same = np.array_equal(np.asarray(resp(np.full(n, 0.3), grid), dtype=float), probs)
-        except (TypeError, ValueError, IndexError):
-            same = False
-        if not same:
-            raise ValueError(f"{model.name}: {label} must accept per-trial settings like a scalar")
 
 
 @functools.lru_cache(maxsize=256)

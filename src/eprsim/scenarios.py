@@ -221,8 +221,7 @@ def _pair_run(params: dict, hypothesis: HypothesisModel, order, a_deg: float, b_
 
 
 def _estimate(run) -> PairEstimate:
-    ((a, b),) = run.pair_table
-    return PairEstimate.from_counts(a, b, run.counts_for_pair(0))
+    return PairEstimate.from_counts(run.config.settings.a, run.config.settings.b, run.counts)
 
 
 def _conditional_detection(counts: ChainCounts) -> tuple[float, float]:
@@ -322,7 +321,7 @@ def qwp_test(
     hypothesis = build_model(params["model"])
     run = _run(params, QwpChainProtocol(), hypothesis, ORDERING_NAMES[params["ordering"]])
     ranges = _run_ranges([run], params["trials"])
-    counts = ranges.results[0].chain_counts()
+    counts = ranges.results[0].counts
     p_cond, p_stderr = _conditional_detection(counts)
     rows = [
         {
@@ -410,7 +409,7 @@ def model_matrix(
     for name in MATRIX_MODELS:
         estimates = [_estimate(next(results)) for _ in pairs]
         report = chsh_report(*estimates, k_sigma=params["k_sigma"])
-        p_cond, p_stderr = _conditional_detection(next(results).chain_counts())
+        p_cond, p_stderr = _conditional_detection(next(results).counts)
         rows.append(
             {
                 "model": name,

@@ -59,31 +59,23 @@ class PackedFlags:
         return int(np.bitwise_count(self.words).sum(dtype=np.uint64))
 
 
-def _tally(
-    a: PackedFlags, b: PackedFlags, where: PackedFlags | None = None
-) -> tuple[int, int, int, int]:
-    """The popcounts of two blocks' flags over the trials `where` marks (all
-    of them when it is None): (a, b, both, trials).
+def _tally(a: PackedFlags, b: PackedFlags) -> tuple[int, int, int, int]:
+    """The popcounts of two blocks' flags: (a, b, both, trials).
 
     Flags are `PackedFlags` of one trial count; anything else raises
     TypeError, since a -1 or a 0/1 integer would be counted by truth and not
     by meaning.
     """
-    for name, flags in (("a", a), ("b", b), ("where", where)):
-        if flags is not None and not isinstance(flags, PackedFlags):
+    for name, flags in (("a", a), ("b", b)):
+        if not isinstance(flags, PackedFlags):
             raise TypeError(
                 f"{name}: flags must be packed boolean flags (PackedFlags), "
                 f"got {type(flags).__name__}"
             )
-    if a.count != b.count or (where is not None and where.count != a.count):
+    if a.count != b.count:
         raise ValueError("flags of different trial counts")
-    if where is None:
-        n = a.count
-        a, b = a.words, b.words
-    else:
-        n = where.popcount()
-        a = a.words & where.words
-        b = b.words & where.words
+    n = a.count
+    a, b = a.words, b.words
     # One reduction over the three rows of per-word popcounts: a reduction
     # costs about as much as the popcounts of a block's words.
     counts = np.empty((3, a.size), dtype=np.uint8)
@@ -123,13 +115,10 @@ class CoincidenceCounts(_Frozen):
         return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=np.int64)
 
     @classmethod
-    def from_outcomes(
-        cls, out_a: PackedFlags, out_b: PackedFlags, where: PackedFlags | None = None
-    ) -> "CoincidenceCounts":
-        """Count joint outcomes from per-trial channel flags (set: parallel)
-        over the trials `where` marks (all of them when it is None): N_pp is
-        the `_tally` of both arms, the other cells follow from it."""
-        n_a, n_b, n_pp, n = _tally(out_a, out_b, where)
+    def from_outcomes(cls, out_a: PackedFlags, out_b: PackedFlags) -> "CoincidenceCounts":
+        """Count joint outcomes from per-trial channel flags (set: parallel):
+        N_pp is the `_tally` of both arms, the other cells follow from it."""
+        n_a, n_b, n_pp, n = _tally(out_a, out_b)
         return cls(n_pp, n_a - n_pp, n_b - n_pp, n - n_a - n_b + n_pp)
 
 

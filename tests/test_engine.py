@@ -42,6 +42,11 @@ def qm_config(**overrides):
     return RunConfig(**base)
 
 
+def _counts(*values):
+    """A stub block count that `_run_blocks` sums with `+`."""
+    return np.array(values, dtype=np.int64)
+
+
 def outcomes(run):
     """Per-trial (outcome A, outcome B), replayed through `records()`."""
     return [(r.outcome_a, r.outcome_b) for r in run.records()]
@@ -59,10 +64,10 @@ class TestDeterminism:
         r1 = run_experiment(cfg, TwoChannelProtocol(), workers=1)
         r4 = run_experiment(cfg, TwoChannelProtocol(), workers=4)
         # workers only split the range into blocks and sum their counts
-        assert r1.counts() == r4.counts()
+        assert r1.counts == r4.counts
         assert (
-            run_experiment(cfg, QwpChainProtocol(), workers=1).chain_counts()
-            == run_experiment(cfg, QwpChainProtocol(), workers=4).chain_counts()
+            run_experiment(cfg, QwpChainProtocol(), workers=1).counts
+            == run_experiment(cfg, QwpChainProtocol(), workers=4).counts
         )
         assert run_malus(5, 0.7, trials, workers=1).n_pass == run_malus(
             5, 0.7, trials, workers=4
@@ -73,14 +78,17 @@ class TestDeterminism:
         # changes the exact sums
         trials, start = 3000 * BLOCK_SIZE + 11, 7
         blocks = 3001
-        got = engine._run_blocks(lambda lo, hi: (hi - lo, 1, lo), start, trials, 16)
-        assert got == (trials, blocks, blocks * start + BLOCK_SIZE * blocks * (blocks - 1) // 2)
+        got = engine._run_blocks(lambda lo, hi: _counts(hi - lo, 1, lo), _counts(0, 0, 0),
+                                 start, trials, 16)
+        assert got.tolist() == [
+            trials, blocks, blocks * start + BLOCK_SIZE * blocks * (blocks - 1) // 2
+        ]
 
     def test_forked_workers_sum_to_the_same_counts(self):
         cfg = qm_config(trials=3 * engine._TRIALS_PER_PROCESS + 5)
-        one = run_experiment(cfg, workers=1).counts()
-        assert run_experiment(cfg, workers=2).counts() == one
-        assert run_experiment(cfg, workers=3).counts() == one
+        one = run_experiment(cfg, workers=1).counts
+        assert run_experiment(cfg, workers=2).counts == one
+        assert run_experiment(cfg, workers=3).counts == one
 
     def test_start_index_shifts_the_stream(self):
         cfg = qm_config()
@@ -122,7 +130,9 @@ class TestWorkerProcesses:
 
     @staticmethod
     def _sums(trials, workers):
-        return engine._run_blocks(lambda lo, hi: (hi - lo, 1), 0, trials, workers)
+        return tuple(engine._run_blocks(
+            lambda lo, hi: _counts(hi - lo, 1), _counts(0, 0), 0, trials, workers
+        ).tolist())
 
     def test_a_share_is_at_least_the_block_threshold(self, forks):
         # a run's trials count in whole fork units, so a second process
@@ -140,9 +150,9 @@ class TestWorkerProcesses:
         # the threshold is 2**21 trials, rounded up to whole 2**16-trial
         # units: one share while ceil(trials / 2**16) // 32 is 1
         cfg = qm_config(trials=trials)
-        counts = run_experiment(cfg, workers=2).counts()
+        counts = run_experiment(cfg, workers=2).counts
         assert len(forks) == forked
-        assert run_experiment(cfg, workers=1).counts() == counts
+        assert run_experiment(cfg, workers=1).counts == counts
 
     def test_a_failed_fork_closes_its_pipe(self, monkeypatch):
         pipes = []
@@ -160,9 +170,9 @@ class TestWorkerProcesses:
     def test_a_float_path_run_forks_at_fewer_blocks(self, forks, model, forked):
         trials = 2 * engine._FLOAT_TRIALS_PER_PROCESS
         cfg = qm_config(model=build_model(model), trials=trials)
-        counts = run_experiment(cfg, workers=2).counts()
+        counts = run_experiment(cfg, workers=2).counts
         assert len(forks) == forked
-        assert run_experiment(cfg, workers=1).counts() == counts
+        assert run_experiment(cfg, workers=1).counts == counts
 
     def test_without_fork_every_block_runs_here(self, monkeypatch):
         monkeypatch.delattr(engine.os, "fork")
@@ -175,13 +185,13 @@ class TestWorkerProcesses:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            counts = run_experiment(cfg, workers=2).counts()
+            counts = run_experiment(cfg, workers=2).counts
         finally:
             release.set()
             thread.join()
         assert forks == []
-        assert run_experiment(cfg, workers=1).counts() == counts
-        assert run_experiment(cfg, workers=2).counts() == counts
+        assert run_experiment(cfg, workers=1).counts == counts
+        assert run_experiment(cfg, workers=2).counts == counts
         assert len(forks) == 1  # once the thread has ended
 
     @staticmethod
@@ -189,7 +199,7 @@ class TestWorkerProcesses:
         def count(lo, hi):
             if lo == BLOCK_SIZE:  # the first block of the second share
                 error()
-            return (hi - lo,)
+            return hi - lo
 
         return count
 
@@ -198,7 +208,7 @@ class TestWorkerProcesses:
             raise ValueError("bad block")
 
         with pytest.raises(ValueError, match="^bad block$"):
-            engine._run_blocks(self._failing_in_the_child(error), 0, 2 * self.SHARE, 2)
+            engine._run_blocks(self._failing_in_the_child(error), 0, 0, 2 * self.SHARE, 2)
         assert len(forks) == 1
 
     def test_an_error_that_does_not_pickle_is_named(self, forks):
@@ -209,21 +219,21 @@ class TestWorkerProcesses:
             raise Local("bad block")
 
         with pytest.raises(RuntimeError, match="Local.*bad block"):
-            engine._run_blocks(self._failing_in_the_child(error), 0, 2 * self.SHARE, 2)
+            engine._run_blocks(self._failing_in_the_child(error), 0, 0, 2 * self.SHARE, 2)
 
     def test_a_child_that_dies_is_an_error(self, forks):
         count = self._failing_in_the_child(lambda: engine.os._exit(3))
         with pytest.raises(engine.WorkerError, match="ended without a result"):
-            engine._run_blocks(count, 0, 2 * self.SHARE, 2)
+            engine._run_blocks(count, 0, 0, 2 * self.SHARE, 2)
 
     def test_the_callers_error_stops_the_children(self, forks):
         def count(lo, hi):
             if lo == 0:
                 raise KeyboardInterrupt
-            return (hi - lo,)
+            return hi - lo
 
         with pytest.raises(KeyboardInterrupt):
-            engine._run_blocks(count, 0, 2 * self.SHARE, 2)
+            engine._run_blocks(count, 0, 0, 2 * self.SHARE, 2)
         assert len(forks) == 1
 
 
@@ -281,26 +291,26 @@ class TestSchedule:
         sums, forked = [], []
         with engine.Schedule() as schedule:
             for n in sizes:
-                sums.append(engine._run_blocks(lambda lo, hi: (hi - lo, 1), 0, n, 4,
-                                               schedule=schedule))
+                sums.append(engine._run_blocks(lambda lo, hi: _counts(hi - lo, 1), _counts(0, 0),
+                                               0, n, 4, schedule=schedule).tolist())
                 forked.append(len(forks))
-        assert sums == [(n, -(-n // BLOCK_SIZE)) for n in sizes]
+        assert sums == [[n, -(-n // BLOCK_SIZE)] for n in sizes]
         assert forked == [1, 1, 3, 3, 3]
 
     def test_a_child_without_a_share_builds_every_kind_of_run(self, forks):
         # after a run of two shares, the small runs leave the child no blocks
         small = qm_config(trials=1000)
         alone = (
-            run_experiment(small, workers=1).counts(),
-            run_experiment(small, QwpChainProtocol(), workers=1).chain_counts(),
+            run_experiment(small, workers=1).counts,
+            run_experiment(small, QwpChainProtocol(), workers=1).counts,
             run_malus(5, 0.7, 1000, workers=1).n_pass,
         )
         with engine.Schedule() as schedule:
             run_experiment(qm_config(trials=2 * self.SHARE), workers=2, schedule=schedule)
             shared = (
-                run_experiment(small, workers=2, schedule=schedule).counts(),
+                run_experiment(small, workers=2, schedule=schedule).counts,
                 run_experiment(small, QwpChainProtocol(), workers=2,
-                               schedule=schedule).chain_counts(),
+                               schedule=schedule).counts,
                 run_malus(5, 0.7, 1000, workers=2, schedule=schedule).n_pass,
             )
         assert shared == alone
@@ -313,12 +323,12 @@ class TestSchedule:
 
     def test_a_body_that_runs_otherwise_in_a_child_is_an_error(self, forks):
         caller = os.getpid()
-        count = lambda lo, hi: (hi - lo,)
+        count = lambda lo, hi: hi - lo
         with pytest.raises(engine.WorkerError, match="same runs in every process"):
             with engine.Schedule() as schedule:
-                engine._run_blocks(count, 0, 2 * self.SHARE, 2, schedule=schedule)
+                engine._run_blocks(count, 0, 0, 2 * self.SHARE, 2, schedule=schedule)
                 start = 0 if os.getpid() == caller else 1
-                engine._run_blocks(count, start, 2 * self.SHARE, 2, schedule=schedule)
+                engine._run_blocks(count, 0, start, 2 * self.SHARE, 2, schedule=schedule)
 
 
 class TestMergeContract:
@@ -365,11 +375,12 @@ class TestCountsMatchRecords:
             ordering=ordering, seed=19,
         )
         run = run_experiment(cfg, TwoChannelProtocol(), start_index=123, workers=2)
-        tally = {pair: [0, 0, 0, 0] for pair in run.pair_table}
+        tally = [0, 0, 0, 0]
         for r in run.records():
+            assert (r.a, r.b) == (cfg.settings.a, cfg.settings.b)
             cell = 2 * (r.outcome_a is ChannelOutcome.MINUS) + (r.outcome_b is ChannelOutcome.MINUS)
-            tally[(r.a, r.b)][cell] += 1
-        assert run.counts() == [CoincidenceCounts(*tally[pair]) for pair in run.pair_table]
+            tally[cell] += 1
+        assert run.counts == CoincidenceCounts(*tally)
 
     @pytest.mark.parametrize("model_name", ["qm", "ndv-nonlocal", "definite-circular"])
     @pytest.mark.parametrize("ordering", list(Ordering))
@@ -378,7 +389,7 @@ class TestCountsMatchRecords:
         cfg = RunConfig(model=build_model(model_name), trials=2000, ordering=ordering, seed=19)
         run = run_experiment(cfg, QwpChainProtocol(), workers=2)
         records = list(run.records())
-        assert run.chain_counts() == ChainCounts(
+        assert run.counts == ChainCounts(
             sum(r.detected_a for r in records),
             sum(r.detected_b for r in records),
             sum(r.detected_a and r.detected_b for r in records),
@@ -415,7 +426,7 @@ class TestBlockSizeInvariance:
                 ordering=ordering, seed=37,
             )
             run = run_experiment(cfg, start_index=TestBlockSizeInvariance.START, workers=workers)
-            return run.counts(), run.records
+            return run.counts, run.records
 
         return run
 
@@ -427,7 +438,7 @@ class TestBlockSizeInvariance:
                 cfg, QwpChainProtocol(), start_index=TestBlockSizeInvariance.START,
                 workers=workers,
             )
-            return run.chain_counts(), run.records
+            return run.counts, run.records
 
         return run
 
@@ -500,10 +511,20 @@ class TestFactorizedModelPath:
             model=build_model(name), trials=5000, settings=FixedSettings(*self.PAIRS[pair]),
             ordering=Ordering.RANDOM_PER_TRIAL, seed=20201231,
         )
-        assert run_experiment(cfg).counts() == [self.PINNED[name][pair]]
+        assert run_experiment(cfg).counts == self.PINNED[name][pair]
 
-    def test_custom_model_replays_the_object_layer(self):
-        malus = lambda setting, lam: np.cos(setting - np.asarray(lam, dtype=float)) ** 2
+    # cos^2(setting - lambda), broadcast over settings or taking only a
+    # scalar setting, as every path passes it
+    RESPONSES = {
+        "broadcast": lambda setting, lam: np.cos(setting - np.asarray(lam, dtype=float)) ** 2,
+        "scalar-only": lambda setting, lam: (
+            math.cos(setting) * np.cos(lam) + math.sin(setting) * np.sin(lam)
+        ) ** 2,
+    }
+
+    @pytest.mark.parametrize("response", sorted(RESPONSES))
+    def test_custom_model_replays_the_object_layer(self, response):
+        malus = self.RESPONSES[response]
         model = Lhv(LhvModel(
             name="custom-malus",
             density=lambda lam: np.full_like(np.asarray(lam, dtype=float), 1.0 / math.pi),
@@ -618,7 +639,7 @@ class TestChainProtocol:
     def test_qwp_run_counts(self):
         cfg = qm_config(trials=50_000)
         run = run_experiment(cfg, QwpChainProtocol())
-        counts = run.chain_counts()
+        counts = run.counts
         assert counts.n_total == cfg.trials
         assert counts.n_det_both == counts.n_det_a  # reduction makes B certain given A
 
@@ -633,7 +654,7 @@ class TestChainProtocol:
         custom = Lhv(malus_response_model())
         cfg = qm_config(model=custom, trials=5_000)
         run = run_experiment(cfg, QwpChainProtocol())
-        assert run.chain_counts().n_total == 5_000
+        assert run.counts.n_total == 5_000
 
 
 @pytest.fixture
@@ -735,7 +756,7 @@ class TestValidation:
 
     def test_largest_seed_accepted(self):
         run = run_experiment(qm_config(seed=2**64 - 1, trials=100))
-        assert sum(c.total for c in run.counts()) == 100
+        assert run.counts.total == 100
         assert run_malus(2**64 - 1, 0.5, 100).n_total == 100
 
     @pytest.mark.parametrize(
@@ -797,17 +818,16 @@ class TestValidation:
         assert resolve_workers() == 4
 
     def test_custom_model_is_validated_before_any_block(self, monkeypatch):
-        # a response must answer a per-trial array of settings as it answers
-        # the scalar, and the check runs before the first block
-        def scalar_only(setting, lam):
-            return math.cos(setting) ** 2 * np.ones_like(np.asarray(lam, dtype=float))
+        # a response must map into [0, 1], and the check runs before the first block
+        def above_one(setting, lam):
+            return 1.5 * np.ones_like(np.asarray(lam, dtype=float))
 
         model = LhvModel(
-            name="scalar-setting",
+            name="above-one",
             density=lambda lam: np.full_like(np.asarray(lam, dtype=float), 1.0 / math.pi),
             sample=lambda u: np.asarray(u, dtype=float) * math.pi,
-            response_a=scalar_only,
-            response_b=scalar_only,
+            response_a=above_one,
+            response_b=above_one,
         )
         config = RunConfig(model=Lhv(model), trials=100, seed=3, settings=FixedSettings(0.0, 0.1))
 
@@ -815,7 +835,7 @@ class TestValidation:
             raise AssertionError("a block ran before the model was validated")
 
         monkeypatch.setattr(engine, "_run_blocks", no_blocks)
-        with pytest.raises(ValueError, match="scalar-setting: response_a"):
+        with pytest.raises(ValueError, match="above-one: response_a"):
             run_experiment(config)
 
     @staticmethod
@@ -875,7 +895,7 @@ class TestValidation:
         runs = [run_experiment(qm_config(model=Lhv(model), trials=100), workers=1)
                 for _ in range(3)]
         assert checked == [model] * 3
-        assert runs[0].counts() == runs[2].counts()
+        assert runs[0].counts == runs[2].counts
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -992,11 +1012,12 @@ class TestBoundedMemory:
         got = []
         peak = self._peak_bytes(
             lambda: got.append(
-                engine._run_blocks(lambda lo, hi: (hi - lo, 1, lo), start, trials, workers)
+                engine._run_blocks(lambda lo, hi: _counts(hi - lo, 1, lo), _counts(0, 0, 0),
+                                   start, trials, workers).tolist()
             )
         )
         first_sum = blocks * start + BLOCK_SIZE * blocks * (blocks - 1) // 2
-        assert got == [(trials, blocks, first_sum)]
+        assert got == [[trials, blocks, first_sum]]
         assert peak < 2**20, peak
 
 

@@ -63,14 +63,6 @@ class TestCorrelationEstimator:
         assert CoincidenceCounts.from_outcomes(packed_a, packed_b) == self._bincount_counts(
             out_a, out_b
         )
-        pair_index = rng.integers(0, 3, size).astype(np.int32)
-        for j in range(3):
-            mask = pair_index == j
-            got = CoincidenceCounts.from_outcomes(packed_a, packed_b, PackedFlags.pack(mask))
-            assert got == self._bincount_counts(out_a[mask], out_b[mask])
-        assert CoincidenceCounts.from_outcomes(
-            packed_a, packed_b, PackedFlags.pack(np.zeros(size, dtype=bool))
-        ) == CoincidenceCounts(0, 0, 0, 0)
 
     def test_counts_are_mergeable(self):
         a = CoincidenceCounts(1, 2, 3, 4)
@@ -180,15 +172,11 @@ class TestConditionalDetection:
     "count,args",
     [
         (CoincidenceCounts.from_outcomes, (np.array([1, -1], dtype=np.int8),) * 2),
-        (
-            CoincidenceCounts.from_outcomes,
-            (PackedFlags.pack(np.ones(2, bool)),) * 2 + (np.ones(2, int),),
-        ),
         (ChainCounts.from_flags, (np.array([1, 0], dtype=np.uint8),) * 2),
         (ChainCounts.from_flags, (np.ones(2, bool),) * 2),
         (PackedFlags.pack, (np.array([1, -1], dtype=np.int8),)),
     ],
-    ids=["signs", "integer-mask", "uint8", "unpacked", "pack-signs"],
+    ids=["signs", "uint8", "unpacked", "pack-signs"],
 )
 def test_counts_take_only_boolean_flags(count, args):
     # a -1 is truthy, so a +-1 array counted by truth would read every trial as parallel
@@ -201,8 +189,6 @@ def test_counts_take_flags_of_one_trial_count():
     six = PackedFlags.pack(np.ones(6, bool))
     with pytest.raises(ValueError, match="trial counts"):
         CoincidenceCounts.from_outcomes(five, six)
-    with pytest.raises(ValueError, match="trial counts"):
-        CoincidenceCounts.from_outcomes(five, five, six)
 
 
 class TestOrderInvariance:
