@@ -265,6 +265,27 @@ class TestLhvOracle:
         with pytest.raises(ValueError, match="fractional: deterministic response_a"):
             validate_lhv_model(bad)
 
+    @pytest.mark.parametrize(
+        "response",
+        [
+            # math.cos takes no array, and every path passes the setting as a scalar
+            lambda s, lam: math.cos(s) ** 2 * np.ones_like(np.asarray(lam, float)),
+            lambda s, lam: np.full_like(np.asarray(lam, float), 0.5 if np.ndim(s) == 0 else 0.25),
+        ],
+        ids=["scalar-only", "array-differs"],
+    )
+    def test_validation_accepts_responses_that_take_only_a_scalar_setting(self, response):
+        model = LhvModel(
+            name="scalar-setting",
+            density=lambda lam: np.full_like(np.asarray(lam, float), 1.0 / math.pi),
+            sample=lambda u: np.asarray(u, float) * math.pi,
+            response_a=lambda s, lam: np.full_like(np.asarray(lam, float), 0.5),
+            response_b=response,
+        )
+        validate_lhv_model(model)
+        # an even response_a leaves the outcomes uncorrelated whatever response_b does
+        assert lhv_correlation(model, 0.0, 0.3) == pytest.approx(0.0, abs=1e-9)
+
 
 class TestLhvObjectLayer:
     def test_lhv_responses_respect_the_hidden_parameter(self):

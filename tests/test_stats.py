@@ -172,11 +172,15 @@ class TestConditionalDetection:
     "count,args",
     [
         (CoincidenceCounts.from_outcomes, (np.array([1, -1], dtype=np.int8),) * 2),
+        (
+            CoincidenceCounts.from_outcomes,
+            (PackedFlags.pack(np.ones(2, bool)), np.ones(2, int)),
+        ),
         (ChainCounts.from_flags, (np.array([1, 0], dtype=np.uint8),) * 2),
         (ChainCounts.from_flags, (np.ones(2, bool),) * 2),
         (PackedFlags.pack, (np.array([1, -1], dtype=np.int8),)),
     ],
-    ids=["signs", "uint8", "unpacked", "pack-signs"],
+    ids=["signs", "integer-b", "uint8", "unpacked", "pack-signs"],
 )
 def test_counts_take_only_boolean_flags(count, args):
     # a -1 is truthy, so a +-1 array counted by truth would read every trial as parallel
