@@ -86,7 +86,6 @@ _EXPORTS = {
         "Geometry",
         "QwpChainProtocol",
         "RunConfig",
-        "Schedule",
         "TwoChannelProtocol",
         "WorkerError",
         "run_experiment",

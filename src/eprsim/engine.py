@@ -7,13 +7,17 @@ position in a jumpable stream (see :mod:`eprsim.kernels`); workers only
 ever partition the trial-index range, and each block is reduced to exact
 integer counts on the worker that ran it.
 Workers are processes: the calling process and children forked from it,
-once for all the runs of a `Schedule` (a scenario opens one around its
-runs, so `chsh-scan` forks once and not once per settings pair; a run
-called alone opens its own), each of which sends its share's counts back
-through a pipe; an error in a child is raised in the caller. Not threads:
-a block decided on the random planes is some twenty numpy calls of a few
-microseconds each, and threads trade the GIL at every call
-(`BENCH_18.json`, `worker_probe`). The blocks are dealt round-robin off a
+once for all the runs of a plan (a scenario's runs make one, so `chsh-scan`
+forks once and not once per settings pair; a run called alone makes its
+own). Each child computes its share of every run inside the engine and
+sends the sums back through a pipe in one message; an error in a child is
+raised in the caller. Not threads: a block decided on the random planes is
+some twenty numpy calls of a few microseconds each, and threads trade the
+GIL at every call. At 2**18-trial blocks two threads ran 156 `qm` blocks
+x0.83-1.36 as fast as one (median x1.08), and end to end `chsh-large` on
+threads had the lower compute time in 1 of 30 pairs with the second vCPU
+free and 4 of 30 with it busy, at 2.4-2.6 MB more peak RSS
+(`BENCH_32.json`, `thread_probe`). The blocks are dealt round-robin off a
 `range`, so no block list is built, and each process sums its own blocks
 as it goes. Runs keep those counts, not per-trial arrays, so peak memory is
 set by the blocks in flight and does not grow with the trial count;
@@ -147,87 +151,50 @@ def resolve_workers(workers: int | None = None) -> int:
     return min(4, cpus)
 
 
-# Forking, exiting and reaping a worker process costs the caller about 3 ms
-# on a 2-vCPU VM, and its later writes to pages it shared with the child
-# about 4 ms more by its exit (`BENCH_27.json`, `fork_probe`); one thread
-# runs about 2**21 trials of `qm`, or 2**16 of the factorized float path, in
-# 3 ms. So a run deals its blocks to one more process only for each 2**21
-# trials, or each 2**17 trials of the float path, counted in whole units of
-# 2**16 trials: at two workers or more, a `qm` run of more than 63 * 2**16
-# trials takes a second process, and a 1e6-trial run, as each of
-# `model-matrix`'s is, stays in one.
+# A fork costs the caller more than its 3 ms: its later writes to pages it
+# shared with the child fault (`BENCH_27.json`), and the child waits for a
+# vCPU the host may not give it. End to end, `chsh-large`'s four 10**7-trial
+# `qm` runs took 63.6 ms of compute and 218 ms of CPU at two processes
+# against 66.0 and 199 ms at one with the second vCPU free, and 87.7 against
+# 67.1 ms with it busy (`BENCH_32.json`, `fork_probe`). One thread runs about
+# 2**21 trials of `qm`, or 2**16 of the factorized float path, in 3 ms. So a
+# run deals its blocks to one more process only for each 2**21 trials, or
+# each 2**17 trials of the float path, counted in whole units of 2**16
+# trials: at two workers or more, a `qm` run of more than 63 * 2**16 trials
+# takes a second process, and a 1e6-trial run, as each of `model-matrix`'s
+# is, stays in one. No benchmark workload runs near either threshold.
 _TRIALS_PER_PROCESS = 1 << 21
 _FLOAT_TRIALS_PER_PROCESS = 1 << 17
 _FORK_UNIT = 1 << 16
 
 
 class WorkerError(RuntimeError):
-    """A worker process failed the schedule: it ended without sending its
-    sum (killed, say, by a signal or the system's out-of-memory killer), or
-    it ran other trials than the caller."""
+    """A worker process failed its plan: it ended without sending its sums
+    (killed, say, by a signal or the system's out-of-memory killer), or it
+    sent the sums of another number of block loops than the caller ran."""
 
 
-class Schedule:
-    """The worker processes that a sequence of runs shares, so that they are
-    forked once and not once per run.
-
-    Use it as ``with Schedule() as schedule:`` around runs that each take
-    ``schedule=schedule``. The first run that deals its blocks to more than
-    one process forks the children it needs; a later run that needs more
-    forks only the extra ones. A child is a copy of the calling process and
-    carries on through the body of the ``with`` block: at each run it
-    computes its own round-robin share of the blocks and sends the sum up
-    its pipe, and it leaves by ``os._exit`` where the block ends. So the
-    body must make the same runs in the same order in every process, and
-    write nothing; a run's result is complete in the calling process only.
-    When the block ends the caller reaps every child, and kills them first
-    if it ends in an error, Ctrl-C included (a child ignores SIGINT). A
-    schedule forks none where the platform has no ``os.fork``, or if it is
-    made while another thread runs: a child could inherit a lock it held.
-    """
+class _Plan:
+    """The worker processes of one `_run_plan` call as one process sees
+    them, and its sum of each block loop it ran since it began or was forked.
+    A plan forks none where the platform has no ``os.fork``, or if it is made
+    while another thread runs: a child could inherit a lock it held."""
 
     def __init__(self) -> None:
-        self._children: list[tuple[int, BinaryIO]] = []  # (pid, pipe), in the caller
-        self._pipe: BinaryIO | None = None  # in a child, its pipe to the caller
-        self._share = 0  # which share of each run this process takes
-        self._open = False
-        self._forks = hasattr(os, "fork") and threading.active_count() == 1
+        self.forks = hasattr(os, "fork") and threading.active_count() == 1
+        self.children: list[tuple[int, BinaryIO, int]] = []  # (pid, pipe, first loop), in the caller
+        self.pipe: BinaryIO | None = None  # in a child, its pipe to the caller
+        self.share = 0  # which share of each loop this process takes
+        self.loops: list[tuple] = []  # (own sum, result of a sum) per loop
 
-    def __enter__(self) -> Schedule:
-        self._open = True
-        return self
+    def fork(self) -> None:
+        """Fork one child with a pipe to it. The caller first builds its
+        random generator, so every child inherits it and ``numpy.random``
+        loaded. SIGINT is blocked until the caller has recorded the child,
+        and the child ignores it."""
+        import signal  # only a plan that forks needs it
 
-    def __exit__(self, kind, error, traceback) -> None:
-        self._open = False
-        if self._pipe is not None:
-            os._exit(0 if kind is None else 1)
-        children, self._children = self._children, []
-        if kind is not None and children:
-            import signal
-
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-
-    def _fork_to(self, shares: int) -> None:
-        """Fork children until this process and its children make `shares`
-        processes. The caller first builds its random generator, so every
-        child inherits it and ``numpy.random`` loaded."""
-        if self._pipe is not None or len(self._children) + 1 >= shares:
-            return
-        if not self._open:
-            raise RuntimeError("a schedule forks only inside its with block")
         kernels._generator()
-        while self._pipe is None and len(self._children) + 1 < shares:
-            self._fork()
-
-    def _fork(self) -> None:
-        """Fork one child with a pipe to it. SIGINT is blocked until the
-        caller has recorded the child, and the child ignores it."""
-        import signal  # only a schedule that forks needs it
-
         blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             read, write = os.pipe()
@@ -238,7 +205,7 @@ class Schedule:
                 os.close(write)
                 raise
             if pid:
-                self._children.append((pid, os.fdopen(read, "rb")))
+                self.children.append((pid, os.fdopen(read, "rb"), len(self.loops)))
                 os.close(write)
                 return
             try:
@@ -246,53 +213,91 @@ class Schedule:
                 if "logging" in sys.modules:  # a child reports through its pipe alone
                     sys.modules["logging"].disable()
                 os.close(read)
-                for _, pipe in self._children:
+                for _, pipe, _ in self.children:
                     pipe.close()
-                self._share, self._children = len(self._children) + 1, []
-                self._pipe = os.fdopen(write, "wb")
+                self.share, self.children, self.loops = len(self.children) + 1, [], []
+                self.pipe = os.fdopen(write, "wb")
             except BaseException:
                 os._exit(1)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
 
-    def _send(self, run: tuple, work):
-        """In a child: send ``(run, True, work())`` up the pipe, pickled, and
-        return ``work()``; or send ``(run, False, the exception it raised)``
-        and exit. A child never raises into the caller's code."""
+    def leave(self, ok: bool, value) -> None:
+        """In a child, send ``(ok, value)`` up the pipe, pickled, as its one
+        message, and exit; in the caller, do nothing."""
+        if self.pipe is None:
+            return
         try:
             try:
-                message = (run, True, work())
-            except BaseException as exc:
-                message = (run, False, exc)
-            try:
-                data = pickle.dumps(message)
+                data = pickle.dumps((ok, value))
             except Exception:  # an exception that does not pickle
-                data = pickle.dumps((run, False, RuntimeError(repr(message[2]))))
-            self._pipe.write(data)
-            self._pipe.flush()
-        except BaseException:
-            os._exit(1)
-        if not message[1]:
-            os._exit(1)
-        return message[2]
+                data = pickle.dumps((False, RuntimeError(repr(value))))
+            self.pipe.write(data)
+            self.pipe.flush()
+        finally:
+            os._exit(int(not ok))
 
-    def _gather(self, run: tuple, total):
-        """`total` plus the sum each child sent for `run`, added with `+`
-        into a new value, so a zero the caller passed is never changed."""
-        for pid, pipe in self._children:
+    def gather(self, results: list) -> list:
+        """`results`, or where there are children, each loop's result of its
+        total: the caller's sum plus each child's, added with `+` into a new
+        value, so a zero the caller passed is never changed."""
+        if not self.children:
+            return results
+        totals = [own for own, _ in self.loops]
+        for pid, pipe, first in self.children:
             try:
-                sent, ok, part = pickle.load(pipe)
+                ok, sums = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 raise WorkerError(f"worker process {pid} ended without a result") from None
             if not ok:
-                raise part
-            if sent != run:
-                raise WorkerError(
-                    f"worker process {pid} ran trials {sent} where the caller ran {run}: "
-                    "a schedule's body must make the same runs in every process"
-                )
-            total = total + part
-        return total
+                raise sums
+            if len(sums) != len(totals) - first:
+                raise WorkerError(f"worker process {pid} sent {len(sums)} sums where the "
+                                  f"caller ran {len(totals) - first} block loops")
+            for j, part in enumerate(sums, first):
+                totals[j] = totals[j] + part
+        return [finish(total) for (_, finish), total in zip(self.loops, totals)]
+
+    def close(self, kill: bool) -> None:
+        """Reap every child, killing it first if `kill`."""
+        for pid, pipe, _ in self.children:
+            if kill:
+                os.kill(pid, 9)  # SIGKILL
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+_local = threading.local()  # `plan`: the plan this thread runs, while it runs one
+
+
+def _run_plan(runs: list) -> list:
+    """The results of `runs`, in order: pairs (call, start_index), each
+    called as ``call(start_index=start_index)`` to run one block loop
+    (`_run_blocks`), as `run_experiment` and `run_malus` do.
+
+    A loop that deals its blocks to more processes than the plan has forks
+    the children it lacks. A child computes its share of that loop and of
+    every later one, here, sends their sums in one message and exits: it
+    never returns from this call. The caller computes its own share as it
+    goes and adds the children's sums into the results at the end. On an
+    error, Ctrl-C included, it kills the children; it reaps them all before
+    it returns or raises.
+    """
+    _local.plan = plan = _Plan()
+    kill = True
+    try:
+        try:
+            results = [call(start_index=start) for call, start in runs]
+        except BaseException as exc:
+            plan.leave(False, exc)
+            raise
+        plan.leave(True, [own for own, _ in plan.loops])
+        results = plan.gather(results)
+        kill = False
+        return results
+    finally:
+        _local.plan = None
+        plan.close(kill)
 
 
 def _run_blocks(
@@ -303,41 +308,38 @@ def _run_blocks(
     workers: int,
     block: int | None = None,
     per_process: int = _TRIALS_PER_PROCESS,
-    schedule: Schedule | None = None,
+    finish=None,
 ):
-    """The sum with `+`, from the run's `zero`, of ``count(lo, hi)`` over
-    the range's blocks of `block` trials (`BLOCK_SIZE` when None): one
-    count per block, of the type of `zero`, the count of no trials.
+    """`finish` (when None, the identity) of the sum with `+`, from the
+    run's `zero`, of ``count(lo, hi)`` over the range's blocks of `block`
+    trials (`BLOCK_SIZE` when None): one count per block, of the type of
+    `zero`, the count of no trials.
 
     The blocks are dealt round-robin to up to `workers` processes, at most
     one per `per_process` trials (the run's trials rounded up to whole
-    `_FORK_UNIT`s): this one and the children of `schedule` (of a schedule
-    of its own when None), each of which sends its own sum back. Integer
-    addition is exact, so the sum does not depend on the worker count. Where
-    the schedule forks none, every block runs here. In a child the result is
-    the sum of its own share, and `zero` when the run leaves it none.
+    `_FORK_UNIT`s): the caller of the plan this loop runs in (a one-run
+    plan of its own when it runs in none) and its children. Integer
+    addition is exact, so the sum does not depend on the worker count.
+    Where the plan forks none, every block runs here.
     """
-    if schedule is None:
-        with Schedule() as schedule:
-            return _run_blocks(count, zero, start, trials, workers, block, per_process, schedule)
+    finish = finish or (lambda total: total)
+    plan = getattr(_local, "plan", None)
+    if plan is None:
+        loop = lambda start_index: _run_blocks(
+            count, zero, start_index, trials, workers, block, per_process, finish
+        )
+        return _run_plan([(loop, start)])[0]
     block = block or BLOCK_SIZE
     stop = start + trials
-    blocks = range(start, stop, block)
     units = -(-trials // _FORK_UNIT)
-    shares = max(1, min(workers, units * _FORK_UNIT // per_process)) if schedule._forks else 1
-    schedule._fork_to(shares)
-    share = schedule._share
-
-    def own_sum():
-        if share >= shares:
-            return zero
-        parts = (count(lo, min(lo + block, stop)) for lo in blocks[share::shares])
-        return functools.reduce(operator.add, parts, zero)
-
-    run = (start, trials)
-    if schedule._pipe is not None:
-        return schedule._send(run, own_sum)
-    return schedule._gather(run, own_sum())
+    shares = max(1, min(workers, units * _FORK_UNIT // per_process)) if plan.forks else 1
+    while plan.pipe is None and len(plan.children) + 1 < shares:
+        plan.fork()
+    share = plan.share
+    blocks = range(start, stop, block)[share::shares] if share < shares else ()
+    own = functools.reduce(operator.add, (count(lo, min(lo + block, stop)) for lo in blocks), zero)
+    plan.loops.append((own, finish))
+    return finish(own)
 
 
 def _replay(config: RunConfig, start_index: int, kernel, block: int):
@@ -467,7 +469,6 @@ def run_experiment(
     *,
     start_index: int = 0,
     workers: int | None = None,
-    schedule: Schedule | None = None,
 ) -> TwoChannelRun | QwpChainRun:
     """Run `config.trials` trials of the given protocol.
 
@@ -476,8 +477,6 @@ def run_experiment(
     samples). Worker count never changes results. A factorized model is
     validated (`validate_lhv_model`, once per process for a model that
     hashes) before any block runs, as are ``start_index`` and ``workers``.
-    The worker processes come from `schedule` (see `Schedule`), or from one
-    the run opens for itself.
     """
     start_index = _check_start(start_index, config.trials)
     workers = resolve_workers(workers)
@@ -497,10 +496,10 @@ def run_experiment(
         zero, result = ChainCounts(0, 0, 0, 0), QwpChainRun
     else:
         raise TypeError(f"not a protocol: {protocol!r}")
-    counts = _run_blocks(
-        count, zero, start_index, config.trials, workers, block, per_process, schedule
+    finish = functools.partial(result, config, start_index)
+    return _run_blocks(
+        count, zero, start_index, config.trials, workers, block, per_process, finish
     )
-    return result(config, start_index, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,21 +520,19 @@ def run_malus(
     *,
     start_index: int = 0,
     workers: int | None = None,
-    schedule: Schedule | None = None,
 ) -> MalusRun:
     """Send `trials` photons polarized at 0 through a polarizer at `theta`.
-    Every argument is checked before any block runs. The worker processes
-    come from `schedule`, as in `run_experiment`."""
+    Every argument is checked before any block runs."""
     kernels.check_seed(seed)
     kernels.check_real("theta", theta)
     check_trials(trials)
     start_index = _check_start(start_index, trials)
     workers = resolve_workers(workers)
-    n_pass = _run_blocks(
+    return _run_blocks(
         lambda lo, hi: kernels.malus_block(seed, lo, hi - lo, theta).popcount(),
-        0, start_index, trials, workers, BLOCK_SIZE, _TRIALS_PER_PROCESS, schedule,
+        0, start_index, trials, workers, BLOCK_SIZE, _TRIALS_PER_PROCESS,
+        functools.partial(MalusRun, seed, theta, start_index, n_total=trials),
     )
-    return MalusRun(seed=seed, theta=theta, start_index=start_index, n_pass=n_pass, n_total=trials)
 
 
 def trial_draws(seed: int, trial_index: int) -> TrialDraws:

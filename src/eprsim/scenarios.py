@@ -30,8 +30,8 @@ from .engine import (
     FixedSettings,
     QwpChainProtocol,
     RunConfig,
-    Schedule,
     TwoChannelProtocol,
+    _run_plan,
     check_trials,
     resolve_workers,
     run_experiment,
@@ -133,20 +133,18 @@ class _Ranges(NamedTuple):
 
 
 def _run_ranges(runs: list, trials: int) -> _Ranges:
-    """Call each run with its ``start_index``: consecutive disjoint ranges of
-    `trials` from index 0 of the seed, which draw independent streams, so
+    """Run each of `runs` at its ``start_index``: consecutive disjoint ranges
+    of `trials` from index 0 of the seed, which draw independent streams, so
     the results carry no covariance. The ranges must fit in the seed's 2**64
-    trial indices; that is checked before any run starts. The runs share
-    one `Schedule`, so the worker processes are forked once per scenario;
-    its children run this loop too, and leave where it ends."""
+    trial indices; that is checked before any run starts. The runs make one
+    engine plan, so the worker processes are forked once per scenario."""
     trials_total = len(runs) * trials
     if trials_total > kernels.SEED_LIMIT:
         raise ConfigError(
             f"trials: {len(runs)} runs of {trials} trials leave the 2**64 trial indices of a seed"
         )
     started = time.perf_counter()
-    with Schedule() as schedule:
-        results = [run(start_index=j * trials, schedule=schedule) for j, run in enumerate(runs)]
+    results = _run_plan([(run, j * trials) for j, run in enumerate(runs)])
     return _Ranges(results, trials_total, started)
 
 

@@ -194,7 +194,9 @@ class TestErrors:
         # out-of-memory killer, say) ends the run in one line, not a traceback
         from eprsim import engine
 
-        monkeypatch.setattr(engine.Schedule, "_send", lambda self, run, work: os._exit(1))
+        # a child leaves before it sends; in the caller `leave` does nothing
+        monkeypatch.setattr(engine._Plan, "leave",
+                            lambda self, ok, value: self.pipe is None or os._exit(1))
         trials = str(2 * engine._TRIALS_PER_PROCESS)  # two processes
         code, out, err = run_cli(capsys, "chsh-scan", "--trials", trials, "--workers", "2")
         assert code == 2

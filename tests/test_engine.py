@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import threading
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprsim import engine, kernels
+from eprsim import engine, kernels, scenarios
 from eprsim.engine import (
     BLOCK_SIZE,
     MAX_WORKERS,
@@ -194,6 +195,24 @@ class TestWorkerProcesses:
         assert run_experiment(cfg, workers=2).counts == counts
         assert len(forks) == 1  # once the thread has ended
 
+    def test_a_run_on_another_thread_makes_its_own_plan(self, forks):
+        # a run started on a second thread while this thread's plan runs
+        # makes a plan of its own, which forks none with two threads alive
+        inner = []
+
+        def count(lo, hi):
+            thread = threading.Thread(target=lambda: inner.append(
+                engine._run_blocks(lambda lo, hi: hi - lo, 0, 0, 2 * self.SHARE, 2)
+            ))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            return hi - lo
+
+        assert engine._run_blocks(count, 0, 0, BLOCK_SIZE, 2) == BLOCK_SIZE
+        assert inner == [2 * self.SHARE]
+        assert forks == []
+
     @staticmethod
     def _failing_in_the_child(error):
         def count(lo, hi):
@@ -238,8 +257,9 @@ class TestWorkerProcesses:
 
 
 class TestSchedule:
-    """A scenario's runs share one `Schedule`: its children are forked once
-    and carry on through every run, each sending its share's sum."""
+    """A scenario's runs make one engine plan: its children are forked once,
+    compute their share of every run in the engine and each send one
+    message."""
 
     SHARE = TestWorkerProcesses.SHARE
     forks = TestWorkerProcesses.forks
@@ -283,52 +303,94 @@ class TestSchedule:
             chsh_scan(trials=2 * self.SHARE, workers=2)
         assert len(forks) == 1
 
-    def test_children_are_forked_as_runs_need_them(self, forks):
+    def test_a_plan_forks_the_children_its_runs_need(self, forks):
         # two shares take 2 processes, one takes 1 (the child sits it out),
-        # four take 4 (two more children), one fork unit takes 1 and three
-        # shares take 3
+        # four take 4 (two more children, whose sums start at that run), one
+        # fork unit takes 1 and three shares take 3
         sizes = [2 * self.SHARE, self.SHARE, 4 * self.SHARE, engine._FORK_UNIT, 3 * self.SHARE]
-        sums, forked = [], []
-        with engine.Schedule() as schedule:
-            for n in sizes:
-                sums.append(engine._run_blocks(lambda lo, hi: _counts(hi - lo, 1), _counts(0, 0),
-                                               0, n, 4, schedule=schedule).tolist())
-                forked.append(len(forks))
-        assert sums == [[n, -(-n // BLOCK_SIZE)] for n in sizes]
+        forked = []
+
+        def run(n, start_index):
+            total = engine._run_blocks(lambda lo, hi: _counts(hi - lo, 1), _counts(0, 0),
+                                       start_index, n, 4)
+            forked.append(len(forks))
+            return total
+
+        sums = engine._run_plan([(functools.partial(run, n), 0) for n in sizes])
+        assert [s.tolist() for s in sums] == [[n, -(-n // BLOCK_SIZE)] for n in sizes]
         assert forked == [1, 1, 3, 3, 3]
 
-    def test_a_child_without_a_share_builds_every_kind_of_run(self, forks):
+    def test_a_child_without_a_share_sends_every_kind_of_zero(self, forks):
         # after a run of two shares, the small runs leave the child no blocks
         small = qm_config(trials=1000)
-        alone = (
+        runs = [
+            functools.partial(run_experiment, qm_config(trials=2 * self.SHARE), workers=2),
+            functools.partial(run_experiment, small, workers=2),
+            functools.partial(run_experiment, small, QwpChainProtocol(), workers=2),
+            functools.partial(run_malus, 5, 0.7, 1000, workers=2),
+        ]
+        _, two_channel, chain, malus = engine._run_plan([(run, 0) for run in runs])
+        assert len(forks) == 1
+        assert (two_channel.counts, chain.counts, malus.n_pass) == (
             run_experiment(small, workers=1).counts,
             run_experiment(small, QwpChainProtocol(), workers=1).counts,
             run_malus(5, 0.7, 1000, workers=1).n_pass,
         )
-        with engine.Schedule() as schedule:
-            run_experiment(qm_config(trials=2 * self.SHARE), workers=2, schedule=schedule)
-            shared = (
-                run_experiment(small, workers=2, schedule=schedule).counts,
-                run_experiment(small, QwpChainProtocol(), workers=2,
-                               schedule=schedule).counts,
-                run_malus(5, 0.7, 1000, workers=2, schedule=schedule).n_pass,
-            )
-        assert shared == alone
-        assert len(forks) == 1
 
-    def test_a_schedule_forks_only_inside_its_with_block(self, forks):
-        with pytest.raises(RuntimeError, match="inside its with block"):
-            run_experiment(qm_config(trials=2 * self.SHARE), workers=2, schedule=engine.Schedule())
-        assert forks == []
-
-    def test_a_body_that_runs_otherwise_in_a_child_is_an_error(self, forks):
+    def test_a_child_sends_one_message_and_never_returns(self, forks, monkeypatch, tmp_path):
+        # a process other than the caller appends its pid to a file at each
+        # message it pickles, and when it reaches the scenario's code that
+        # follows the engine call
         caller = os.getpid()
-        count = lambda lo, hi: hi - lo
-        with pytest.raises(engine.WorkerError, match="same runs in every process"):
-            with engine.Schedule() as schedule:
-                engine._run_blocks(count, 0, 0, 2 * self.SHARE, 2, schedule=schedule)
-                start = 0 if os.getpid() == caller else 1
-                engine._run_blocks(count, 0, start, 2 * self.SHARE, 2, schedule=schedule)
+        sent, returned = tmp_path / "sent", tmp_path / "returned"
+
+        def marking(path, call):
+            def marked(*args):
+                if os.getpid() != caller:
+                    with open(path, "a") as f:
+                        f.write(f"{os.getpid()}\n")
+                return call(*args)
+
+            return marked
+
+        monkeypatch.setattr(engine.pickle, "dumps", marking(sent, engine.pickle.dumps))
+        monkeypatch.setattr(scenarios, "_document", marking(returned, scenarios._document))
+        chsh_scan(trials=3 * self.SHARE, workers=4, seed=3)  # runs of three shares
+        assert len(forks) == 2
+        assert sorted(map(int, sent.read_text().split())) == sorted(forks)
+        assert not returned.exists()
+
+    def test_a_traced_forked_scenario_counts_each_engine_call_once(self, forks, capsys):
+        # perfbench's tracer wraps each run's call in the caller; the child
+        # computes its shares inside the engine and its spans stay there
+        import json
+
+        from eprsim import cli, stats
+        from test_perfbench_contract import _tracing
+
+        tracing = _tracing()
+        tracer = tracing.Tracer()
+        trials = str(2 * self.SHARE)  # runs of two shares
+        with tracing.instrument(tracer, cli, scenarios, engine, kernels, stats):
+            assert cli.main(["chsh-scan", "--trials", trials, "--workers", "2",
+                             "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert len(forks) == 1
+        metrics = tracing.layer_metrics(tracer.spans, 2)
+        assert metrics["engine.run_experiment.calls"][0] == 4
+
+    def test_a_child_that_runs_other_loops_is_an_error(self, forks):
+        # the caller runs one block loop and its child, forked in it, two
+        caller = os.getpid()
+
+        def run(start_index):
+            engine._run_blocks(lambda lo, hi: hi - lo, 0, start_index, 2 * self.SHARE, 2)
+            if os.getpid() != caller:
+                engine._run_blocks(lambda lo, hi: hi - lo, 0, start_index, 2 * self.SHARE, 2)
+
+        with pytest.raises(engine.WorkerError, match="sent 2 sums where the caller ran 1"):
+            engine._run_plan([(run, 0)])
+        assert len(forks) == 1
 
 
 class TestMergeContract:

@@ -131,12 +131,11 @@ class TestOneCheckPerParameter:
         assert str(from_engine.value).startswith(f"{key}: ")
 
     def test_runs_take_consecutive_ranges_from_zero(self):
-        starts, schedules = [], set()
+        starts = []
 
         def make(j):
-            def run(start_index, schedule):
+            def run(start_index):
                 starts.append(start_index)
-                schedules.add(schedule)
                 return j
 
             return run
@@ -145,13 +144,11 @@ class TestOneCheckPerParameter:
         assert starts == [0, 7, 14]
         assert ranges.results == [0, 1, 2]
         assert ranges.trials_total == 21
-        (schedule,) = schedules  # one schedule for every run
-        assert isinstance(schedule, engine.Schedule)
 
     def test_index_space_is_checked_before_any_run(self):
-        def run(start_index, schedule):
+        def run(start_index):
             raise AssertionError("ran")
 
         with pytest.raises(ConfigError, match="^trials: 3 runs of"):
             scenarios._run_ranges([run] * 3, 2**64 // 3 + 1)
-        assert scenarios._run_ranges([lambda start_index, schedule: start_index], 2**64).trials_total == 2**64
+        assert scenarios._run_ranges([lambda start_index: start_index], 2**64).trials_total == 2**64
