@@ -41,8 +41,9 @@ kernel of the run reads is never made. Slots per trial:
     4  measurement-order selection (random-order runs only)
 
 Outcome coins are compared with strict less-than, so a probability snapped to
-exactly 0 never fires and a probability of exactly 1 always does. Coins
-against a fixed probability never build the float: for any p in [0, 1]
+exactly 0 never fires and a probability of exactly 1 always does (both
+layers snap by `models.snap_probability`). Coins against a fixed
+probability never build the float: for any p in [0, 1]
 
     u < p   <=>   k < p * 2**53   <=>   k < ceil(p * 2**53) = K
 
@@ -164,8 +165,6 @@ MODEL_QM = MODEL_CODES["qm"]
 # perfbench reads these aliases of the `Ordering` members.
 ORDER_ARM1_FIRST = Ordering.ARM1_FIRST
 ORDER_ARM2_FIRST = Ordering.ARM2_FIRST
-
-_ZERO_PROB = 1e-24
 
 
 def backend() -> str:
@@ -405,33 +404,34 @@ def _draws(coins: np.ndarray, digits: np.ndarray, tails: np.ndarray) -> np.ndarr
 def _below(planes: _Planes, cut) -> np.ndarray:
     """``k < cut`` per trial for an integer cut in [0, 2**53], packed, and
     decided on each trial's coin and digit, the top 17 bits of k: the digit
-    test is packed once and meets the coins word-wide. A trial whose coin
-    and digit equal the cut's top 17 bits ties, and its tail decides."""
+    test is packed once (`_digits_below`) and meets the coins word-wide. A
+    trial whose coin and digit equal the cut's top 17 bits ties, and its
+    tail decides."""
     cut = int(cut)
-    coins, digits = planes.coins, planes.digits
     if cut <= 0:
-        return np.zeros(coins.shape, dtype=np.uint64)
+        return np.zeros(planes.coins.shape, dtype=np.uint64)
     if cut >= 1 << 53:
-        return _ones(digits.size).copy()
+        return _ones(planes.digits.size).copy()
     top, low = divmod(cut, 1 << _LOW)
-    digit = top & 0xFFFF
-    cut_coin_is_0 = top < 1 << 16
-    # A tie is about one trial in 2**17: its digit matches the cut's at one
-    # trial in 2**16, and its coin at half of those. Its coin equals the
-    # cut's, so meeting the coins below leaves its tail's answer as it is.
-    # The ties are found before the compare is built, so one boolean per
-    # trial is alive at a time.
-    ties = [i for i in _offsets(digits == digit) if _bit(coins, i) == cut_coin_is_0] if low else []
+    coin, digit = divmod(top, 1 << 16)
+    # a trial of the other coin is decided by its coin alone, and reads no tail
+    below = _digits_below(planes, digit, (0, low) if coin else (low, 0))
+    return (np.bitwise_or if coin else np.bitwise_and)(below, planes.coins, out=below)
+
+
+def _digits_below(planes: _Planes, digit: int, lows: tuple[int, int]) -> np.ndarray:
+    """``d << 36 | t >> 28 < digit << 36 | lows[c]`` per trial, packed, for
+    each trial's coin c, digit d and tail t. A trial whose digit is `digit`
+    ties, about one in 2**16, and its tail decides unless its low is 0. The
+    ties are found first, so one boolean per trial is alive at a time."""
+    digits = planes.digits
+    ties = [(i, low) for i in _offsets(digits == digit)
+            if (low := lows[not _bit(planes.coins, i)])] if any(lows) else []
     below = digits < digit
     if ties:
-        at = np.array(ties)
-        below[at] = planes.tails(at) >> _TAIL_SHIFT < np.uint64(low)
-    below = pack_words(below)
-    if cut_coin_is_0:
-        below &= coins
-    else:
-        below |= coins
-    return below
+        at = np.array([i for i, _ in ties])
+        below[at] = planes.tails(at) >> _TAIL_SHIFT < np.array([low for _, low in ties], np.uint64)
+    return pack_words(below)
 
 
 def _tops(coins: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -494,14 +494,13 @@ def _arm2_first(seed: int, start: int, count: int, ordering: Ordering) -> np.nda
 
 
 def _malus_prob_array(first: np.ndarray, second=0.0) -> np.ndarray:
-    """``cos²(first - second)`` per angle, ``second`` 0 by default,
-    with values below 1e-24 snapped to 0. The cosine is ``cos first * cos
-    second + sin first * sin second``, symmetric bit for bit, so a small
-    angle is not lost beside one of 1e20 rad, as it is in ``first - second``."""
-    p = (np.cos(first) * np.cos(second) + np.sin(first) * np.sin(second)) ** 2
-    p[p < _ZERO_PROB] = 0.0
-    np.clip(p, 0.0, 1.0, out=p)
-    return p
+    """``cos²(first - second)`` per angle, ``second`` 0 by default, snapped
+    by `models.snap_probability`. The cosine is ``cos first * cos second +
+    sin first * sin second``, symmetric bit for bit, so a small angle is not
+    lost beside one of 1e20 rad, as it is in ``first - second``."""
+    return models.snap_probability(
+        (np.cos(first) * np.cos(second) + np.sin(first) * np.sin(second)) ** 2
+    )
 
 
 def _one_pair(pair_a: np.ndarray, pair_b: np.ndarray, cumw: np.ndarray) -> tuple[float, float]:
@@ -587,16 +586,17 @@ def two_channel_block(
         return _one_pair_index(count), PackedFlags(oa, count), PackedFlags(ob, count)
 
     cut = _malus_cut(a, b)
-    arms = [(ob, SLOT_ARM_B), (oa, SLOT_ARM_A)]  # an arm measured second meets the cut
-    arms = {Ordering.ARM1_FIRST: arms[:1], Ordering.ARM2_FIRST: arms[1:]}.get(ordering, arms)
-    same = [_below(_slot_planes(*block, slot, coins), cut) for coins, slot in arms]
+
+    def same(coins, slot):  # an arm measured second meets the cut
+        return _below(_slot_planes(*block, slot, coins), cut)
+
     if ordering is Ordering.ARM1_FIRST:
-        ob = _second_photon(oa, same[0], count)
+        ob = _second_photon(oa, same(ob, SLOT_ARM_B), count)
     elif ordering is Ordering.ARM2_FIRST:
-        oa = _second_photon(ob, same[0], count)
+        oa = _second_photon(ob, same(oa, SLOT_ARM_A), count)
     else:
-        ob1 = _second_photon(oa, same[0], count)
-        oa2 = _second_photon(ob, same[1], count)
+        ob1 = _second_photon(oa, same(ob, SLOT_ARM_B), count)
+        oa2 = _second_photon(ob, same(oa, SLOT_ARM_A), count)
         arm2_first = _arm2_first(*block, ordering)
         oa = _pick(arm2_first, oa2, oa)
         ob = _pick(arm2_first, ob, ob1)
@@ -736,15 +736,29 @@ def _step_decision(planes: _Planes, row: tuple[bool, tuple[int, ...]]) -> np.nda
     """Packed decisions of one arm at its setting, its `_word_steps` row, on
     the emission slot's planes: the decision at k = 0 flipped once per cut
     at or below k. `_below` finds the cuts above k instead, so an odd count
-    of cuts flips it once more; the first cut's compare is the accumulator,
-    and every flip is word-wide."""
+    of cuts flips it once more, and every flip is word-wide.
+
+    Two cuts with one digit and coins 0 and 1, as the sign model's at ``a ±
+    pi/4`` are, take one digit compare x (`_digits_below`, each trial meeting
+    the low bits of its own coin's cut): ``(x & coins) ^ (x | coins) == x ^
+    coins``. Each trial whose digit matches then ties, whatever its coin."""
     first, cuts = row
-    count = planes.digits.size
-    flipped = _below(planes, cuts[0]) if cuts else np.zeros(_words(count), dtype=np.uint64)
-    for cut in cuts[1:]:
-        flipped ^= _below(planes, cut)
+    flipped = np.zeros(_words(planes.digits.size), dtype=np.uint64)
+    lower = {}  # digit -> low bits of a cut below 2**52 not yet paired
+    for cut in cuts:  # ascending, so every cut below 2**52 comes first
+        top, low = divmod(cut, 1 << _LOW)
+        coin, digit = divmod(top, 1 << 16)
+        if not coin and digit not in lower:
+            lower[digit] = low
+        elif coin and digit in lower:
+            flipped ^= _digits_below(planes, digit, (lower.pop(digit), low))
+            flipped ^= planes.coins
+        else:
+            flipped ^= _below(planes, cut)
+    for digit, low in lower.items():
+        flipped ^= _below(planes, digit << _LOW | low)
     if first != (len(cuts) % 2 == 1):
-        _not(flipped, count)
+        _not(flipped, planes.digits.size)
     return flipped
 
 

@@ -29,9 +29,12 @@ reduction (the ``emit`` and ``respond_*`` methods, kept by model type in
 :class:`~eprsim.reference.RAnalyzer` and
 :class:`~eprsim.reference.LambdaSample`); it is the reference the kernels
 are checked against. This module imports neither the object layer nor the
-Jones algebra, so a run on the kernels never loads them. The enums a run's
-records name (`Arm`, `ChannelOutcome`, `Ordering`) live here for the same
-reason.
+Jones algebra, so a run on the kernels never loads them. What both
+answers share lives here for the same reason: the enums a run's records
+name (`Arm`, `ChannelOutcome`, `Ordering`), and the Born-rule snap
+(`snap_probability`), by which a squared projection below
+``ZERO_PROBABILITY`` is exactly 0 and none exceeds 1, so the kernels and the
+object layer decide alike draw for draw.
 """
 
 from __future__ import annotations
@@ -49,6 +52,21 @@ from . import _Frozen
 _QUARTER_PI = math.pi / 4
 
 LAMBDA_SUPPORT = (0.0, math.pi)
+MIDPOINT_NODES = 4096  # nodes of the midpoint rule on the support
+DENSITY_TOL = 1e-6  # how far a density's midpoint mass may stray from 1
+# Squared projections below this are exactly 0, so an analyzer orthogonal
+# to the state never fires.
+ZERO_PROBABILITY = 1e-24
+
+
+def snap_probability(p):
+    """A squared projection as a probability: exactly 0 below
+    ``ZERO_PROBABILITY``, and at most 1. Takes a float, or a float array,
+    which it snaps in place and returns."""
+    if isinstance(p, np.ndarray):
+        p[p < ZERO_PROBABILITY] = 0.0
+        return np.minimum(p, 1.0, out=p)
+    return 0.0 if p < ZERO_PROBABILITY else min(p, 1.0)
 
 
 class Arm(enum.Enum):
@@ -100,18 +118,26 @@ class LhvModel:
     deterministic: bool = False
 
 
-def validate_lhv_model(model: LhvModel, tol: float = 1e-6, n: int = 4096) -> None:
-    """Check the model invariants: density normalized, and responses in
-    [0, 1] (exactly 0 or 1 for a deterministic model, which must also
-    declare its breakpoints)."""
+def _midpoints() -> tuple[np.ndarray, float]:
+    """The nodes of the midpoint rule on the support, and each one's weight."""
     lo, hi = LAMBDA_SUPPORT
-    grid = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+    weight = (hi - lo) / MIDPOINT_NODES
+    return lo + (np.arange(MIDPOINT_NODES) + 0.5) * (hi - lo) / MIDPOINT_NODES, weight
+
+
+def validate_lhv_model(model: LhvModel) -> None:
+    """Check the model invariants: density normalized within
+    ``DENSITY_TOL`` on the midpoint rule, and responses in [0, 1] (exactly 0
+    or 1 for a deterministic model, which must also declare its breakpoints)."""
+    grid, weight = _midpoints()
     rho = np.asarray(model.density(grid), dtype=float)
     if np.any(rho < 0.0):
         raise ValueError(f"{model.name}: density must be nonnegative")
-    mass = float(np.sum(rho)) * (hi - lo) / n
-    if abs(mass - 1.0) > tol:
-        raise ValueError(f"{model.name}: density integrates to {mass!r}, not 1 within {tol}")
+    mass = float(np.sum(rho)) * weight
+    if abs(mass - 1.0) > DENSITY_TOL:
+        raise ValueError(
+            f"{model.name}: density integrates to {mass!r}, not 1 within {DENSITY_TOL}"
+        )
     if model.deterministic and model.response_breakpoints is None:
         raise ValueError(f"{model.name}: a deterministic model must declare response_breakpoints")
     for label, resp in (("response_a", model.response_a), ("response_b", model.response_b)):
@@ -128,7 +154,7 @@ def _validated(model: LhvModel) -> None:
 
 
 def validate_lhv_model_once(model: LhvModel) -> None:
-    """`validate_lhv_model` at its defaults, once per process for each model
+    """`validate_lhv_model`, once per process for each model
     that hashes: equal models share one check, as they share the cuts that
     `kernels._word_steps` caches. A cache keeps no exception, so an invalid
     model raises on every call, and a model that does not hash is checked
@@ -236,14 +262,11 @@ def _segments(model: LhvModel, a: float, b: float) -> np.ndarray:
     return np.unique(np.clip(points, *LAMBDA_SUPPORT))
 
 
-def _lhv_moments(
-    model: LhvModel, a: float, b: float, method: str, n: int
-) -> tuple[float, float, float]:
+def _lhv_moments(model: LhvModel, a: float, b: float, method: str) -> tuple[float, float, float]:
     """Integrals of rho*pA, rho*pB and rho*pA*pB over the support."""
     if method == "midpoint":
-        lo, hi = LAMBDA_SUPPORT
-        lam = lo + (np.arange(n) + 0.5) * (hi - lo) / n
-        weights = np.full(n, (hi - lo) / n)
+        lam, weight = _midpoints()
+        weights = np.full(lam.size, weight)
     elif method == "segmented":
         # Gauss-Legendre on each smooth segment: exact for the built-in
         # piecewise-constant and trigonometric responses at any settings.
@@ -262,20 +285,20 @@ def _lhv_moments(
     return float(np.sum(w * pa)), float(np.sum(w * pb)), float(np.sum(w * pa * pb))
 
 
-def lhv_joint_probabilities(
-    model: LhvModel, a: float, b: float, *, method: str = "segmented", n: int = 4096
-):
+def lhv_joint_probabilities(model: LhvModel, a: float, b: float, *, method: str = "segmented"):
     """Quadrature oracle for the factorized joint outcome probabilities.
 
     Evaluates the defining integral of the model: the joint probability of
     each channel pair is the lambda-average of the product of the two local
     response probabilities. Relative error is at most 1e-6 for any model
-    whose responses are smooth between declared breakpoints.
+    whose responses are smooth between declared breakpoints. ``method``
+    "midpoint" takes the midpoint rule on ``MIDPOINT_NODES`` nodes instead,
+    an independent check of the segmented rule.
     """
     from .twophoton import JointProbabilities
 
     validate_lhv_model_once(model)
-    m_a, m_b, m_ab = _lhv_moments(model, a, b, method, n)
+    m_a, m_b, m_ab = _lhv_moments(model, a, b, method)
     return JointProbabilities(
         p_pp=m_ab,
         p_pm=m_a - m_ab,
@@ -284,9 +307,9 @@ def lhv_joint_probabilities(
     )
 
 
-def lhv_correlation(model: LhvModel, a: float, b: float, **kwargs) -> float:
+def lhv_correlation(model: LhvModel, a: float, b: float) -> float:
     """Oracle correlation E(a, b) for a factorized model."""
-    return lhv_joint_probabilities(model, a, b, **kwargs).correlation()
+    return lhv_joint_probabilities(model, a, b).correlation()
 
 
 class _PerTrial(_Frozen):

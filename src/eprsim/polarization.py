@@ -12,21 +12,25 @@ direction, so right-circular reads (1, -i)/sqrt(2) for a +z photon and
 Convention lock: the quarter-wave plate with fast axis x acts as diag(1, i)
 up to a global phase, mapping the right-circular state of a +z photon to a
 linear state at +45 degrees and the left-circular state to -45 degrees.
+
+A `JonesVector` and a `eprsim.twophoton.TwoPhotonState` share one algebra
+(`_PureState`), with the tolerances ``NORM_ACCEPT_TOL`` and ``ALGEBRA_TOL``.
+Pass probabilities snap by `eprsim.models.snap_probability`, as the kernels' do.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .models import snap_probability
+
 ALGEBRA_TOL = 1e-12
 NORM_ACCEPT_TOL = 1e-9
-# Squared projection norms below this are treated as exactly blocked, so an
-# analyzer orthogonal to the state absorbs with probability exactly 0.
-ZERO_PROJECTION = 1e-24
 
 
 class NormalizationError(ValueError):
@@ -77,16 +81,16 @@ def canonical_axis(angle: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class JonesVector:
-    """Pure polarization state: two complex amplitudes over {|x>, |y>}."""
+class _PureState:
+    """Complex amplitudes of a pure state, finite and read-only, in the
+    shape ``_SHAPE``, with the algebra every such state shares."""
 
     amplitudes: np.ndarray
-    frame: Frame = Frame.PLUS_Z
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2,):
-            raise ValueError(f"expected two amplitudes, got shape {amps.shape}")
+        if amps.shape != self._SHAPE:
+            raise ValueError(f"expected amplitudes of shape {self._SHAPE}, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
@@ -95,23 +99,51 @@ class JonesVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "JonesVector":
+    def normalized(self):
         n = self.norm()
         if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return JonesVector(self.amplitudes / n, self.frame)
+            raise ValueError("cannot normalize the zero state")
+        return dataclasses.replace(self, amplitudes=self.amplitudes / n)
 
-    def require_normalized(self, tol: float = NORM_ACCEPT_TOL) -> None:
-        if abs(self.norm() - 1.0) > tol:
-            raise NormalizationError(f"state norm {self.norm()!r} is not 1 within {tol}")
+    def require_normalized(self) -> None:
+        if abs(self.norm() - 1.0) > NORM_ACCEPT_TOL:
+            raise NormalizationError(
+                f"state norm {self.norm()!r} is not 1 within {NORM_ACCEPT_TOL}"
+            )
 
-    def overlap(self, other: "JonesVector") -> complex:
+    def overlap(self, other) -> complex:
         """Inner product <self|other>."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+    def phase_insensitive_equals(self, other) -> bool:
+        """True iff the states coincide up to a global phase: |<self|other>| >= 1 - ALGEBRA_TOL."""
+        self.require_normalized()
+        other.require_normalized()
+        return abs(self.overlap(other)) >= 1.0 - ALGEBRA_TOL
+
+
+@dataclass(frozen=True, eq=False)
+class JonesVector(_PureState):
+    """Pure polarization state: two complex amplitudes over {|x>, |y>}."""
+
+    _SHAPE = (2,)
+
+    frame: Frame = Frame.PLUS_Z
+
+    def phase_insensitive_equals(self, other: "JonesVector") -> bool:
+        """True iff the states coincide up to a global phase; states of two
+        frames are not comparable."""
+        if self.frame is not other.frame:
+            raise ValueError("cannot compare states tagged with different frames")
+        return super().phase_insensitive_equals(other)
 
     def __repr__(self) -> str:
         ax, ay = self.amplitudes
         return f"JonesVector(({ax:.6g}, {ay:.6g}), frame={self.frame.value})"
+
+
+# ``phase_insensitive_equals(u, v)`` of two Jones vectors
+phase_insensitive_equals = JonesVector.phase_insensitive_equals
 
 
 def _direction(theta: float, perpendicular: bool) -> np.ndarray:
@@ -137,15 +169,6 @@ def circular(handedness: Handedness, frame: Frame = Frame.PLUS_Z) -> JonesVector
     sign = -1.0 if (handedness is Handedness.R) == (frame is Frame.PLUS_Z) else 1.0
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return JonesVector(np.array([inv_sqrt2, sign * 1j * inv_sqrt2]), frame)
-
-
-def phase_insensitive_equals(u: JonesVector, v: JonesVector, tol: float = ALGEBRA_TOL) -> bool:
-    """True iff the states coincide up to a global phase: |<u|v>| >= 1 - tol."""
-    if u.frame is not v.frame:
-        raise ValueError("cannot compare states tagged with different frames")
-    u.require_normalized()
-    v.require_normalized()
-    return abs(u.overlap(v)) >= 1.0 - tol
 
 
 @dataclass(frozen=True)
@@ -223,20 +246,7 @@ def apply(element: OpticalElement, v: JonesVector) -> tuple[float, JonesVector |
     if not is_projective(element):
         return 1.0, JonesVector(out, v.frame)
     raw = float(np.real(np.vdot(out, out)))
-    if raw < ZERO_PROJECTION:
+    prob = snap_probability(raw)
+    if prob == 0.0:
         return 0.0, ABSORBED
-    return min(raw, 1.0), JonesVector(out / math.sqrt(raw), v.frame)
-
-
-def transmission(elements, v: JonesVector) -> float:
-    """Probability that a photon survives a whole chain of elements."""
-    prob = 1.0
-    state: JonesVector | _Absorbed = v
-    for element in elements:
-        if isinstance(state, _Absorbed):
-            return 0.0
-        p, state = apply(element, state)
-        prob *= p
-        if prob == 0.0:
-            return 0.0
-    return prob
+    return prob, JonesVector(out / math.sqrt(raw), v.frame)

@@ -32,9 +32,9 @@ from .models import (
     NdvNonlocal,
     Ordering,
     QMFormal,
+    snap_probability,
 )
 from .polarization import (
-    ZERO_PROJECTION,
     Handedness,
     JonesVector,
     LinearPolarizer,
@@ -177,7 +177,7 @@ def _pass_probability(photon: JonesVector, setting: float, perpendicular: bool =
     photon.require_normalized()
     out = projector_matrix(setting, perpendicular) @ photon.amplitudes
     raw = float(np.real(np.vdot(out, out)))
-    return 0.0 if raw < ZERO_PROJECTION else min(raw, 1.0)
+    return snap_probability(raw)
 
 
 def _chain_detected(photon: JonesVector, chain: RAnalyzer, arm: Arm, coin: float) -> bool:

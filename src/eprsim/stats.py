@@ -243,18 +243,17 @@ class OrderInvarianceResult(_Frozen):
 
 
 MIN_ORDER_TEST_TRIALS = 10_000
+ORDER_TEST_ALPHA = 0.01
 
 
 def order_invariance_test(
-    counts_first: CoincidenceCounts,
-    counts_second: CoincidenceCounts,
-    alpha: float = 0.01,
+    counts_first: CoincidenceCounts, counts_second: CoincidenceCounts
 ) -> OrderInvarianceResult:
     """Pearson chi-square homogeneity test between two joint-outcome histograms.
 
     Both samples must hold at least 10^4 trials. ``consistent`` is True when
-    the p-value exceeds ``alpha``, i.e. the two measurement orders produced
-    statistically indistinguishable distributions.
+    the p-value exceeds ``ORDER_TEST_ALPHA``, i.e. the two measurement orders
+    produced statistically indistinguishable distributions.
     """
     if counts_first.total < MIN_ORDER_TEST_TRIALS or counts_second.total < MIN_ORDER_TEST_TRIALS:
         raise ValueError(f"order test needs at least {MIN_ORDER_TEST_TRIALS} trials per ordering")
@@ -276,7 +275,7 @@ def order_invariance_test(
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     dof = int(table.shape[1] - 1)
     p_value = float(chdtrc(dof, chi2))
-    return OrderInvarianceResult(chi2, p_value, dof, p_value > alpha)
+    return OrderInvarianceResult(chi2, p_value, dof, p_value > ORDER_TEST_ALPHA)
 
 
 def binomial_stderr(p: float, n: int) -> float:

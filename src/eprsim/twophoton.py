@@ -14,31 +14,27 @@ with strict less-than: probability 0 never fires, probability 1 always does.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .models import Arm, ChannelOutcome
+from .models import Arm, ChannelOutcome, snap_probability
 from .polarization import (
-    ALGEBRA_TOL,
-    NORM_ACCEPT_TOL,
-    ZERO_PROJECTION,
     AnalyzerChannel,
     Frame,
     Handedness,
     JonesVector,
     LinearPolarizer,
-    NormalizationError,
     OpticalElement,
     QuarterWavePlate,
+    _PureState,
     circular,
     jones_matrix,
     projector_matrix,
 )
-
-_HALF_PI = math.pi / 2
 
 
 def frame_of_arm(arm: Arm) -> Frame:
@@ -59,40 +55,11 @@ def arm_local_angle_to_shared(angle: float, arm: Arm) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class TwoPhotonState:
-    """Four complex amplitudes over the product linear basis."""
+class TwoPhotonState(_PureState):
+    """Four complex amplitudes over the product linear basis, with the
+    algebra of `eprsim.polarization._PureState`."""
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 amplitude table, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "TwoPhotonState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return TwoPhotonState(self.amplitudes / n)
-
-    def require_normalized(self, tol: float = NORM_ACCEPT_TOL) -> None:
-        if abs(self.norm() - 1.0) > tol:
-            raise NormalizationError(f"state norm {self.norm()!r} is not 1 within {tol}")
-
-    def overlap(self, other: "TwoPhotonState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def phase_insensitive_equals(self, other: "TwoPhotonState", tol: float = ALGEBRA_TOL) -> bool:
-        self.require_normalized()
-        other.require_normalized()
-        return abs(self.overlap(other)) >= 1.0 - tol
+    _SHAPE = (2, 2)
 
     def single_photon_state(self, arm: Arm) -> JonesVector:
         """The given photon's conditional state when the pair is a product state.
@@ -139,12 +106,6 @@ def _check_coin(coin: float) -> None:
         raise ValueError(f"sampled coin must lie in [0, 1), got {coin!r}")
 
 
-def _snap_probability(raw: float) -> float:
-    if raw < ZERO_PROJECTION:
-        return 0.0
-    return min(raw, 1.0)
-
-
 @dataclass(frozen=True)
 class ArmMeasurement:
     outcome: ChannelOutcome
@@ -168,10 +129,10 @@ def measure_arm(
     projections = [_arm_operator(projector_matrix(orientation, minus), arm, state.amplitudes)
                    for minus in (False, True)]
     raw = [float(np.real(np.vdot(amps, amps))) for amps in projections]
-    minus = perpendicular if coin < _snap_probability(raw[perpendicular]) else not perpendicular
+    minus = perpendicular if coin < snap_probability(raw[perpendicular]) else not perpendicular
     outcome = ChannelOutcome.MINUS if minus else ChannelOutcome.PLUS
     reduced = TwoPhotonState(projections[minus] / math.sqrt(raw[minus]))
-    return ArmMeasurement(outcome, reduced, _snap_probability(raw[False]))
+    return ArmMeasurement(outcome, reduced, snap_probability(raw[False]))
 
 
 @dataclass(frozen=True)
@@ -228,7 +189,7 @@ def joint_probabilities_sequential(
         proj1 = _arm_operator(projector_matrix(first_angle, o1), first, state.amplitudes)
         raw1 = float(np.real(np.vdot(proj1, proj1)))
         for o2 in (False, True):
-            if raw1 < ZERO_PROJECTION:
+            if snap_probability(raw1) == 0.0:
                 table[(o1, o2)] = 0.0
                 continue
             reduced = proj1 / math.sqrt(raw1)
@@ -278,21 +239,9 @@ def _validate_chain(elements: Iterable[OpticalElement]) -> list[OpticalElement]:
 
 
 def chain_transmission(state: TwoPhotonState, arm: Arm, elements: Iterable[OpticalElement]) -> float:
-    """Unconditional probability that the arm's photon survives the chain."""
-    state.require_normalized()
-    prob = 1.0
-    amps = state.amplitudes
-    for element in _validate_chain(elements):
-        if isinstance(element, QuarterWavePlate):
-            amps = _arm_operator(jones_matrix(element), arm, amps)
-            continue
-        passed = _arm_operator(projector_matrix(element.axis), arm, amps)
-        raw = float(np.real(np.vdot(passed, passed)))
-        prob *= _snap_probability(raw)
-        if prob == 0.0:
-            return 0.0
-        amps = passed / math.sqrt(raw)
-    return prob
+    """Unconditional probability that the arm's photon survives the chain:
+    `measure_arm_chain`'s ``prob_detect``, which no coin changes."""
+    return measure_arm_chain(state, arm, elements, itertools.repeat(0.0)).prob_detect
 
 
 def measure_arm_chain(
@@ -323,7 +272,7 @@ def measure_arm_chain(
             continue
         passed = _arm_operator(projector_matrix(element.axis), arm, pass_amps)
         raw = float(np.real(np.vdot(passed, passed)))
-        prob = _snap_probability(raw)
+        prob = snap_probability(raw)
         if detected:
             try:
                 coin = next(coin_iter)

@@ -204,9 +204,9 @@ def test_criterion_09_convention_locks():
         plate = QuarterWavePlate(float(phi))
         _, out_r = apply(plate, circular(Handedness.R))
         _, out_l = apply(plate, circular(Handedness.L))
-        ok = ok and phase_insensitive_equals(out_r, linear(float(phi) + math.pi / 4), 1e-12)
-        ok = ok and phase_insensitive_equals(out_l, linear(float(phi) - math.pi / 4), 1e-12)
-    ok = ok and circular_entangled().phase_insensitive_equals(linear_entangled(), 1e-12)
+        ok = ok and phase_insensitive_equals(out_r, linear(float(phi) + math.pi / 4))
+        ok = ok and phase_insensitive_equals(out_l, linear(float(phi) - math.pi / 4))
+    ok = ok and circular_entangled().phase_insensitive_equals(linear_entangled())
     _report(9, "wave-plate and source convention locks", ok)
 
 

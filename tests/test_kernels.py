@@ -36,10 +36,12 @@ from eprsim.models import (
     QMFormal,
     deterministic_sign_model,
     malus_response_model,
+    snap_probability,
 )
-from eprsim.reference import RAnalyzer
+from eprsim.polarization import JonesVector, LinearPolarizer, apply
+from eprsim.reference import RAnalyzer, _pass_probability
 from eprsim.stats import ChainCounts, CoincidenceCounts, PackedFlags, pack_words
-from eprsim.twophoton import ChannelOutcome
+from eprsim.twophoton import Arm, ChannelOutcome, TwoPhotonState, measure_arm
 
 
 MASK64 = (1 << 64) - 1
@@ -379,6 +381,49 @@ class TestKernelsMatchObjectLayer:
             assert np.array_equal(x, y)
 
 
+def _cosine_of(first: float, second: float) -> float:
+    """The cosine the kernels square for the angle pair, before the snap."""
+    f, s = np.array([first]), np.array([second])
+    return float((np.cos(f) * np.cos(s) + np.sin(f) * np.sin(s))[0])
+
+
+def _angles_with_cosine(x: float) -> tuple[float, float]:
+    """An angle pair whose cosine the kernels compute as exactly x: pi/2
+    and a small angle s, whose sine is s and cosine 1, for x near 0; a
+    search of equal angles, whose cos² + sin² rounds above 1, for x above 1."""
+    if x > 1.0:
+        t = next(t for t in np.linspace(0.01, 1.5, 4000).tolist() if _cosine_of(t, t) == x)
+        return t, t
+    s = x - _cosine_of(math.pi / 2, 0.0)
+    assert _cosine_of(math.pi / 2, s) == x
+    return math.pi / 2, s
+
+
+def test_the_kernels_and_the_object_layer_snap_alike():
+    # The neighbours of 1e-24 are the square of no float, so no site can
+    # compute them: each site meets the nearest squares on both sides, 2 ulps
+    # away, and 1e-24 itself; and 1 + 2**-51, the square of 1 + 2**-52.
+    zero = math.sqrt(1e-24)
+    assert zero * zero == 1e-24
+    for x in (math.nextafter(zero, 0.0), zero, math.nextafter(zero, 1.0), 1.0 + 2.0**-52):
+        raw = x * x
+        want = 0.0 if raw < 1e-24 else min(raw, 1.0)
+        first, second = _angles_with_cosine(x)
+        kernel = kernels._malus_prob_array(np.array([first]), np.array([second]))
+        w = math.sqrt(max(1.0 - raw, 0.0))
+        photon = JonesVector((x, w))
+        measured = measure_arm(TwoPhotonState([[x, 0.0], [0.0, w]]), Arm.ONE, 0.0, 0.5)
+        got = [float(kernel[0]), _pass_probability(photon, 0.0),
+               apply(LinearPolarizer(0.0), photon)[0], measured.prob_plus]
+        assert got == [want] * 4, x
+    assert want == 1.0
+    # the rule itself, on floats and arrays, at the neighbours and past 1
+    raws = [math.nextafter(1e-24, 0.0), 1e-24, math.nextafter(1e-24, 1.0), 1.0 + 2.0**-51]
+    snapped = [0.0, 1e-24, math.nextafter(1e-24, 1.0), 1.0]
+    assert [snap_probability(raw) for raw in raws] == snapped
+    assert snap_probability(np.array(raws)).tolist() == snapped
+
+
 @pytest.mark.parametrize(
     "model", [object(), deterministic_sign_model()], ids=["object", "bare-lhv"]
 )
@@ -681,6 +726,37 @@ class TestDeterministicModelOnWords:
         assert kernels._word_steps(model, "response_b", b) == (False, ())
         self._assert_paths_agree(model, a, b, seed=31, trials=2**16)
 
+    @staticmethod
+    def _window_model():
+        """Parallel for lambda up to 1 rad past the setting: two breakpoints
+        1 rad apart, whose cuts share no digit across 2**52, so none pairs."""
+
+        def window(s, lam):
+            return ((np.asarray(lam, dtype=float) - s) % math.pi < 1.0).astype(float)
+
+        return dataclasses.replace(
+            deterministic_sign_model(),
+            name="window",
+            response_a=window,
+            response_b=window,
+            response_breakpoints=lambda s: np.array([s % math.pi, (s + 1.0) % math.pi]),
+        )
+
+    @pytest.mark.parametrize("a,b", [(0.3, 1.0), (2.5, 0.1)])
+    def test_cuts_that_do_not_pair_match_floats(self, monkeypatch, a, b):
+        model = self._window_model()
+        assert self._on_words(model, a, b)
+        cuts = [kernels._word_steps(model, "response_a", a)[1],
+                kernels._word_steps(model, "response_b", b)[1]]
+        assert [len(arm) for arm in cuts] == [2, 2]
+        met = []
+        below = kernels._below
+        monkeypatch.setattr(kernels, "_below", lambda p, cut: met.append(cut) or below(p, cut))
+        kernels.two_channel_block_lhv(37, 0, 4096, model, *(np.array([x]) for x in (a, b, 1.0)))
+        assert sorted(met) == sorted(cuts[0] + cuts[1])  # each cut met alone
+        monkeypatch.undo()
+        self._assert_paths_agree(model, a, b, seed=37, trials=2**18)
+
     def test_the_float_path_is_logged_once_per_failing_setting(self, caplog):
         model = self._shifted_sign_model()
         pa, pb = np.array([0.3, 0.7]), np.array([1.0, 0.2])
@@ -811,6 +887,7 @@ class TestKernelsOnEdgeWords:
     PB = np.array([0.4, 0.2, 1.3, 0.0, 3 * math.pi / 8])
     THETAS = [0.0, 0.3, math.pi / 4, math.pi / 2]
     SETTINGS = list(range(PA.size))
+    PAIRED = 0x7_3C2A_9B3D_11E5  # a cut below 2**52, paired with cuts 2**52 ± 1 above it
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -819,6 +896,7 @@ class TestKernelsOnEdgeWords:
         cuts = list(SEAM_CUTS)
         cuts += [int(c) for c in kernels._cut(kernels._malus_prob_array(self.PA, self.PB))]
         cuts += [int(kernels._cut(min(math.cos(t) ** 2, 1.0))) for t in self.THETAS]
+        cuts += [self.PAIRED, *(self.PAIRED + 2**52 + apart for apart in (-1, 0, 1))]
         sign = deterministic_sign_model()
         for arm, settings in (("response_a", self.PA), ("response_b", self.PB)):
             cuts += [c for s in settings for c in kernels._word_steps(sign, arm, s)[1]]
@@ -898,6 +976,20 @@ class TestKernelsOnEdgeWords:
             return [cut for arm, setting in (("response_a", pa[0]), ("response_b", pb[0]))
                     for cut in kernels._word_steps(sign, arm, setting)[1]]
         return []
+
+    @pytest.mark.parametrize("apart", [-1, 0, 1])
+    @pytest.mark.parametrize("first", [False, True])
+    def test_a_pair_of_cuts_is_one_digit_compare(self, draws, monkeypatch, apart, first):
+        # cuts on either side of 2**52 with one digit, exactly 2**52 apart or
+        # one off, as the sign model's are at a ± pi/4; no cut meets `_below`
+        cuts = (self.PAIRED, self.PAIRED + 2**52 + apart)
+        k = draws[:, kernels.SLOT_EMISSION]
+        assert {c + d for c in cuts for d in (-1, 0, 1)} <= set(k.tolist())
+        monkeypatch.setattr(kernels, "_below", lambda planes, cut: pytest.fail(f"_below({cut})"))
+        planes = kernels._slot_planes(1, 0, self.N, kernels.SLOT_EMISSION)
+        got = unpacked(kernels._step_decision(planes, (first, cuts)), self.N)
+        assert np.array_equal(got, first ^ (k >= cuts[0]) ^ (k >= cuts[1]))
+        assert self.tail_reads > 0
 
     @pytest.mark.parametrize("offset", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_a_float_response_one_off_each_draw(self, draws, offset):

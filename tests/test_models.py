@@ -44,7 +44,7 @@ class TestEmission:
     def test_qm_emits_the_entangled_state_every_trial(self):
         model = QMFormal()
         for d in draws_for(3, 10):
-            assert model.emit(d).phase_insensitive_equals(linear_entangled(), 1e-12)
+            assert model.emit(d).phase_insensitive_equals(linear_entangled())
 
     def test_definite_circular_handedness_is_a_fair_coin(self):
         model = DefiniteCircular()
@@ -199,7 +199,7 @@ class TestLhvOracle:
         model = malus_response_model()
         a, b = 0.3, 1.1
         seg = lhv_joint_probabilities(model, a, b, method="segmented")
-        mid = lhv_joint_probabilities(model, a, b, method="midpoint", n=4096)
+        mid = lhv_joint_probabilities(model, a, b, method="midpoint")
         for x, y in zip(seg.as_tuple(), mid.as_tuple()):
             assert x == pytest.approx(y, abs=1e-6)
 
@@ -285,6 +285,22 @@ class TestLhvOracle:
         validate_lhv_model(model)
         # an even response_a leaves the outcomes uncorrelated whatever response_b does
         assert lhv_correlation(model, 0.0, 0.3) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: validate_lhv_model(m, tol=1e-3),
+            lambda m: validate_lhv_model(m, n=64),
+            lambda m: lhv_joint_probabilities(m, 0.0, 0.3, method="midpoint", n=64),
+            lambda m: lhv_correlation(m, 0.0, 0.3, method="midpoint"),
+        ],
+        ids=["validate-tol", "validate-n", "joint-n", "correlation-kwargs"],
+    )
+    def test_the_oracle_takes_no_tolerance_or_node_count(self, call):
+        # DENSITY_TOL and MIDPOINT_NODES are module constants; only the
+        # joint probabilities take a quadrature method
+        with pytest.raises(TypeError):
+            call(malus_response_model())
 
 
 class TestLhvObjectLayer:

@@ -72,7 +72,7 @@ def test_malus_aligned_and_crossed():
 def test_polarizer_post_state_lies_along_its_axis():
     prob, out = apply(LinearPolarizer(0.4), linear(0.0))
     assert prob == pytest.approx(math.cos(0.4) ** 2, abs=1e-12)
-    assert phase_insensitive_equals(out, linear(0.4), 1e-12)
+    assert phase_insensitive_equals(out, linear(0.4))
 
 
 @given(alpha=angles, theta=angles)
@@ -107,8 +107,8 @@ def test_qwp_convention_lock(phi):
     plate = QuarterWavePlate(phi)
     _, out_r = apply(plate, circular(Handedness.R))
     _, out_l = apply(plate, circular(Handedness.L))
-    assert phase_insensitive_equals(out_r, linear(phi + math.pi / 4), 1e-12)
-    assert phase_insensitive_equals(out_l, linear(phi - math.pi / 4), 1e-12)
+    assert phase_insensitive_equals(out_r, linear(phi + math.pi / 4))
+    assert phase_insensitive_equals(out_l, linear(phi - math.pi / 4))
 
 
 def test_qwp_is_unitary_and_projectors_idempotent():
@@ -134,6 +134,14 @@ def test_phase_insensitive_inequalities():
     assert not phase_insensitive_equals(linear(0.0), linear(math.pi / 2))
     # |<R|45deg>| = 1/sqrt(2), well below equality
     assert not phase_insensitive_equals(circular(Handedness.R), linear(math.pi / 4))
+
+
+def test_the_state_algebra_takes_no_tolerance():
+    # NORM_ACCEPT_TOL and ALGEBRA_TOL are the module's constants, not keywords
+    with pytest.raises(TypeError):
+        linear(0.0).require_normalized(tol=1e-3)
+    with pytest.raises(TypeError):
+        phase_insensitive_equals(linear(0.0), linear(0.0), 1e-12)
 
 
 def test_phase_equality_rejects_mixed_frames():

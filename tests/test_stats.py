@@ -217,6 +217,11 @@ class TestOrderInvariance:
         assert not result.consistent
         assert result.p_value < 0.01
 
+    def test_the_level_is_a_constant(self):
+        counts = CoincidenceCounts(5000, 2500, 1500, 1000)
+        with pytest.raises(TypeError):
+            order_invariance_test(counts, counts, alpha=0.05)
+
     def test_sample_size_precondition(self):
         small = CoincidenceCounts(10, 10, 10, 10)
         with pytest.raises(ValueError):

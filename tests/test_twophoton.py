@@ -48,7 +48,7 @@ class TestEntangledBuilders:
     def test_circular_entangled_equals_linear_entangled(self):
         # the same state written in two bases; the frame convention makes the
         # four amplitudes literally coincide
-        assert circular_entangled().phase_insensitive_equals(linear_entangled(), 1e-12)
+        assert circular_entangled().phase_insensitive_equals(linear_entangled())
 
     def test_builders_normalized(self):
         assert abs(linear_entangled().norm() - 1.0) < 1e-12
@@ -58,7 +58,7 @@ class TestEntangledBuilders:
     def test_rotational_invariance(self, alpha):
         r = rotation_matrix(alpha).astype(complex)
         rotated = TwoPhotonState(r @ linear_entangled().amplitudes @ r.T)
-        assert rotated.phase_insensitive_equals(linear_entangled(), 1e-12)
+        assert rotated.phase_insensitive_equals(linear_entangled())
 
 
 class TestMeasureArm:
@@ -72,7 +72,7 @@ class TestMeasureArm:
         m = measure_arm(linear_entangled(), Arm.ONE, a, 0.0)
         assert m.outcome is ChannelOutcome.PLUS
         expected = product_state(linear(a), linear(a, Frame.MINUS_Z))
-        assert m.state.phase_insensitive_equals(expected, 1e-12)
+        assert m.state.phase_insensitive_equals(expected)
 
     def test_minus_outcome_reduces_to_orthogonal_pair(self):
         a = 0.7
@@ -80,14 +80,14 @@ class TestMeasureArm:
         assert m.outcome is ChannelOutcome.MINUS
         perp = a + math.pi / 2
         expected = product_state(linear(perp), linear(perp, Frame.MINUS_Z))
-        assert m.state.phase_insensitive_equals(expected, 1e-12)
+        assert m.state.phase_insensitive_equals(expected)
 
     def test_eigenstate_passthrough(self):
         state = product_state(linear(0.0), linear(0.0, Frame.MINUS_Z))
         m = measure_arm(state, Arm.ONE, 0.0, 0.999)
         assert m.outcome is ChannelOutcome.PLUS
         assert m.prob_plus == 1.0
-        assert m.state.phase_insensitive_equals(state, 1e-12)
+        assert m.state.phase_insensitive_equals(state)
 
     def test_strict_coin_rule_at_zero_probability(self):
         state = product_state(linear(0.0), linear(0.0, Frame.MINUS_Z))
@@ -108,11 +108,18 @@ class TestMeasureArm:
             assert m.prob_plus == pytest.approx(1.0 - p_minus, abs=1e-12)
             named = linear(0.4, perpendicular=outcome is ChannelOutcome.MINUS)
             expected = product_state(named, linear(0.0, Frame.MINUS_Z))
-            assert m.state.phase_insensitive_equals(expected, 1e-12)
+            assert m.state.phase_insensitive_equals(expected)
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(NormalizationError):
             measure_arm(TwoPhotonState(np.eye(2)), Arm.ONE, 0.0, 0.5)
+
+    def test_the_state_algebra_takes_no_tolerance(self):
+        # the tolerances are eprsim.polarization's constants, not keywords
+        with pytest.raises(TypeError):
+            linear_entangled().require_normalized(tol=1e-3)
+        with pytest.raises(TypeError):
+            linear_entangled().phase_insensitive_equals(linear_entangled(), 1e-12)
 
     def test_rejects_bad_coin(self):
         with pytest.raises(ValueError):
@@ -194,7 +201,7 @@ class TestArmChains:
     def test_detection_collapses_partner_to_matching_helicity(self):
         m = measure_arm_chain(circular_entangled(), Arm.ONE, RAnalyzer().elements(Arm.ONE), [0.1])
         partner = m.state.single_photon_state(Arm.TWO)
-        assert phase_insensitive_equals(partner, circular(Handedness.R, Frame.MINUS_Z), 1e-12)
+        assert phase_insensitive_equals(partner, circular(Handedness.R, Frame.MINUS_Z))
         assert chain_transmission(m.state, Arm.TWO, RAnalyzer().elements(Arm.TWO)) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -204,7 +211,7 @@ class TestArmChains:
         assert not m.detected
         assert m.absorbed_arm is Arm.ONE
         partner = m.state.single_photon_state(Arm.TWO)
-        assert phase_insensitive_equals(partner, circular(Handedness.L, Frame.MINUS_Z), 1e-12)
+        assert phase_insensitive_equals(partner, circular(Handedness.L, Frame.MINUS_Z))
         assert chain_transmission(m.state, Arm.TWO, RAnalyzer().elements(Arm.TWO)) == 0.0
 
     def test_matching_helicity_product_state_transmits_surely(self):
