@@ -28,9 +28,8 @@ from ._version import __version__
 # BLAS call a thread pool would speed up (its Jones algebra is 2x2), but
 # numpy's bundled OpenBLAS would start a thread pool at load whose idle
 # threads spin a core before they sleep: on a 2-vCPU VM, `import numpy` and
-# 0.3 s of idling cost 0.14 s of CPU with the pool and 0.06 s without it,
-# and numpy plus `scipy.special` (what `order-test` loads) 0.29 s against
-# 0.15 s. So pin OpenBLAS to one thread before `.scenarios` loads numpy. A
+# 0.3 s of idling cost 0.14 s of CPU with the pool and 0.06 s without it.
+# So pin OpenBLAS to one thread before `.scenarios` loads numpy. A
 # value the user set is kept, and only a process that imports this module
 # (the `epr` entry point) is affected: `import eprsim` loads no numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -77,7 +77,6 @@ class Arm(enum.Enum):
 class ChannelOutcome(enum.Enum):
     PLUS = "+"
     MINUS = "-"
-    ABSORBED = "absorbed"
 
 
 class Ordering(enum.Enum):

@@ -20,7 +20,6 @@ Pass probabilities snap by `eprsim.models.snap_probability`, as the kernels' do.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -98,12 +97,6 @@ class _PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self):
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return dataclasses.replace(self, amplitudes=self.amplitudes / n)
 
     def require_normalized(self) -> None:
         if abs(self.norm() - 1.0) > NORM_ACCEPT_TOL:

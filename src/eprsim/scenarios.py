@@ -47,6 +47,7 @@ from .models import (
     QMFormal,
     deterministic_sign_model,
     malus_response_model,
+    snap_probability,
 )
 from .stats import (
     MIN_ORDER_TEST_TRIALS,
@@ -284,7 +285,7 @@ def malus_check(
     max_dev_sigma = 0.0
     for theta_deg, run in zip(params["angles_deg"], ranges.results):
         p_emp = run.n_pass / run.n_total
-        p_model = math.cos(run.theta) ** 2
+        p_model = snap_probability(math.cos(run.theta) ** 2)
         stderr = binomial_stderr(p_model, trials)
         if stderr > 0.0:
             max_dev_sigma = max(max_dev_sigma, abs(p_emp - p_model) / stderr)

@@ -756,43 +756,6 @@ class TestFormats:
         assert out_path.read_text().startswith("# scenario: qwp-test")
 
 
-_SCIPY_PROBE = """
-import json, os, sys
-import eprsim.cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-seen = {"import": scipy_modules()}
-seen["model-matrix"] = [eprsim.cli.main(["model-matrix", "--trials", "10000", "--out", os.devnull])]
-seen["model-matrix"] += scipy_modules()
-seen["order-test"] = [eprsim.cli.main(["order-test", "--trials", "10000", "--out", os.devnull])]
-seen["order-test"] += scipy_modules()
-print(json.dumps(seen))
-"""
-
-
-def test_only_the_order_test_loads_scipy():
-    # A fresh interpreter: this one has scipy loaded by the tests already.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(eprsim.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert child.returncode == 0, child.stderr
-    seen = json.loads(child.stdout)
-    assert seen["import"] == []
-    assert seen["model-matrix"] == [0]
-    code, *loaded = seen["order-test"]
-    assert code == 0
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded
-
-
 _IMPORT_PROBE = """
 import json, os, sys
 
@@ -826,6 +789,7 @@ seen["scipy.special"] = "scipy.special" in sys.modules
 seen["threads after order-test"] = threads()
 seen["model-matrix"] = eprsim.cli.main(["model-matrix", "--trials", "1000", "--out", os.devnull])
 seen["package after runs"] = package_modules()
+seen["logging after runs"] = "logging" in sys.modules
 seen["package binds logging"] = [
     m for m in package_modules() if hasattr(sys.modules[m], "logging")
 ]
@@ -870,7 +834,7 @@ def test_the_cli_starts_no_blas_thread():
     assert seen["blas threads"] == "1"
     assert seen["numpy.polynomial"] == []  # no LAPACK call at import
     assert seen["order-test"] == 0
-    assert seen["scipy.special"] is True
+    assert seen["scipy.special"] is False
     if seen["threads after import"] is None:
         pytest.skip("no /proc/self/task to count threads in")
     assert seen["threads after import"] == 1
@@ -882,10 +846,9 @@ def test_the_cli_loads_no_object_layer_and_freezes_its_imports():
     assert seen["package after import"] == _CLI_PACKAGE
     assert seen["order-test"] == seen["model-matrix"] == 0
     assert seen["package after runs"] == _CLI_PACKAGE
-    # no `logging` (the order test's scipy.special loads it), and no
-    # dataclass but the run results and the factorized model: the package's
-    # other value classes are plain classes
-    assert seen["logging after import"] is False
+    # no `logging`, and no dataclass but the run results and the factorized
+    # model: the package's other value classes are plain classes
+    assert seen["logging after import"] is seen["logging after runs"] is False
     assert seen["package binds logging"] == []
     assert seen["dataclasses after runs"] == [
         "eprsim.engine.MalusRun", "eprsim.engine.QwpChainRun", "eprsim.engine.TwoChannelRun",
@@ -896,6 +859,40 @@ def test_the_cli_loads_no_object_layer_and_freezes_its_imports():
     assert seen["frozen after import eprsim"] == 0
     assert seen["frozen after import eprsim.cli"] > 0
     assert _import_probe(_LIBRARY_PROBE, OPENBLAS_NUM_THREADS="1") == 0
+
+
+_NO_SCIPY_PROBE = """
+import json, os, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"no {name} here")
+
+sys.meta_path.insert(0, NoScipy())
+import eprsim.cli
+
+scenarios = ["chsh-scan", "malus-check", "qwp-test", "order-test", "model-matrix"]
+seen = {s: eprsim.cli.main([s, "--trials", "10000", "--out", os.devnull]) for s in scenarios}
+seen["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen["logging"] = "logging" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_every_scenario_runs_where_scipy_cannot_be_imported():
+    # scipy is a test dependency only: `epr` neither needs nor loads it.
+    assert _import_probe(_NO_SCIPY_PROBE, OPENBLAS_NUM_THREADS="1") == {
+        "chsh-scan": 0, "malus-check": 0, "qwp-test": 0, "order-test": 0, "model-matrix": 0,
+        "scipy": [], "logging": False,
+    }
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
 
 
 _LOGGING_PROBE = """

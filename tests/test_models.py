@@ -8,6 +8,7 @@ from scipy import stats as scipy_stats
 from eprsim import kernels
 from eprsim.engine import trial_draws
 from eprsim.models import (
+    ChannelOutcome,
     DefiniteCircular,
     Lhv,
     LhvModel,
@@ -38,6 +39,11 @@ def sign_correlation(theta: float) -> float:
     if theta <= math.pi / 2:
         return 1.0 - 4.0 * theta / math.pi
     return 4.0 * theta / math.pi - 3.0
+
+
+def test_a_channel_outcome_is_plus_or_minus():
+    # absorption is the Jones layer's `polarization.ABSORBED`, not an outcome
+    assert list(ChannelOutcome) == [ChannelOutcome.PLUS, ChannelOutcome.MINUS]
 
 
 class TestEmission:

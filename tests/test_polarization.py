@@ -22,6 +22,7 @@ from eprsim.polarization import (
     linear,
     phase_insensitive_equals,
 )
+from eprsim.twophoton import TwoPhotonState
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -142,6 +143,11 @@ def test_the_state_algebra_takes_no_tolerance():
         linear(0.0).require_normalized(tol=1e-3)
     with pytest.raises(TypeError):
         phase_insensitive_equals(linear(0.0), linear(0.0), 1e-12)
+
+
+def test_states_have_no_normalized():
+    assert not hasattr(JonesVector, "normalized")
+    assert not hasattr(TwoPhotonState, "normalized")
 
 
 def test_phase_equality_rejects_mixed_frames():

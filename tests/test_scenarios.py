@@ -9,7 +9,15 @@ from eprsim.models import (
     lhv_correlation,
     malus_response_model,
 )
-from eprsim.scenarios import SCENARIOS, ConfigError, build_model, chsh_scan, model_matrix, qwp_test
+from eprsim.scenarios import (
+    SCENARIOS,
+    ConfigError,
+    build_model,
+    chsh_scan,
+    malus_check,
+    model_matrix,
+    qwp_test,
+)
 from eprsim.stats import estimate_correlation
 from eprsim.twophoton import joint_probabilities, linear_entangled
 
@@ -82,6 +90,12 @@ class TestScenarioPredictions:
         assert by_model["ndv-nonlocal"]["p_b_given_a"] == pytest.approx(0.5, abs=0.01)
         assert by_model["qm"]["violates_classical"]
         assert not by_model["lhv-sign"]["violates_classical"]
+
+    def test_the_crossed_malus_row_predicts_no_pass(self):
+        # cos(pi/2)**2 is 3.7e-33 in floats; the Born-rule snap makes it 0,
+        # as it does in the kernel, where a crossed analyzer passes no photon
+        (row,) = malus_check(angles_deg=(90.0,), trials=1000)["rows"]
+        assert (row["n_pass"], row["p_model"], row["p_stderr"]) == (0, 0.0, 0.0)
 
     def test_ordering_is_echoed_never_averaged(self):
         doc = qwp_test(model="ndv-nonlocal", trials=100_000, seed=26, ordering="arm2-first")

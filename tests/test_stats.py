@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2, chi2_contingency
 
 from eprsim.stats import (
     MIN_ORDER_TEST_TRIALS,
@@ -16,6 +16,7 @@ from eprsim.stats import (
     chsh_report,
     conditional_detection,
     estimate_correlation,
+    _chi2_tail,
     order_invariance_test,
 )
 
@@ -72,6 +73,12 @@ class TestCorrelationEstimator:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             CoincidenceCounts(-1, 0, 0, 0)
+        with pytest.raises(ValueError):
+            ChainCounts(-1, 5, 7, 2)
+
+    def test_counts_of_different_classes_do_not_add(self):
+        with pytest.raises(TypeError):
+            CoincidenceCounts(1, 2, 3, 4) + ChainCounts(1, 2, 3, 4)
 
 
 def _pair(a, b, e, n=1_000_000):
@@ -240,20 +247,21 @@ class TestOrderInvariance:
             ((4_510, 490, 530, 4_470), (4_480, 520, 505, 4_495)),  # dof 3
         ],
     )
-    def test_matches_scipy_chi2_contingency_bit_for_bit(self, first, second):
+    def test_matches_scipy_chi2_contingency_at_each_dof(self, first, second):
         result = order_invariance_test(CoincidenceCounts(*first), CoincidenceCounts(*second))
         table = np.array([first, second])
-        chi2, p_value, dof, _ = chi2_contingency(
+        statistic, p_value, dof, _ = chi2_contingency(
             table[:, table.sum(axis=0) > 0], correction=False
         )
         assert dof == table.shape[1] - 1 - list(first).count(0)
-        assert (result.chi_square, result.p_value, result.degrees_of_freedom) == (
-            chi2, p_value, dof,
-        )
+        assert (result.chi_square, result.degrees_of_freedom) == (statistic, dof)
+        assert result.p_value == pytest.approx(p_value, rel=1e-12, abs=1e-300)
 
     # Any 2x4 table the test accepts. A cell is often zero, so whole columns
     # drop out (dof 0 to 3), and cells up to 10**12 make products of row and
-    # column sums that int64 arithmetic would overflow.
+    # column sums that int64 arithmetic would overflow. The statistic is
+    # scipy's bit for bit; the closed-form tail agrees with scipy's to 1e-12,
+    # and past a statistic of about 1460 is a subnormal where scipy's is 0.
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**12)), min_size=8, max_size=8))
     def test_matches_scipy_chi2_contingency_on_any_table(self, cells):
@@ -264,12 +272,17 @@ class TestOrderInvariance:
         )
         kept = table[:, table.sum(axis=0) > 0]
         if np.array_equal(kept[0], kept[1]):
-            want = (0.0, 1.0, kept.shape[1] - 1)  # identical samples: no test is run
+            statistic, p_value, dof = 0.0, 1.0, kept.shape[1] - 1  # identical: no test is run
         else:
-            chi2, p_value, dof, _ = chi2_contingency(kept, correction=False)
-            want = (chi2, p_value, dof)
-        assert (result.chi_square, result.p_value, result.degrees_of_freedom) == want
+            statistic, p_value, dof, _ = chi2_contingency(kept, correction=False)
+        assert (result.chi_square, result.degrees_of_freedom) == (statistic, dof)
+        assert result.p_value == pytest.approx(p_value, rel=1e-12, abs=1e-300)
         assert result.consistent == (result.p_value > 0.01)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0.5, 0.05, 1e-6])
+    def test_the_tail_is_exact_at_scipy_quantiles(self, q, dof):
+        assert _chi2_tail(chi2.isf(q, dof), dof) == pytest.approx(q, rel=1e-12)
 
 
 def test_binomial_stderr():
